@@ -2,9 +2,7 @@
 
 Subcommands: grad-check, optimize, equiv, zlearn. Exit codes: 0 the run
 passed (or finished, for optimize), 1 a numeric check failed, 2 the
-config was invalid, 3 anything else went wrong at runtime. --threads is
-accepted for interface stability; results never depend on it because
-rollout streams are indexed per rollout, not per worker.
+config was invalid, 3 anything else went wrong at runtime.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=".", help="directory for result files")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=1, help="accepted; results are schedule independent")
 
     p = sub.add_parser("grad-check", help="analytic vs finite-difference gradient")
     common(p)

@@ -9,7 +9,8 @@ every analytic derivative in the package is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -53,10 +54,144 @@ def _check_terminal_costs(L: np.ndarray, chain):
             )
 
 
-def _spectral_radius_below_one(M: np.ndarray) -> bool:
-    if M.size == 0:
-        return True
-    return np.max(np.abs(np.linalg.eigvals(M))) < 1.0 - 1e-12
+def _live_block(P: np.ndarray, chain, message: str):
+    """Non-terminal mask and the matching block of P, after checking that
+    the block's spectral radius is below one, that is, that the terminal
+    set is reached with probability 1 from every state."""
+    live = _nonterminal_mask(chain)
+    Pnn = P[np.ix_(live, live)]
+    if Pnn.size and not np.max(np.abs(np.linalg.eigvals(Pnn))) < 1.0 - 1e-12:
+        raise ReachabilityError(message)
+    return live, Pnn
+
+
+# ---------------------------------------------------------------------------
+# Build and solve steps shared by the solvers
+# ---------------------------------------------------------------------------
+
+
+def _setup(problem: Problem, theta, settings, message: str) -> np.ndarray:
+    _require_tabular(problem)
+    theta = check_params(theta, problem.n_params)
+    if not isinstance(problem.setting, settings):
+        raise InvalidStructureError(message)
+    return theta
+
+
+def _build(problem: Problem, theta: np.ndarray):
+    """Transition matrix and step-cost table at theta."""
+    P = problem.chain.transition_matrix(theta)
+    L = problem.cost.value_table(problem.chain.n_states, theta)
+    if not np.all(np.isfinite(L)):
+        raise InvalidStructureError("cost table contains non-finite entries")
+    return P, L
+
+
+def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
+    """V = L + gamma P V, with the first-exit reachability check."""
+    chain, gamma = problem.chain, problem.gamma
+    n = chain.n_states
+    if isinstance(problem.setting, FirstExit):
+        _check_terminal_costs(L, chain)
+        live, Pnn = _live_block(
+            P, chain, "terminal set is not reached with probability 1 from every state"
+        )
+        V = np.zeros(n)
+        V[live] = np.linalg.solve(np.eye(Pnn.shape[0]) - Pnn, L[live])
+    else:
+        V = np.linalg.solve(np.eye(n) - gamma * P, L)
+    residual = float(np.max(np.abs(V - (L + gamma * P @ V))))
+    if residual > _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
+        raise InvalidStructureError(f"value solve residual {residual} too large")
+    return V, residual
+
+
+def _average_values(P: np.ndarray, L: np.ndarray):
+    """Stationary density d, average cost j and differential values V.
+
+    V = (I - P + 1 d')^{-1} (L - j 1) automatically satisfies the gauge
+    E_d[V] = 0 because d'(I - P + 1 d') = d'.
+    """
+    n = P.shape[0]
+    d = stationary_from_matrix(P)
+    j = float(d @ L)
+    V = np.linalg.solve(np.eye(n) - P + np.outer(np.ones(n), d), L - j)
+    residual = float(np.max(np.abs(V + j - (L + P @ V))))
+    gauge = abs(float(d @ V))
+    if residual > _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))) or gauge > 1e-9:
+        raise InvalidStructureError(f"average solve residual {residual}, gauge {gauge}")
+    return d, j, V, residual
+
+
+def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
+    """rho = p0 + gamma P~' rho, with P~ the matrix P without terminal rows."""
+    chain = problem.chain
+    P = P.copy()
+    for s in chain.terminal:
+        P[s, :] = 0.0
+    p0 = problem.init.weights
+    rho = np.linalg.solve(np.eye(chain.n_states) - problem.gamma * P.T, p0)
+    resid = float(np.max(np.abs(rho - (p0 + problem.gamma * P.T @ rho))))
+    if resid > _RESIDUAL_TOL * max(1.0, np.max(np.abs(rho))):
+        raise InvalidStructureError(f"occupancy residual {resid} too large")
+    return rho
+
+
+# ---------------------------------------------------------------------------
+# One solve per theta
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Solution:
+    """Exact solve of the autonomous chain P(theta) with cost L(theta).
+
+    values are the values (differential values in the average setting),
+    gamma the discount on the chain term (1 outside the discounted
+    setting), J the objective and residual the max residual of the value
+    equations. weights are the visitation weights the gradient, surrogate
+    and Fisher matrix contract with: the stationary density in the average
+    setting, otherwise the discounted occupancy, solved on first read so
+    that the objective alone never pays for it.
+    """
+
+    problem: Problem
+    P: np.ndarray
+    L: np.ndarray
+    values: np.ndarray
+    gamma: float
+    J: float
+    residual: float
+    _weights: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            self._weights = _occupancy(self.problem, self.P)
+        return self._weights
+
+
+def solve(problem: Problem, theta) -> Solution:
+    """Build P and L once and solve the discounted, first-exit or average
+    problem at theta. This is the one place that pairs visitation weights
+    and values with a setting."""
+    _require_tabular(problem)
+    theta = check_params(theta, problem.n_params)
+    setting = problem.setting
+    if isinstance(setting, TimeVarying):
+        raise CapabilityError(
+            "the exact solve covers the stationary settings; finite-horizon "
+            "problems use the stage recursion"
+        )
+    average = isinstance(setting, Average)
+    if not average and not isinstance(problem.init, TabularInitial):
+        raise InvalidStructureError("the exact solve needs a tabular start law")
+    P, L = _build(problem, theta)
+    if average:
+        d, j, V, residual = _average_values(P, L)
+        return Solution(problem, P, L, V, problem.gamma, j, residual, d)
+    V, residual = _episodic_values(problem, P, L)
+    return Solution(problem, P, L, V, problem.gamma, float(problem.init.weights @ V), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -81,34 +216,15 @@ class AverageCost:
     residual: float
 
 
+_EPISODIC = (EpisodicDiscounted, FirstExit)
+
+
 def solve_value_episodic(problem: Problem, theta) -> ValueTable:
     """Solve V = L + gamma P V for discounted or first-exit problems."""
-    _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
-    if not isinstance(problem.setting, (EpisodicDiscounted, FirstExit)):
-        raise InvalidStructureError("episodic solver needs a discounted or first-exit setting")
-    gamma = problem.gamma
-    chain, cost = problem.chain, problem.cost
-    n = chain.n_states
-    P = chain.transition_matrix(theta)
-    L = cost.value_table(n, theta)
-    if not np.all(np.isfinite(L)):
-        raise InvalidStructureError("cost table contains non-finite entries")
-    if isinstance(problem.setting, FirstExit):
-        _check_terminal_costs(L, chain)
-        live = _nonterminal_mask(chain)
-        Pnn = P[np.ix_(live, live)]
-        if not _spectral_radius_below_one(Pnn):
-            raise ReachabilityError(
-                "terminal set is not reached with probability 1 from every state"
-            )
-        V = np.zeros(n)
-        V[live] = np.linalg.solve(np.eye(Pnn.shape[0]) - Pnn, L[live])
-    else:
-        V = np.linalg.solve(np.eye(n) - gamma * P, L)
-    residual = float(np.max(np.abs(V - (L + gamma * P @ V))))
-    if residual > _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
-        raise InvalidStructureError(f"value solve residual {residual} too large")
+    theta = _setup(
+        problem, theta, _EPISODIC, "episodic solver needs a discounted or first-exit setting"
+    )
+    V, residual = _episodic_values(problem, *_build(problem, theta))
     return ValueTable(values=V, residual=residual)
 
 
@@ -122,7 +238,6 @@ def stationary_density(problem: Problem, theta) -> np.ndarray:
 
 def stationary_from_matrix(P: np.ndarray) -> np.ndarray:
     """Stationary distribution of a row-stochastic matrix, with ergodicity checks."""
-    n = P.shape[0]
     vals, vecs = np.linalg.eig(P.T)
     close = np.abs(vals - 1.0) < 1e-8
     if close.sum() == 0:
@@ -144,35 +259,15 @@ def stationary_from_matrix(P: np.ndarray) -> np.ndarray:
 
 
 def solve_value_average(problem: Problem, theta) -> AverageCost:
-    """Average cost J and differential values via the fundamental matrix.
-
-    V = (I - P + 1 d')^{-1} (L - J 1) automatically satisfies the gauge
-    E_d[V] = 0 because d'(I - P + 1 d') = d'.
-    """
-    _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
-    if not isinstance(problem.setting, Average):
-        raise InvalidStructureError("average solver needs an average setting")
-    chain, cost = problem.chain, problem.cost
-    n = chain.n_states
-    P = chain.transition_matrix(theta)
-    d = stationary_from_matrix(P)
-    L = cost.value_table(n, theta)
-    j = float(d @ L)
-    V = np.linalg.solve(np.eye(n) - P + np.outer(np.ones(n), d), L - j)
-    residual = float(np.max(np.abs(V + j - (L + P @ V))))
-    gauge = abs(float(d @ V))
-    if residual > _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))) or gauge > 1e-9:
-        raise InvalidStructureError(f"average solve residual {residual}, gauge {gauge}")
+    """Average cost J and differential values via the fundamental matrix."""
+    theta = _setup(problem, theta, Average, "average solver needs an average setting")
+    _, j, V, residual = _average_values(*_build(problem, theta))
     return AverageCost(j=j, values=V, residual=residual)
 
 
 def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
     """Backward recursion V_t = L_t + P_t V_{t+1}; returns (T+1, n_states)."""
-    _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
-    if not isinstance(problem.setting, TimeVarying):
-        raise InvalidStructureError("time-varying solver needs a time-varying setting")
+    theta = _setup(problem, theta, TimeVarying, "time-varying solver needs a time-varying setting")
     chain, cost = problem.chain, problem.cost
     T = problem.setting.horizon
     n = chain.n_states
@@ -197,28 +292,16 @@ def discounted_occupancy(problem: Problem, theta) -> np.ndarray:
     propagation so absorbed mass stops circulating. Satisfies
     rho = p0 + gamma P~' rho with P~ the propagation matrix.
     """
-    _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
-    if not isinstance(problem.setting, (EpisodicDiscounted, FirstExit)):
-        raise InvalidStructureError("occupancy is defined for discounted or first-exit settings")
+    theta = _setup(
+        problem, theta, _EPISODIC, "occupancy is defined for discounted or first-exit settings"
+    )
     if not isinstance(problem.init, TabularInitial):
         raise InvalidStructureError("occupancy needs a tabular start law")
-    gamma = problem.gamma
     chain = problem.chain
-    n = chain.n_states
     P = chain.transition_matrix(theta)
-    for s in chain.terminal:
-        P[s, :] = 0.0
     if isinstance(problem.setting, FirstExit):
-        live = _nonterminal_mask(chain)
-        if not _spectral_radius_below_one(P[np.ix_(live, live)]):
-            raise ReachabilityError("occupancy diverges: terminal set not always reached")
-    p0 = problem.init.weights
-    rho = np.linalg.solve(np.eye(n) - gamma * P.T, p0)
-    resid = float(np.max(np.abs(rho - (p0 + gamma * P.T @ rho))))
-    if resid > _RESIDUAL_TOL * max(1.0, np.max(np.abs(rho))):
-        raise InvalidStructureError(f"occupancy residual {resid} too large")
-    return rho
+        _live_block(P, chain, "occupancy diverges: terminal set not always reached")
+    return _occupancy(problem, P)
 
 
 # ---------------------------------------------------------------------------
@@ -228,55 +311,34 @@ def discounted_occupancy(problem: Problem, theta) -> np.ndarray:
 
 def objective(problem: Problem, theta) -> float:
     """Expected accumulated cost under the setting's semantics."""
-    _require_tabular(problem)
-    setting = problem.setting
-    if isinstance(setting, (EpisodicDiscounted, FirstExit)):
-        V = solve_value_episodic(problem, theta).values
-        return float(problem.init.weights @ V)
-    if isinstance(setting, Average):
-        return solve_value_average(problem, theta).j
-    V = solve_value_timevarying(problem, theta)
-    return float(problem.init.weights @ V[0])
+    if isinstance(problem.setting, TimeVarying):
+        V = solve_value_timevarying(problem, theta)
+        return float(problem.init.weights @ V[0])
+    return solve(problem, theta).J
 
 
 def exact_gradient(problem: Problem, theta) -> np.ndarray:
     """Analytic objective gradient assembled from visitation weights and values.
 
     Uses the expectation form: the chain term enters as
-    sum_y P(y|x) score(x,y) V(y), weighted by the discounted occupancy
-    (episodic and first-exit), the stationary distribution (average), or
-    stage densities (time-varying).
+    sum_y P(y|x) score(x,y) V(y), weighted by the solve's visitation
+    weights, or by stage densities in the time-varying setting.
     """
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
     if not problem.chain.differentiable or not problem.cost.differentiable:
         raise CapabilityError("exact gradient needs differentiable chain and cost")
-    setting = problem.setting
     chain, cost = problem.chain, problem.cost
     n = chain.n_states
 
-    if isinstance(setting, (EpisodicDiscounted, FirstExit)):
-        gamma = problem.gamma
-        V = solve_value_episodic(problem, theta).values
-        rho = discounted_occupancy(problem, theta)
-        P = chain.transition_matrix(theta)
+    if not isinstance(problem.setting, TimeVarying):
+        sol = solve(problem, theta)
         S = chain.score_table(theta)
-        gradL = cost.grad_table(n, theta)
-        g = rho @ gradL
-        g += gamma * np.einsum("x,xy,y,xyp->p", rho, P, V, S)
+        g = sol.weights @ cost.grad_table(n, theta)
+        g += sol.gamma * np.einsum("x,xy,y,xyp->p", sol.weights, sol.P, sol.values, S)
         return g
 
-    if isinstance(setting, Average):
-        avg = solve_value_average(problem, theta)
-        d = stationary_density(problem, theta)
-        P = chain.transition_matrix(theta)
-        S = chain.score_table(theta)
-        gradL = cost.grad_table(n, theta)
-        g = d @ gradL
-        g += np.einsum("x,xy,y,xyp->p", d, P, avg.values, S)
-        return g
-
-    T = setting.horizon
+    T = problem.setting.horizon
     V = solve_value_timevarying(problem, theta)
     p = problem.init.weights.copy()
     g = np.zeros(problem.n_params)
@@ -301,25 +363,15 @@ def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
     chain, cost = problem.chain, problem.cost
     if not chain.has_bottleneck or not cost.has_bottleneck:
         raise CapabilityError("bottleneck gradient needs bottleneck chain and cost")
-    setting = problem.setting
-    if isinstance(setting, (EpisodicDiscounted, FirstExit)):
-        gamma = problem.gamma
-        V = solve_value_episodic(problem, theta).values
-        weights = discounted_occupancy(problem, theta)
-    elif isinstance(setting, Average):
-        gamma = 1.0
-        avg = solve_value_average(problem, theta)
-        V = avg.values
-        weights = stationary_density(problem, theta)
-    else:
-        raise CapabilityError("bottleneck gradient covers stationary settings only")
+    sol = solve(problem, theta)
     g = np.zeros(problem.n_params)
     for x in range(chain.n_states):
         if x in chain.terminal:
             continue
         eta = chain.bottleneck(x, theta)
-        inner = cost.grad_eta(x, eta) + gamma * (chain.prob_row_eta_jac(x, eta).T @ V)
-        g += weights[x] * (chain.bottleneck_jac(x, theta) @ inner)
+        jac = chain.prob_row_eta_jac(x, eta)
+        inner = cost.grad_eta(x, eta) + sol.gamma * (jac.T @ sol.values)
+        g += sol.weights[x] * (chain.bottleneck_jac(x, theta) @ inner)
     return g
 
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError
+from .errors import ConfigError
 from .exact import (
     exact_gradient,
     exact_gradient_bottleneck,
@@ -59,8 +59,9 @@ from .rollout import (
     generate_rollouts,
 )
 from .surrogate import (
+    ClippedSurrogate,
+    SampledSurrogate,
     chain_iteration_step,
-    clipped_surrogate,
     fisher_matrix,
 )
 from .zlearn import (
@@ -688,7 +689,9 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
         elif method == "pco":
             grad = exact_gradient(problem, theta)
             if not last:
-                surr = clipped_surrogate(problem, theta, batch, approx, alg.clip_radius)
+                surr = ClippedSurrogate(
+                    SampledSurrogate(problem, theta, batch, approx), alg.clip_radius
+                )
                 report = chain_iteration_step(
                     problem, theta, surrogate=surr, inner="gd",
                     kappa=kappa, max_inner=alg.inner_iterations,

@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DivergenceUndefinedError, InvalidStructureError
-from .exact import (
-    discounted_occupancy,
-    solve_value_average,
-    stationary_density,
-    stationary_from_matrix,
-)
+from .exact import solve, stationary_from_matrix
 from .model import (
     Average,
     ChainModel,
@@ -33,8 +28,8 @@ from .model import (
     TableCost,
     WeightedSumCost,
     _softmax,
+    PolicyEntropyCost,
     check_params,
-    cost_policy_entropy,
 )
 
 
@@ -210,27 +205,6 @@ class PolicyAveragedChain(ChainModel):
         sl = self.policy.param_slice(x)
         h[sl, sl] = d2P / total - np.outer(dP, dP) / total**2
         return h
-
-    def sample(self, x, theta, rng, t: int = 0):
-        if x in self.terminal:
-            return x
-        row = self.prob_row(x, theta)
-        return int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-
-    def make_sampler(self, theta, t: int = 0):
-        cums = {}
-        for x in range(self.n_states):
-            cums[x] = np.cumsum(self.prob_row(x, theta))
-        terminal = self.terminal
-        n = self.n_states
-
-        def step(x, rng):
-            if x in terminal:
-                return x
-            idx = np.searchsorted(cums[x], rng.random(), side="right")
-            return int(min(idx, n - 1))
-
-        return step
 
     # --- bottleneck view: eta is the action distribution at x --------------
 
@@ -473,7 +447,7 @@ def map_entropy_mdp(mdp: TabularMdp, policy: SoftmaxPolicy) -> Problem:
     """Entropy-regularized mapping: expected action cost plus policy entropy."""
     chain = PolicyAveragedChain(mdp.transitions, policy)
     cost = WeightedSumCost(
-        [PolicyExpectedCost(policy, mdp.costs), cost_policy_entropy(policy)]
+        [PolicyExpectedCost(policy, mdp.costs), PolicyEntropyCost(policy)]
     )
     return Problem(chain, cost, mdp.setting, mdp.init)
 
@@ -649,48 +623,17 @@ def stochastic_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, theta) ->
     """Likelihood-ratio policy gradient: visitation-weighted d pi . Q.
 
     State values come from the action-space evaluator, so this route shares
-    no value code with the chain-side gradient it is checked against.
+    no value code with the chain-side gradient it is checked against; only
+    the visitation weights come from the chain solve.
     """
     theta = check_params(theta, policy.n_params)
     pi = policy.table(theta)
-    v, j = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
-    problem = map_stochastic_mdp(mdp, policy)
-    if isinstance(mdp.setting, (EpisodicDiscounted, FirstExit)):
-        gamma = mdp.setting.gamma
-        weights = discounted_occupancy(problem, theta)
-    else:
-        gamma = 1.0
-        weights = stationary_density(problem, theta)
-    Q = mdp.costs + gamma * np.einsum("xay,y->xa", mdp.transitions, v)
+    v, _ = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
+    sol = solve(map_stochastic_mdp(mdp, policy), theta)
+    Q = mdp.costs + sol.gamma * np.einsum("xay,y->xa", mdp.transitions, v)
     g = np.zeros(policy.n_params)
     for x in range(mdp.n_states):
-        g[policy.param_slice(x)] = weights[x] * (policy.jac_block(x, theta) @ Q[x])
-    return g
-
-
-def deterministic_bottleneck_gradient(
-    mdp: TabularMdp, policy: SoftmaxPolicy, theta
-) -> np.ndarray:
-    """Deterministic policy gradient through the action-distribution bottleneck.
-
-    Assembles visitation-weighted d mu . d_eta Q(x, eta) from the raw
-    decision-process arrays. With eta the action distribution, d_eta Q at
-    eta = pi(x) is exactly the vector of action values.
-    """
-    theta = check_params(theta, policy.n_params)
-    pi = policy.table(theta)
-    v, j = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
-    problem = map_stochastic_mdp(mdp, policy)
-    if isinstance(mdp.setting, (EpisodicDiscounted, FirstExit)):
-        gamma = mdp.setting.gamma
-        weights = discounted_occupancy(problem, theta)
-    else:
-        gamma = 1.0
-        weights = stationary_density(problem, theta)
-    dQ_deta = mdp.costs + gamma * np.einsum("xay,y->xa", mdp.transitions, v)
-    g = np.zeros(policy.n_params)
-    for x in range(mdp.n_states):
-        g[policy.param_slice(x)] = weights[x] * (policy.jac_block(x, theta) @ dQ_deta[x])
+        g[policy.param_slice(x)] = sol.weights[x] * (policy.jac_block(x, theta) @ Q[x])
     return g
 
 
@@ -704,13 +647,12 @@ def lmdp_policy_gradient(problem: Problem, spec: LmdpSpec, theta) -> np.ndarray:
     if not isinstance(problem.setting, Average):
         raise CapabilityError("this specialized gradient is for the average setting")
     chain = problem.chain
-    d = stationary_density(problem, theta)
-    v = solve_value_average(problem, theta).values
-    P = chain.transition_matrix(theta)
+    sol = solve(problem, theta)
+    d, v = sol.weights, sol.values
     S = chain.score_table(theta)
     g = np.zeros(problem.n_params)
     for x in range(chain.n_states):
-        row = P[x]
+        row = sol.P[x]
         mask = row > 0
         logr = np.zeros_like(row)
         logr[mask] = np.log(row[mask] / spec.baseline[x][mask])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -35,6 +35,19 @@ def check_params(theta, n_params: int) -> Array:
     if not np.all(np.isfinite(th)):
         raise InvalidStructureError("parameter vector contains non-finite entries")
     return th
+
+
+def sample_index(cum: Array, u: float) -> int:
+    """Inverse-CDF draw: the first index whose cumulative weight exceeds u.
+
+    A draw at or above the row's total, which rounding in the cumulative
+    sum makes possible, is clamped to the last index with positive weight,
+    so a zero-weight index is never returned.
+    """
+    idx = int(np.searchsorted(cum, u, side="right"))
+    if idx < cum.shape[0]:
+        return idx
+    return int(np.searchsorted(cum, cum[-1], side="left"))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +125,7 @@ class TabularInitial:
         self._cum = np.cumsum(self.weights)
 
     def sample(self, rng: np.random.Generator) -> int:
-        return int(np.searchsorted(self._cum, rng.random(), side="right"))
+        return sample_index(self._cum, rng.random())
 
 
 class GaussianInitial:
@@ -211,11 +224,26 @@ class ChainModel(abc.ABC):
     # --- sampling ---------------------------------------------------------
 
     def sample(self, x, theta, rng: np.random.Generator, t: int = 0):
-        raise CapabilityError(f"{type(self).__name__} is not samplable")
+        """Draw x_next from the tabular row of x; terminal states draw nothing."""
+        if not self.tabular:
+            raise CapabilityError(f"{type(self).__name__} is not samplable")
+        if x in self.terminal:
+            return x
+        return sample_index(np.cumsum(self.prob_row(x, theta, t)), rng.random())
 
     def make_sampler(self, theta: Array, t: int = 0):
         """Return a callable (x, rng) -> x_next with tables precomputed."""
-        return lambda x, rng: self.sample(x, theta, rng, t)
+        if not self.tabular:
+            return lambda x, rng: self.sample(x, theta, rng, t)
+        cums = np.cumsum(self.transition_matrix(theta, t), axis=1)
+        terminal = self.terminal
+
+        def step(x, rng):
+            if x in terminal:
+                return x
+            return sample_index(cums[x], rng.random())
+
+        return step
 
     # --- bottleneck (low-dimensional policy output) -----------------------
 
@@ -390,32 +418,6 @@ class SoftmaxChain(ChainModel):
         jac[self._succ[x], sl] = block
         return jac
 
-    def sample(self, x, theta, rng, t: int = 0):
-        if x in self.terminal:
-            return x
-        p = self._row_probs(x, theta)
-        idx = np.searchsorted(np.cumsum(p), rng.random(), side="right")
-        return int(self._succ[x][min(idx, len(p) - 1)])
-
-    def make_sampler(self, theta, t: int = 0):
-        cums = {x: np.cumsum(self._row_probs(x, theta)) for x in self._succ}
-        succ = self._succ
-        terminal = self.terminal
-
-        def step(x, rng):
-            if x in terminal:
-                return x
-            c = cums[x]
-            idx = np.searchsorted(c, rng.random(), side="right")
-            return int(succ[x][min(idx, len(c) - 1)])
-
-        return step
-
-
-def make_softmax_chain(n_states, support, terminal=()) -> SoftmaxChain:
-    """Build a softmax chain from a successor map {state: [successors]}."""
-    return SoftmaxChain(n_states, support, terminal)
-
 
 class FixedTabularChain(ChainModel):
     """Parameter-free tabular chain wrapping a fixed row-stochastic matrix."""
@@ -436,7 +438,6 @@ class FixedTabularChain(ChainModel):
         self.n_states = P.shape[0]
         self.terminal = frozenset(int(s) for s in terminal)
         self.n_params = int(n_params)
-        self._cum = np.cumsum(self._P, axis=1)
 
     def prob_row(self, x, theta, t: int = 0) -> Array:
         return self._P[x].copy()
@@ -449,20 +450,6 @@ class FixedTabularChain(ChainModel):
 
     def log_prob_hess(self, x, x_next, theta, t: int = 0) -> Array:
         return np.zeros((self.n_params, self.n_params))
-
-    def sample(self, x, theta, rng, t: int = 0):
-        idx = np.searchsorted(self._cum[x], rng.random(), side="right")
-        return int(min(idx, self.n_states - 1))
-
-    def make_sampler(self, theta, t: int = 0):
-        cum = self._cum
-        n = self.n_states
-
-        def step(x, rng):
-            idx = np.searchsorted(cum[x], rng.random(), side="right")
-            return int(min(idx, n - 1))
-
-        return step
 
 
 class GaussianLinearChain(ChainModel):
@@ -757,11 +744,6 @@ class WeightedSumCost(CostModel):
         return h
 
 
-def cost_sum(parts, weights=None) -> WeightedSumCost:
-    """Combine cost components into a single weighted-sum cost."""
-    return WeightedSumCost(parts, weights)
-
-
 class KlToFixedChainCost(CostModel):
     """Per-state KL divergence of the chain's row from a fixed reference row.
 
@@ -817,11 +799,6 @@ class KlToFixedChainCost(CostModel):
         return h
 
 
-def cost_kl_to_fixed(chain: ChainModel, reference) -> KlToFixedChainCost:
-    """Control-effort cost: KL from the chain's rows to a fixed reference chain."""
-    return KlToFixedChainCost(chain, reference)
-
-
 class PolicyEntropyCost(CostModel):
     """Entropy of a tabular stochastic policy, one value per state.
 
@@ -845,11 +822,6 @@ class PolicyEntropyCost(CostModel):
         logs = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
         g[self.policy.param_slice(x)] = -p * (logs + h)
         return g
-
-
-def cost_policy_entropy(policy) -> PolicyEntropyCost:
-    """Per-state policy entropy, used as an exploration bonus term."""
-    return PolicyEntropyCost(policy)
 
 
 class TimeVaryingCost(CostModel):

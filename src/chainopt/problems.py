@@ -27,7 +27,6 @@ from .model import (
     TimeVarying,
     TimeVaryingChain,
     TimeVaryingCost,
-    cost_sum,
 )
 
 

@@ -17,12 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, RegularizationRequiredError
-from .exact import (
-    discounted_occupancy,
-    solve_value_average,
-    solve_value_episodic,
-    stationary_density,
-)
+from .exact import solve
 from .model import Average, Problem, TimeVarying, check_params
 from .rollout import (
     RolloutBatch,
@@ -34,23 +29,6 @@ from .rollout import (
 )
 
 _LOG_RATIO_CAP = 30.0
-
-
-def _stationary_weights(problem: Problem, theta):
-    """Visitation weights used by surrogates: occupancy, or the
-    stationary density in the average setting."""
-    if isinstance(problem.setting, TimeVarying):
-        raise CapabilityError(
-            "surrogates cover the stationary settings; finite-horizon problems "
-            "use the whole-path estimators"
-        )
-    if isinstance(problem.setting, Average):
-        d = stationary_density(problem, theta)
-        V = solve_value_average(problem, theta).values
-        return d, V
-    rho = discounted_occupancy(problem, theta)
-    V = solve_value_episodic(problem, theta).values
-    return rho, V
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +44,10 @@ class ExactSurrogate:
     """
 
     def __init__(self, problem: Problem, theta):
-        if not problem.chain.tabular:
-            raise CapabilityError("exact surrogate needs a tabular chain")
         self.problem = problem
         self.theta = check_params(theta, problem.n_params)
-        self.weights, self.values = _stationary_weights(problem, self.theta)
-        self.gamma = problem.gamma
+        sol = solve(problem, self.theta)
+        self.weights, self.values, self.gamma = sol.weights, sol.values, sol.gamma
 
     def value(self, alpha) -> float:
         th = self.theta + check_params(alpha, self.problem.n_params)
@@ -116,11 +92,6 @@ class ExactSurrogate:
                 chain_term += wx * pv * chain.log_prob_hess(x, y, th)
         H += self.gamma * chain_term
         return 0.5 * (H + H.T)
-
-
-def surrogate_exact(problem: Problem, theta) -> ExactSurrogate:
-    """Freeze visitation weights and values at theta and return S(alpha)."""
-    return ExactSurrogate(problem, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +274,6 @@ class SampledSurrogate:
         return 0.5 * (H + H.T)
 
 
-def surrogate_sampled(
-    problem: Problem, theta, batch: RolloutBatch, baseline: Optional[ValueApprox] = None
-) -> SampledSurrogate:
-    """Build the Monte-Carlo surrogate of the objective around theta."""
-    return SampledSurrogate(problem, theta, batch, baseline)
-
-
 # ---------------------------------------------------------------------------
 # Clipped (proximal) surrogate
 # ---------------------------------------------------------------------------
@@ -368,17 +332,6 @@ class ClippedSurrogate:
         return g / self.base.n_valid
 
 
-def clipped_surrogate(
-    problem: Problem,
-    theta,
-    batch: RolloutBatch,
-    baseline: Optional[ValueApprox],
-    clip_radius: float,
-) -> ClippedSurrogate:
-    """Proximal variant of the sampled surrogate with ratio clipping."""
-    return ClippedSurrogate(SampledSurrogate(problem, theta, batch, baseline), clip_radius)
-
-
 # ---------------------------------------------------------------------------
 # Chain iteration
 # ---------------------------------------------------------------------------
@@ -434,7 +387,7 @@ def chain_iteration_step(
         raise ConfigError("trust weight kappa must lie in [0, 1]")
     if inner not in ("gd", "newton"):
         raise ConfigError(f"unknown inner optimizer {inner!r}")
-    sur = surrogate if surrogate is not None else surrogate_exact(problem, theta)
+    sur = surrogate if surrogate is not None else ExactSurrogate(problem, theta)
 
     alpha = np.zeros(problem.n_params)
     s_here = sur.value(alpha)
@@ -526,11 +479,10 @@ def fisher_matrix(
     if batch is None:
         if not problem.chain.tabular:
             raise CapabilityError("exact Fisher needs a tabular chain")
-        w, _ = _stationary_weights(problem, theta)
-        w = w / w.sum()
-        P = problem.chain.transition_matrix(theta)
+        sol = solve(problem, theta)
+        w = sol.weights / sol.weights.sum()
         S = problem.chain.score_table(theta)
-        F = np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
+        F = np.einsum("x,xy,xyp,xyq->pq", w, sol.P, S, S)
         return FisherMatrix(matrix=0.5 * (F + F.T), source="exact")
 
     check_batch(theta, batch)
@@ -592,7 +544,5 @@ def surrogate_hessian(
 ) -> np.ndarray:
     """Second derivative of the (exact or sampled) surrogate at alpha = 0."""
     if batch is None:
-        return surrogate_exact(problem, theta).hess(np.zeros(problem.n_params))
-    return surrogate_sampled(problem, theta, batch, baseline).hess(
-        np.zeros(problem.n_params)
-    )
+        return ExactSurrogate(problem, theta).hess(np.zeros(problem.n_params))
+    return SampledSurrogate(problem, theta, batch, baseline).hess(np.zeros(problem.n_params))

@@ -15,29 +15,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    InvalidStructureError,
-    ReachabilityError,
-    SpectralError,
-)
-from .exact import exact_gradient, objective, solve_value_average, stationary_density
+from .errors import InvalidStructureError, ReachabilityError, SpectralError
+from .exact import exact_gradient, objective, solve
 from .mdp import LmdpSpec
 from .model import (
     Average,
     ChainModel,
-    FirstExit,
     FixedTabularChain,
+    KlToFixedChainCost,
     Problem,
     TableCost,
     TabularInitial,
+    WeightedSumCost,
     check_params,
-    cost_kl_to_fixed,
-    cost_sum,
+    sample_index,
 )
 from .surrogate import FisherMatrix, fisher_matrix, natural_gradient
 
@@ -307,22 +301,13 @@ class ZWeightedChain(ChainModel):
         cov = (row[:, None] * centered).T @ centered
         return -(self.gamma_z**2) * cov
 
-    def make_sampler(self, theta, t: int = 0):
-        P = self.transition_matrix(theta, t)
-        cums = np.cumsum(P, axis=1)
-        n = self.n_states
-        def step(x, rng):
-            idx = np.searchsorted(cums[int(x)], rng.random(), side="right")
-            return int(min(idx, n - 1))
-        return step
-
 
 def z_problem(spec: LmdpSpec, features, setting, init_weights=None, gamma: float = 1.0) -> Problem:
     """Differentiable problem whose chain is the feature-tilted baseline and
     whose cost is the state charge plus control KL."""
     chain = ZWeightedChain(spec, features, gamma)
-    cost = cost_sum(
-        [TableCost(spec.state_cost, chain.n_params), cost_kl_to_fixed(chain, spec.baseline)]
+    cost = WeightedSumCost(
+        [TableCost(spec.state_cost, chain.n_params), KlToFixedChainCost(chain, spec.baseline)]
     )
     n = spec.n_states
     if init_weights is None:
@@ -361,15 +346,6 @@ def _init_distribution(spec: LmdpSpec, init_weights):
     else:
         w = np.array([0.0 if x in spec.terminal else 1.0 for x in range(spec.n_states)])
     return w / w.sum()
-
-
-def _row_sampler(matrix):
-    cums = np.cumsum(matrix, axis=1)
-    last = matrix.shape[1] - 1
-    def draw(x, rng):
-        idx = np.searchsorted(cums[int(x)], rng.random(), side="right")
-        return int(min(idx, last))
-    return draw
 
 
 class _ZUpdater:
@@ -442,7 +418,7 @@ def zlearn_baseline(
     upd = _ZUpdater(z.copy(), c)
     zz = upd.z
     p0 = _init_distribution(spec, init_weights)
-    draw_base = _row_sampler(spec.baseline)
+    base_cums = np.cumsum(spec.baseline, axis=1)
     n_restarts = 0
     x = int(rng.choice(spec.n_states, p=p0))
     for k in range(steps):
@@ -450,7 +426,7 @@ def zlearn_baseline(
             x = int(rng.choice(spec.n_states, p=p0))
             n_restarts += 1
         else:
-            x_next = draw_base(x, rng)
+            x_next = sample_index(base_cums[x], rng.random())
             target = math.exp(-spec.state_cost[x]) * upd.z_at(x_next) ** zz.gamma
             upd.update(x, target)
             x = x_next
@@ -482,7 +458,9 @@ def zlearn_greedy(
     upd = _ZUpdater(z.copy(), c)
     zz = upd.z
     p0 = _init_distribution(spec, init_weights)
-    draw_base = _row_sampler(spec.baseline)
+    base_cums = np.cumsum(spec.baseline, axis=1)
+    supports = [np.flatnonzero(row > 0.0) for row in spec.baseline]
+    base_rows = [row[sup] for row, sup in zip(spec.baseline, supports)]
     n_restarts = 0
     x = int(rng.choice(spec.n_states, p=p0))
     for k in range(steps):
@@ -490,17 +468,16 @@ def zlearn_greedy(
             x = int(rng.choice(spec.n_states, p=p0))
             n_restarts += 1
         else:
-            sup = np.flatnonzero(spec.baseline[x] > 0.0)
+            sup = supports[x]
             zvals = np.array([upd.z_at(y) for y in sup]) ** zz.gamma
-            weights = spec.baseline[x, sup] * zvals
+            weights = base_rows[x] * zvals
             if mode == "exact-g":
                 target = math.exp(-spec.state_cost[x]) * float(weights.sum())
             else:
-                y = draw_base(x, rng)
+                y = sample_index(base_cums[x], rng.random())
                 target = math.exp(-spec.state_cost[x]) * upd.z_at(y) ** zz.gamma
             probs = weights / weights.sum()
-            idx = np.searchsorted(np.cumsum(probs), rng.random(), side="right")
-            x_next = int(sup[min(idx, sup.size - 1)])
+            x_next = int(sup[sample_index(np.cumsum(probs), rng.random())])
             upd.update(x, target)
             x = x_next
         if record_every and (k + 1) % record_every == 0 and on_record is not None:
@@ -544,8 +521,8 @@ def compatible_natural_gradient_check(
     scale = max(np.abs(fisher.matrix).max(), 1e-30)
     nat = natural_gradient(grad, fisher, damping * scale)
 
-    d = stationary_density(prob, theta)
-    v = solve_value_average(prob, theta).values
+    sol = solve(prob, theta)
+    d, v = sol.weights, sol.values
     phi = np.asarray(features, dtype=float)
     W = phi.T * d[None, :]
     omega = np.linalg.lstsq(W @ phi, W @ v, rcond=None)[0]

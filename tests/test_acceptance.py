@@ -23,6 +23,7 @@ from chainopt import (
     SoftmaxChain,
     TabularInitial,
     exact_gradient,
+    exact_gradient_bottleneck,
     fd_gradient_oracle,
     fd_hessian_oracle,
     objective,
@@ -31,7 +32,6 @@ from chainopt.harness import parse_config, run_equivcheck, run_optimize
 from chainopt.mdp import (
     LmdpSpec,
     chain_as_action_mdp,
-    deterministic_bottleneck_gradient,
     lmdp_policy_gradient,
     map_entropy_mdp,
     map_lmdp,
@@ -58,12 +58,12 @@ from chainopt.rollout import (
 )
 from chainopt.surrogate import (
     FisherMatrix,
-    clipped_surrogate,
+    ClippedSurrogate,
     fisher_matrix,
     natural_gradient,
-    surrogate_exact,
+    ExactSurrogate,
     surrogate_hessian,
-    surrogate_sampled,
+    SampledSurrogate,
 )
 from chainopt.zlearn import (
     TabularZ,
@@ -183,7 +183,9 @@ def test_criterion_02_mapped_values_match_mdp_eval():
 
 def test_criterion_03_classical_gradients_match_unified():
     """The likelihood-ratio, bottleneck, and control-cost gradient routes
-    all reproduce the unified chain gradient."""
+    all reproduce the unified chain gradient. The bottleneck route
+    contracts through the action distribution of the deterministic
+    rebuild of the process."""
     worst = 0.0
     for seed in range(10):
         setting = Average() if seed % 2 else EpisodicDiscounted(0.9)
@@ -194,11 +196,10 @@ def test_criterion_03_classical_gradients_match_unified():
             worst,
             float(np.max(np.abs(stochastic_policy_gradient(mdp, policy, theta) - unified))),
         )
+        _, prob_d = stochastic_to_deterministic(mdp, policy)
         worst = max(
             worst,
-            float(
-                np.max(np.abs(deterministic_bottleneck_gradient(mdp, policy, theta) - unified))
-            ),
+            float(np.max(np.abs(exact_gradient_bottleneck(prob_d, theta) - unified))),
         )
     for seed in range(10):
         spec, prob, theta = full_support_lmdp(5, seed, Average())
@@ -303,7 +304,7 @@ def test_criterion_07_surrogate_slope_identities():
         probs.append((p, theta_for(p, 3)))
     for problem, theta in probs:
         zero = np.zeros(problem.n_params)
-        diff = np.abs(surrogate_exact(problem, theta).grad(zero) - exact_gradient(problem, theta))
+        diff = np.abs(ExactSurrogate(problem, theta).grad(zero) - exact_gradient(problem, theta))
         worst_exact = max(worst_exact, float(diff.max()))
 
     problem = canonical_two_state()
@@ -313,7 +314,7 @@ def test_criterion_07_surrogate_slope_identities():
     batch = generate_rollouts(problem, theta, 400, seed=seed_int(70, 1))
     worst_sampled = 0.0
     for baseline in (None, approx):
-        sur = surrogate_sampled(problem, theta, batch, baseline)
+        sur = SampledSurrogate(problem, theta, batch, baseline)
         est = estimate_gradient(problem, theta, batch, baseline=baseline)
         worst_sampled = max(worst_sampled, float(np.max(np.abs(sur.grad(np.zeros(2)) - est.mean))))
     ok = worst_exact < 1e-12 and worst_sampled < 1e-12
@@ -331,9 +332,9 @@ def test_criterion_08_clipped_surrogate_bounds():
     problem = canonical_two_state()
     theta = np.zeros(2)
     batch = generate_rollouts(problem, theta, 400, seed=seed_int(80, 0))
-    base = surrogate_sampled(problem, theta, batch)
-    huge = clipped_surrogate(problem, theta, batch, None, 1e6)
-    tight = clipped_surrogate(problem, theta, batch, None, 0.2)
+    base = SampledSurrogate(problem, theta, batch)
+    huge = ClippedSurrogate(SampledSurrogate(problem, theta, batch), 1e6)
+    tight = ClippedSurrogate(SampledSurrogate(problem, theta, batch), 0.2)
     rng = np.random.default_rng(81)
     exact_at_huge = True
     for _ in range(10):

@@ -10,7 +10,9 @@ import pytest
 
 from chainopt import (
     Average,
+    CapabilityError,
     EpisodicDiscounted,
+    ExactSurrogate,
     FirstExit,
     Problem,
     ReachabilityError,
@@ -21,7 +23,9 @@ from chainopt import (
     exact_gradient,
     exact_gradient_bottleneck,
     fd_gradient_oracle,
+    fisher_matrix,
     objective,
+    solve,
     solve_value_average,
     solve_value_episodic,
     solve_value_timevarying,
@@ -217,3 +221,75 @@ class TestExactGradient:
                 exact_gradient(prob, theta),
                 atol=1e-10,
             )
+
+
+class TestOneSolvePerTheta:
+    SETTINGS = [EpisodicDiscounted(0.9), FirstExit(), Average()]
+
+    def test_solution_matches_public_solvers(self):
+        """solve pairs each setting with the same values and weights as the
+        dedicated solvers, to the last bit."""
+        for setting in self.SETTINGS:
+            prob = random_softmax_problem(setting, n_states=7, seed=4)
+            theta = theta_for(prob, 5)
+            sol = solve(prob, theta)
+            assert sol.J == objective(prob, theta)
+            np.testing.assert_array_equal(sol.P, prob.chain.transition_matrix(theta))
+            if isinstance(setting, Average):
+                avg = solve_value_average(prob, theta)
+                np.testing.assert_array_equal(sol.values, avg.values)
+                np.testing.assert_array_equal(sol.weights, stationary_density(prob, theta))
+                assert sol.gamma == 1.0 and sol.J == avg.j
+            else:
+                np.testing.assert_array_equal(
+                    sol.values, solve_value_episodic(prob, theta).values
+                )
+                np.testing.assert_array_equal(sol.weights, discounted_occupancy(prob, theta))
+                assert sol.gamma == setting.gamma
+
+    def test_time_varying_is_refused(self):
+        prob = random_timevarying_problem(horizon=3, n_states=4, seed=1)
+        with pytest.raises(CapabilityError):
+            solve(prob, theta_for(prob, 2))
+
+    @pytest.mark.parametrize("setting", SETTINGS, ids=["episodic", "first-exit", "average"])
+    def test_each_exact_quantity_builds_and_checks_the_chain_once(self, setting, monkeypatch):
+        """The gradient, the exact surrogate and the exact Fisher build P
+        once and run the ergodicity or reachability check at most once;
+        the objective makes one linear solve and never solves for the
+        visitation weights."""
+        prob = random_softmax_problem(setting, n_states=8, seed=3)
+        theta = theta_for(prob, 6)
+        counts = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(prob.chain, "transition_matrix")
+        count(prob.cost, "value_table")
+        for name in ("eig", "eigvals", "solve"):
+            count(np.linalg, name)
+
+        def calls(fn):
+            counts.clear()
+            fn()
+            return dict(counts)
+
+        for fn in (
+            lambda: exact_gradient(prob, theta),
+            lambda: ExactSurrogate(prob, theta),
+            lambda: fisher_matrix(prob, theta),
+        ):
+            c = calls(fn)
+            assert c.get("transition_matrix") == 1
+            assert c.get("value_table") == 1
+            assert c.get("eig", 0) + c.get("eigvals", 0) <= 1
+        c = calls(lambda: objective(prob, theta))
+        assert c.get("transition_matrix") == 1
+        assert c.get("solve") == 1

@@ -449,12 +449,3 @@ class TestCli:
         a = (out1 / "curve.csv").read_bytes()
         assert a != (out2 / "curve.csv").read_bytes()
         assert a == (out3 / "curve.csv").read_bytes()
-
-    def test_threads_flag_does_not_change_results(self, tmp_path):
-        doc = self.canonical_doc(method="alg1-sgd", batch_size=32, iterations=2)
-        cfg = self.write_config(tmp_path, doc)
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert cli_main(["optimize", "--config", cfg, "--out", str(out1)]) == 0
-        assert cli_main(["optimize", "--config", cfg, "--out", str(out2),
-                         "--threads", "8"]) == 0
-        assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()

@@ -29,7 +29,6 @@ from chainopt.mdp import (
     SoftmaxPolicy,
     TabularMdp,
     chain_as_action_mdp,
-    deterministic_bottleneck_gradient,
     lmdp_deterministic_pair,
     lmdp_policy_gradient,
     map_entropy_mdp,
@@ -245,16 +244,17 @@ class TestRecoveries:
                 np.testing.assert_allclose(classical, unified, atol=1e-10)
 
     def test_deterministic_bottleneck_gradient(self):
-        """The deterministic policy gradient assembled from raw arrays
-        equals the unified bottleneck-form gradient."""
+        """The deterministic policy gradient through the action-distribution
+        bottleneck equals the classical likelihood-ratio gradient and the
+        unified gradient of the same problem."""
         for seed in (0, 1, 2):
             mdp, policy, theta = random_mdp(5, 3, seed=seed)
             _, prob = stochastic_to_deterministic(mdp, policy)
-            classical = deterministic_bottleneck_gradient(mdp, policy, theta)
+            bottleneck = exact_gradient_bottleneck(prob, theta)
             np.testing.assert_allclose(
-                classical, exact_gradient_bottleneck(prob, theta), atol=1e-10
+                bottleneck, stochastic_policy_gradient(mdp, policy, theta), atol=1e-10
             )
-            np.testing.assert_allclose(classical, exact_gradient(prob, theta), atol=1e-10)
+            np.testing.assert_allclose(bottleneck, exact_gradient(prob, theta), atol=1e-10)
 
     def test_lmdp_policy_gradient(self):
         """The specialized average-setting control-cost gradient equals the

@@ -22,9 +22,11 @@ from chainopt import (
     TimeVaryingChain,
     TimeVaryingCost,
     WeightedSumCost,
-    cost_policy_entropy,
 )
-from chainopt.mdp import SoftmaxPolicy
+from chainopt.mdp import LmdpSpec, PolicyAveragedChain, SoftmaxPolicy
+from chainopt.model import PolicyEntropyCost, sample_index
+from chainopt.problems import random_mdp, random_softmax_problem
+from chainopt.zlearn import ZWeightedChain
 
 
 def fd_vector(fn, theta, h=1e-6):
@@ -224,7 +226,7 @@ class TestCosts:
     def test_policy_entropy_cost(self):
         """The entropy term adds the positive entropy -sum_a pi log pi."""
         policy = SoftmaxPolicy(2, 3)
-        cost = cost_policy_entropy(policy)
+        cost = PolicyEntropyCost(policy)
         theta = 0.5 * np.random.default_rng(1).normal(size=policy.n_params)
         for x in range(2):
             pi = policy.row(x, theta)
@@ -287,3 +289,124 @@ class TestProblemValidation:
                        GaussianInitial(np.zeros(2), np.eye(2)))
         assert prob.n_params == chain.n_params
         assert prob.init.sample(rng).shape == (2,)
+
+
+# Copies of the per-class samplers that the shared tabular sampler
+# replaced, kept to show that every draw is unchanged.
+
+
+def old_softmax_sampler(chain, theta):
+    succ = {x: np.array(chain.successors(x)) for x in range(chain.n_states)}
+    cums = {x: np.cumsum(chain.prob_row(x, theta)[succ[x]]) for x in succ}
+
+    def step(x, rng):
+        if x in chain.terminal:
+            return x
+        c = cums[x]
+        idx = np.searchsorted(c, rng.random(), side="right")
+        return int(succ[x][min(idx, len(c) - 1)])
+
+    return step
+
+
+def old_policy_averaged_sampler(chain, theta):
+    cums = {x: np.cumsum(chain.prob_row(x, theta)) for x in range(chain.n_states)}
+
+    def step(x, rng):
+        if x in chain.terminal:
+            return x
+        idx = np.searchsorted(cums[x], rng.random(), side="right")
+        return int(min(idx, chain.n_states - 1))
+
+    return step
+
+
+def old_dense_sampler(chain, theta):
+    cums = np.cumsum(chain.transition_matrix(theta), axis=1)
+
+    def step(x, rng):
+        idx = np.searchsorted(cums[int(x)], rng.random(), side="right")
+        return int(min(idx, chain.n_states - 1))
+
+    return step
+
+
+def z_weighted_chain():
+    base = np.array([
+        [0.5, 0.5, 0.0, 0.0],
+        [0.2, 0.3, 0.5, 0.0],
+        [0.0, 0.4, 0.1, 0.5],
+        [0.0, 0.0, 0.0, 1.0],
+    ])
+    spec = LmdpSpec(base, np.array([0.3, 0.2, 0.1, 0.0]), terminal=[3])
+    features = np.array([[1.0, 0.0], [0.5, 1.0], [0.0, 0.5], [0.0, 0.0]])
+    return ZWeightedChain(spec, features), np.array([0.4, -0.9])
+
+
+class FixedDraw:
+    """Stand-in generator whose uniform draw is fixed."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+class TestTabularSampler:
+    def walk(self, chain, sampler, seed, steps=4000):
+        """States of a walk that restarts at state 0 after a terminal."""
+        rng = np.random.default_rng(seed)
+        x, out = 0, []
+        for _ in range(steps):
+            x = sampler(x, rng)
+            out.append(x)
+            if x in chain.terminal:
+                x = 0
+        return out
+
+    def chains(self):
+        for setting in (FirstExit(), Average()):
+            prob = random_softmax_problem(setting, n_states=9, seed=5)
+            theta = 0.7 * np.random.default_rng(1).normal(size=prob.n_params)
+            yield prob.chain, theta, old_softmax_sampler
+        mdp, policy, theta = random_mdp(6, 3, seed=2)
+        chain = PolicyAveragedChain(mdp.transitions, policy, terminal=[5])
+        yield chain, theta, old_policy_averaged_sampler
+        yield (*z_weighted_chain(), old_dense_sampler)
+
+    def test_draws_match_replaced_samplers(self):
+        """make_sampler and sample reproduce the replaced samplers draw for
+        draw on the same streams."""
+        for chain, theta, old in self.chains():
+            for seed in (0, 1):
+                want = self.walk(chain, old(chain, theta), seed)
+                assert self.walk(chain, chain.make_sampler(theta), seed) == want
+                one = lambda x, rng: chain.sample(x, theta, rng)  # noqa: E731
+                assert self.walk(chain, one, seed) == want
+
+    def test_top_draw_stays_on_positive_weight(self):
+        """A draw at the top of [0, 1) lands on the last positive entry even
+        when rounding leaves the cumulative sum just below 1."""
+        init = TabularInitial(np.full(10, 0.1))
+        assert init.sample(FixedDraw(1.0 - 2.0**-53)) == 9
+        cum = np.cumsum([0.25, 0.5, 0.25 - 1e-12, 0.0, 0.0])
+        assert sample_index(cum, 1.0 - 2.0**-53) == 2
+        assert sample_index(cum, 0.0) == 0
+
+    def test_terminal_state_draws_nothing(self):
+        chain = FixedTabularChain(np.array([[0.5, 0.5], [0.0, 1.0]]), terminal=[1])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert chain.make_sampler(np.zeros(0))(1, rng) == 1
+        assert chain.sample(1, np.zeros(0), rng) == 1
+        assert rng.bit_generator.state == state
+
+    def test_z_weighted_chain_samples(self):
+        """The feature-tilted chain advertises sampling and supports it."""
+        chain, theta = z_weighted_chain()
+        assert chain.samplable
+        rng = np.random.default_rng(3)
+        n = 20_000
+        hits = np.bincount([chain.sample(1, theta, rng) for _ in range(n)], minlength=4)
+        np.testing.assert_allclose(hits / n, chain.prob_row(1, theta), atol=0.015)

@@ -10,7 +10,7 @@ from chainopt import (
     FeatureMap,
     FisherMatrix,
     chain_iteration_step,
-    clipped_surrogate,
+    ClippedSurrogate,
     estimate_gradient,
     exact_gradient,
     fd_hessian,
@@ -19,9 +19,9 @@ from chainopt import (
     generate_rollouts,
     natural_gradient,
     objective,
-    surrogate_exact,
+    ExactSurrogate,
     surrogate_hessian,
-    surrogate_sampled,
+    SampledSurrogate,
 )
 from chainopt.mdp import map_entropy_mdp
 from chainopt.problems import (
@@ -50,7 +50,7 @@ class TestExactSurrogate:
         for prob, theta in problems:
             if theta is None:
                 theta = probe_theta(prob, 7)
-            sur = surrogate_exact(prob, theta)
+            sur = ExactSurrogate(prob, theta)
             np.testing.assert_allclose(
                 sur.grad(np.zeros(prob.n_params)),
                 exact_gradient(prob, theta),
@@ -62,13 +62,13 @@ class TestExactSurrogate:
         average cost itself at zero perturbation."""
         prob = random_softmax_problem(Average(), 5, seed=4)
         theta = probe_theta(prob, 8)
-        sur = surrogate_exact(prob, theta)
+        sur = ExactSurrogate(prob, theta)
         assert abs(sur.value(np.zeros(prob.n_params)) - objective(prob, theta)) < 1e-12
 
     def test_hessian_matches_fd_of_surrogate(self):
         prob = random_softmax_problem(EpisodicDiscounted(0.9), 5, seed=5)
         theta = probe_theta(prob, 9)
-        sur = surrogate_exact(prob, theta)
+        sur = ExactSurrogate(prob, theta)
         H = sur.hess(np.zeros(prob.n_params))
         np.testing.assert_allclose(H, H.T, atol=1e-12)
         H_fd = fd_hessian(sur.value, np.zeros(prob.n_params), h=1e-4)
@@ -85,14 +85,14 @@ class TestSampledSurrogate:
         baseline = fit_value_approx(prob, fit_batch, FeatureMap.tabular(2), ridge=1e-9)
         batch = generate_rollouts(prob, theta, 500, seed=51)
         for bl in (None, baseline):
-            sur = surrogate_sampled(prob, theta, batch, bl)
+            sur = SampledSurrogate(prob, theta, batch, bl)
             est = estimate_gradient(prob, theta, batch, baseline=bl)
             np.testing.assert_allclose(sur.grad(np.zeros(2)), est.mean, atol=1e-12)
 
     def test_hessian_is_symmetric(self):
         prob, theta = random_smdp_problem(4, 3, seed=6)
         batch = generate_rollouts(prob, theta, 200, seed=52)
-        H = surrogate_sampled(prob, theta, batch).hess(np.zeros(prob.n_params))
+        H = SampledSurrogate(prob, theta, batch).hess(np.zeros(prob.n_params))
         np.testing.assert_allclose(H, H.T, atol=1e-12)
 
 
@@ -103,8 +103,8 @@ class TestClippedSurrogate:
         self.batch = generate_rollouts(self.prob, self.theta, 400, seed=60)
 
     def test_huge_radius_disables_clipping(self):
-        base = surrogate_sampled(self.prob, self.theta, self.batch)
-        clip = clipped_surrogate(self.prob, self.theta, self.batch, None, 1e6)
+        base = SampledSurrogate(self.prob, self.theta, self.batch)
+        clip = ClippedSurrogate(SampledSurrogate(self.prob, self.theta, self.batch), 1e6)
         rng = np.random.default_rng(0)
         for _ in range(10):
             alpha = 0.5 * rng.normal(size=2)
@@ -114,21 +114,21 @@ class TestClippedSurrogate:
     def test_clipped_value_upper_bounds_unclipped(self):
         """Termwise pessimism: each clipped ratio term majorizes the raw
         term, so the objective can only go up."""
-        base = surrogate_sampled(self.prob, self.theta, self.batch)
-        clip = clipped_surrogate(self.prob, self.theta, self.batch, None, 0.2)
+        base = SampledSurrogate(self.prob, self.theta, self.batch)
+        clip = ClippedSurrogate(SampledSurrogate(self.prob, self.theta, self.batch), 0.2)
         rng = np.random.default_rng(1)
         for _ in range(50):
             alpha = 0.8 * rng.normal(size=2)
             assert clip.value(alpha) >= base.value(alpha) - 1e-12
 
     def test_zero_perturbation_keeps_raw_branch(self):
-        base = surrogate_sampled(self.prob, self.theta, self.batch)
-        clip = clipped_surrogate(self.prob, self.theta, self.batch, None, 0.2)
+        base = SampledSurrogate(self.prob, self.theta, self.batch)
+        clip = ClippedSurrogate(SampledSurrogate(self.prob, self.theta, self.batch), 0.2)
         np.testing.assert_array_equal(clip.grad(np.zeros(2)), base.grad(np.zeros(2)))
 
     def test_radius_must_be_positive(self):
         with pytest.raises(ConfigError):
-            clipped_surrogate(self.prob, self.theta, self.batch, None, 0.0)
+            ClippedSurrogate(SampledSurrogate(self.prob, self.theta, self.batch), 0.0)
 
 
 class TestChainIteration:
@@ -201,7 +201,7 @@ class TestSurrogateHessianEntry:
     def test_exact_route(self):
         prob = random_softmax_problem(EpisodicDiscounted(0.9), 4, seed=8)
         theta = probe_theta(prob, 11)
-        want = surrogate_exact(prob, theta).hess(np.zeros(prob.n_params))
+        want = ExactSurrogate(prob, theta).hess(np.zeros(prob.n_params))
         np.testing.assert_allclose(surrogate_hessian(prob, theta), want, atol=0)
 
     def test_sampled_route_is_symmetric(self):

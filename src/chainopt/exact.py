@@ -146,16 +146,18 @@ def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
 class Solution:
     """Exact solve of the autonomous chain P(theta) with cost L(theta).
 
-    values are the values (differential values in the average setting),
-    gamma the discount on the chain term (1 outside the discounted
-    setting), J the objective and residual the max residual of the value
-    equations. weights are the visitation weights the gradient, surrogate
-    and Fisher matrix contract with: the stationary density in the average
-    setting, otherwise the discounted occupancy, solved on first read so
-    that the objective alone never pays for it.
+    theta is the parameter vector it was solved at, values are the values
+    (differential values in the average setting), gamma the discount on
+    the chain term (1 outside the discounted setting), J the objective and
+    residual the max residual of the value equations. weights are the
+    visitation weights the gradient, surrogate and Fisher matrix contract
+    with: the stationary density in the average setting, otherwise the
+    discounted occupancy, solved on first read so that the objective alone
+    never pays for it.
     """
 
     problem: Problem
+    theta: np.ndarray
     P: np.ndarray
     L: np.ndarray
     values: np.ndarray
@@ -189,9 +191,20 @@ def solve(problem: Problem, theta) -> Solution:
     P, L = _build(problem, theta)
     if average:
         d, j, V, residual = _average_values(P, L)
-        return Solution(problem, P, L, V, problem.gamma, j, residual, d)
+        return Solution(problem, theta, P, L, V, problem.gamma, j, residual, d)
     V, residual = _episodic_values(problem, P, L)
-    return Solution(problem, P, L, V, problem.gamma, float(problem.init.weights @ V), residual)
+    J = float(problem.init.weights @ V)
+    return Solution(problem, theta, P, L, V, problem.gamma, J, residual)
+
+
+def solution_at(problem: Problem, theta, solution: Optional[Solution] = None) -> Solution:
+    """solve(problem, theta), or the given solution after checking that it
+    was computed for this problem at this theta."""
+    if solution is None:
+        return solve(problem, theta)
+    if solution.problem is not problem or not np.array_equal(solution.theta, theta):
+        raise InvalidStructureError("the given solution belongs to another problem or theta")
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +330,14 @@ def objective(problem: Problem, theta) -> float:
     return solve(problem, theta).J
 
 
-def exact_gradient(problem: Problem, theta) -> np.ndarray:
+def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None) -> np.ndarray:
     """Analytic objective gradient assembled from visitation weights and values.
 
-    Uses the expectation form: the chain term enters as
-    sum_y P(y|x) score(x,y) V(y), weighted by the solve's visitation
-    weights, or by stage densities in the time-varying setting.
+    Uses the expectation form: the chain term is sum_{x,y} w(x) V(y)
+    dP(y|x)/dtheta, contracted by the chain's row_vjp, with w the solve's
+    visitation weights, or stage densities in the time-varying setting.
+    A solution computed at the same theta may be passed in to skip the
+    solve.
     """
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
@@ -332,10 +347,9 @@ def exact_gradient(problem: Problem, theta) -> np.ndarray:
     n = chain.n_states
 
     if not isinstance(problem.setting, TimeVarying):
-        sol = solve(problem, theta)
-        S = chain.score_table(theta)
+        sol = solution_at(problem, theta, solution)
         g = sol.weights @ cost.grad_table(n, theta)
-        g += sol.gamma * np.einsum("x,xy,y,xyp->p", sol.weights, sol.P, sol.values, S)
+        g += sol.gamma * chain.row_vjp(theta, np.outer(sol.weights, sol.values))
         return g
 
     T = problem.setting.horizon
@@ -345,10 +359,8 @@ def exact_gradient(problem: Problem, theta) -> np.ndarray:
     for t in range(T + 1):
         g += p @ cost.grad_table(n, theta, t)
         if t < T:
-            P = chain.transition_matrix(theta, t)
-            S = chain.score_table(theta, t)
-            g += np.einsum("x,xy,y,xyp->p", p, P, V[t + 1], S)
-            p = P.T @ p
+            g += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
+            p = chain.transition_matrix(theta, t).T @ p
     return g
 
 

@@ -26,6 +26,7 @@ from .exact import (
     exact_gradient_bottleneck,
     fd_gradient_oracle,
     objective,
+    solve,
 )
 from .mdp import (
     SoftmaxPolicy,
@@ -60,6 +61,7 @@ from .rollout import (
 )
 from .surrogate import (
     ClippedSurrogate,
+    ExactSurrogate,
     SampledSurrogate,
     chain_iteration_step,
     fisher_matrix,
@@ -628,7 +630,9 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     Rows hold the state before each update plus one final row, so zero
     iterations still produce the initial point. Sampled methods fit the
     value baseline to the previous batch only; the current batch never
-    sees its own fit.
+    sees its own fit. On a stationary tabular problem each row makes one
+    exact solve, which the objective, the gradient, the exact Fisher and
+    the exact surrogate share.
     """
     method = config.algorithm.method
     if method.startswith("zlearn"):
@@ -648,6 +652,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
         else None
     )
     sampled = method in ("alg1-sgd", "pco")
+    stationary_tabular = tabular and not isinstance(problem.setting, TimeVarying)
 
     for k in range(alg.iterations + 1):
         t0 = time.perf_counter()
@@ -667,19 +672,24 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
                 # staleness guard: the fit uses data up to the previous batch
                 approx = fit_value_approx(problem, prev_batch, features, ridge=1e-6)
 
-        if tabular:
+        sol = None
+        if stationary_tabular:
+            sol = solve(problem, theta)
+            j_val, j_se = sol.J, None
+        elif tabular:
             j_val, j_se = objective(problem, theta), None
         else:
             j_val, j_se = _batch_j_estimate(problem, batch)
 
         if method == "exact-gd":
-            grad = exact_gradient(problem, theta)
+            grad = exact_gradient(problem, theta, solution=sol)
             if not last:
                 theta = adam.step(theta, grad) if adam else theta - alg.step_size * grad
         elif method == "natural":
-            grad = exact_gradient(problem, theta)
+            grad = exact_gradient(problem, theta, solution=sol)
             if not last:
-                ngrad = _natural_direction(grad, fisher_matrix(problem, theta), alg.damping)
+                fisher = fisher_matrix(problem, theta, solution=sol)
+                ngrad = _natural_direction(grad, fisher, alg.damping)
                 theta = adam.step(theta, ngrad) if adam else theta - alg.step_size * ngrad
         elif method == "alg1-sgd":
             est = estimate_gradient(problem, theta, batch, baseline=approx)
@@ -687,7 +697,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
             if not last:
                 theta = adam.step(theta, grad) if adam else theta - alg.step_size * grad
         elif method == "pco":
-            grad = exact_gradient(problem, theta)
+            grad = exact_gradient(problem, theta, solution=sol)
             if not last:
                 surr = ClippedSurrogate(
                     SampledSurrogate(problem, theta, batch, approx), alg.clip_radius
@@ -698,10 +708,10 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
                 )
                 theta, kappa = report.theta, report.kappa_next
         else:  # chain-iteration / newton-surrogate on the exact surrogate
-            grad = exact_gradient(problem, theta)
+            grad = exact_gradient(problem, theta, solution=sol)
             if not last:
                 report = chain_iteration_step(
-                    problem, theta,
+                    problem, theta, surrogate=ExactSurrogate(problem, theta, solution=sol),
                     inner="newton" if method == "newton-surrogate" else "gd",
                     kappa=kappa, max_inner=alg.inner_iterations,
                 )

@@ -130,12 +130,20 @@ class SoftmaxPolicy:
         return _softmax(th[self.param_slice(x)])
 
     def table(self, theta) -> np.ndarray:
-        return np.stack([self.row(x, theta) for x in range(self.n_states)])
+        z = np.asarray(theta, dtype=float).reshape(self.n_states, self.n_actions)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
 
     def jac_block(self, x: int, theta) -> np.ndarray:
         """d pi(.|x) / d theta_block, the (n_actions, n_actions) softmax Jacobian."""
         p = self.row(x, theta)
         return np.diag(p) - np.outer(p, p)
+
+    def block_vjp(self, theta, C) -> np.ndarray:
+        """Row x holds jac_block(x) @ C[x] = pi(.|x) * (C[x] - pi(.|x).C[x])
+        for an (n_states, n_actions) table C."""
+        pi = self.table(theta)
+        return pi * (C - np.sum(pi * C, axis=1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +175,7 @@ class PolicyAveragedChain(ChainModel):
         self.n_bottleneck = n_a
         self.n_params = policy.n_params
         self.terminal = frozenset(int(s) for s in terminal)
+        self._term = np.array(sorted(self.terminal), dtype=np.int64)
 
     def prob_row(self, x, theta, t: int = 0) -> np.ndarray:
         if x in self.terminal:
@@ -174,6 +183,18 @@ class PolicyAveragedChain(ChainModel):
             row[x] = 1.0
             return row
         return self.policy.row(x, theta) @ self.p[x]
+
+    def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
+        P = np.einsum("xa,xay->xy", self.policy.table(theta), self.p)
+        P[self._term] = 0.0
+        P[self._term, self._term] = 1.0
+        return P
+
+    def row_vjp(self, theta, W, t: int = 0) -> np.ndarray:
+        # dP[x, y]/dpi(a|x) = p[x, a, y]; terminal rows carry no parameters
+        g = self.policy.block_vjp(theta, np.einsum("xay,xy->xa", self.p, W))
+        g[self._term] = 0.0
+        return g.reshape(-1)
 
     def successors(self, x):
         if x in self.terminal:
@@ -252,6 +273,16 @@ class PolicyExpectedCost(CostModel):
         g = np.zeros(self.n_params)
         g[self.policy.param_slice(x)] = self.policy.jac_block(x, theta) @ self.costs[x]
         return g
+
+    def value_table(self, n_states, theta, t: int = 0) -> np.ndarray:
+        return np.sum(self.policy.table(theta) * self.costs, axis=1)
+
+    def grad_table(self, n_states, theta, t: int = 0) -> np.ndarray:
+        # row x holds the gradient of state x's cost in the parameter block of x
+        n, k = self.costs.shape
+        G = np.zeros((n, n, k))
+        G[np.arange(n), np.arange(n)] = self.policy.block_vjp(theta, self.costs)
+        return G.reshape(n, n * k)
 
     def hess(self, x, theta, t: int = 0) -> np.ndarray:
         h = np.zeros((self.n_params, self.n_params))
@@ -631,10 +662,7 @@ def stochastic_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, theta) ->
     v, _ = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
     sol = solve(map_stochastic_mdp(mdp, policy), theta)
     Q = mdp.costs + sol.gamma * np.einsum("xay,y->xa", mdp.transitions, v)
-    g = np.zeros(policy.n_params)
-    for x in range(mdp.n_states):
-        g[policy.param_slice(x)] = sol.weights[x] * (policy.jac_block(x, theta) @ Q[x])
-    return g
+    return (sol.weights[:, None] * policy.block_vjp(theta, Q)).reshape(-1)
 
 
 def lmdp_policy_gradient(problem: Problem, spec: LmdpSpec, theta) -> np.ndarray:
@@ -646,15 +674,10 @@ def lmdp_policy_gradient(problem: Problem, spec: LmdpSpec, theta) -> np.ndarray:
     theta = check_params(theta, problem.n_params)
     if not isinstance(problem.setting, Average):
         raise CapabilityError("this specialized gradient is for the average setting")
-    chain = problem.chain
     sol = solve(problem, theta)
-    d, v = sol.weights, sol.values
-    S = chain.score_table(theta)
-    g = np.zeros(problem.n_params)
-    for x in range(chain.n_states):
-        row = sol.P[x]
-        mask = row > 0
-        logr = np.zeros_like(row)
-        logr[mask] = np.log(row[mask] / spec.baseline[x][mask])
-        g += d[x] * np.einsum("y,yp->p", row * (logr + v), S[x])
-    return g
+    P = sol.P
+    mask = P > 0
+    logr = np.zeros_like(P)
+    logr[mask] = np.log(P[mask] / spec.baseline[mask])
+    W = np.where(mask, logr + sol.values[None, :], 0.0)
+    return problem.chain.row_vjp(theta, sol.weights[:, None] * W)

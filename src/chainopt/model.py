@@ -221,6 +221,22 @@ class ChainModel(abc.ABC):
                 out[x, y] = self.score(x, y, theta, t)
         return out
 
+    def row_vjp(self, theta: Array, W: Array, t: int = 0) -> Array:
+        """sum_{x,y} W[x, y] dP[x, y]/dtheta, with dP = P * score.
+
+        This generic form contracts the dense score table and is the
+        reference that chains with table-level derivatives are checked
+        against.
+        """
+        P = self.transition_matrix(theta, t)
+        return np.einsum("xy,xy,xyp->p", W, P, self.score_table(theta, t))
+
+    def fisher(self, theta: Array, w: Array, t: int = 0) -> Array:
+        """sum_x w[x] sum_y P[x, y] score score^T, shape (n_params, n_params)."""
+        P = self.transition_matrix(theta, t)
+        S = self.score_table(theta, t)
+        return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
+
     # --- sampling ---------------------------------------------------------
 
     def sample(self, x, theta, rng: np.random.Generator, t: int = 0):
@@ -363,6 +379,16 @@ class SoftmaxChain(ChainModel):
             self._offset = np.asarray(logit_offset, dtype=float)
             if self._offset.shape != (self.n_params,):
                 raise InvalidStructureError("logit offset length must match n_params")
+        # Flat layout of the parameters: parameter k is the logit of the
+        # transition _flat_x[k] -> _flat_y[k]; each non-terminal state's
+        # logits form one segment starting at _seg_start.
+        live = sorted(self._succ)
+        self._seg_start = np.array([slices[x].start for x in live], dtype=np.int64)
+        seg_len = [len(self._succ[x]) for x in live]
+        self._flat_x = np.repeat(np.array(live, dtype=np.int64), seg_len)
+        self._flat_y = np.array([y for x in live for y in self._succ[x]], dtype=np.int64)
+        self._seg_of = np.repeat(np.arange(len(live)), seg_len)
+        self._term = np.array(sorted(self.terminal), dtype=np.int64)
 
     def param_slice(self, x: int) -> slice:
         return self._slices[x]
@@ -375,6 +401,45 @@ class SoftmaxChain(ChainModel):
     def _row_probs(self, x: int, theta: Array) -> Array:
         sl = self._slices[x]
         return _softmax(theta[sl] + self._offset[sl])
+
+    def _flat_probs(self, theta: Array) -> Array:
+        """P[_flat_x, _flat_y]: one softmax per segment, after subtracting
+        each segment's max logit."""
+        z = np.asarray(theta, dtype=float) + self._offset
+        if z.size == 0:
+            return z
+        z = z - np.maximum.reduceat(z, self._seg_start)[self._seg_of]
+        e = np.exp(z)
+        return e / self._segment_sums(e)
+
+    def _segment_sums(self, v: Array) -> Array:
+        """Per-parameter sum of v over the parameter's segment."""
+        if v.size == 0:
+            return v
+        return np.add.reduceat(v, self._seg_start)[self._seg_of]
+
+    def transition_matrix(self, theta, t: int = 0) -> Array:
+        P = np.zeros((self.n_states, self.n_states))
+        P[self._flat_x, self._flat_y] = self._flat_probs(theta)
+        P[self._term, self._term] = 1.0
+        return P
+
+    def row_vjp(self, theta, W, t: int = 0) -> Array:
+        # dP[x, y]/dlogit(x, k) = p_y (1[y = k] - p_k), so a segment's block
+        # is p * (w - p.w) with w the segment's entries of W.
+        p = self._flat_probs(theta)
+        pw = p * np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
+        return pw - p * self._segment_sums(pw)
+
+    def fisher(self, theta, w, t: int = 0) -> Array:
+        # block x is w_x (diag p - p p^T); terminal rows carry no parameters
+        p = self._flat_probs(theta)
+        wp = np.asarray(w, dtype=float)[self._flat_x] * p
+        i, j = np.nonzero(self._seg_of[:, None] == self._seg_of[None, :])
+        F = np.zeros((self.n_params, self.n_params))
+        F[i, j] = -wp[i] * p[j]
+        F[np.diag_indices(self.n_params)] += wp
+        return F
 
     def prob_row(self, x, theta, t: int = 0) -> Array:
         row = np.zeros(self.n_states)
@@ -406,17 +471,6 @@ class SoftmaxChain(ChainModel):
         sl = self._slices[x]
         h[sl, sl] = np.outer(p, p) - np.diag(p)
         return h
-
-    def prob_row_jac(self, x, theta, t: int = 0) -> Array:
-        """Direct (n_states, n_params) Jacobian of the row, not via the score."""
-        jac = np.zeros((self.n_states, self.n_params))
-        if x in self.terminal:
-            return jac
-        p = self._row_probs(x, theta)
-        sl = self._slices[x]
-        block = np.diag(p) - np.outer(p, p)
-        jac[self._succ[x], sl] = block
-        return jac
 
 
 class FixedTabularChain(ChainModel):
@@ -600,6 +654,12 @@ class TimeVaryingChain(ChainModel):
     def score_table(self, theta, t: int = 0):
         return self._at(t).score_table(theta)
 
+    def row_vjp(self, theta, W, t: int = 0):
+        return self._at(t).row_vjp(theta, W)
+
+    def fisher(self, theta, w, t: int = 0):
+        return self._at(t).fisher(theta, w)
+
     def transition_matrix(self, theta, t: int = 0):
         return self._at(t).transition_matrix(theta)
 
@@ -685,6 +745,14 @@ class QuadraticCost(CostModel):
 
     def hess(self, x, theta, t: int = 0) -> Array:
         return self.quad_weights[x] * self.quad
+
+    def value_table(self, n_states, theta, t: int = 0) -> Array:
+        th = np.asarray(theta, dtype=float)
+        return self.const + self.lin @ th + 0.5 * self.quad_weights * (th @ self.quad @ th)
+
+    def grad_table(self, n_states, theta, t: int = 0) -> Array:
+        th = np.asarray(theta, dtype=float)
+        return self.lin + np.outer(self.quad_weights, self.quad @ th)
 
 
 class StateQuadraticCost(CostModel):

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CapabilityError, ConfigError, RegularizationRequiredError
-from .exact import solve
+from .exact import Solution, solution_at
 from .model import Average, Problem, TimeVarying, check_params
 from .rollout import (
     RolloutBatch,
@@ -40,14 +40,16 @@ class ExactSurrogate:
     """S(alpha) = sum_x w(x) [L(x, theta+alpha) + gamma sum_y P(y|x, theta+alpha) V(y)]
 
     with w and V frozen at theta. Requires a tabular chain so rows can be
-    re-evaluated in closed form.
+    re-evaluated in closed form. A solution computed at theta may be passed
+    in to skip the solve.
     """
 
-    def __init__(self, problem: Problem, theta):
+    def __init__(self, problem: Problem, theta, solution: Optional[Solution] = None):
         self.problem = problem
         self.theta = check_params(theta, problem.n_params)
-        sol = solve(problem, self.theta)
+        sol = solution_at(problem, self.theta, solution)
         self.weights, self.values, self.gamma = sol.weights, sol.values, sol.gamma
+        self._W = np.outer(self.weights, self.values)
 
     def value(self, alpha) -> float:
         th = self.theta + check_params(alpha, self.problem.n_params)
@@ -59,12 +61,8 @@ class ExactSurrogate:
     def grad(self, alpha) -> np.ndarray:
         th = self.theta + check_params(alpha, self.problem.n_params)
         n = self.problem.chain.n_states
-        gL = self.problem.cost.grad_table(n, th)
-        P = self.problem.chain.transition_matrix(th)
-        S = self.problem.chain.score_table(th)
-        g = self.weights @ gL
-        g = g + self.gamma * np.einsum("x,xy,y,xyp->p", self.weights, P, self.values, S)
-        return g
+        g = self.weights @ self.problem.cost.grad_table(n, th)
+        return g + self.gamma * self.problem.chain.row_vjp(th, self._W)
 
     def hess(self, alpha) -> np.ndarray:
         chain, cost = self.problem.chain, self.problem.cost
@@ -464,12 +462,17 @@ class FisherMatrix:
 
 
 def fisher_matrix(
-    problem: Problem, theta, batch: Optional[RolloutBatch] = None
+    problem: Problem,
+    theta,
+    batch: Optional[RolloutBatch] = None,
+    solution: Optional[Solution] = None,
 ) -> FisherMatrix:
     """Score outer-product metric, exact (tabular) or from a batch.
 
     Exact form: sum_x w(x) sum_y P(y|x) score score^T, with w the
-    mass-normalized occupancy (stationary density in the average setting).
+    mass-normalized occupancy (stationary density in the average setting),
+    built by the chain's fisher from per-row blocks; a solution computed
+    at theta may be passed in to skip the solve.
     Sampled form: discount-weighted outer products of stored scores over
     the batch, normalized by the discount-weighted state-visit mass. Under
     geometric stopping the realized transition mass carries an extra
@@ -479,10 +482,8 @@ def fisher_matrix(
     if batch is None:
         if not problem.chain.tabular:
             raise CapabilityError("exact Fisher needs a tabular chain")
-        sol = solve(problem, theta)
-        w = sol.weights / sol.weights.sum()
-        S = problem.chain.score_table(theta)
-        F = np.einsum("x,xy,xyp,xyq->pq", w, sol.P, S, S)
+        sol = solution_at(problem, theta, solution)
+        F = problem.chain.fisher(theta, sol.weights / sol.weights.sum())
         return FisherMatrix(matrix=0.5 * (F + F.T), source="exact")
 
     check_batch(theta, batch)

@@ -516,12 +516,12 @@ def compatible_natural_gradient_check(
     """
     theta = np.asarray(theta, dtype=float)
     prob = z_problem(spec, features, Average())
-    grad = exact_gradient(prob, theta)
-    fisher = fisher_matrix(prob, theta)
+    sol = solve(prob, theta)
+    grad = exact_gradient(prob, theta, solution=sol)
+    fisher = fisher_matrix(prob, theta, solution=sol)
     scale = max(np.abs(fisher.matrix).max(), 1e-30)
     nat = natural_gradient(grad, fisher, damping * scale)
 
-    sol = solve(prob, theta)
     d, v = sol.weights, sol.values
     phi = np.asarray(features, dtype=float)
     W = phi.T * d[None, :]

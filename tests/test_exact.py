@@ -5,6 +5,8 @@ Oracle policy: every solver is checked against an independent computation
 finite differences) before any identity between library routines is used.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from chainopt import (
     EpisodicDiscounted,
     ExactSurrogate,
     FirstExit,
+    InvalidStructureError,
     Problem,
     ReachabilityError,
     SoftmaxChain,
@@ -31,6 +34,7 @@ from chainopt import (
     solve_value_timevarying,
     stationary_density,
 )
+from chainopt.harness import parse_config, run_optimize
 from chainopt.mdp import stochastic_to_deterministic
 from chainopt.problems import (
     canonical_two_state,
@@ -293,3 +297,62 @@ class TestOneSolvePerTheta:
         c = calls(lambda: objective(prob, theta))
         assert c.get("transition_matrix") == 1
         assert c.get("solve") == 1
+
+    def test_exact_quantities_share_a_given_solution(self, monkeypatch):
+        """Given a solution at theta, the gradient, the exact surrogate and
+        the exact Fisher make no solve of their own and agree bit for bit
+        with their self-solving forms; a solution at another theta is
+        refused."""
+        prob = random_softmax_problem(FirstExit(), n_states=8, seed=3)
+        theta = theta_for(prob, 6)
+        sol = solve(prob, theta)
+        expected = (
+            exact_gradient(prob, theta),
+            ExactSurrogate(prob, theta).grad(np.zeros(prob.n_params)),
+            fisher_matrix(prob, theta).matrix,
+        )
+        builds = []
+        original = prob.chain.transition_matrix
+        monkeypatch.setattr(
+            prob.chain, "transition_matrix", lambda *a: builds.append(1) or original(*a)
+        )
+        got = (
+            exact_gradient(prob, theta, solution=sol),
+            ExactSurrogate(prob, theta, solution=sol).grad(np.zeros(prob.n_params)),
+            fisher_matrix(prob, theta, solution=sol).matrix,
+        )
+        assert builds == []
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(InvalidStructureError):
+            exact_gradient(prob, theta + 0.1, solution=sol)
+
+    @pytest.mark.parametrize("method", ["exact-gd", "natural", "chain-iteration"])
+    def test_optimizer_solves_once_per_curve_row(self, method, monkeypatch):
+        """run_optimize makes one exact solve per curve row, which its
+        objective, gradient, Fisher and exact surrogate share: one
+        reachability check per row, and under exact-gd one P build."""
+        counts = {"transition_matrix": 0, "eigvals": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(SoftmaxChain, "transition_matrix")
+        count(np.linalg, "eigvals")
+        config = parse_config(json.dumps({
+            "problem": {"kind": "softmax-tabular", "setting": "first-exit",
+                        "n_states": 16, "seed": 2},
+            "algorithm": {"method": method, "iterations": 3, "step_size": 0.01,
+                          "damping": 0.1, "inner_iterations": 3},
+        }))
+        rows = len(run_optimize(config)["curve"].rows)
+        assert rows == 4
+        assert counts["eigvals"] == rows
+        if method == "exact-gd":
+            assert counts["transition_matrix"] == rows

@@ -643,6 +643,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     tabular = built.tabular
     curve = LearningCurve(with_stderr=not tabular)
     steps_used = 0
+    truncated = 0
     prev_batch = None
     kappa = alg.kappa
     adam = _AdamState(theta.size, alg.step_size) if alg.use_adam else None
@@ -667,7 +668,8 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
                 horizon_cap=alg.horizon_cap,
                 seed=_batch_seed(config.problem.seed, k),
             )
-            steps_used += sum(r.n_steps for r in batch.rollouts)
+            steps_used += batch.total_steps()
+            truncated += batch.n_truncated
             if features is not None and prev_batch is not None:
                 # staleness guard: the fit uses data up to the previous batch
                 approx = fit_value_approx(problem, prev_batch, features, ridge=1e-6)
@@ -731,6 +733,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
         "final_J": curve.rows[-1].j,
         "final_grad_norm": curve.rows[-1].grad_norm,
         "rollout_steps": steps_used,
+        "rollouts_truncated": truncated,
         "theta": [float(v) for v in theta],
     }
     if out_dir is not None:

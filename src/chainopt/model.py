@@ -237,6 +237,18 @@ class ChainModel(abc.ABC):
         S = self.score_table(theta, t)
         return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
 
+    def score_sums(self, theta: Array, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
+        """Row g of the result is the sum of coef[k] * score(x[k], y[k]) over
+        the transitions k with groups[k] = g; shape (n_groups, n_params).
+
+        This generic form gathers from the dense score table and is the
+        reference for chains that sum scores without it.
+        """
+        out = np.zeros((n_groups, self.n_params))
+        S = self.score_table(theta, t)[np.asarray(x), np.asarray(y)]
+        np.add.at(out, np.asarray(groups), np.asarray(coef, dtype=float)[:, None] * S)
+        return out
+
     # --- sampling ---------------------------------------------------------
 
     def sample(self, x, theta, rng: np.random.Generator, t: int = 0):
@@ -389,6 +401,14 @@ class SoftmaxChain(ChainModel):
         self._flat_y = np.array([y for x in live for y in self._succ[x]], dtype=np.int64)
         self._seg_of = np.repeat(np.arange(len(live)), seg_len)
         self._term = np.array(sorted(self.terminal), dtype=np.int64)
+        self._is_term = np.zeros(self.n_states, dtype=bool)
+        self._is_term[self._term] = True
+        # transition x -> y has key x * n_states + y; parameter
+        # _key_param[j] is the logit of the transition with the j-th
+        # smallest key
+        keys = self._flat_x * self.n_states + self._flat_y
+        self._key_param = np.argsort(keys)
+        self._sorted_keys = keys[self._key_param]
 
     def param_slice(self, x: int) -> slice:
         return self._slices[x]
@@ -440,6 +460,25 @@ class SoftmaxChain(ChainModel):
         F[i, j] = -wp[i] * p[j]
         F[np.diag_indices(self.n_params)] += wp
         return F
+
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
+        # score(x, y) is e_k - p on x's segment, with k the logit of x -> y:
+        # a bincount of coef over (group, k), minus each group's coef mass
+        # at x times the segment's probabilities. Terminal rows score zero.
+        x, y, groups = (np.asarray(a, dtype=np.int64) for a in (x, y, groups))
+        coef = np.asarray(coef, dtype=float)
+        live = ~self._is_term[x]
+        x, y, coef, groups = x[live], y[live], coef[live], groups[live]
+        keys = x * self.n_states + y
+        at = np.minimum(np.searchsorted(self._sorted_keys, keys), max(self.n_params - 1, 0))
+        if keys.size and not np.array_equal(self._sorted_keys[at], keys):
+            raise InvalidStructureError("a transition lies outside the support")
+        p, n = self.n_params, self.n_states
+        hits = np.bincount(
+            groups * p + self._key_param[at], weights=coef, minlength=n_groups * p
+        ).reshape(n_groups, p)
+        mass = np.bincount(groups * n + x, weights=coef, minlength=n_groups * n)
+        return hits - mass.reshape(n_groups, n)[:, self._flat_x] * self._flat_probs(theta)
 
     def prob_row(self, x, theta, t: int = 0) -> Array:
         row = np.zeros(self.n_states)
@@ -659,6 +698,9 @@ class TimeVaryingChain(ChainModel):
 
     def fisher(self, theta, w, t: int = 0):
         return self._at(t).fisher(theta, w)
+
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0):
+        return self._at(t).score_sums(theta, x, y, coef, groups, n_groups)
 
     def transition_matrix(self, theta, t: int = 0):
         return self._at(t).transition_matrix(theta)

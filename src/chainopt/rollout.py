@@ -1,9 +1,27 @@
 """Rollout generation and score-based gradient estimation.
 
-Rollouts are sampled with one private random stream per rollout, derived
-from (seed, rollout index), so a batch is bit-identical no matter how the
-work is scheduled. Estimators consume whole batches and refuse parameters
-that differ from the ones the batch was generated under.
+Streams. Rollout i of a batch draws from its own generator,
+``rollout_rng(seed, i)``, and from nothing else, so a batch is
+bit-identical no matter how the work is scheduled. A tabular rollout's
+draws are uniforms in a fixed order: one for the start state, then per
+step, after the terminal check (a rollout on a terminal state stops,
+except in a time-varying problem) and the cap check, one stop draw in
+geometric mode (stop when it is below 1 - gamma) and one step draw. A
+time-varying rollout sitting on a terminal state stays there and draws
+nothing. So the draw index is a function of (rollout, step).
+
+Tabular batches advance all live rollouts in lockstep. Each rollout takes
+its uniforms from its own stream in blocks (``rng.random(k)`` returns the
+values of k successive ``rng.random()`` calls); a finished rollout's
+unused draws are discarded, which no other rollout can see. A step draw
+is an inverse-CDF lookup in the cumulative rows of the transition matrix,
+the rows ``ChainModel.make_sampler`` draws from, with ``sample_index``'s
+clamp to the row's last positive entry. Continuous chains mix uniform and
+normal draws on one stream and keep a per-step loop. Tabular score
+vectors are filled on first read, for the whole batch at once.
+
+Estimators consume whole batches as flat per-step arrays and refuse
+parameters that differ from the ones the batch was generated under.
 """
 
 from __future__ import annotations
@@ -26,9 +44,7 @@ from .model import (
     Average,
     EpisodicDiscounted,
     FirstExit,
-    GaussianInitial,
     Problem,
-    TabularInitial,
     TimeVarying,
     check_params,
 )
@@ -39,25 +55,132 @@ END_GEOMETRIC = "geometric-stop"
 
 _MODES = ("terminal", "horizon", "geometric")
 
+# Uniforms a tabular rollout takes from its stream at a time.
+_BLOCK = 64
+
 
 def rollout_rng(seed: int, index: int) -> np.random.Generator:
     """The private random stream of one rollout."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-@dataclass
-class Rollout:
-    """One sampled trajectory with per-step costs and score vectors."""
+class _PresetSeed(np.random.bit_generator.ISeedSequence):
+    """Hands PCG64 a seed state computed beforehand."""
 
-    states: np.ndarray  # (T+1,) ints or (T+1, n_x) floats
-    costs: np.ndarray  # (T+1,)
-    scores: np.ndarray  # (T, n_params)
-    end_reason: str
-    diverged: bool = False
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state  # PCG64 asks for 4 uint64 words
+
+
+def _rollout_streams(seed: int, n: int) -> list:
+    """[rollout_rng(seed, i) for i in range(n)], built faster.
+
+    Building a SeedSequence costs most of a stream's construction, so the
+    seed states of all n streams are hashed together, with numpy's
+    SeedSequence algorithm (the mix of the entropy words into a pool of
+    four, then generate_state) in uint32 arithmetic over the n spawn keys.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        return [rollout_rng(seed, i) for i in range(n)]
+    u32 = np.uint32
+    words, rest = [], int(seed)
+    while rest > 0 or not words:
+        words.append(rest & 0xFFFFFFFF)
+        rest >>= 32
+    words += [0] * (4 - len(words))  # padded to the pool size ahead of a spawn key
+    entropy = [np.full(n, w, dtype=u32) for w in words] + [np.arange(n, dtype=u32)]
+    hash_const = 0x43B0D7E5
+
+    def hashmix(v):
+        nonlocal hash_const
+        v = v ^ u32(hash_const)
+        hash_const = (hash_const * 0x931E8875) & 0xFFFFFFFF
+        v = v * u32(hash_const)
+        return v ^ (v >> u32(16))
+
+    def mix(x, y):
+        r = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
+        return r ^ (r >> u32(16))
+
+    pool = [hashmix(entropy[i]) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    # generate_state(4, np.uint64): eight uint32 words, paired little-endian
+    hash_const = 0x8B51F9DD
+    state = []
+    for k in range(8):
+        v = pool[k % 4] ^ u32(hash_const)
+        hash_const = (hash_const * 0x58F38DED) & 0xFFFFFFFF
+        v = v * u32(hash_const)
+        state.append(v ^ (v >> u32(16)))
+    state = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_PresetSeed(row))) for row in state]
+
+
+class Rollout:
+    """One sampled trajectory with per-step costs and score vectors.
+
+    ``states`` is (T+1,) ints or (T+1, n_x) floats, ``costs`` (T+1,) and
+    ``scores`` (T, n_params). ``scores`` may be given as a callable that
+    returns them; it is called on first read.
+    """
+
+    def __init__(self, states, costs, scores, end_reason: str, diverged: bool = False):
+        self.states = states
+        self.costs = costs
+        self._scores = scores
+        self.end_reason = end_reason
+        self.diverged = diverged
+
+    @property
+    def scores(self) -> np.ndarray:
+        if callable(self._scores):
+            self._scores = self._scores()
+        return self._scores
 
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
+
+
+def _split(a: np.ndarray, lengths) -> list:
+    """Consecutive pieces of a with the given lengths (views)."""
+    ends = np.cumsum(lengths).tolist()
+    return [a[e - k : e] for e, k in zip(ends, np.asarray(lengths).tolist())]
+
+
+class _TabularScores:
+    """The score vectors of a tabular batch, computed for every rollout on
+    the first request with one gather per stage from the chain's score
+    tables. ``lazy(i)`` is what rollout i reads them through."""
+
+    def __init__(self, chain, theta, n_stages: int, states: list):
+        self.chain, self.theta, self.n_stages = chain, theta, n_stages
+        self.states = states
+        self.pieces = None
+
+    def lazy(self, i: int):
+        return lambda: self._get(i)
+
+    def _get(self, i: int) -> np.ndarray:
+        if self.pieces is None:
+            steps = [s.shape[0] - 1 for s in self.states]
+            x = np.concatenate([s[:-1] for s in self.states])
+            y = np.concatenate([s[1:] for s in self.states])
+            stage = np.minimum(np.concatenate([np.arange(T) for T in steps]), self.n_stages - 1)
+            scores = np.zeros((x.shape[0], self.chain.n_params))
+            for s in np.unique(stage):
+                sel = stage == s
+                scores[sel] = self.chain.score_table(self.theta, int(s))[x[sel], y[sel]]
+            self.pieces = _split(scores, steps)
+        return self.pieces[i]
 
 
 @dataclass
@@ -73,6 +196,14 @@ class RolloutBatch:
 
     def __len__(self):
         return len(self.rollouts)
+
+    @property
+    def n_truncated(self) -> int:
+        """Terminal-mode rollouts cut off by the horizon cap before reaching
+        a terminal state."""
+        if self.mode != "terminal":
+            return 0
+        return sum(1 for r in self.rollouts if r.end_reason == END_HORIZON and not r.diverged)
 
     def total_steps(self) -> int:
         return int(sum(r.n_steps for r in self.rollouts))
@@ -99,27 +230,27 @@ class RolloutBatch:
 
 def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
     """Reload a dumped batch, recomputing score vectors from the chain."""
+    chain = problem.chain
+    tv = isinstance(problem.setting, TimeVarying)
     with open(path) as fh:
         meta = json.loads(fh.readline())
         theta = np.asarray(meta["theta"], dtype=float)
-        tv = isinstance(problem.setting, TimeVarying)
-        rollouts = []
-        for line in fh:
-            rec = json.loads(line)
-            states = np.asarray(rec["states"])
-            if states.ndim == 1 and problem.chain.tabular:
-                states = states.astype(np.int64)
-            costs = np.asarray(rec["costs"], dtype=float)
-            T = states.shape[0] - 1
-            scores = np.zeros((T, problem.n_params))
-            for t in range(T):
-                scores[t] = problem.chain.score(
-                    states[t], states[t + 1], theta, t if tv else 0
-                )
-            rollouts.append(Rollout(states, costs, scores, rec["end"]))
-    return RolloutBatch(
-        rollouts, theta, meta["seed"], meta["mode"], meta["horizon_cap"]
-    )
+        records = [json.loads(line) for line in fh]
+    states = [np.asarray(rec["states"]) for rec in records]
+    if chain.tabular:
+        states = [s.astype(np.int64) for s in states]
+        table = _TabularScores(chain, theta, meta["horizon_cap"] if tv else 1, states)
+    rollouts = []
+    for i, (rec, st) in enumerate(zip(records, states)):
+        if chain.tabular:
+            scores = table.lazy(i)
+        else:
+            scores = np.zeros((st.shape[0] - 1, problem.n_params))
+            for t in range(scores.shape[0]):
+                scores[t] = chain.score(st[t], st[t + 1], theta, t if tv else 0)
+        costs = np.asarray(rec["costs"], dtype=float)
+        rollouts.append(Rollout(st, costs, scores, rec["end"]))
+    return RolloutBatch(rollouts, theta, meta["seed"], meta["mode"], meta["horizon_cap"])
 
 
 def _default_mode(problem: Problem) -> str:
@@ -144,7 +275,8 @@ def generate_rollouts(
     guard), "horizon" runs to the cap, and "geometric" additionally stops
     each step with probability 1 - gamma, realizing the discounted
     visitation weights through trajectory lengths. Time-varying problems
-    always run exactly their horizon.
+    always run exactly their horizon. The module docstring states which
+    draws each rollout makes.
     """
     theta = check_params(theta, problem.n_params)
     chain = problem.chain
@@ -164,69 +296,129 @@ def generate_rollouts(
         raise InvalidStructureError("terminal mode needs a chain with terminal states")
     if n_rollouts < 1 or horizon_cap < 1:
         raise InvalidStructureError("need at least one rollout and one step")
-    gamma = problem.gamma
-    stop_prob = 1.0 - gamma
-
-    n_stages = horizon_cap if tv else 1
-    samplers = [chain.make_sampler(theta, t) for t in range(n_stages)]
-    tabular = chain.tabular
-    if tabular:
-        n = chain.n_states
-        cost_tables = [
-            problem.cost.value_table(n, theta, t) for t in range(n_stages + (1 if tv else 0))
+    if chain.tabular:
+        rollouts = _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
+    else:
+        samplers = [chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
+        rollouts = [
+            _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode)
+            for rng in _rollout_streams(seed, n_rollouts)
         ]
-        score_tables = [chain.score_table(theta, t) for t in range(n_stages)]
-    terminal = chain.terminal if (mode != "horizon" or not tv) else frozenset()
-    stop_at_terminal = not tv
-
-    rollouts = []
-    n_diverged = 0
-    for i in range(n_rollouts):
-        rng = rollout_rng(seed, i)
-        x = problem.init.sample(rng)
-        states = [x]
-        diverged = False
-        t = 0
-        reason = END_HORIZON
-        while True:
-            if tabular and stop_at_terminal and states[-1] in terminal:
-                reason = END_TERMINAL
-                break
-            if t >= horizon_cap:
-                reason = END_HORIZON
-                break
-            if mode == "geometric" and rng.random() < stop_prob:
-                reason = END_GEOMETRIC
-                break
-            stage = min(t, n_stages - 1)
-            x_next = samplers[stage](states[-1], rng)
-            if not tabular and not np.all(np.isfinite(x_next)):
-                diverged = True
-                reason = END_HORIZON
-                break
-            states.append(x_next)
-            t += 1
-        T = len(states) - 1
-        if tabular:
-            st = np.asarray(states, dtype=np.int64)
-            costs = np.array(
-                [cost_tables[min(k, len(cost_tables) - 1)][st[k]] for k in range(T + 1)]
-            )
-            scores = np.zeros((T, problem.n_params))
-            for k in range(T):
-                scores[k] = score_tables[min(k, n_stages - 1)][st[k], st[k + 1]]
-        else:
-            st = np.asarray(states, dtype=float)
-            costs = np.array(
-                [problem.cost.value(states[k], theta, k if tv else 0) for k in range(T + 1)]
-            )
-            scores = np.zeros((T, problem.n_params))
-            for k in range(T):
-                scores[k] = chain.score(states[k], states[k + 1], theta, k if tv else 0)
-        if diverged:
-            n_diverged += 1
-        rollouts.append(Rollout(st, costs, scores, reason, diverged))
+    n_diverged = sum(1 for r in rollouts if r.diverged)
     return RolloutBatch(rollouts, theta, seed, mode, horizon_cap, n_diverged)
+
+
+class _Uniforms:
+    """The uniform draws of a batch's rollouts, each from its own stream,
+    taken in blocks of _BLOCK."""
+
+    def __init__(self, seed: int, n_rollouts: int):
+        self.streams = _rollout_streams(seed, n_rollouts)
+        self.block = np.empty((n_rollouts, _BLOCK))
+        self.used = np.full(n_rollouts, _BLOCK)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of each of the given rollouts."""
+        for i in rows[self.used[rows] == _BLOCK]:
+            self.block[i] = self.streams[i].random(_BLOCK)
+            self.used[i] = 0
+        u = self.block[rows, self.used[rows]]
+        self.used[rows] += 1
+        return u
+
+
+def _inverse_cdf(cum: np.ndarray, top, u: np.ndarray) -> np.ndarray:
+    """sample_index per draw: the count of entries of the cumulative row
+    that are <= u, or the row's clamp index top when u reaches the total."""
+    idx = np.count_nonzero(cum <= u[:, None], axis=1)
+    return np.where(idx < cum.shape[1], idx, top)
+
+
+_REASONS = (END_HORIZON, END_TERMINAL, END_GEOMETRIC)
+
+
+def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> list:
+    chain = problem.chain
+    n = chain.n_states
+    n_stages = horizon_cap if tv else 1
+    cums = np.stack(
+        [np.cumsum(chain.transition_matrix(theta, t), axis=1) for t in range(n_stages)]
+    )
+    # first index reaching the row total: the last entry with positive weight
+    tops = np.argmax(cums >= cums[:, :, -1:], axis=2)
+    terminal = np.zeros(n, dtype=bool)
+    terminal[list(chain.terminal)] = True
+    stop_prob = 1.0 - problem.gamma
+
+    draws = _Uniforms(seed, n_rollouts)
+    live = np.arange(n_rollouts)
+    init_cum = np.cumsum(problem.init.weights)[None, :]
+    x = _inverse_cdf(init_cum, np.argmax(init_cum[0] >= init_cum[0, -1]), draws.take(live))
+    reason = np.zeros(n_rollouts, dtype=np.int64)  # index into _REASONS
+    visits, visited = [live], [x.copy()]  # rollouts alive at each step, and their states
+    t = 0
+    while live.size:
+        if not tv:
+            done = terminal[x[live]]
+            reason[live[done]] = 1
+            live = live[~done]
+        if t >= horizon_cap:
+            break
+        if mode == "geometric":
+            done = draws.take(live) < stop_prob
+            reason[live[done]] = 2
+            live = live[~done]
+        movers = live[~terminal[x[live]]]
+        if movers.size:
+            stage, rows = min(t, n_stages - 1), x[movers]
+            x[movers] = _inverse_cdf(cums[stage, rows], tops[stage, rows], draws.take(movers))
+        visits.append(live)
+        visited.append(x[live])
+        t += 1
+
+    owner = np.concatenate(visits)
+    order = np.argsort(owner, kind="stable")
+    states = np.concatenate(visited)[order]
+    step = np.concatenate([np.full(v.size, k) for k, v in enumerate(visits)])[order]
+    n_tables = n_stages + (1 if tv else 0)
+    L = np.stack([problem.cost.value_table(n, theta, k) for k in range(n_tables)])
+    costs = L[np.minimum(step, n_tables - 1), states]
+    lengths = np.bincount(owner, minlength=n_rollouts)
+    states = _split(states, lengths)
+    table = _TabularScores(chain, theta, n_stages, states)
+    return [
+        Rollout(s, c, table.lazy(i), _REASONS[code])
+        for i, (s, c, code) in enumerate(zip(states, _split(costs, lengths), reason))
+    ]
+
+
+def _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode) -> Rollout:
+    chain = problem.chain
+    tv = isinstance(problem.setting, TimeVarying)
+    stop_prob = 1.0 - problem.gamma
+    x = problem.init.sample(rng)
+    states = [x]
+    diverged = False
+    t = 0
+    reason = END_HORIZON
+    while True:
+        if t >= horizon_cap:
+            break
+        if mode == "geometric" and rng.random() < stop_prob:
+            reason = END_GEOMETRIC
+            break
+        x_next = samplers[min(t, len(samplers) - 1)](states[-1], rng)
+        if not np.all(np.isfinite(x_next)):
+            diverged = True
+            break
+        states.append(x_next)
+        t += 1
+    T = len(states) - 1
+    costs = np.array([problem.cost.value(states[k], theta, k if tv else 0) for k in range(T + 1)])
+    scores = np.zeros((T, problem.n_params))
+    for k in range(T):
+        scores[k] = chain.score(states[k], states[k + 1], theta, k if tv else 0)
+    return Rollout(np.asarray(states, dtype=float), costs, scores, reason, diverged)
 
 
 def effective_gamma(problem: Problem, batch: RolloutBatch) -> float:
@@ -247,29 +439,103 @@ def check_batch(theta, batch: RolloutBatch):
         raise StalenessError("batch was generated under different parameters")
 
 
+@dataclass
+class BatchSteps:
+    """The rollouts of a batch that did not diverge, as flat per-step
+    arrays, rollout after rollout."""
+
+    rollouts: list
+    states: np.ndarray  # (N,) ints or (N, n_x) floats
+    owner: np.ndarray  # the step's rollout, an index into rollouts
+    t: np.ndarray  # the step's time within its rollout
+    returns: np.ndarray  # discounted cost-to-go R_t
+    weights: np.ndarray  # gamma^t
+    trans: np.ndarray  # steps that start a transition: all but each rollout's last
+    first: np.ndarray  # each rollout's first step
+
+
+def batch_steps(batch: RolloutBatch, gamma: float) -> BatchSteps:
+    rollouts = [r for r in batch.rollouts if not r.diverged]
+    lengths = np.array([r.costs.shape[0] for r in rollouts], dtype=np.int64)
+    first = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(len(rollouts)), lengths)
+    t = np.arange(owner.size) - first[owner]
+    if rollouts:
+        states = np.concatenate([r.states for r in rollouts])
+        costs = np.concatenate([r.costs for r in rollouts])
+    else:
+        states, costs = np.zeros(0, dtype=np.int64), np.zeros(0)
+    return BatchSteps(
+        rollouts=rollouts,
+        states=states,
+        owner=owner,
+        t=t,
+        returns=_batch_returns(costs, lengths, owner, t, gamma),
+        weights=gamma ** t,
+        trans=np.flatnonzero(t < lengths[owner] - 1),
+        first=first,
+    )
+
+
+def _batch_returns(costs, lengths, owner, t, gamma) -> np.ndarray:
+    """discounted_returns of every rollout, concatenated. Rollouts whose
+    lengths share a power of two go through one lfilter over their
+    reversed costs, zero-padded on the right, which gives each rollout's
+    values bit for bit and at most doubles the memory."""
+    out = np.empty_like(costs)
+    if lengths.size == 0:
+        return out
+    group = np.floor(np.log2(lengths)).astype(np.int64)
+    col = lengths[owner] - 1 - t  # position in the reversed costs
+    for g in np.unique(group):
+        members = group == g
+        row = (np.cumsum(members) - 1)[owner]
+        sel = members[owner]
+        padded = np.zeros((int(members.sum()), int(lengths[members].max())))
+        padded[row[sel], col[sel]] = costs[sel]
+        filtered = lfilter([1.0], [1.0, -gamma], padded, axis=1)
+        out[sel] = filtered[row[sel], col[sel]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Value-function fitting
 # ---------------------------------------------------------------------------
 
 
 class FeatureMap:
-    """State features phi(x) used by fitted value baselines."""
+    """State features phi(x) used by fitted value baselines.
 
-    def __init__(self, dim: int, fn):
+    ``rows`` optionally maps an array of states to their stacked features
+    at once; without it the features are stacked one state at a time.
+    """
+
+    def __init__(self, dim: int, fn, rows=None):
         self.dim = int(dim)
         self._fn = fn
+        self._rows = rows
 
     def __call__(self, x) -> np.ndarray:
         return np.asarray(self._fn(x), dtype=float)
 
+    def rows(self, states) -> np.ndarray:
+        """Features of each state, shape (len(states), dim)."""
+        if self._rows is not None:
+            return np.asarray(self._rows(states), dtype=float)
+        if len(states) == 0:
+            return np.zeros((0, self.dim))
+        return np.stack([self(x) for x in states])
+
     @staticmethod
     def tabular(n_states: int) -> "FeatureMap":
         eye = np.eye(n_states)
-        return FeatureMap(n_states, lambda x: eye[int(x)])
+        return FeatureMap(
+            n_states, lambda x: eye[int(x)], lambda xs: eye[np.asarray(xs, dtype=np.int64)]
+        )
 
     @staticmethod
     def constant() -> "FeatureMap":
-        return FeatureMap(1, lambda x: np.ones(1))
+        return FeatureMap(1, lambda x: np.ones(1), lambda xs: np.ones((len(xs), 1)))
 
 
 @dataclass
@@ -283,7 +549,7 @@ class ValueApprox:
         return float(self.features(x) @ self.weights)
 
     def table(self, n_states: int) -> np.ndarray:
-        return np.array([self.predict(x) for x in range(n_states)])
+        return self.features.rows(np.arange(n_states)) @ self.weights
 
 
 def fit_value_approx(
@@ -293,22 +559,24 @@ def fit_value_approx(
 
     Minimizes sum over rollouts and steps of gamma^t (omega.phi(x_t) - R_t)^2
     plus ridge ||omega||^2, by the normal equations. Rank deficiency with no
-    ridge raises rather than silently pseudo-inverting.
+    ridge raises rather than silently pseudo-inverting. On a tabular chain
+    the weights are first summed per visited state, so the features are
+    read once per visited state.
     """
-    gamma = effective_gamma(problem, batch)
-    k = features.dim
-    A = np.zeros((k, k))
-    b = np.zeros(k)
-    for r in batch.rollouts:
-        if r.diverged:
-            continue
-        R = discounted_returns(r.costs, gamma)
-        w = gamma ** np.arange(r.costs.shape[0])
-        for t in range(r.costs.shape[0]):
-            phi = features(r.states[t])
-            A += w[t] * np.outer(phi, phi)
-            b += w[t] * phi * R[t]
-    A += ridge * np.eye(k)
+    steps = batch_steps(batch, effective_gamma(problem, batch))
+    w, wR = steps.weights, steps.weights * steps.returns
+    if problem.chain.tabular:
+        n = problem.chain.n_states
+        visited = np.flatnonzero(np.bincount(steps.states, minlength=n))
+        phi = features.rows(visited)
+        mass = np.bincount(steps.states, weights=w, minlength=n)[visited]
+        A = phi.T @ (mass[:, None] * phi)
+        b = phi.T @ np.bincount(steps.states, weights=wR, minlength=n)[visited]
+    else:
+        phi = features.rows(steps.states)
+        A = phi.T @ (w[:, None] * phi)
+        b = phi.T @ wR
+    A = A + ridge * np.eye(features.dim)
     try:
         chol = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -363,90 +631,93 @@ def estimate_gradient(
         sum_t gamma^t dL(x_t) + sum_{t<T} gamma^{t+1} score_t (R_{t+1} - b(x_t)),
     where b subtracts the predicted one-step-ahead value when a baseline is
     supplied. The estimate is unbiased for the exact gradient; the baseline
-    only reduces variance.
+    only reduces variance. Diverged rollouts are left out. The estimate is
+    marked invalid when more than 1% of the batch diverged or, in terminal
+    mode, was cut off by the horizon cap.
     """
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
-    chain, cost = problem.chain, problem.cost
     gamma = effective_gamma(problem, batch)
-    tv = isinstance(problem.setting, TimeVarying)
-    n_stages = batch.horizon_cap if tv else 1
-
-    tabular = chain.tabular
-    if tabular:
-        n = chain.n_states
-        gradL_tables = [
-            cost.grad_table(n, theta, t) for t in range(n_stages + (1 if tv else 0))
-        ]
-        if baseline is not None:
-            b_tables = baseline_expected_values(problem, theta, baseline)
-
-    contributions = np.zeros((len(batch.rollouts), problem.n_params))
-    lengths = []
-    returns0 = []
-    n_valid = 0
-    for i, r in enumerate(batch.rollouts):
-        if r.diverged:
-            continue
-        T = r.n_steps
-        R = discounted_returns(r.costs, gamma)
-        gpow = gamma ** np.arange(T + 1)
-        if tabular:
-            if tv:
-                gL = np.stack(
-                    [gradL_tables[min(t, len(gradL_tables) - 1)][r.states[t]] for t in range(T + 1)]
-                )
-            else:
-                gL = gradL_tables[0][r.states]
-        else:
-            gL = np.stack(
-                [cost.grad(r.states[t], theta, t if tv else 0) for t in range(T + 1)]
-            )
-        g = gpow @ gL
-        if T > 0:
-            if baseline is None:
-                adv = R[1:]
-            else:
-                if tabular:
-                    b = np.array(
-                        [b_tables[min(t, n_stages - 1)][r.states[t]] for t in range(T)]
-                    )
-                else:
-                    b = np.array(
-                        [
-                            baseline.predict(chain.mean(r.states[t], theta, t if tv else 0))
-                            for t in range(T)
-                        ]
-                    )
-                adv = R[1:] - b
-            g = g + (gamma * gpow[:T] * adv) @ r.scores
-        contributions[i] = g
-        lengths.append(T)
-        returns0.append(R[0])
-        n_valid += 1
-
-    if n_valid == 0:
+    steps = batch_steps(batch, gamma)
+    if not steps.rollouts:
         raise InvalidStructureError("no valid rollouts in the batch")
-    valid_mask = np.array([not r.diverged for r in batch.rollouts])
-    kept = contributions[valid_mask]
+    if problem.chain.tabular:
+        kept = _tabular_contributions(problem, theta, batch, steps, gamma, baseline)
+    else:
+        kept = _continuous_contributions(problem, theta, steps, gamma, baseline)
+    n_valid = len(steps.rollouts)
     mean = kept.mean(axis=0)
     if n_valid > 1:
         stderr = kept.std(axis=0, ddof=1) / math.sqrt(n_valid)
     else:
         stderr = np.full(problem.n_params, np.inf)
-    frac_diverged = batch.n_diverged / len(batch.rollouts)
+    n_truncated = batch.n_truncated
+    frac_bad = (batch.n_diverged + n_truncated) / len(batch.rollouts)
     return GradientEstimate(
         mean=mean,
         stderr=stderr,
         n_rollouts=n_valid,
         n_diverged=batch.n_diverged,
-        valid=frac_diverged <= 0.01,
+        valid=frac_bad <= 0.01,
         diagnostics={
-            "mean_return": float(np.mean(returns0)),
-            "mean_length": float(np.mean(lengths)),
+            "mean_return": float(np.mean(steps.returns[steps.first])),
+            "mean_length": float(np.mean([r.n_steps for r in steps.rollouts])),
+            "n_diverged": batch.n_diverged,
+            "n_truncated": n_truncated,
             "per_rollout": kept,
         },
     )
+
+
+def _tabular_contributions(problem, theta, batch, steps: BatchSteps, gamma, baseline):
+    """Per-rollout contributions from per-stage cost-gradient tables and the
+    chain's score sums; no per-step Python."""
+    chain, cost = problem.chain, problem.cost
+    tv = isinstance(problem.setting, TimeVarying)
+    n_stages = batch.horizon_cap if tv else 1
+    n_tables = n_stages + (1 if tv else 0)
+    n, m = chain.n_states, len(steps.rollouts)
+    out = np.zeros((m, problem.n_params))
+    stage = np.minimum(steps.t, n_tables - 1)
+    for s in np.unique(stage):
+        sel = stage == s
+        mass = np.bincount(
+            steps.owner[sel] * n + steps.states[sel], weights=steps.weights[sel], minlength=m * n
+        )
+        out += mass.reshape(m, n) @ cost.grad_table(n, theta, int(s))
+
+    k = steps.trans
+    x, y = steps.states[k], steps.states[k + 1]
+    stage = np.minimum(steps.t[k], n_stages - 1)
+    adv = steps.returns[k + 1]
+    if baseline is not None:
+        adv = adv - np.stack(baseline_expected_values(problem, theta, baseline))[stage, x]
+    coef = gamma * steps.weights[k] * adv
+    for s in np.unique(stage):
+        sel = stage == s
+        out += chain.score_sums(theta, x[sel], y[sel], coef[sel], steps.owner[k][sel], m, int(s))
+    return out
+
+
+def _continuous_contributions(problem, theta, steps: BatchSteps, gamma, baseline):
+    """Per-rollout contributions with per-step cost gradients, baselines and
+    the stored scores."""
+    chain, cost = problem.chain, problem.cost
+    tv = isinstance(problem.setting, TimeVarying)
+    stage = steps.t if tv else np.zeros_like(steps.t)
+    out = np.zeros((len(steps.rollouts), problem.n_params))
+    gL = np.stack([cost.grad(x, theta, int(s)) for x, s in zip(steps.states, stage)])
+    np.add.at(out, steps.owner, steps.weights[:, None] * gL)
+    k = steps.trans
+    if k.size:
+        adv = steps.returns[k + 1]
+        if baseline is not None:
+            adv = adv - np.array(
+                [baseline.predict(chain.mean(steps.states[j], theta, int(stage[j]))) for j in k]
+            )
+        scores = np.concatenate([r.scores for r in steps.rollouts])
+        np.add.at(out, steps.owner[k], (gamma * steps.weights[k] * adv)[:, None] * scores)
+    return out
 
 
 # ---------------------------------------------------------------------------

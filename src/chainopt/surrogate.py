@@ -22,9 +22,9 @@ from .model import Average, Problem, TimeVarying, check_params
 from .rollout import (
     RolloutBatch,
     ValueApprox,
+    batch_steps,
     baseline_expected_values,
     check_batch,
-    discounted_returns,
     effective_gamma,
 )
 
@@ -126,54 +126,25 @@ class SampledSurrogate:
         chain = problem.chain
         self.tabular = chain.tabular
 
-        if self.tabular and baseline is not None:
-            b_table = baseline_expected_values(problem, self.theta, baseline)[0]
-
-        xs, ws = [], []  # state visits and their discount weights
-        xt, yt, wt, adv = [], [], [], []  # transitions
-        n_valid = 0
-        for r in batch.rollouts:
-            if r.diverged:
-                continue
-            n_valid += 1
-            T = r.n_steps
-            R = discounted_returns(r.costs, self.gamma)
-            gpow = self.gamma ** np.arange(T + 1)
-            xs.append(r.states)
-            ws.append(gpow)
-            if T == 0:
-                continue
-            xt.append(r.states[:-1])
-            yt.append(r.states[1:])
-            wt.append(self.gamma * gpow[:T])
-            if baseline is None:
-                b = 0.0
-            elif self.tabular:
-                b = b_table[np.asarray(r.states[:-1], dtype=np.int64)]
-            else:
-                b = np.array(
-                    [baseline.predict(chain.mean(r.states[t], self.theta)) for t in range(T)]
-                )
-            adv.append(R[1:] - b)
-        if n_valid == 0:
+        steps = batch_steps(batch, self.gamma)
+        if not steps.rollouts:
             raise CapabilityError("batch has no usable rollouts")
-        self.n_valid = n_valid
-        self.states = np.concatenate(xs)
-        self.state_w = np.concatenate(ws)
-        if xt:
-            self.trans_x = np.concatenate(xt)
-            self.trans_y = np.concatenate(yt)
-            self.trans_w = np.concatenate(wt)
-            self.trans_adv = np.concatenate(adv)
-        else:
-            self.trans_x = np.zeros(0, dtype=np.int64)
-            self.trans_y = np.zeros(0, dtype=np.int64)
-            self.trans_w = np.zeros(0)
-            self.trans_adv = np.zeros(0)
+        self.n_valid = len(steps.rollouts)
+        self.states = steps.states
+        self.state_w = steps.weights
+        k = steps.trans
+        self.trans_x = steps.states[k]
+        self.trans_y = steps.states[k + 1]
+        self.trans_w = self.gamma * steps.weights[k]
+        self.trans_adv = steps.returns[k + 1]
+        if baseline is not None and self.tabular:
+            b_table = baseline_expected_values(problem, self.theta, baseline)[0]
+            self.trans_adv = self.trans_adv - b_table[self.trans_x]
+        elif baseline is not None:
+            self.trans_adv = self.trans_adv - np.array(
+                [baseline.predict(chain.mean(x, self.theta)) for x in self.trans_x]
+            )
         if self.tabular:
-            self.states = self.states.astype(np.int64)
-            self.trans_x = self.trans_x.astype(np.int64)
-            self.trans_y = self.trans_y.astype(np.int64)
             self._logp0 = self._log_prob_table(self.theta)[self.trans_x, self.trans_y]
         else:
             self._logp0 = np.array(
@@ -230,19 +201,24 @@ class SampledSurrogate:
             total += (self.trans_w * self._ratios(th)) @ self.trans_adv
         return float(total / self.n_valid)
 
+    def _score_term(self, th, coef) -> np.ndarray:
+        """sum over transitions of coef * score(x, y) at th. Tabular chains
+        scatter coef / P into a matrix and take the chain's row_vjp."""
+        chain = self.problem.chain
+        if not self.tabular:
+            S = np.stack([chain.score(x, y, th) for x, y in zip(self.trans_x, self.trans_y)])
+            return coef @ S
+        n = chain.n_states
+        C = np.bincount(self.trans_x * n + self.trans_y, weights=coef, minlength=n * n)
+        C = C.reshape(n, n)
+        W = np.divide(C, chain.transition_matrix(th), out=np.zeros_like(C), where=C != 0.0)
+        return chain.row_vjp(th, W)
+
     def grad(self, alpha) -> np.ndarray:
         th = self.theta + check_params(alpha, self.problem.n_params)
-        chain = self.problem.chain
         g = self._cost_terms(th, 1)
         if self.trans_x.size:
-            if self.tabular:
-                S = chain.score_table(th)[self.trans_x, self.trans_y]
-            else:
-                S = np.stack(
-                    [chain.score(x, y, th) for x, y in zip(self.trans_x, self.trans_y)]
-                )
-            coef = self.trans_w * self._ratios(th) * self.trans_adv
-            g = g + coef @ S
+            g = g + self._score_term(th, self.trans_w * self._ratios(th) * self.trans_adv)
         return g / self.n_valid
 
     def hess(self, alpha) -> np.ndarray:
@@ -312,21 +288,11 @@ class ClippedSurrogate:
 
     def grad(self, alpha) -> np.ndarray:
         th = self.base.theta + check_params(alpha, self.base.problem.n_params)
-        chain = self.base.problem.chain
         g = self.base._cost_terms(th, 1)
         if self.base.trans_x.size:
             r, _, use_clip = self._branches(th)
             coef = np.where(use_clip, 0.0, self.base.trans_w * r * self.base.trans_adv)
-            if self.base.tabular:
-                S = chain.score_table(th)[self.base.trans_x, self.base.trans_y]
-            else:
-                S = np.stack(
-                    [
-                        chain.score(x, y, th)
-                        for x, y in zip(self.base.trans_x, self.base.trans_y)
-                    ]
-                )
-            g = g + coef @ S
+            g = g + self.base._score_term(th, coef)
         return g / self.base.n_valid
 
 

@@ -176,7 +176,7 @@ class _TabularScores:
             y = np.concatenate([s[1:] for s in self.states])
             stage = np.minimum(np.concatenate([np.arange(T) for T in steps]), self.n_stages - 1)
             scores = np.zeros((x.shape[0], self.chain.n_params))
-            for s in np.unique(stage):
+            for s in _present(stage):
                 sel = stage == s
                 scores[sel] = self.chain.score_table(self.theta, int(s))[x[sel], y[sel]]
             self.pieces = _split(scores, steps)
@@ -471,7 +471,7 @@ def batch_steps(batch: RolloutBatch, gamma: float) -> BatchSteps:
         owner=owner,
         t=t,
         returns=_batch_returns(costs, lengths, owner, t, gamma),
-        weights=gamma ** t,
+        weights=(gamma ** np.arange(lengths.max(initial=0)))[t],
         trans=np.flatnonzero(t < lengths[owner] - 1),
         first=first,
     )
@@ -486,16 +486,23 @@ def _batch_returns(costs, lengths, owner, t, gamma) -> np.ndarray:
     if lengths.size == 0:
         return out
     group = np.floor(np.log2(lengths)).astype(np.int64)
+    step_group = group[owner]
     col = lengths[owner] - 1 - t  # position in the reversed costs
-    for g in np.unique(group):
+    for g in _present(group):
         members = group == g
-        row = (np.cumsum(members) - 1)[owner]
-        sel = members[owner]
-        padded = np.zeros((int(members.sum()), int(lengths[members].max())))
-        padded[row[sel], col[sel]] = costs[sel]
-        filtered = lfilter([1.0], [1.0, -gamma], padded, axis=1)
-        out[sel] = filtered[row[sel], col[sel]]
+        sel = step_group == g
+        width = int(lengths[members].max())
+        flat = (np.cumsum(members) - 1)[owner[sel]] * width + col[sel]
+        padded = np.zeros(int(members.sum()) * width)
+        padded[flat] = costs[sel]
+        filtered = lfilter([1.0], [1.0, -gamma], padded.reshape(-1, width), axis=1)
+        out[sel] = filtered.ravel()[flat]
     return out
+
+
+def _present(labels: np.ndarray) -> np.ndarray:
+    """The distinct values of an array of small non-negative ints, in order."""
+    return np.flatnonzero(np.bincount(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +686,7 @@ def _tabular_contributions(problem, theta, batch, steps: BatchSteps, gamma, base
     n, m = chain.n_states, len(steps.rollouts)
     out = np.zeros((m, problem.n_params))
     stage = np.minimum(steps.t, n_tables - 1)
-    for s in np.unique(stage):
+    for s in _present(stage):
         sel = stage == s
         mass = np.bincount(
             steps.owner[sel] * n + steps.states[sel], weights=steps.weights[sel], minlength=m * n
@@ -693,7 +700,7 @@ def _tabular_contributions(problem, theta, batch, steps: BatchSteps, gamma, base
     if baseline is not None:
         adv = adv - np.stack(baseline_expected_values(problem, theta, baseline))[stage, x]
     coef = gamma * steps.weights[k] * adv
-    for s in np.unique(stage):
+    for s in _present(stage):
         sel = stage == s
         out += chain.score_sums(theta, x[sel], y[sel], coef[sel], steps.owner[k][sel], m, int(s))
     return out

@@ -254,10 +254,15 @@ def _softmax_second_derivative(pi: np.ndarray) -> np.ndarray:
 
 
 class PolicyExpectedCost(CostModel):
-    """Step cost sum_a pi(a|x, theta) c(x, a) for a fixed action-cost table."""
+    """Step cost sum_a pi(a|x, theta) c(x, a) for a fixed action-cost table.
+
+    The action distribution at x is the bottleneck output eta, so the cost
+    is also eta . c(x, .) in the deterministic-bottleneck view.
+    """
 
     differentiable = True
     twice_differentiable = True
+    has_bottleneck = True
 
     def __init__(self, policy: SoftmaxPolicy, costs):
         self.policy = policy
@@ -265,6 +270,12 @@ class PolicyExpectedCost(CostModel):
         if self.costs.shape != (policy.n_states, policy.n_actions):
             raise InvalidStructureError("cost table shape must match the policy")
         self.n_params = policy.n_params
+
+    def value_eta(self, x, eta, t: int = 0) -> float:
+        return float(np.asarray(eta, dtype=float) @ self.costs[x])
+
+    def grad_eta(self, x, eta, t: int = 0) -> np.ndarray:
+        return self.costs[x].copy()
 
     def value(self, x, theta, t: int = 0) -> float:
         return float(self.policy.row(x, theta) @ self.costs[x])
@@ -291,34 +302,6 @@ class PolicyExpectedCost(CostModel):
         sl = self.policy.param_slice(x)
         h[sl, sl] = np.einsum("abc,a->bc", jac2, self.costs[x])
         return h
-
-
-class BottleneckActionCost(CostModel):
-    """Same expected action cost, evaluated through the action distribution."""
-
-    differentiable = True
-    has_bottleneck = True
-
-    def __init__(self, policy: SoftmaxPolicy, costs):
-        self.policy = policy
-        self.costs = np.asarray(costs, dtype=float)
-        self.n_params = policy.n_params
-
-    def value_eta(self, x, eta, t: int = 0) -> float:
-        return float(np.asarray(eta, dtype=float) @ self.costs[x])
-
-    def grad_eta(self, x, eta, t: int = 0) -> np.ndarray:
-        return self.costs[x].copy()
-
-    def value(self, x, theta, t: int = 0) -> float:
-        return self.value_eta(x, self.policy.row(x, theta), t)
-
-    def grad(self, x, theta, t: int = 0) -> np.ndarray:
-        g = np.zeros(self.n_params)
-        g[self.policy.param_slice(x)] = self.policy.jac_block(x, theta) @ self.grad_eta(
-            x, self.policy.row(x, theta), t
-        )
-        return g
 
 
 class PolicyKlFromOldCost(CostModel):
@@ -538,7 +521,7 @@ def stochastic_to_deterministic(mdp: TabularMdp, policy: SoftmaxPolicy):
     deterministic policy outputs the old policy's action distribution, so
     the realized transitions and costs coincide entry by entry.
     """
-    cost = BottleneckActionCost(policy, mdp.costs)
+    cost = PolicyExpectedCost(policy, mdp.costs)
     dmdp = DensityActionMdp(mdp.transitions, cost, policy)
     chain = PolicyAveragedChain(mdp.transitions, policy)
     problem = Problem(chain, cost, mdp.setting, mdp.init)

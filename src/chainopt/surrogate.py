@@ -16,7 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigError, RegularizationRequiredError
+from .errors import (
+    CapabilityError,
+    ConfigError,
+    InvalidStructureError,
+    RegularizationRequiredError,
+)
 from .exact import Solution, solution_at
 from .model import Average, Problem, TimeVarying, check_params
 from .rollout import (
@@ -32,6 +37,46 @@ _LOG_RATIO_CAP = 30.0
 
 
 # ---------------------------------------------------------------------------
+# Frozen tables
+# ---------------------------------------------------------------------------
+
+
+def _table_value(problem: Problem, th, w, W, P) -> float:
+    """w . L(th) + <W, P(th)>: the surrogate on a tabular chain, with state
+    weights w and transition weights W frozen at theta and P = P(th)."""
+    L = problem.cost.value_table(problem.chain.n_states, th)
+    return float(w @ L + np.sum(W * P))
+
+
+def _table_grad(problem: Problem, th, w, W) -> np.ndarray:
+    G = problem.cost.grad_table(problem.chain.n_states, th)
+    return w @ G + problem.chain.row_vjp(th, W)
+
+
+def _table_hess(problem: Problem, th, w, W) -> np.ndarray:
+    WP = W * problem.chain.transition_matrix(th)
+    xs, ys = np.nonzero(WP)
+    return _hessian(problem, th, range(len(w)), w, xs, ys, WP[xs, ys])
+
+
+def _hessian(problem: Problem, th, states, w, xs, ys, c) -> np.ndarray:
+    """sum_k w_k d2L(states_k) + sum_j c_j (s s^T + d2 log P)(xs_j -> ys_j) at
+    th, symmetrized; c_j is the transition's coefficient at th (W * P on a
+    tabular chain)."""
+    chain, cost = problem.chain, problem.cost
+    if not chain.twice_differentiable or not cost.twice_differentiable:
+        raise CapabilityError("surrogate Hessian needs second derivatives")
+    p = problem.n_params
+    H = np.zeros((p, p))
+    for x, wx in zip(states, w):
+        H += wx * cost.hess(x, th)
+    for x, y, cxy in zip(xs, ys, c):
+        s = chain.score(x, y, th)
+        H += cxy * (np.outer(s, s) + chain.log_prob_hess(x, y, th))
+    return 0.5 * (H + H.T)
+
+
+# ---------------------------------------------------------------------------
 # Exact surrogate
 # ---------------------------------------------------------------------------
 
@@ -39,9 +84,9 @@ _LOG_RATIO_CAP = 30.0
 class ExactSurrogate:
     """S(alpha) = sum_x w(x) [L(x, theta+alpha) + gamma sum_y P(y|x, theta+alpha) V(y)]
 
-    with w and V frozen at theta. Requires a tabular chain so rows can be
-    re-evaluated in closed form. A solution computed at theta may be passed
-    in to skip the solve.
+    with w and V frozen at theta, that is w . L + <W, P> with W = gamma w V^T.
+    Requires a tabular chain so rows can be re-evaluated in closed form. A
+    solution computed at theta may be passed in to skip the solve.
     """
 
     def __init__(self, problem: Problem, theta, solution: Optional[Solution] = None):
@@ -49,47 +94,20 @@ class ExactSurrogate:
         self.theta = check_params(theta, problem.n_params)
         sol = solution_at(problem, self.theta, solution)
         self.weights, self.values, self.gamma = sol.weights, sol.values, sol.gamma
-        self._W = np.outer(self.weights, self.values)
+        self._W = self.gamma * np.outer(self.weights, self.values)
 
     def value(self, alpha) -> float:
         th = self.theta + check_params(alpha, self.problem.n_params)
-        n = self.problem.chain.n_states
-        L = self.problem.cost.value_table(n, th)
         P = self.problem.chain.transition_matrix(th)
-        return float(self.weights @ (L + self.gamma * (P @ self.values)))
+        return _table_value(self.problem, th, self.weights, self._W, P)
 
     def grad(self, alpha) -> np.ndarray:
         th = self.theta + check_params(alpha, self.problem.n_params)
-        n = self.problem.chain.n_states
-        g = self.weights @ self.problem.cost.grad_table(n, th)
-        return g + self.gamma * self.problem.chain.row_vjp(th, self._W)
+        return _table_grad(self.problem, th, self.weights, self._W)
 
     def hess(self, alpha) -> np.ndarray:
-        chain, cost = self.problem.chain, self.problem.cost
-        if not chain.twice_differentiable or not cost.twice_differentiable:
-            raise CapabilityError("surrogate Hessian needs second derivatives")
         th = self.theta + check_params(alpha, self.problem.n_params)
-        n = chain.n_states
-        p = self.problem.n_params
-        P = chain.transition_matrix(th)
-        S = chain.score_table(th)
-        H = np.zeros((p, p))
-        for x in range(n):
-            H += self.weights[x] * cost.hess(x, th)
-        chain_term = np.einsum("x,xy,y,xyp,xyq->pq", self.weights, P, self.values, S, S)
-        for x in range(n):
-            if x in chain.terminal:
-                continue
-            wx = self.weights[x]
-            if wx == 0.0:
-                continue
-            for y in chain.successors(x):
-                pv = P[x, y] * self.values[y]
-                if pv == 0.0:
-                    continue
-                chain_term += wx * pv * chain.log_prob_hess(x, y, th)
-        H += self.gamma * chain_term
-        return 0.5 * (H + H.T)
+        return _table_hess(self.problem, th, self.weights, self._W)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +123,13 @@ class SampledSurrogate:
     with ratio_t the transition-probability ratio between theta+alpha and
     theta, and Ahat the baseline-corrected cost-to-go. Its alpha-gradient
     at zero reproduces the score-based gradient estimate on the same batch.
-    Log ratios are capped at 30 (counted in n_ratio_clipped) to keep far
-    perturbations finite.
+
+    On a tabular chain the batch reduces to frozen tables: w is the
+    discounted visit mass of each state and W the summed coefficients
+    g^{t+1} Ahat_t of each transition divided by P(theta), so S is
+    w . L + <W, P>, the exact surrogate's form. On a continuous chain the
+    sums run over the sampled transitions, and log ratios are capped at 30
+    (counted in n_ratio_clipped) to keep far perturbations finite.
     """
 
     def __init__(
@@ -144,108 +167,82 @@ class SampledSurrogate:
             self.trans_adv = self.trans_adv - np.array(
                 [baseline.predict(chain.mean(x, self.theta)) for x in self.trans_x]
             )
-        if self.tabular:
-            self._logp0 = self._log_prob_table(self.theta)[self.trans_x, self.trans_y]
-        else:
-            self._logp0 = np.array(
-                [
-                    chain.log_prob(x, y, self.theta)
-                    for x, y in zip(self.trans_x, self.trans_y)
-                ]
-            )
 
-    def _log_prob_table(self, th):
-        P = self.problem.chain.transition_matrix(th)
-        with np.errstate(divide="ignore"):
-            return np.log(P)
+        # Each sampled term (a transition of a tabular chain, a draw of a
+        # continuous one) carries its positive and its negative coefficient
+        # mass apart, for the clipped surrogate.
+        coef = self.trans_w * self.trans_adv / self.n_valid
+        pos, neg = np.maximum(coef, 0.0), np.minimum(coef, 0.0)
+        if self.tabular:
+            n = chain.n_states
+            self._w = np.bincount(self.states, weights=self.state_w, minlength=n) / self.n_valid
+            key = self.trans_x * n + self.trans_y
+            pos, neg = (
+                np.bincount(key, weights=c, minlength=n * n).reshape(n, n) for c in (pos, neg)
+            )
+            self._pairs = np.nonzero((pos != 0.0) | (neg != 0.0))
+            pos, neg = pos[self._pairs], neg[self._pairs]
+            self._p0 = chain.transition_matrix(self.theta)[self._pairs]
+            self._W = np.zeros((n, n))
+            self._W[self._pairs] = (pos + neg) / self._p0
+        else:
+            self._w = self.state_w / self.n_valid
+            self._logp0 = self._log_probs(self.theta)
+        self._pos, self._neg = pos, neg
+
+    def _log_probs(self, th):
+        chain = self.problem.chain
+        return np.array([chain.log_prob(x, y, th) for x, y in zip(self.trans_x, self.trans_y)])
 
     def _ratios(self, th):
-        chain = self.problem.chain
+        """(ratios P(th) / P(theta) of the sampled terms, P(th) or None)."""
         if self.tabular:
-            logp = self._log_prob_table(th)[self.trans_x, self.trans_y]
-        else:
-            logp = np.array(
-                [chain.log_prob(x, y, th) for x, y in zip(self.trans_x, self.trans_y)]
-            )
-        logr = logp - self._logp0
+            P = self.problem.chain.transition_matrix(th)
+            return P[self._pairs] / self._p0, P
+        logr = self._log_probs(th) - self._logp0
         over = logr > _LOG_RATIO_CAP
         if np.any(over):
             self.n_ratio_clipped += int(over.sum())
             warnings.warn("probability ratios overflowed; log ratios capped", RuntimeWarning)
             logr = np.minimum(logr, _LOG_RATIO_CAP)
-        return np.exp(logr)
+        return np.exp(logr), None
 
-    def _cost_terms(self, th, order: int):
-        cost = self.problem.cost
+    def _value(self, th, r, P) -> float:
         if self.tabular:
-            n = self.problem.chain.n_states
-            if order == 0:
-                return self.state_w @ cost.value_table(n, th)[self.states]
-            if order == 1:
-                return self.state_w @ cost.grad_table(n, th)[self.states]
-            table = np.stack([cost.hess(x, th) for x in range(n)])
-            return np.einsum("m,mpq->pq", self.state_w, table[self.states])
-        if order == 0:
-            vals = np.array([cost.value(x, th) for x in self.states])
-            return self.state_w @ vals
-        if order == 1:
-            g = np.stack([cost.grad(x, th) for x in self.states])
-            return self.state_w @ g
-        h = np.stack([cost.hess(x, th) for x in self.states])
-        return np.einsum("m,mpq->pq", self.state_w, h)
+            return _table_value(self.problem, th, self._w, self._W, P)
+        L = np.array([self.problem.cost.value(x, th) for x in self.states])
+        return float(self._w @ L + (self._pos + self._neg) @ r)
+
+    def _grad(self, th, r, dropped) -> np.ndarray:
+        """Gradient at th with the coefficient mass `dropped` taken off the
+        sampled terms."""
+        if self.tabular:
+            W = self._W.copy()
+            W[self._pairs] -= dropped / self._p0
+            return _table_grad(self.problem, th, self._w, W)
+        chain, cost, p = self.problem.chain, self.problem.cost, self.problem.n_params
+        G = np.array([cost.grad(x, th) for x in self.states]).reshape(-1, p)
+        S = np.array(
+            [chain.score(x, y, th) for x, y in zip(self.trans_x, self.trans_y)]
+        ).reshape(-1, p)
+        return self._w @ G + ((self._pos + self._neg - dropped) * r) @ S
 
     def value(self, alpha) -> float:
         th = self.theta + check_params(alpha, self.problem.n_params)
-        total = self._cost_terms(th, 0)
-        if self.trans_x.size:
-            total += (self.trans_w * self._ratios(th)) @ self.trans_adv
-        return float(total / self.n_valid)
-
-    def _score_term(self, th, coef) -> np.ndarray:
-        """sum over transitions of coef * score(x, y) at th. Tabular chains
-        scatter coef / P into a matrix and take the chain's row_vjp."""
-        chain = self.problem.chain
-        if not self.tabular:
-            S = np.stack([chain.score(x, y, th) for x, y in zip(self.trans_x, self.trans_y)])
-            return coef @ S
-        n = chain.n_states
-        C = np.bincount(self.trans_x * n + self.trans_y, weights=coef, minlength=n * n)
-        C = C.reshape(n, n)
-        W = np.divide(C, chain.transition_matrix(th), out=np.zeros_like(C), where=C != 0.0)
-        return chain.row_vjp(th, W)
+        return self._value(th, *self._ratios(th))
 
     def grad(self, alpha) -> np.ndarray:
         th = self.theta + check_params(alpha, self.problem.n_params)
-        g = self._cost_terms(th, 1)
-        if self.trans_x.size:
-            g = g + self._score_term(th, self.trans_w * self._ratios(th) * self.trans_adv)
-        return g / self.n_valid
+        if self.tabular:
+            return _table_grad(self.problem, th, self._w, self._W)
+        return self._grad(th, self._ratios(th)[0], 0.0)
 
     def hess(self, alpha) -> np.ndarray:
-        chain, cost = self.problem.chain, self.problem.cost
-        if not chain.twice_differentiable or not cost.twice_differentiable:
-            raise CapabilityError("surrogate Hessian needs second derivatives")
         th = self.theta + check_params(alpha, self.problem.n_params)
-        p = self.problem.n_params
-        H = self._cost_terms(th, 2)
-        if self.trans_x.size:
-            coef = self.trans_w * self._ratios(th) * self.trans_adv
-            if self.tabular:
-                S = chain.score_table(th)[self.trans_x, self.trans_y]
-                H = H + np.einsum("m,mp,mq->pq", coef, S, S)
-                n = chain.n_states
-                W = np.zeros((n, n))
-                np.add.at(W, (self.trans_x, self.trans_y), coef)
-                for x in range(n):
-                    for y in chain.successors(x):
-                        if W[x, y] != 0.0:
-                            H = H + W[x, y] * chain.log_prob_hess(x, y, th)
-            else:
-                for x, y, c in zip(self.trans_x, self.trans_y, coef):
-                    s = chain.score(x, y, th)
-                    H = H + c * (np.outer(s, s) + chain.log_prob_hess(x, y, th))
-        H = H / self.n_valid
-        return 0.5 * (H + H.T)
+        if self.tabular:
+            return _table_hess(self.problem, th, self._w, self._W)
+        c = (self._pos + self._neg) * self._ratios(th)[0]
+        return _hessian(self.problem, th, self.states, self._w, self.trans_x, self.trans_y, c)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,11 @@ class ClippedSurrogate:
     Each ratio term is replaced by the pessimistic composition
     max(ratio * a, clip(ratio, 1-eps, 1+eps) * a), so the clipped objective
     upper-bounds the unclipped one and offers no incentive to push ratios
-    outside the trust region. Gradients follow the active branch, with ties
+    outside the trust region. Terms that share a ratio (the draws of one
+    tabular transition) clip together: positive coefficients take
+    max(ratio, clip(ratio)), negative ones min(ratio, clip(ratio)), as a
+    correction to the base value that is exactly zero when nothing clips.
+    Gradients drop the clipped branch's coefficient mass, with ties
     resolved to the unclipped branch.
     """
 
@@ -269,31 +270,21 @@ class ClippedSurrogate:
         self.base = base
         self.eps = float(clip_radius)
 
-    def _branches(self, th):
-        r = self.base._ratios(th)
-        rc = np.clip(r, 1.0 - self.eps, 1.0 + self.eps)
-        a = self.base.trans_adv
-        unclipped = r * a
-        clipped = rc * a
-        use_clip = clipped > unclipped
-        return r, np.where(use_clip, clipped, unclipped), use_clip
-
     def value(self, alpha) -> float:
-        th = self.base.theta + check_params(alpha, self.base.problem.n_params)
-        total = self.base._cost_terms(th, 0)
-        if self.base.trans_x.size:
-            _, term, _ = self._branches(th)
-            total += self.base.trans_w @ term
-        return float(total / self.base.n_valid)
+        b = self.base
+        th = b.theta + check_params(alpha, b.problem.n_params)
+        r, P = b._ratios(th)
+        rc = np.clip(r, 1.0 - self.eps, 1.0 + self.eps)
+        correction = b._pos @ (np.maximum(r, rc) - r) + b._neg @ (np.minimum(r, rc) - r)
+        return float(b._value(th, r, P) + correction)
 
     def grad(self, alpha) -> np.ndarray:
-        th = self.base.theta + check_params(alpha, self.base.problem.n_params)
-        g = self.base._cost_terms(th, 1)
-        if self.base.trans_x.size:
-            r, _, use_clip = self._branches(th)
-            coef = np.where(use_clip, 0.0, self.base.trans_w * r * self.base.trans_adv)
-            g = g + self.base._score_term(th, coef)
-        return g / self.base.n_valid
+        b = self.base
+        th = b.theta + check_params(alpha, b.problem.n_params)
+        r = b._ratios(th)[0]
+        rc = np.clip(r, 1.0 - self.eps, 1.0 + self.eps)
+        dropped = np.where(rc > r, b._pos, 0.0) + np.where(rc < r, b._neg, 0.0)
+        return b._grad(th, r, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -315,17 +306,23 @@ class ChainIterationReport:
     surrogate_values: list = field(default_factory=list)
 
 
-def _damped_newton_direction(H, g):
+def _damped_solve(M, g, damping: float = 0.0) -> np.ndarray:
+    """Solve (M + lam I) x = g by Cholesky. lam starts at damping; each
+    failed factorization raises it, from zero to 1e-12 times the mean
+    absolute diagonal (at least 1e-12), and otherwise tenfold, for at most
+    40 tries."""
+    if not (np.all(np.isfinite(M)) and np.all(np.isfinite(g))):
+        raise InvalidStructureError("damped solve needs a finite matrix and right-hand side")
     p = g.shape[0]
-    lam = 0.0
-    scale = max(1.0, float(np.trace(np.abs(H))) / p)
+    lam = float(damping)
+    scale = max(1.0, float(np.trace(np.abs(M))) / p)
     for _ in range(40):
         try:
-            c = np.linalg.cholesky(H + lam * np.eye(p))
+            c = np.linalg.cholesky(M + lam * np.eye(p))
             return np.linalg.solve(c.T, np.linalg.solve(c, g))
         except np.linalg.LinAlgError:
-            lam = 1e-10 * scale if lam == 0.0 else lam * 10.0
-    raise RegularizationRequiredError("surrogate Hessian could not be damped to PD")
+            lam = 1e-12 * scale if lam == 0.0 else lam * 10.0
+    raise RegularizationRequiredError("matrix could not be damped to positive definite")
 
 
 def chain_iteration_step(
@@ -381,7 +378,7 @@ def chain_iteration_step(
                 step = max(step * 0.5, 1e-12)
         else:
             H = sur.hess(alpha)
-            trial = alpha - _damped_newton_direction(H, g)
+            trial = alpha - _damped_solve(H, g)
             s_trial = sur.value(trial)
         rises = rises + 1 if s_trial > s_here else 0
         alpha, s_here = trial, s_trial
@@ -484,23 +481,13 @@ def fisher_matrix(
 
 def natural_gradient(grad, fisher: FisherMatrix, damping: float = 0.0) -> np.ndarray:
     """Solve (F + damping I) g_nat = grad by Cholesky, escalating the
-    damping tenfold (at most three times) if the factorization fails."""
+    damping if the factorization fails (see _damped_solve)."""
     grad = np.asarray(grad, dtype=float)
     F = fisher.matrix
     p = grad.shape[0]
     if F.shape != (p, p):
         raise ConfigError("Fisher matrix and gradient sizes disagree")
-    lam = float(damping)
-    scale = max(1.0, float(np.trace(np.abs(F))) / p)
-    for attempt in range(4):
-        try:
-            c = np.linalg.cholesky(F + lam * np.eye(p))
-            return np.linalg.solve(c.T, np.linalg.solve(c, grad))
-        except np.linalg.LinAlgError:
-            if attempt == 3:
-                break
-            lam = 1e-12 * scale if lam == 0.0 else lam * 10.0
-    raise RegularizationRequiredError("Fisher solve failed after damping escalation")
+    return _damped_solve(F, grad, damping)
 
 
 def surrogate_hessian(

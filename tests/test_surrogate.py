@@ -23,13 +23,17 @@ from chainopt import (
     surrogate_hessian,
     SampledSurrogate,
 )
+from chainopt.errors import InvalidStructureError
+from chainopt.exact import fd_gradient
 from chainopt.mdp import map_entropy_mdp
 from chainopt.problems import (
     canonical_two_state,
+    gaussian_linear_problem,
     random_mdp,
     random_smdp_problem,
     random_softmax_problem,
 )
+from chainopt.surrogate import _damped_solve
 
 
 def probe_theta(problem, seed):
@@ -210,3 +214,119 @@ class TestSurrogateHessianEntry:
         batch = generate_rollouts(prob, theta, 300, seed=80)
         H = surrogate_hessian(prob, theta, batch)
         np.testing.assert_allclose(H, H.T, atol=1e-12)
+
+
+class TestFrozenTables:
+    """On tabular chains the sampled surrogates evaluate through frozen
+    visit-mass and transition-weight tables."""
+
+    def test_sampled_hessian_matches_fd(self):
+        cases = [
+            random_smdp_problem(4, 3, seed=6),
+            (random_softmax_problem(EpisodicDiscounted(0.9), 5, seed=12), None),
+        ]
+        for prob, theta in cases:
+            if theta is None:
+                theta = probe_theta(prob, 13)
+            fit = generate_rollouts(prob, theta, 200, seed=90)
+            baseline = fit_value_approx(
+                prob, fit, FeatureMap.tabular(prob.chain.n_states), ridge=1e-6
+            )
+            batch = generate_rollouts(prob, theta, 200, seed=91)
+            sur = SampledSurrogate(prob, theta, batch, baseline)
+            alpha = 0.1 * np.random.default_rng(14).normal(size=prob.n_params)
+            H = sur.hess(alpha)
+            H_fd = fd_hessian(sur.value, alpha, h=1e-4)
+            np.testing.assert_allclose(H, H_fd, atol=1e-5)
+
+    def test_one_transition_matrix_per_call(self, monkeypatch):
+        """value and grad of the sampled and clipped surrogates build P at
+        most once per call on a softmax chain."""
+        prob = random_softmax_problem(EpisodicDiscounted(0.9), 6, seed=15)
+        theta = probe_theta(prob, 16)
+        batch = generate_rollouts(prob, theta, 100, seed=92)
+        surrogates = [
+            SampledSurrogate(prob, theta, batch),
+            ClippedSurrogate(SampledSurrogate(prob, theta, batch), 0.2),
+        ]
+        chain = prob.chain
+        build = chain.transition_matrix
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(chain, "transition_matrix", counted)
+        alpha = 0.2 * np.random.default_rng(17).normal(size=prob.n_params)
+        for sur in surrogates:
+            for fn in (sur.value, sur.grad):
+                calls.clear()
+                fn(alpha)
+                assert len(calls) <= 1
+
+    def test_underflowed_support_entry_stays_finite(self):
+        """A support entry whose probability underflows to zero is never
+        sampled and never enters a ratio."""
+        prob = random_softmax_problem(EpisodicDiscounted(0.9), 5, seed=18)
+        theta = probe_theta(prob, 19)
+        zeros = np.sum(prob.chain.transition_matrix(theta) == 0.0)
+        theta[0] = -800.0
+        assert np.sum(prob.chain.transition_matrix(theta) == 0.0) > zeros
+        batch = generate_rollouts(prob, theta, 100, seed=93)
+        base = SampledSurrogate(prob, theta, batch)
+        clip = ClippedSurrogate(SampledSurrogate(prob, theta, batch), 0.2)
+        alpha = 0.3 * np.random.default_rng(20).normal(size=prob.n_params)
+        for sur in (base, clip):
+            assert np.isfinite(sur.value(alpha))
+            assert np.all(np.isfinite(sur.grad(alpha)))
+
+
+class TestContinuousSampledSurrogate:
+    """On a continuous chain the sampled surrogate sums over the sampled
+    transitions with capped log ratios."""
+
+    def setup_method(self):
+        self.prob, self.theta = gaussian_linear_problem(n_x=2, seed=0)
+        self.batch = generate_rollouts(self.prob, self.theta, 40, horizon_cap=30, seed=94)
+
+    def test_gradient_at_zero_matches_estimator(self):
+        sur = SampledSurrogate(self.prob, self.theta, self.batch)
+        est = estimate_gradient(self.prob, self.theta, self.batch)
+        np.testing.assert_allclose(sur.grad(np.zeros(self.prob.n_params)), est.mean, rtol=1e-12)
+
+    def test_gradient_matches_fd_of_value(self):
+        sur = SampledSurrogate(self.prob, self.theta, self.batch)
+        alpha = 0.1 * np.random.default_rng(21).normal(size=self.prob.n_params)
+        np.testing.assert_allclose(
+            sur.grad(alpha), fd_gradient(sur.value, alpha), rtol=1e-6, atol=1e-8
+        )
+
+    def test_huge_radius_disables_clipping(self):
+        base = SampledSurrogate(self.prob, self.theta, self.batch)
+        clip = ClippedSurrogate(SampledSurrogate(self.prob, self.theta, self.batch), 1e6)
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            alpha = 0.3 * rng.normal(size=self.prob.n_params)
+            assert clip.value(alpha) == base.value(alpha)
+            np.testing.assert_array_equal(clip.grad(alpha), base.grad(alpha))
+
+    def test_hessian_is_symmetric(self):
+        sur = SampledSurrogate(self.prob, self.theta, self.batch)
+        H = sur.hess(np.zeros(self.prob.n_params))
+        np.testing.assert_allclose(H, H.T, atol=1e-12)
+
+
+class TestDampedSolve:
+    def test_non_finite_metric_raises(self):
+        F = FisherMatrix(matrix=np.array([[1.0, np.nan], [np.nan, 1.0]]), source="sampled")
+        with pytest.raises(InvalidStructureError):
+            natural_gradient(np.ones(2), F)
+
+    def test_non_finite_gradient_raises(self):
+        with pytest.raises(InvalidStructureError):
+            natural_gradient(np.array([1.0, np.inf]), FisherMatrix(matrix=np.eye(2), source="exact"))
+
+    def test_indefinite_hessian_gives_finite_newton_direction(self):
+        d = _damped_solve(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
+        assert np.all(np.isfinite(d))

@@ -81,7 +81,7 @@ def _setup(problem: Problem, theta, settings, message: str) -> np.ndarray:
 def _build(problem: Problem, theta: np.ndarray):
     """Transition matrix and step-cost table at theta."""
     P = problem.chain.transition_matrix(theta)
-    L = problem.cost.value_table(problem.chain.n_states, theta)
+    L = problem.cost.value_table(theta)
     if not np.all(np.isfinite(L)):
         raise InvalidStructureError("cost table contains non-finite entries")
     return P, L
@@ -285,10 +285,10 @@ def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
     T = problem.setting.horizon
     n = chain.n_states
     V = np.zeros((T + 1, n))
-    V[T] = cost.value_table(n, theta, T)
+    V[T] = cost.value_table(theta, T)
     for t in range(T - 1, -1, -1):
         P = chain.transition_matrix(theta, t)
-        V[t] = cost.value_table(n, theta, t) + P @ V[t + 1]
+        V[t] = cost.value_table(theta, t) + P @ V[t + 1]
     return V
 
 
@@ -344,11 +344,10 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
     if not problem.chain.differentiable or not problem.cost.differentiable:
         raise CapabilityError("exact gradient needs differentiable chain and cost")
     chain, cost = problem.chain, problem.cost
-    n = chain.n_states
 
     if not isinstance(problem.setting, TimeVarying):
         sol = solution_at(problem, theta, solution)
-        g = sol.weights @ cost.grad_table(n, theta)
+        g = sol.weights @ cost.grad_table(theta)
         g += sol.gamma * chain.row_vjp(theta, np.outer(sol.weights, sol.values))
         return g
 
@@ -357,7 +356,7 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
     p = problem.init.weights.copy()
     g = np.zeros(problem.n_params)
     for t in range(T + 1):
-        g += p @ cost.grad_table(n, theta, t)
+        g += p @ cost.grad_table(theta, t)
         if t < T:
             g += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
             p = chain.transition_matrix(theta, t).T @ p

@@ -32,7 +32,6 @@ from .mdp import (
     SoftmaxPolicy,
     lmdp_deterministic_pair,
     map_stochastic_mdp,
-    stochastic_to_deterministic,
 )
 from .model import (
     Average,
@@ -65,6 +64,7 @@ from .surrogate import (
     SampledSurrogate,
     chain_iteration_step,
     fisher_matrix,
+    natural_gradient,
 )
 from .zlearn import (
     TabularZ,
@@ -601,17 +601,6 @@ class _AdamState:
         return theta - self.lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
-def _natural_direction(grad, fisher, damping: float) -> np.ndarray:
-    # Softmax rows carry a logit-shift gauge, so the Fisher is singular;
-    # the step lives in its range, with the ridge scaled to the top
-    # eigenvalue. Damped directions stay bounded even for flat geometry.
-    w, V = np.linalg.eigh(fisher.matrix)
-    top = max(float(w.max()), 1e-300)
-    keep = w > 1e-10 * top
-    coef = (V[:, keep].T @ grad) / (w[keep] + damping * top)
-    return V[:, keep] @ coef
-
-
 def _batch_j_estimate(problem, batch):
     g = effective_gamma(problem, batch)
     vals = [
@@ -691,7 +680,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
             grad = exact_gradient(problem, theta, solution=sol)
             if not last:
                 fisher = fisher_matrix(problem, theta, solution=sol)
-                ngrad = _natural_direction(grad, fisher, alg.damping)
+                ngrad = natural_gradient(grad, fisher, alg.damping)
                 theta = adam.step(theta, ngrad) if adam else theta - alg.step_size * ngrad
         elif method == "alg1-sgd":
             est = estimate_gradient(problem, theta, batch, baseline=approx)
@@ -760,15 +749,16 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
     Both pairs share one chain; transition rows and per-state costs must
     agree to machine precision, values and gradients to solver precision.
     The gradients are computed along different routes (score form vs the
-    bottleneck form) so agreement is informative.
+    bottleneck form) so agreement is informative. In smdp-dmdp the
+    stochastic mapping is its own bottleneck view, so only the routes
+    differ.
     """
     if pair not in EQUIV_PAIRS:
         raise ConfigError(f"pair must be one of {EQUIV_PAIRS}, got {pair!r}")
     rng = _probe_rng(seed)
     if pair == "smdp-dmdp":
         mdp, policy, theta0 = random_mdp(6, 3, seed)
-        prob_a = map_stochastic_mdp(mdp, policy)
-        _, prob_b = stochastic_to_deterministic(mdp, policy)
+        prob_a = prob_b = map_stochastic_mdp(mdp, policy)
     else:
         n_s, n_a = 6, 3
         transitions = rng.dirichlet(np.ones(n_s) * 1.5, size=(n_s, n_a))
@@ -782,7 +772,6 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
         theta0 = 0.3 * rng.normal(size=policy.n_params)
 
     d_p = d_l = d_j = d_g = 0.0
-    n = prob_a.chain.n_states
     for probe in range(3):
         theta = theta0 if probe == 0 else theta0 + 0.2 * rng.normal(size=theta0.size)
         d_p = max(
@@ -798,9 +787,8 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
         )
         d_l = max(
             d_l,
-            max(
-                abs(prob_a.cost.value(x, theta) - prob_b.cost.value(x, theta))
-                for x in range(n)
+            float(
+                np.max(np.abs(prob_a.cost.value_table(theta) - prob_b.cost.value_table(theta)))
             ),
         )
         d_j = max(d_j, abs(objective(prob_a, theta) - objective(prob_b, theta)))

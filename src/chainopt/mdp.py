@@ -22,14 +22,16 @@ from .model import (
     CostModel,
     EpisodicDiscounted,
     FirstExit,
+    KlToFixedChainCost,
+    PolicyEntropyCost,
     Problem,
     Setting,
     TabularInitial,
     TableCost,
     WeightedSumCost,
     _softmax,
-    PolicyEntropyCost,
     check_params,
+    row_kl,
 )
 
 
@@ -144,6 +146,14 @@ class SoftmaxPolicy:
         for an (n_states, n_actions) table C."""
         pi = self.table(theta)
         return pi * (C - np.sum(pi * C, axis=1, keepdims=True))
+
+    def block_table(self, B) -> np.ndarray:
+        """(n_states, n_params) table whose row x holds B[x] in the
+        parameter block of x and zeros elsewhere."""
+        n, k = self.n_states, self.n_actions
+        G = np.zeros((n, n, k))
+        G[np.arange(n), np.arange(n)] = B
+        return G.reshape(n, n * k)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +280,7 @@ class PolicyExpectedCost(CostModel):
         if self.costs.shape != (policy.n_states, policy.n_actions):
             raise InvalidStructureError("cost table shape must match the policy")
         self.n_params = policy.n_params
+        self.n_states = policy.n_states
 
     def value_eta(self, x, eta, t: int = 0) -> float:
         return float(np.asarray(eta, dtype=float) @ self.costs[x])
@@ -277,23 +288,11 @@ class PolicyExpectedCost(CostModel):
     def grad_eta(self, x, eta, t: int = 0) -> np.ndarray:
         return self.costs[x].copy()
 
-    def value(self, x, theta, t: int = 0) -> float:
-        return float(self.policy.row(x, theta) @ self.costs[x])
-
-    def grad(self, x, theta, t: int = 0) -> np.ndarray:
-        g = np.zeros(self.n_params)
-        g[self.policy.param_slice(x)] = self.policy.jac_block(x, theta) @ self.costs[x]
-        return g
-
-    def value_table(self, n_states, theta, t: int = 0) -> np.ndarray:
+    def value_table(self, theta, t: int = 0) -> np.ndarray:
         return np.sum(self.policy.table(theta) * self.costs, axis=1)
 
-    def grad_table(self, n_states, theta, t: int = 0) -> np.ndarray:
-        # row x holds the gradient of state x's cost in the parameter block of x
-        n, k = self.costs.shape
-        G = np.zeros((n, n, k))
-        G[np.arange(n), np.arange(n)] = self.policy.block_vjp(theta, self.costs)
-        return G.reshape(n, n * k)
+    def grad_table(self, theta, t: int = 0) -> np.ndarray:
+        return self.policy.block_table(self.policy.block_vjp(theta, self.costs))
 
     def hess(self, x, theta, t: int = 0) -> np.ndarray:
         h = np.zeros((self.n_params, self.n_params))
@@ -318,21 +317,20 @@ class PolicyKlFromOldCost(CostModel):
         if np.any(self.pi_old < 0) or np.any(np.abs(self.pi_old.sum(axis=1) - 1.0) > 1e-9):
             raise InvalidStructureError("frozen policy rows must be distributions")
         self.n_params = policy.n_params
+        self.n_states = policy.n_states
 
-    def value(self, x, theta, t: int = 0) -> float:
-        p_old = self.pi_old[x]
-        p_new = self.policy.row(x, theta)
-        mask = p_old > 0
-        if np.any(p_new[mask] <= 0):
+    def value_table(self, theta, t: int = 0) -> np.ndarray:
+        pi = self.policy.table(theta)
+        starved = (self.pi_old > 0) & (pi <= 0)
+        if np.any(starved):
             raise DivergenceUndefinedError(
-                f"policy gives zero mass where the frozen policy is positive at state {x}"
+                "policy gives zero mass where the frozen policy is positive at state "
+                f"{int(np.nonzero(starved)[0][0])}"
             )
-        return float(np.sum(p_old[mask] * np.log(p_old[mask] / p_new[mask])))
+        return row_kl(self.pi_old, pi)[0]
 
-    def grad(self, x, theta, t: int = 0) -> np.ndarray:
-        g = np.zeros(self.n_params)
-        g[self.policy.param_slice(x)] = self.policy.row(x, theta) - self.pi_old[x]
-        return g
+    def grad_table(self, theta, t: int = 0) -> np.ndarray:
+        return self.policy.block_table(self.policy.table(theta) - self.pi_old)
 
     def hess(self, x, theta, t: int = 0) -> np.ndarray:
         h = np.zeros((self.n_params, self.n_params))
@@ -359,6 +357,7 @@ class MixedRowKlCost(CostModel):
         self.state_cost = np.asarray(state_cost, dtype=float)
         self.n_params = policy.n_params
         n = self.p.shape[0]
+        self.n_states = n
         for x in range(n):
             reachable = self.p[x].max(axis=0) > 0
             if np.any(reachable & (self.reference[x] <= 0)):
@@ -379,61 +378,20 @@ class MixedRowKlCost(CostModel):
         logr[mask] = np.log(q[mask] / self.reference[x][mask]) + 1.0
         return self.p[x] @ logr
 
-    def value(self, x, theta, t: int = 0) -> float:
-        return self.value_eta(x, self.policy.row(x, theta), t)
+    def _mixed_kl(self, theta):
+        Q = np.einsum("xa,xay->xy", self.policy.table(theta), self.p)
+        return row_kl(Q, self.reference)
 
-    def grad(self, x, theta, t: int = 0) -> np.ndarray:
-        g = np.zeros(self.n_params)
-        eta = self.policy.row(x, theta)
-        g[self.policy.param_slice(x)] = self.policy.jac_block(x, theta) @ self.grad_eta(x, eta, t)
-        return g
+    def value_table(self, theta, t: int = 0) -> np.ndarray:
+        return self.state_cost + self._mixed_kl(theta)[0]
 
-
-# ---------------------------------------------------------------------------
-# Action costs for the general mapping
-# ---------------------------------------------------------------------------
-
-
-class TableActionCost:
-    """Parameter-free action cost backed by an (n_states, n_actions) table."""
-
-    def __init__(self, table, n_params: int):
-        self.table = np.asarray(table, dtype=float)
-        self.n_params = int(n_params)
-
-    def value(self, x, a, theta) -> float:
-        return float(self.table[x, a])
-
-    def grad(self, x, a, theta) -> np.ndarray:
-        return np.zeros(self.n_params)
-
-
-class GeneralPolicyCost(CostModel):
-    """Step cost sum_a pi(a|x, theta) ell(x, a, theta) for parametric ell."""
-
-    differentiable = True
-
-    def __init__(self, policy: SoftmaxPolicy, action_cost):
-        self.policy = policy
-        self.action_cost = action_cost
-        self.n_params = policy.n_params
-        if action_cost.n_params != policy.n_params:
-            raise InvalidStructureError("action cost and policy disagree on n_params")
-
-    def value(self, x, theta, t: int = 0) -> float:
-        pi = self.policy.row(x, theta)
-        return float(
-            sum(pi[a] * self.action_cost.value(x, a, theta) for a in range(len(pi)))
-        )
-
-    def grad(self, x, theta, t: int = 0) -> np.ndarray:
-        pi = self.policy.row(x, theta)
-        vals = np.array([self.action_cost.value(x, a, theta) for a in range(len(pi))])
-        g = np.zeros(self.n_params)
-        g[self.policy.param_slice(x)] = self.policy.jac_block(x, theta) @ vals
-        for a in range(len(pi)):
-            g += pi[a] * self.action_cost.grad(x, a, theta)
-        return g
+    def grad_table(self, theta, t: int = 0) -> np.ndarray:
+        # row x is jac_block(x) @ grad_eta(x, pi(.|x)), for all x at once
+        _, xs, ys, logr = self._mixed_kl(theta)
+        D = np.zeros((self.n_states, self.n_states))
+        D[xs, ys] = logr + 1.0
+        C = np.einsum("xay,xy->xa", self.p, D)
+        return self.policy.block_table(self.policy.block_vjp(theta, C))
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +399,13 @@ class GeneralPolicyCost(CostModel):
 # ---------------------------------------------------------------------------
 
 
-def map_general_mdp(mdp: TabularMdp, policy: SoftmaxPolicy, action_cost=None) -> Problem:
-    """General mapping: policy-averaged transitions and policy-averaged cost."""
-    if action_cost is None:
-        action_cost = TableActionCost(mdp.costs, policy.n_params)
-    chain = PolicyAveragedChain(mdp.transitions, policy)
-    cost = GeneralPolicyCost(policy, action_cost)
-    return Problem(chain, cost, mdp.setting, mdp.init)
-
-
 def map_stochastic_mdp(mdp: TabularMdp, policy: SoftmaxPolicy) -> Problem:
-    """Stochastic-policy mapping with a parameter-free action-cost table."""
+    """Stochastic-policy mapping with a parameter-free action-cost table.
+
+    The same problem is the deterministic-bottleneck view: the action is
+    the policy's action distribution at x, through which both the chain
+    (prob_row_eta) and the cost (value_eta) are priced.
+    """
     chain = PolicyAveragedChain(mdp.transitions, policy)
     cost = PolicyExpectedCost(policy, mdp.costs)
     return Problem(chain, cost, mdp.setting, mdp.init)
@@ -479,8 +433,6 @@ def map_lmdp(spec: LmdpSpec, chain: ChainModel, setting: Setting, init) -> Probl
     """Control-cost mapping: state cost plus KL of the chain from the baseline."""
     if chain.n_states != spec.n_states:
         raise InvalidStructureError("chain and baseline disagree on the state count")
-    from .model import KlToFixedChainCost
-
     cost = WeightedSumCost(
         [
             TableCost(spec.state_cost, n_params=chain.n_params),
@@ -493,39 +445,6 @@ def map_lmdp(spec: LmdpSpec, chain: ChainModel, setting: Setting, init) -> Probl
 # ---------------------------------------------------------------------------
 # Equivalence constructions
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DensityActionMdp:
-    """Decision process whose action is a distribution over base actions.
-
-    Transitions and costs are functions of (state, mixing distribution);
-    the deterministic policy mu(x, theta) outputs the mixing distribution.
-    """
-
-    transitions: np.ndarray  # base tensor (n_s, n_a, n_s)
-    costs: object  # cost with value_eta / grad_eta
-    mu: SoftmaxPolicy
-
-    def row(self, x, eta) -> np.ndarray:
-        return np.asarray(eta, dtype=float) @ self.transitions[x]
-
-    def cost(self, x, eta) -> float:
-        return self.costs.value_eta(x, eta)
-
-
-def stochastic_to_deterministic(mdp: TabularMdp, policy: SoftmaxPolicy):
-    """Rebuild a stochastic-policy process as a deterministic-bottleneck one.
-
-    The new action space is the probability simplex over base actions; the
-    deterministic policy outputs the old policy's action distribution, so
-    the realized transitions and costs coincide entry by entry.
-    """
-    cost = PolicyExpectedCost(policy, mdp.costs)
-    dmdp = DensityActionMdp(mdp.transitions, cost, policy)
-    chain = PolicyAveragedChain(mdp.transitions, policy)
-    problem = Problem(chain, cost, mdp.setting, mdp.init)
-    return dmdp, problem
 
 
 def lmdp_deterministic_pair(
@@ -543,8 +462,6 @@ def lmdp_deterministic_pair(
     r(x) + KL(row(eta) || reference). The control-cost problem prices the
     chain row directly. The two cost surfaces agree identically.
     """
-    from .model import KlToFixedChainCost
-
     chain_d = PolicyAveragedChain(transitions, policy)
     cost_d = MixedRowKlCost(transitions, policy, reference, state_cost)
     problem_d = Problem(chain_d, cost_d, setting, init)
@@ -624,7 +541,7 @@ def chain_as_action_mdp(problem: Problem, theta):
     for y in range(n):
         p[:, y, y] = 1.0
     pi = chain.transition_matrix(theta)
-    ell = np.tile(cost.value_table(n, theta)[:, None], (1, n))
+    ell = np.tile(cost.value_table(theta)[:, None], (1, n))
     return p, ell, pi
 
 

@@ -298,35 +298,43 @@ class ChainModel(abc.ABC):
 
 
 class CostModel(abc.ABC):
-    """Parameterized step cost L(x, theta)."""
+    """Parameterized step cost L(x, theta).
+
+    A cost on a finite state set is a table: value_table(theta, t) holds
+    L(x, theta) for every state x, grad_table(theta, t) the (n_states,
+    n_params) gradients, and n_states the number of states it covers. A
+    cost on continuous states evaluates one state at a time through
+    value(x, theta, t) and grad(x, theta, t). Both kinds give Hessians per
+    state through hess(x, theta, t).
+    """
 
     n_params: int = 0
+    n_states: Optional[int] = None
     differentiable: bool = True
     twice_differentiable: bool = False
     time_varying: bool = False
     has_bottleneck: bool = False
 
-    @abc.abstractmethod
-    def value(self, x, theta, t: int = 0) -> float:
-        ...
+    def value_table(self, theta: Array, t: int = 0) -> Array:
+        raise CapabilityError(f"{type(self).__name__} has no cost table")
 
-    def grad(self, x, theta, t: int = 0) -> Array:
-        raise CapabilityError(f"{type(self).__name__} is not differentiable")
+    def grad_table(self, theta: Array, t: int = 0) -> Array:
+        raise CapabilityError(f"{type(self).__name__} has no cost table")
 
     def hess(self, x, theta, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
 
-    def value_eta(self, x, eta, t: int = 0) -> float:
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck form")
 
-    def grad_eta(self, x, eta, t: int = 0) -> Array:
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck form")
+def row_kl(P: Array, Q: Array):
+    """Per-row KL(P[x] || Q[x]) over the entries where P > 0.
 
-    def value_table(self, n_states: int, theta: Array, t: int = 0) -> Array:
-        return np.array([self.value(x, theta, t) for x in range(n_states)])
-
-    def grad_table(self, n_states: int, theta: Array, t: int = 0) -> Array:
-        return np.stack([self.grad(x, theta, t) for x in range(n_states)])
+    Returns the (n,) divergences, those entries (xs, ys) and their log
+    ratios log(P / Q). Callers make sure Q is positive wherever P is.
+    """
+    xs, ys = np.nonzero(P > 0.0)
+    p = P[xs, ys]
+    logr = np.log(p / Q[xs, ys])
+    return np.bincount(xs, weights=p * logr, minlength=P.shape[0]), xs, ys, logr
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +730,6 @@ class TableCost(CostModel):
 
     differentiable = True
     twice_differentiable = True
-    has_bottleneck = True
 
     def __init__(self, values, n_params=0):
         self.values = np.asarray(values, dtype=float)
@@ -731,24 +738,16 @@ class TableCost(CostModel):
         if not np.all(np.isfinite(self.values)):
             raise InvalidStructureError("cost table must be finite")
         self.n_params = int(n_params)
+        self.n_states = self.values.shape[0]
 
-    def value(self, x, theta, t: int = 0) -> float:
-        return float(self.values[x])
+    def value_table(self, theta, t: int = 0) -> Array:
+        return self.values.copy()
 
-    def grad(self, x, theta, t: int = 0) -> Array:
-        return np.zeros(self.n_params)
+    def grad_table(self, theta, t: int = 0) -> Array:
+        return np.zeros((self.n_states, self.n_params))
 
     def hess(self, x, theta, t: int = 0) -> Array:
         return np.zeros((self.n_params, self.n_params))
-
-    def value_eta(self, x, eta, t: int = 0) -> float:
-        return float(self.values[x])
-
-    def grad_eta(self, x, eta, t: int = 0) -> Array:
-        return np.zeros(np.asarray(eta).shape)
-
-    def value_table(self, n_states, theta, t: int = 0) -> Array:
-        return self.values.copy()
 
 
 class QuadraticCost(CostModel):
@@ -762,6 +761,7 @@ class QuadraticCost(CostModel):
         self.lin = np.asarray(lin, dtype=float)
         self.quad = np.asarray(quad, dtype=float)
         n = self.const.shape[0]
+        self.n_states = n
         self.n_params = self.lin.shape[1]
         if self.lin.shape != (n, self.n_params):
             raise InvalidStructureError("linear term shape mismatch")
@@ -773,28 +773,16 @@ class QuadraticCost(CostModel):
             quad_weights = np.ones(n)
         self.quad_weights = np.asarray(quad_weights, dtype=float)
 
-    def value(self, x, theta, t: int = 0) -> float:
-        th = np.asarray(theta, dtype=float)
-        return float(
-            self.const[x]
-            + self.lin[x] @ th
-            + 0.5 * self.quad_weights[x] * (th @ self.quad @ th)
-        )
-
-    def grad(self, x, theta, t: int = 0) -> Array:
-        th = np.asarray(theta, dtype=float)
-        return self.lin[x] + self.quad_weights[x] * (self.quad @ th)
-
-    def hess(self, x, theta, t: int = 0) -> Array:
-        return self.quad_weights[x] * self.quad
-
-    def value_table(self, n_states, theta, t: int = 0) -> Array:
+    def value_table(self, theta, t: int = 0) -> Array:
         th = np.asarray(theta, dtype=float)
         return self.const + self.lin @ th + 0.5 * self.quad_weights * (th @ self.quad @ th)
 
-    def grad_table(self, n_states, theta, t: int = 0) -> Array:
+    def grad_table(self, theta, t: int = 0) -> Array:
         th = np.asarray(theta, dtype=float)
         return self.lin + np.outer(self.quad_weights, self.quad @ th)
+
+    def hess(self, x, theta, t: int = 0) -> Array:
+        return self.quad_weights[x] * self.quad
 
 
 class StateQuadraticCost(CostModel):
@@ -818,6 +806,13 @@ class StateQuadraticCost(CostModel):
         return np.zeros((self.n_params, self.n_params))
 
 
+def _common_size(costs, what: str) -> Optional[int]:
+    sizes = {c.n_states for c in costs}
+    if len(sizes) > 1:
+        raise InvalidStructureError(f"{what} disagree on the state count")
+    return sizes.pop()
+
+
 class WeightedSumCost(CostModel):
     """Weighted sum of component costs sharing one parameter vector."""
 
@@ -834,18 +829,16 @@ class WeightedSumCost(CostModel):
         for p in parts:
             if p.n_params != self.n_params:
                 raise InvalidStructureError("cost components disagree on n_params")
+        self.n_states = _common_size(parts, "cost components")
         self.differentiable = all(p.differentiable for p in parts)
         self.twice_differentiable = all(p.twice_differentiable for p in parts)
         self.time_varying = any(p.time_varying for p in parts)
 
-    def value(self, x, theta, t: int = 0) -> float:
-        return float(sum(w * p.value(x, theta, t) for w, p in zip(self.weights, self.parts)))
+    def value_table(self, theta, t: int = 0) -> Array:
+        return sum(w * p.value_table(theta, t) for w, p in zip(self.weights, self.parts))
 
-    def grad(self, x, theta, t: int = 0) -> Array:
-        g = np.zeros(self.n_params)
-        for w, p in zip(self.weights, self.parts):
-            g += w * p.grad(x, theta, t)
-        return g
+    def grad_table(self, theta, t: int = 0) -> Array:
+        return sum(w * p.grad_table(theta, t) for w, p in zip(self.weights, self.parts))
 
     def hess(self, x, theta, t: int = 0) -> Array:
         h = np.zeros((self.n_params, self.n_params))
@@ -873,6 +866,7 @@ class KlToFixedChainCost(CostModel):
         if np.any(np.abs(self.reference.sum(axis=1) - 1.0) > 1e-9) or np.any(self.reference < 0):
             raise InvalidStructureError("reference rows must be distributions")
         self.n_params = chain.n_params
+        self.n_states = n
         self.twice_differentiable = chain.twice_differentiable
         for x in range(n):
             for y in chain.successors(x):
@@ -881,57 +875,44 @@ class KlToFixedChainCost(CostModel):
                         f"chain allows {x}->{y} but the reference gives it zero mass"
                     )
 
-    def _log_ratio(self, x, theta, t):
-        row = self.chain.prob_row(x, theta, t)
-        mask = row > 0.0
-        ratio = np.zeros_like(row)
-        ratio[mask] = np.log(row[mask] / self.reference[x][mask])
-        return row, mask, ratio
+    def value_table(self, theta, t: int = 0) -> Array:
+        return row_kl(self.chain.transition_matrix(theta, t), self.reference)[0]
 
-    def value(self, x, theta, t: int = 0) -> float:
-        row, mask, ratio = self._log_ratio(x, theta, t)
-        return float(np.sum(row[mask] * ratio[mask]))
-
-    def grad(self, x, theta, t: int = 0) -> Array:
-        row, mask, ratio = self._log_ratio(x, theta, t)
-        g = np.zeros(self.n_params)
-        for y in np.nonzero(mask)[0]:
-            g += row[y] * ratio[y] * self.chain.score(x, y, theta, t)
-        return g
+    def grad_table(self, theta, t: int = 0) -> Array:
+        P = self.chain.transition_matrix(theta, t)
+        _, xs, ys, logr = row_kl(P, self.reference)
+        return self.chain.score_sums(theta, xs, ys, P[xs, ys] * logr, xs, self.n_states, t)
 
     def hess(self, x, theta, t: int = 0) -> Array:
-        row, mask, ratio = self._log_ratio(x, theta, t)
+        row = self.chain.prob_row(x, theta, t)
         h = np.zeros((self.n_params, self.n_params))
-        for y in np.nonzero(mask)[0]:
+        for y in np.flatnonzero(row > 0.0):
             s = self.chain.score(x, y, theta, t)
             curv = np.outer(s, s) + self.chain.log_prob_hess(x, y, theta, t)
-            h += row[y] * (ratio[y] * curv + np.outer(s, s))
+            h += row[y] * (math.log(row[y] / self.reference[x, y]) * curv + np.outer(s, s))
         return h
 
 
 class PolicyEntropyCost(CostModel):
-    """Entropy of a tabular stochastic policy, one value per state.
-
-    The policy object must expose row(x, theta) -> action probabilities and
-    param_slice(x) -> the slice of theta feeding that row.
-    """
+    """Entropy of a tabular softmax policy (mdp.SoftmaxPolicy), one value
+    per state."""
 
     def __init__(self, policy):
         self.policy = policy
         self.n_params = policy.n_params
+        self.n_states = policy.n_states
 
-    def value(self, x, theta, t: int = 0) -> float:
-        p = self.policy.row(x, theta)
-        mask = p > 0
-        return float(-np.sum(p[mask] * np.log(p[mask])))
+    def _entropy(self, theta):
+        pi = self.policy.table(theta)
+        logs = np.log(np.where(pi > 0, pi, 1.0))
+        return pi, logs, -np.sum(pi * logs, axis=1)
 
-    def grad(self, x, theta, t: int = 0) -> Array:
-        p = self.policy.row(x, theta)
-        h = self.value(x, theta, t)
-        g = np.zeros(self.n_params)
-        logs = np.where(p > 0, np.log(np.where(p > 0, p, 1.0)), 0.0)
-        g[self.policy.param_slice(x)] = -p * (logs + h)
-        return g
+    def value_table(self, theta, t: int = 0) -> Array:
+        return self._entropy(theta)[2]
+
+    def grad_table(self, theta, t: int = 0) -> Array:
+        pi, logs, h = self._entropy(theta)
+        return self.policy.block_table(-pi * (logs + h[:, None]))
 
 
 class TimeVaryingCost(CostModel):
@@ -947,26 +928,21 @@ class TimeVaryingCost(CostModel):
         for c in stages:
             if c.n_params != self.n_params:
                 raise InvalidStructureError("stage costs must agree on n_params")
+        self.n_states = _common_size(stages, "stage costs")
         self.differentiable = all(c.differentiable for c in stages)
         self.twice_differentiable = all(c.twice_differentiable for c in stages)
 
     def _at(self, t: int) -> CostModel:
         return self.stages[min(t, len(self.stages) - 1)]
 
-    def value(self, x, theta, t: int = 0) -> float:
-        return self._at(t).value(x, theta)
-
-    def grad(self, x, theta, t: int = 0) -> Array:
-        return self._at(t).grad(x, theta)
-
     def hess(self, x, theta, t: int = 0) -> Array:
         return self._at(t).hess(x, theta)
 
-    def value_table(self, n_states, theta, t: int = 0) -> Array:
-        return self._at(t).value_table(n_states, theta)
+    def value_table(self, theta, t: int = 0) -> Array:
+        return self._at(t).value_table(theta)
 
-    def grad_table(self, n_states, theta, t: int = 0) -> Array:
-        return self._at(t).grad_table(n_states, theta)
+    def grad_table(self, theta, t: int = 0) -> Array:
+        return self._at(t).grad_table(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -993,6 +969,10 @@ class Problem:
                 raise InvalidStructureError("tabular start law requires a tabular chain")
             if self.init.weights.shape[0] != self.chain.n_states:
                 raise InvalidStructureError("start law length must match n_states")
+        if self.cost.n_states is not None and self.cost.n_states != self.chain.n_states:
+            raise InvalidStructureError(
+                f"cost covers {self.cost.n_states} states but the chain has {self.chain.n_states}"
+            )
         if isinstance(self.setting, FirstExit):
             if not self.chain.tabular:
                 raise InvalidStructureError("first-exit problems must be tabular")

@@ -381,7 +381,7 @@ def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -
     states = np.concatenate(visited)[order]
     step = np.concatenate([np.full(v.size, k) for k, v in enumerate(visits)])[order]
     n_tables = n_stages + (1 if tv else 0)
-    L = np.stack([problem.cost.value_table(n, theta, k) for k in range(n_tables)])
+    L = np.stack([problem.cost.value_table(theta, k) for k in range(n_tables)])
     costs = L[np.minimum(step, n_tables - 1), states]
     lengths = np.bincount(owner, minlength=n_rollouts)
     states = _split(states, lengths)
@@ -691,7 +691,7 @@ def _tabular_contributions(problem, theta, batch, steps: BatchSteps, gamma, base
         mass = np.bincount(
             steps.owner[sel] * n + steps.states[sel], weights=steps.weights[sel], minlength=m * n
         )
-        out += mass.reshape(m, n) @ cost.grad_table(n, theta, int(s))
+        out += mass.reshape(m, n) @ cost.grad_table(theta, int(s))
 
     k = steps.trans
     x, y = steps.states[k], steps.states[k + 1]
@@ -746,30 +746,31 @@ def _require_timevarying(problem: Problem):
         raise CapabilityError("path derivatives are defined for finite-horizon problems")
 
 
+def _path_cost_grads(problem: Problem, theta, T: int):
+    """states -> (T + 1, n_params) stage cost gradients along a path: rows
+    of the stage gradient tables on a tabular chain, per-state calls
+    otherwise."""
+    cost = problem.cost
+    if problem.chain.tabular:
+        tables = [cost.grad_table(theta, t) for t in range(T + 1)]
+        return lambda states: np.stack([tables[t][states[t]] for t in range(T + 1)])
+    return lambda states: np.stack([cost.grad(states[t], theta, t) for t in range(T + 1)])
+
+
 def path_gradient(problem: Problem, theta, batch: RolloutBatch) -> GradientEstimate:
     """Whole-path gradient estimate: (sum of scores) L_path + grad L_path."""
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
     _require_timevarying(problem)
-    cost = problem.cost
     T = problem.setting.horizon
-    n = problem.chain.n_states if problem.chain.tabular else None
-    gradL_tables = (
-        [cost.grad_table(n, theta, t) for t in range(T + 1)] if n is not None else None
-    )
+    cost_grads = _path_cost_grads(problem, theta, T)
     out = np.zeros((len(batch.rollouts), problem.n_params))
     for i, r in enumerate(batch.rollouts):
         if r.n_steps != T:
             raise InvalidStructureError("path derivatives need full-horizon rollouts")
         total_cost = float(r.costs.sum())
         score_sum = r.scores.sum(axis=0)
-        if gradL_tables is not None:
-            gL = np.stack([gradL_tables[t][r.states[t]] for t in range(T + 1)]).sum(axis=0)
-        else:
-            gL = np.stack(
-                [cost.grad(r.states[t], theta, t) for t in range(T + 1)]
-            ).sum(axis=0)
-        out[i] = score_sum * total_cost + gL
+        out[i] = score_sum * total_cost + cost_grads(r.states).sum(axis=0)
     mean = out.mean(axis=0)
     stderr = out.std(axis=0, ddof=1) / math.sqrt(len(batch.rollouts))
     return GradientEstimate(
@@ -798,6 +799,7 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         raise CapabilityError("path Hessian needs twice-differentiable chain and cost")
     T = problem.setting.horizon
     p = problem.n_params
+    cost_grads = _path_cost_grads(problem, theta, T)
     hess_cache = {}
 
     def chain_hess(t, x, y):
@@ -818,10 +820,9 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         d2K = np.zeros((p, p))
         for t in range(T):
             d2K += chain_hess(t, r.states[t], r.states[t + 1])
-        dL = np.zeros(p)
+        dL = cost_grads(r.states).sum(axis=0)
         d2L = np.zeros((p, p))
         for t in range(T + 1):
-            dL += cost.grad(r.states[t], theta, t)
             d2L += cost.hess(r.states[t], theta, t)
         H = (np.outer(dK, dK) + d2K) * total_cost
         H += np.outer(dK, dL) + np.outer(dL, dK) + d2L

@@ -44,13 +44,11 @@ _LOG_RATIO_CAP = 30.0
 def _table_value(problem: Problem, th, w, W, P) -> float:
     """w . L(th) + <W, P(th)>: the surrogate on a tabular chain, with state
     weights w and transition weights W frozen at theta and P = P(th)."""
-    L = problem.cost.value_table(problem.chain.n_states, th)
-    return float(w @ L + np.sum(W * P))
+    return float(w @ problem.cost.value_table(th) + np.sum(W * P))
 
 
 def _table_grad(problem: Problem, th, w, W) -> np.ndarray:
-    G = problem.cost.grad_table(problem.chain.n_states, th)
-    return w @ G + problem.chain.row_vjp(th, W)
+    return w @ problem.cost.grad_table(th) + problem.chain.row_vjp(th, W)
 
 
 def _table_hess(problem: Problem, th, w, W) -> np.ndarray:
@@ -306,15 +304,15 @@ class ChainIterationReport:
     surrogate_values: list = field(default_factory=list)
 
 
-def _damped_solve(M, g, damping: float = 0.0) -> np.ndarray:
-    """Solve (M + lam I) x = g by Cholesky. lam starts at damping; each
-    failed factorization raises it, from zero to 1e-12 times the mean
-    absolute diagonal (at least 1e-12), and otherwise tenfold, for at most
-    40 tries."""
+def _damped_solve(M, g) -> np.ndarray:
+    """Newton step: solve (M + lam I) x = g by Cholesky. lam starts at
+    zero; each failed factorization raises it, first to 1e-12 times the
+    mean absolute diagonal (at least 1e-12), then tenfold, for at most 40
+    tries."""
     if not (np.all(np.isfinite(M)) and np.all(np.isfinite(g))):
         raise InvalidStructureError("damped solve needs a finite matrix and right-hand side")
     p = g.shape[0]
-    lam = float(damping)
+    lam = 0.0
     scale = max(1.0, float(np.trace(np.abs(M))) / p)
     for _ in range(40):
         try:
@@ -479,15 +477,31 @@ def fisher_matrix(
     return FisherMatrix(matrix=0.5 * (F + F.T), source="sampled", n_rollouts=n, stderr=se)
 
 
+def fisher_range(F):
+    """Eigenpairs of a symmetric metric on its numerical range, the
+    eigenvalues above 1e-10 times the top one: (values, vectors, top)."""
+    w, V = np.linalg.eigh(F)
+    top = max(float(w.max()), 1e-300)
+    keep = w > 1e-10 * top
+    return w[keep], V[:, keep], top
+
+
 def natural_gradient(grad, fisher: FisherMatrix, damping: float = 0.0) -> np.ndarray:
-    """Solve (F + damping I) g_nat = grad by Cholesky, escalating the
-    damping if the factorization fails (see _damped_solve)."""
+    """Natural direction on the range of F, (F + damping * top I)^+ grad.
+
+    Softmax rows carry a logit-shift gauge, so the Fisher is singular; the
+    direction lives in its range, with the ridge scaled to the top
+    eigenvalue. Damped directions stay bounded even for flat geometry.
+    """
     grad = np.asarray(grad, dtype=float)
     F = fisher.matrix
     p = grad.shape[0]
     if F.shape != (p, p):
         raise ConfigError("Fisher matrix and gradient sizes disagree")
-    return _damped_solve(F, grad, damping)
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(grad))):
+        raise InvalidStructureError("natural gradient needs a finite metric and gradient")
+    w, V, top = fisher_range(F)
+    return V @ ((V.T @ grad) / (w + damping * top))
 
 
 def surrogate_hessian(

@@ -31,9 +31,10 @@ from .model import (
     TabularInitial,
     WeightedSumCost,
     check_params,
+    row_kl,
     sample_index,
 )
-from .surrogate import FisherMatrix, fisher_matrix, natural_gradient
+from .surrogate import FisherMatrix, fisher_matrix, fisher_range, natural_gradient
 
 _Z_FLOOR = 1e-12
 
@@ -193,15 +194,9 @@ def induced_chain(spec: LmdpSpec, z) -> np.ndarray:
 
 def lmdp_cost_table(spec: LmdpSpec, P: np.ndarray) -> np.ndarray:
     """Step cost of a candidate chain: r(x) + KL(P(.|x) || pbar(.|x))."""
-    n = spec.n_states
-    L = spec.state_cost.astype(float).copy()
-    for x in range(n):
-        row = P[x]
-        mask = row > 0.0
-        if np.any(spec.baseline[x][mask] <= 0.0):
-            raise InvalidStructureError("candidate chain leaves the baseline support")
-        L[x] += float(row[mask] @ np.log(row[mask] / spec.baseline[x][mask]))
-    return L
+    if np.any(spec.baseline[P > 0.0] <= 0.0):
+        raise InvalidStructureError("candidate chain leaves the baseline support")
+    return spec.state_cost + row_kl(P, spec.baseline)[0]
 
 
 def lmdp_problem(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> Problem:
@@ -278,8 +273,9 @@ class ZWeightedChain(ChainModel):
 
     def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
         theta = check_params(theta, self.n_params)
-        zg = np.exp(-self.gamma_z * (self.features @ theta))
-        weights = self.spec.baseline * zg[None, :]
+        # subtract each row's largest log weight on its support, as prob_row does
+        logw = np.where(self.spec.baseline > 0.0, -self.gamma_z * (self.features @ theta), -np.inf)
+        weights = self.spec.baseline * np.exp(logw - logw.max(axis=1, keepdims=True))
         return weights / weights.sum(axis=1, keepdims=True)
 
     def score(self, x, x_next, theta, t: int = 0) -> np.ndarray:
@@ -512,15 +508,15 @@ def compatible_natural_gradient_check(
     fit of the differential value onto the features. Both sides are
     compared after projecting onto the row space of F, which removes the
     energy-offset gauge direction that F cannot see (tilting is invariant
-    to constant energy shifts).
+    to constant energy shifts). damping is relative to the top eigenvalue
+    of F, as in natural_gradient.
     """
     theta = np.asarray(theta, dtype=float)
     prob = z_problem(spec, features, Average())
     sol = solve(prob, theta)
     grad = exact_gradient(prob, theta, solution=sol)
     fisher = fisher_matrix(prob, theta, solution=sol)
-    scale = max(np.abs(fisher.matrix).max(), 1e-30)
-    nat = natural_gradient(grad, fisher, damping * scale)
+    nat = natural_gradient(grad, fisher, damping)
 
     d, v = sol.weights, sol.values
     phi = np.asarray(features, dtype=float)
@@ -528,9 +524,8 @@ def compatible_natural_gradient_check(
     omega = np.linalg.lstsq(W @ phi, W @ v, rcond=None)[0]
     u = theta - omega
 
-    evals, evecs = np.linalg.eigh(fisher.matrix)
-    keep = evals > 1e-10 * max(evals.max(), 1e-300)
-    proj = evecs[:, keep] @ evecs[:, keep].T
+    _, V, _ = fisher_range(fisher.matrix)
+    proj = V @ V.T
     diff_aligned = float(np.abs(proj @ nat - proj @ u).max())
     diff_raw = float(np.abs(nat - u).max())
     return CompatibleGradientReport(
@@ -539,7 +534,7 @@ def compatible_natural_gradient_check(
         theta_minus_omega=u,
         aligned_difference=diff_aligned,
         raw_difference=diff_raw,
-        damping=damping * scale,
+        damping=damping,
         fisher=fisher,
     )
 

@@ -87,9 +87,8 @@ def per_step_rollouts(problem, theta, n_rollouts, horizon_cap=10_000, mode=None,
     stop_prob = 1.0 - problem.gamma
     n_stages = horizon_cap if tv else 1
     samplers = [chain.make_sampler(theta, t) for t in range(n_stages)]
-    n = chain.n_states
     cost_tables = [
-        problem.cost.value_table(n, theta, t) for t in range(n_stages + (1 if tv else 0))
+        problem.cost.value_table(theta, t) for t in range(n_stages + (1 if tv else 0))
     ]
     score_tables = [chain.score_table(theta, t) for t in range(n_stages)]
     terminal = chain.terminal if (mode != "horizon" or not tv) else frozenset()
@@ -375,8 +374,7 @@ def reference_estimate(problem, theta, batch, baseline=None):
     gamma = effective_gamma(problem, batch)
     tv = isinstance(problem.setting, TimeVarying)
     n_stages = batch.horizon_cap if tv else 1
-    n = problem.chain.n_states
-    G = [problem.cost.grad_table(n, theta, t) for t in range(n_stages + (1 if tv else 0))]
+    G = [problem.cost.grad_table(theta, t) for t in range(n_stages + (1 if tv else 0))]
     if baseline is not None:
         B = baseline_expected_values(problem, theta, baseline)
     out = np.zeros((len(batch.rollouts), problem.n_params))
@@ -400,11 +398,10 @@ def reference_surrogate_grads(problem, theta, batch, baseline, alpha, eps):
     transition."""
     chain, cost = problem.chain, problem.cost
     gamma = effective_gamma(problem, batch)
-    n = chain.n_states
     th = theta + alpha
     b_table = baseline_expected_values(problem, theta, baseline)[0] if baseline else None
     P0, P = chain.transition_matrix(theta), chain.transition_matrix(th)
-    G = cost.grad_table(n, th)
+    G = cost.grad_table(th)
     g = np.zeros(problem.n_params)
     g_clip = np.zeros(problem.n_params)
     for r in batch.rollouts:

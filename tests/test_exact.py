@@ -35,7 +35,7 @@ from chainopt import (
     stationary_density,
 )
 from chainopt.harness import parse_config, run_optimize
-from chainopt.mdp import stochastic_to_deterministic
+from chainopt.mdp import map_stochastic_mdp
 from chainopt.problems import (
     canonical_two_state,
     random_mdp,
@@ -90,13 +90,13 @@ class TestEpisodicSolver:
         theta = theta_for(prob, 0)
         V = solve_value_episodic(prob, theta).values
         P = prob.chain.transition_matrix(theta)
-        L = prob.cost.value_table(6, theta)
+        L = prob.cost.value_table(theta)
         np.testing.assert_allclose(V, series_value(P, L, 0.9), atol=1e-10)
 
     def test_gamma_zero_degenerates_to_one_step_cost(self):
         prob = random_softmax_problem(EpisodicDiscounted(0.0), n_states=5, seed=1)
         theta = theta_for(prob, 2)
-        L = prob.cost.value_table(5, theta)
+        L = prob.cost.value_table(theta)
         np.testing.assert_allclose(solve_value_episodic(prob, theta).values, L)
         assert abs(objective(prob, theta) - float(prob.init.weights @ L)) < 1e-14
 
@@ -105,7 +105,7 @@ class TestEpisodicSolver:
         theta = theta_for(prob, 3)
         V = solve_value_episodic(prob, theta).values
         P = prob.chain.transition_matrix(theta).copy()
-        L = prob.cost.value_table(6, theta)
+        L = prob.cost.value_table(theta)
         for s in prob.chain.terminal:
             P[s, :] = 0.0  # stop accumulating after absorption
         np.testing.assert_allclose(V, series_value(P, L, 1.0, terms=5000), atol=1e-9)
@@ -153,7 +153,7 @@ class TestAverageSolver:
         sol = solve_value_average(prob, theta)
         d = stationary_density(prob, theta)
         P = prob.chain.transition_matrix(theta)
-        L = prob.cost.value_table(6, theta)
+        L = prob.cost.value_table(theta)
         assert abs(sol.j - float(d @ L)) < 1e-12
         # differential values satisfy V + j = L + P V and E_d[V] = 0
         np.testing.assert_allclose(sol.values + sol.j, L + P @ sol.values, atol=1e-10)
@@ -166,11 +166,11 @@ class TestTimeVaryingSolver:
         theta = theta_for(prob, 6)
         V = solve_value_timevarying(prob, theta)
         assert V.shape == (5, 5)
-        want = prob.cost.value_table(5, theta, 4)
+        want = prob.cost.value_table(theta, 4)
         np.testing.assert_allclose(V[4], want)
         for t in (3, 2, 1, 0):
             P = prob.chain.transition_matrix(theta, t)
-            want = prob.cost.value_table(5, theta, t) + P @ want
+            want = prob.cost.value_table(theta, t) + P @ want
             np.testing.assert_allclose(V[t], want, atol=1e-12)
         assert abs(objective(prob, theta) - float(prob.init.weights @ V[0])) < 1e-14
 
@@ -183,9 +183,9 @@ class TestTimeVaryingSolver:
         for _ in range(n):
             x = prob.init.sample(rng)
             for t in range(3):
-                total += prob.cost.value(x, theta, t)
+                total += prob.cost.value_table(theta, t)[x]
                 x = prob.chain.sample(x, theta, rng, t)
-            total += prob.cost.value(x, theta, 3)
+            total += prob.cost.value_table(theta, 3)[x]
         assert abs(total / n - objective(prob, theta)) < 0.05
 
 
@@ -219,7 +219,7 @@ class TestExactGradient:
         the same gradient as the direct score form."""
         for setting in (EpisodicDiscounted(0.9), Average()):
             mdp, policy, theta = random_mdp(5, 3, seed=12, setting=setting)
-            _, prob = stochastic_to_deterministic(mdp, policy)
+            prob = map_stochastic_mdp(mdp, policy)
             np.testing.assert_allclose(
                 exact_gradient_bottleneck(prob, theta),
                 exact_gradient(prob, theta),

@@ -32,13 +32,11 @@ from chainopt.mdp import (
     lmdp_deterministic_pair,
     lmdp_policy_gradient,
     map_entropy_mdp,
-    map_general_mdp,
     map_lmdp,
     map_proximal_mdp,
     map_stochastic_mdp,
     mdp_policy_evaluation,
     stochastic_policy_gradient,
-    stochastic_to_deterministic,
 )
 from chainopt.problems import random_mdp
 
@@ -154,11 +152,17 @@ class TestMappings:
                 )
 
     def test_deterministic_mapping_values(self):
+        """The bottleneck view of the stochastic mapping, rows and costs
+        priced through the action distribution eta = pi(.|x), has the
+        product-space values."""
         for seed in (0, 1):
             mdp, policy, theta = random_mdp(5, 3, seed=seed)
-            _, prob = stochastic_to_deterministic(mdp, policy)
+            prob = map_stochastic_mdp(mdp, policy)
+            etas = [prob.chain.bottleneck(x, theta) for x in range(5)]
+            P = np.stack([prob.chain.prob_row_eta(x, eta) for x, eta in enumerate(etas)])
+            L = np.array([prob.cost.value_eta(x, eta) for x, eta in enumerate(etas)])
             np.testing.assert_allclose(
-                mapped_values(prob, theta),
+                np.linalg.solve(np.eye(5) - mdp.setting.gamma * P, L),
                 product_values(mdp, mdp.costs, theta, policy),
                 atol=1e-10,
             )
@@ -200,17 +204,6 @@ class TestMappings:
             v, _ = mdp_policy_evaluation(p, ell, pi, prob.setting)
             np.testing.assert_allclose(mapped_values(prob, theta), v, atol=1e-10)
 
-    def test_general_mapping_reduces_to_stochastic(self):
-        mdp, policy, theta = random_mdp(4, 3, seed=5)
-        g = map_general_mdp(mdp, policy)
-        s = map_stochastic_mdp(mdp, policy)
-        np.testing.assert_allclose(
-            mapped_values(g, theta), mapped_values(s, theta), atol=1e-12
-        )
-        np.testing.assert_allclose(
-            exact_gradient(g, theta), exact_gradient(s, theta), atol=1e-10
-        )
-
     def test_mapped_gradients_pass_fd(self):
         """Every mapping's unified gradient agrees with finite differences,
         including the parameter-coupled cost terms."""
@@ -249,7 +242,7 @@ class TestRecoveries:
         unified gradient of the same problem."""
         for seed in (0, 1, 2):
             mdp, policy, theta = random_mdp(5, 3, seed=seed)
-            _, prob = stochastic_to_deterministic(mdp, policy)
+            prob = map_stochastic_mdp(mdp, policy)
             bottleneck = exact_gradient_bottleneck(prob, theta)
             np.testing.assert_allclose(
                 bottleneck, stochastic_policy_gradient(mdp, policy, theta), atol=1e-10
@@ -272,7 +265,7 @@ class TestEquivalences:
         for seed in (0, 1):
             mdp, policy, theta0 = random_mdp(5, 3, seed=seed)
             prob_s = map_stochastic_mdp(mdp, policy)
-            _, prob_d = stochastic_to_deterministic(mdp, policy)
+            prob_d = map_stochastic_mdp(mdp, policy)
             rng = np.random.default_rng(10 + seed)
             for probe in range(3):
                 theta = theta0 if probe == 0 else theta0 + 0.2 * rng.normal(size=theta0.size)
@@ -281,8 +274,12 @@ class TestEquivalences:
                     prob_d.chain.transition_matrix(theta),
                     atol=1e-12,
                 )
-                for x in range(5):
-                    assert abs(prob_s.cost.value(x, theta) - prob_d.cost.value(x, theta)) < 1e-12
+                np.testing.assert_allclose(
+                    prob_s.cost.value_table(theta),
+                    prob_d.cost.value_table(theta),
+                    rtol=0,
+                    atol=1e-12,
+                )
                 assert abs(objective(prob_s, theta) - objective(prob_d, theta)) < 1e-10
                 np.testing.assert_allclose(
                     exact_gradient(prob_s, theta),
@@ -308,8 +305,9 @@ class TestEquivalences:
                 prob_l.chain.transition_matrix(theta),
                 atol=1e-12,
             )
-            for x in range(n_s):
-                assert abs(prob_d.cost.value(x, theta) - prob_l.cost.value(x, theta)) < 1e-12
+            np.testing.assert_allclose(
+                prob_d.cost.value_table(theta), prob_l.cost.value_table(theta), rtol=0, atol=1e-12
+            )
             assert abs(objective(prob_d, theta) - objective(prob_l, theta)) < 1e-10
             np.testing.assert_allclose(
                 exact_gradient_bottleneck(prob_d, theta),
@@ -328,7 +326,7 @@ class TestEquivalences:
         policy = SoftmaxPolicy(4, 1)
         theta = rng.normal(size=policy.n_params)
         prob_s = map_stochastic_mdp(mdp, policy)
-        _, prob_d = stochastic_to_deterministic(mdp, policy)
+        prob_d = map_stochastic_mdp(mdp, policy)
         np.testing.assert_allclose(
             prob_s.chain.transition_matrix(theta), trans[:, 0, :], atol=1e-14
         )

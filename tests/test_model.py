@@ -176,9 +176,9 @@ class TestCosts:
     def test_table_cost_is_parameter_free(self):
         cost = TableCost([1.0, 0.0], n_params=3)
         theta = np.ones(3)
-        assert cost.value(0, theta) == 1.0
-        np.testing.assert_array_equal(cost.grad(0, theta), np.zeros(3))
-        np.testing.assert_array_equal(cost.value_table(2, theta), [1.0, 0.0])
+        assert cost.value_table(theta)[0] == 1.0
+        np.testing.assert_array_equal(cost.grad_table(theta)[0], np.zeros(3))
+        np.testing.assert_array_equal(cost.value_table(theta), [1.0, 0.0])
 
     def test_quadratic_cost_derivatives(self):
         rng = np.random.default_rng(9)
@@ -190,8 +190,8 @@ class TestCosts:
         theta = rng.normal(size=p)
         for x in range(n):
             np.testing.assert_allclose(
-                cost.grad(x, theta),
-                fd_vector(lambda th: cost.value(x, th), theta),
+                cost.grad_table(theta)[x],
+                fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-6,
             )
             np.testing.assert_allclose(cost.hess(x, theta), cost.hess(x, theta).T)
@@ -202,10 +202,11 @@ class TestCosts:
         b = QuadraticCost(np.zeros(3), rng.normal(size=(3, 2)), np.eye(2))
         cost = WeightedSumCost([a, b], weights=[2.0, 0.5])
         theta = rng.normal(size=2)
-        want = 2.0 * a.value(1, theta) + 0.5 * b.value(1, theta)
-        assert abs(cost.value(1, theta) - want) < 1e-14
+        want = 2.0 * a.value_table(theta)[1] + 0.5 * b.value_table(theta)[1]
+        assert abs(cost.value_table(theta)[1] - want) < 1e-14
         np.testing.assert_allclose(
-            cost.grad(1, theta), 2.0 * a.grad(1, theta) + 0.5 * b.grad(1, theta)
+            cost.grad_table(theta)[1],
+            2.0 * a.grad_table(theta)[1] + 0.5 * b.grad_table(theta)[1],
         )
 
     def test_kl_to_fixed_chain_matches_manual_kl(self):
@@ -216,10 +217,10 @@ class TestCosts:
         P = chain.transition_matrix(theta)
         for x in range(3):
             manual = float(np.sum(P[x] * np.log(P[x] / ref[x])))
-            assert abs(cost.value(x, theta) - manual) < 1e-12
+            assert abs(cost.value_table(theta)[x] - manual) < 1e-12
             np.testing.assert_allclose(
-                cost.grad(x, theta),
-                fd_vector(lambda th: cost.value(x, th), theta),
+                cost.grad_table(theta)[x],
+                fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-7,
             )
 
@@ -230,10 +231,10 @@ class TestCosts:
         theta = 0.5 * np.random.default_rng(1).normal(size=policy.n_params)
         for x in range(2):
             pi = policy.row(x, theta)
-            assert abs(cost.value(x, theta) + float(np.sum(pi * np.log(pi)))) < 1e-12
+            assert abs(cost.value_table(theta)[x] + float(np.sum(pi * np.log(pi)))) < 1e-12
             np.testing.assert_allclose(
-                cost.grad(x, theta),
-                fd_vector(lambda th: cost.value(x, th), theta),
+                cost.grad_table(theta)[x],
+                fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-7,
             )
 
@@ -257,9 +258,9 @@ class TestTimeVarying:
         np.testing.assert_allclose(chain.prob_row(0, theta, t=5), [1.0, 0.0])
 
         cost = TimeVaryingCost([TableCost([1.0, 2.0]), TableCost([3.0, 4.0])])
-        assert cost.value(1, theta, t=0) == 2.0
-        assert cost.value(1, theta, t=1) == 4.0
-        assert cost.value(1, theta, t=9) == 4.0
+        assert cost.value_table(theta, t=0)[1] == 2.0
+        assert cost.value_table(theta, t=1)[1] == 4.0
+        assert cost.value_table(theta, t=9)[1] == 4.0
 
 
 class TestProblemValidation:
@@ -280,6 +281,20 @@ class TestProblemValidation:
         cost = TableCost([1.0, 0.0], n_params=chain.n_params)
         with pytest.raises(InvalidStructureError):
             Problem(chain, cost, Average(), TabularInitial([1.0, 0.0]))
+
+    def test_cost_must_cover_the_chain_states(self):
+        """A cost table shorter or longer than the state set is refused
+        before any solve or rollout reads it."""
+        chain = SoftmaxChain(4, {x: [0, 1, 2, 3] for x in range(4)})
+        init = TabularInitial(np.full(4, 0.25))
+        for size in (3, 5):
+            cost = TableCost(np.ones(size), n_params=chain.n_params)
+            with pytest.raises(InvalidStructureError, match=f"{size} states but the chain has 4"):
+                Problem(chain, cost, EpisodicDiscounted(0.9), init)
+        with pytest.raises(InvalidStructureError):
+            WeightedSumCost([TableCost(np.ones(4)), TableCost(np.ones(5))])
+        with pytest.raises(InvalidStructureError):
+            TimeVaryingCost([TableCost(np.ones(4)), TableCost(np.ones(3))])
 
     def test_gaussian_start_law_for_continuous_chain(self):
         rng = np.random.default_rng(0)

@@ -49,7 +49,7 @@ class TestRandomSoftmax:
 
     def test_cost_has_parameter_dependence(self):
         prob = random_softmax_problem(EpisodicDiscounted(0.9), n_states=5, seed=0)
-        g = prob.cost.grad(0, 0.3 * np.ones(prob.n_params))
+        g = prob.cost.grad_table(0.3 * np.ones(prob.n_params))[0]
         assert np.linalg.norm(g) > 0
 
     def test_gradients_check_out(self):

@@ -1,17 +1,40 @@
-"""Table-level derivatives checked against the generic dense references.
+"""Table-level derivatives checked against references.
 
-Chains and costs with vectorized tables (transition matrix, row_vjp,
-fisher, value_table, grad_table) must agree with the per-state methods and
-with ChainModel's dense score-table contractions on random supports,
-terminal sets, logit offsets and large logits.
+Chains with vectorized tables (transition matrix, row_vjp, fisher) must
+agree with the per-state methods and with ChainModel's dense score-table
+contractions on random supports, terminal sets, logit offsets and large
+logits. Every cost on a finite state set is a pair of tables: its
+value_table must match a closed form, and row x of its grad_table the
+central difference of value_table(theta)[x].
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from chainopt import ChainModel, CostModel, QuadraticCost, SoftmaxChain, TimeVaryingChain
-from chainopt.mdp import PolicyAveragedChain, PolicyExpectedCost, SoftmaxPolicy
+from chainopt import (
+    ChainModel,
+    DivergenceUndefinedError,
+    KlToFixedChainCost,
+    QuadraticCost,
+    SoftmaxChain,
+    TableCost,
+    TimeVaryingChain,
+    TimeVaryingCost,
+    WeightedSumCost,
+    fd_gradient,
+)
+from chainopt.mdp import (
+    LmdpSpec,
+    MixedRowKlCost,
+    PolicyAveragedChain,
+    PolicyExpectedCost,
+    PolicyKlFromOldCost,
+    SoftmaxPolicy,
+)
+from chainopt.model import PolicyEntropyCost
+from chainopt.zlearn import ZWeightedChain
 
 PROPERTY = settings(
     max_examples=60,
@@ -106,24 +129,6 @@ def test_time_varying_chain_forwards_to_its_stage(case):
         np.testing.assert_array_equal(tv.fisher(theta, w, t), stage.fisher(theta, w))
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(0, 6),
-    st.integers(0, 2**32 - 1),
-    st.sampled_from([1.0, 1e3]),
-)
-@PROPERTY
-def test_quadratic_cost_tables_match_per_state(n, p, seed, scale):
-    rng = np.random.default_rng(seed)
-    root = rng.normal(size=(p, p))
-    cost = QuadraticCost(
-        rng.normal(size=n), rng.normal(size=(n, p)), root + root.T, rng.uniform(size=n)
-    )
-    theta = scale * rng.normal(size=p)
-    assert_close(cost.value_table(n, theta), CostModel.value_table(cost, n, theta))
-    assert_close(cost.grad_table(n, theta), CostModel.grad_table(cost, n, theta))
-
-
 @st.composite
 def policy_cases(draw):
     n_s = draw(st.integers(1, 5))
@@ -153,12 +158,161 @@ def test_policy_averaged_tables_match_per_state(case, scale):
     assert_close(chain.row_vjp(theta, W), ChainModel.row_vjp(chain, theta, W))
 
 
+def assert_fd_rows(cost, theta, t=0):
+    """Row x of grad_table equals the central difference of value_table[x]."""
+    G = cost.grad_table(theta, t)
+    assert G.shape == (cost.n_states, theta.size)
+    assert np.all(np.isfinite(G)) and np.all(np.isfinite(cost.value_table(theta, t)))
+    fd = np.stack(
+        [fd_gradient(lambda th: cost.value_table(th, t)[x], theta) for x in range(cost.n_states)]
+    ).reshape(G.shape)
+    np.testing.assert_allclose(G, fd, rtol=1e-5, atol=1e-5)
+
+
+def random_quadratic(rng, n, p):
+    root = rng.normal(size=(p, p))
+    return QuadraticCost(
+        rng.normal(size=n), rng.normal(size=(n, p)), root + root.T, rng.uniform(size=n)
+    )
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e3]),
+)
+@PROPERTY
+def test_state_cost_tables(n, p, seed, scale):
+    """Table, quadratic, weighted-sum and time-varying costs."""
+    rng = np.random.default_rng(seed)
+    theta = scale * rng.normal(size=p)
+    table = TableCost(rng.normal(size=n), n_params=p)
+    quad = random_quadratic(rng, n, p)
+    want = quad.const + quad.lin @ theta + 0.5 * quad.quad_weights * (theta @ quad.quad @ theta)
+    assert_close(quad.value_table(theta), want)
+    assert_close(table.value_table(theta), table.values)
+    np.testing.assert_array_equal(table.grad_table(theta), np.zeros((n, p)))
+    both = WeightedSumCost([table, quad], weights=[2.0, -0.5])
+    assert_close(both.value_table(theta), 2.0 * table.values - 0.5 * want)
+    other = random_quadratic(rng, n, p)
+    staged = TimeVaryingCost([quad, other])
+    for t, stage in ((0, quad), (1, other), (7, other)):
+        np.testing.assert_array_equal(staged.value_table(theta, t), stage.value_table(theta))
+    for cost in (table, quad, both):
+        assert_fd_rows(cost, theta)
+    assert_fd_rows(staged, theta, t=7)
+
+
+def kl_rows(P, Q):
+    """Per-row KL(P || Q), one row at a time over P's positive entries."""
+    out = np.zeros(P.shape[0])
+    for x in range(P.shape[0]):
+        m = P[x] > 0
+        out[x] = np.sum(P[x, m] * np.log(P[x, m] / Q[x, m]))
+    return out
+
+
+@given(softmax_chains(max_states=5))
+@PROPERTY
+def test_kl_cost_tables_on_softmax_chain(case):
+    chain, theta, rng = case
+    reference = rng.dirichlet(np.ones(chain.n_states), size=chain.n_states)
+    cost = KlToFixedChainCost(chain, reference)
+    assert_close(cost.value_table(theta), kl_rows(chain.transition_matrix(theta), reference))
+    assert_fd_rows(cost, theta)
+
+
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e3]))
+@PROPERTY
+def test_kl_cost_tables_on_z_weighted_chain(n, k, seed, scale):
+    rng = np.random.default_rng(seed)
+    baseline = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+    baseline[np.arange(n), rng.integers(0, n, n)] += 1.0
+    baseline[n - 1] = np.eye(n)[n - 1]  # terminal
+    baseline /= baseline.sum(axis=1, keepdims=True)
+    cost_r = np.append(rng.uniform(size=n - 1), 0.0)
+    spec = LmdpSpec(baseline, cost_r, terminal=[n - 1])
+    features = rng.uniform(size=(n, k))
+    features[n - 1] = 0.0
+    chain = ZWeightedChain(spec, features)
+    theta = scale * rng.normal(size=k)
+    cost = KlToFixedChainCost(chain, baseline)
+    assert_close(cost.value_table(theta), kl_rows(chain.transition_matrix(theta), baseline))
+    assert_fd_rows(cost, theta)
+
+
 @given(policy_cases(), st.sampled_from([1.0, 1e3]))
 @PROPERTY
-def test_policy_expected_cost_tables_match_per_state(case, scale):
-    policy, _, _, costs, rng = case
-    cost = PolicyExpectedCost(policy, costs)
+def test_policy_cost_tables(case, scale):
+    """Expected action cost, entropy and the action-mixed row KL."""
+    policy, trans, _, costs, rng = case
     theta = scale * rng.normal(size=policy.n_params)
+    pi = policy.table(theta)
     n = policy.n_states
-    assert_close(cost.value_table(n, theta), CostModel.value_table(cost, n, theta))
-    assert_close(cost.grad_table(n, theta), CostModel.grad_table(cost, n, theta))
+    expected = PolicyExpectedCost(policy, costs)
+    assert_close(expected.value_table(theta), np.sum(pi * costs, axis=1))
+    entropy = PolicyEntropyCost(policy)
+    logs = np.log(np.where(pi > 0, pi, 1.0))
+    assert_close(entropy.value_table(theta), -np.sum(pi * logs, axis=1))
+    reference = rng.dirichlet(np.ones(n), size=n)
+    state_cost = rng.normal(size=n)
+    mixed = MixedRowKlCost(trans, policy, reference, state_cost)
+    mixed_rows = np.einsum("xa,xay->xy", pi, trans)
+    assert_close(mixed.value_table(theta), state_cost + kl_rows(mixed_rows, reference))
+    for cost in (expected, entropy, mixed):
+        assert_fd_rows(cost, theta)
+
+
+@given(policy_cases(), st.sampled_from([1.0, 20.0]))
+@PROPERTY
+def test_policy_kl_from_old_tables(case, scale):
+    """Frozen rows with a zero entry. Logit scales stay where the policy
+    keeps positive mass; at 1e3 it underflows and the next test applies."""
+    policy, _, _, _, rng = case
+    pi_old = rng.dirichlet(np.ones(policy.n_actions), size=policy.n_states)
+    pi_old[:, 0] = 0.0 if policy.n_actions > 1 else 1.0
+    pi_old /= pi_old.sum(axis=1, keepdims=True)
+    cost = PolicyKlFromOldCost(policy, pi_old)
+    theta = scale * rng.normal(size=policy.n_params)
+    assert_close(cost.value_table(theta), kl_rows(pi_old, policy.table(theta)))
+    assert_fd_rows(cost, theta)
+
+
+def test_policy_kl_from_old_refuses_a_starved_action():
+    policy = SoftmaxPolicy(1, 2)
+    cost = PolicyKlFromOldCost(policy, np.array([[0.5, 0.5]]))
+    with pytest.raises(DivergenceUndefinedError):
+        cost.value_table(np.array([0.0, -1e3]))
+
+
+@pytest.mark.parametrize("zweighted", [False, True], ids=["softmax", "z-weighted"])
+def test_kl_cost_tables_make_no_per_state_row_calls(zweighted, monkeypatch):
+    """The KL cost builds both tables from one transition matrix; on a
+    softmax chain its gradient needs no per-transition scores either."""
+    rng = np.random.default_rng(4)
+    n = 5
+    baseline = rng.dirichlet(np.ones(n), size=n)
+    if zweighted:
+        chain = ZWeightedChain(LmdpSpec(baseline, np.ones(n)), rng.normal(size=(n, 2)))
+    else:
+        chain = SoftmaxChain(n, {x: list(range(n)) for x in range(n)})
+    cost = KlToFixedChainCost(chain, baseline)
+    theta = rng.normal(size=chain.n_params)
+    calls = []
+    for name in ("prob_row", "score"):
+        monkeypatch.setattr(chain, name, lambda *a, _n=name, **k: calls.append(_n))
+    cost.value_table(theta)
+    if not zweighted:
+        cost.grad_table(theta)
+    assert calls == []
+
+
+def test_z_weighted_transition_matrix_matches_prob_rows_at_large_energies():
+    """exp(-energy) overflows at these parameters; the rows stay finite."""
+    baseline = np.full((3, 3), 1.0 / 3.0)
+    baseline[2] = [0.0, 0.5, 0.5]
+    chain = ZWeightedChain(LmdpSpec(baseline, np.ones(3)), np.array([[1.0], [0.0], [-1.0]]))
+    for theta in (np.array([1e3]), np.array([-1e3]), np.array([0.3])):
+        rows = np.stack([chain.prob_row(x, theta) for x in range(3)])
+        assert_close(chain.transition_matrix(theta), rows)

@@ -81,6 +81,8 @@ def _setup(problem: Problem, theta, settings, message: str) -> np.ndarray:
 def _build(problem: Problem, theta: np.ndarray):
     """Transition matrix and step-cost table at theta."""
     P = problem.chain.transition_matrix(theta)
+    if not np.all(np.isfinite(P)):
+        raise InvalidStructureError("transition matrix contains non-finite entries")
     L = problem.cost.value_table(theta)
     if not np.all(np.isfinite(L)):
         raise InvalidStructureError("cost table contains non-finite entries")
@@ -101,7 +103,8 @@ def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
     else:
         V = np.linalg.solve(np.eye(n) - gamma * P, L)
     residual = float(np.max(np.abs(V - (L + gamma * P @ V))))
-    if residual > _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
+    # written so that a NaN residual fails too
+    if not residual <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
         raise InvalidStructureError(f"value solve residual {residual} too large")
     return V, residual
 
@@ -118,7 +121,7 @@ def _average_values(P: np.ndarray, L: np.ndarray):
     V = np.linalg.solve(np.eye(n) - P + np.outer(np.ones(n), d), L - j)
     residual = float(np.max(np.abs(V + j - (L + P @ V))))
     gauge = abs(float(d @ V))
-    if residual > _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))) or gauge > 1e-9:
+    if not (residual <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))) and gauge <= 1e-9):
         raise InvalidStructureError(f"average solve residual {residual}, gauge {gauge}")
     return d, j, V, residual
 
@@ -132,7 +135,7 @@ def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
     p0 = problem.init.weights
     rho = np.linalg.solve(np.eye(chain.n_states) - problem.gamma * P.T, p0)
     resid = float(np.max(np.abs(rho - (p0 + problem.gamma * P.T @ rho))))
-    if resid > _RESIDUAL_TOL * max(1.0, np.max(np.abs(rho))):
+    if not resid <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(rho))):
         raise InvalidStructureError(f"occupancy residual {resid} too large")
     return rho
 

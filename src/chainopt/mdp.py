@@ -29,7 +29,6 @@ from .model import (
     TabularInitial,
     TableCost,
     WeightedSumCost,
-    _softmax,
     check_params,
     row_kl,
 )
@@ -128,8 +127,9 @@ class SoftmaxPolicy:
         return slice(x * self.n_actions, (x + 1) * self.n_actions)
 
     def row(self, x: int, theta) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)
-        return _softmax(th[self.param_slice(x)])
+        z = np.asarray(theta, dtype=float)[self.param_slice(x)]
+        e = np.exp(z - z.max())
+        return e / e.sum()
 
     def table(self, theta) -> np.ndarray:
         z = np.asarray(theta, dtype=float).reshape(self.n_states, self.n_actions)
@@ -146,6 +146,28 @@ class SoftmaxPolicy:
         for an (n_states, n_actions) table C."""
         pi = self.table(theta)
         return pi * (C - np.sum(pi * C, axis=1, keepdims=True))
+
+    def block_hess(self, theta, C, w=0.0) -> np.ndarray:
+        """Block-diagonal (n_params, n_params) sum over states x of
+        sum_a C[x, a] d2 pi(a|x) + w[x] (diag pi(.|x) - pi pi^T).
+
+        With u = pi(.|x) * C[x] and m = sum(u), the first term's block is
+        diag(u - m pi) - u pi^T - pi u^T + 2 m pi pi^T; the second term is
+        the Hessian of the block's log-normalizer.
+        """
+        pi = self.table(theta)
+        u = pi * C
+        m = u.sum(axis=1, keepdims=True)
+        v = m - np.reshape(w, (-1, 1))
+        outer = pi[:, :, None] * pi[:, None, :]
+        B = (m + v)[:, :, None] * outer - u[:, :, None] * pi[:, None, :]
+        B -= pi[:, :, None] * u[:, None, :]
+        diag = np.arange(self.n_actions)
+        B[:, diag, diag] += u - v * pi
+        n, k = self.n_states, self.n_actions
+        H = np.zeros((n, k, n, k))
+        H[np.arange(n), :, np.arange(n), :] = B
+        return H.reshape(self.n_params, self.n_params)
 
     def block_table(self, B) -> np.ndarray:
         """(n_states, n_params) table whose row x holds B[x] in the
@@ -185,14 +207,12 @@ class PolicyAveragedChain(ChainModel):
         self.n_bottleneck = n_a
         self.n_params = policy.n_params
         self.terminal = frozenset(int(s) for s in terminal)
+        for s in self.terminal:
+            if not (0 <= s < n_s):
+                raise InvalidStructureError(f"terminal state {s} out of range")
         self._term = np.array(sorted(self.terminal), dtype=np.int64)
-
-    def prob_row(self, x, theta, t: int = 0) -> np.ndarray:
-        if x in self.terminal:
-            row = np.zeros(self.n_states)
-            row[x] = 1.0
-            return row
-        return self.policy.row(x, theta) @ self.p[x]
+        self._is_term = np.zeros(n_s, dtype=bool)
+        self._is_term[self._term] = True
 
     def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
         P = np.einsum("xa,xay->xy", self.policy.table(theta), self.p)
@@ -206,36 +226,31 @@ class PolicyAveragedChain(ChainModel):
         g[self._term] = 0.0
         return g.reshape(-1)
 
+    def row_hess(self, theta, W, t: int = 0) -> np.ndarray:
+        C = np.einsum("xay,xy->xa", self.p, W)
+        C[self._term] = 0.0
+        return self.policy.block_hess(theta, C)
+
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> np.ndarray:
+        # score(x, y) is pi(.|x) * (p[x, :, y] / P[x, y] - 1) on x's block;
+        # terminal rows score zero
+        x, y, groups = (np.asarray(a, dtype=np.int64) for a in (x, y, groups))
+        live = ~self._is_term[x]
+        x, y, groups = x[live], y[live], groups[live]
+        coef = np.asarray(coef, dtype=float)[live]
+        pi = self.policy.table(theta)[x]
+        pxy = self.p[x, :, y]
+        total = np.sum(pi * pxy, axis=1)
+        if np.any(total <= 0.0):
+            raise InvalidStructureError("a transition has zero probability")
+        out = np.zeros((n_groups, self.n_states, self.n_bottleneck))
+        np.add.at(out, (groups, x), coef[:, None] * pi * (pxy / total[:, None] - 1.0))
+        return out.reshape(n_groups, self.n_params)
+
     def successors(self, x):
         if x in self.terminal:
             return [x]
         return list(np.nonzero(self.p[x].max(axis=0) > 0)[0])
-
-    def score(self, x, x_next, theta, t: int = 0) -> np.ndarray:
-        g = np.zeros(self.n_params)
-        if x in self.terminal:
-            return g
-        pi = self.policy.row(x, theta)
-        total = float(pi @ self.p[x, :, x_next])
-        if total <= 0.0:
-            raise InvalidStructureError(f"transition {x}->{x_next} has zero probability")
-        g[self.policy.param_slice(x)] = pi * (self.p[x, :, x_next] / total - 1.0)
-        return g
-
-    def log_prob_hess(self, x, x_next, theta, t: int = 0) -> np.ndarray:
-        h = np.zeros((self.n_params, self.n_params))
-        if x in self.terminal:
-            return h
-        pi = self.policy.row(x, theta)
-        pv = self.p[x, :, x_next]
-        total = float(pi @ pv)
-        jac = self.policy.jac_block(x, theta)
-        dP = jac @ pv
-        jac2 = _softmax_second_derivative(pi)
-        d2P = np.einsum("abc,a->bc", jac2, pv)
-        sl = self.policy.param_slice(x)
-        h[sl, sl] = d2P / total - np.outer(dP, dP) / total**2
-        return h
 
     # --- bottleneck view: eta is the action distribution at x --------------
 
@@ -252,15 +267,6 @@ class PolicyAveragedChain(ChainModel):
 
     def prob_row_eta_jac(self, x, eta, t: int = 0) -> np.ndarray:
         return self.p[x].T
-
-
-def _softmax_second_derivative(pi: np.ndarray) -> np.ndarray:
-    """Tensor d^2 pi_a / d theta_b d theta_c for one softmax row, shape (a, b, c)."""
-    n = pi.shape[0]
-    eye = np.eye(n)
-    t1 = np.einsum("a,ab,ac->abc", pi, eye - pi[None, :], eye - pi[None, :])
-    t2 = np.einsum("a,b,bc->abc", pi, pi, eye - pi[None, :])
-    return t1 - t2
 
 
 class PolicyExpectedCost(CostModel):
@@ -294,13 +300,8 @@ class PolicyExpectedCost(CostModel):
     def grad_table(self, theta, t: int = 0) -> np.ndarray:
         return self.policy.block_table(self.policy.block_vjp(theta, self.costs))
 
-    def hess(self, x, theta, t: int = 0) -> np.ndarray:
-        h = np.zeros((self.n_params, self.n_params))
-        pi = self.policy.row(x, theta)
-        jac2 = _softmax_second_derivative(pi)
-        sl = self.policy.param_slice(x)
-        h[sl, sl] = np.einsum("abc,a->bc", jac2, self.costs[x])
-        return h
+    def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
+        return self.policy.block_hess(theta, np.reshape(w, (-1, 1)) * self.costs)
 
 
 class PolicyKlFromOldCost(CostModel):
@@ -332,11 +333,9 @@ class PolicyKlFromOldCost(CostModel):
     def grad_table(self, theta, t: int = 0) -> np.ndarray:
         return self.policy.block_table(self.policy.table(theta) - self.pi_old)
 
-    def hess(self, x, theta, t: int = 0) -> np.ndarray:
-        h = np.zeros((self.n_params, self.n_params))
-        sl = self.policy.param_slice(x)
-        h[sl, sl] = self.policy.jac_block(x, theta)
-        return h
+    def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
+        # minus sum_a pi_old log pi has the log-normalizer's Hessian
+        return self.policy.block_hess(theta, 0.0, w)
 
 
 class MixedRowKlCost(CostModel):

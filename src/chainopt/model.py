@@ -162,7 +162,10 @@ class ChainModel(abc.ABC):
     Capability flags describe what a concrete chain supports; callers must
     check them before invoking the corresponding methods. Tabular chains
     index states by integers 0..n_states-1 and may carry a set of absorbing
-    terminal states whose rows are parameter-free self loops.
+    terminal states whose rows are parameter-free self loops. A tabular
+    chain is its tables: transition_matrix, score_sums and row_hess; the
+    dense score table, row_vjp and fisher defaults are built from them.
+    Continuous chains work per transition (score, log_prob, log_prob_hess).
     """
 
     n_params: int = 0
@@ -176,49 +179,38 @@ class ChainModel(abc.ABC):
     time_varying: bool = False
     has_bottleneck: bool = False
 
-    # --- tabular access -------------------------------------------------
-
-    def prob_row(self, x: int, theta: Array, t: int = 0) -> Array:
-        raise CapabilityError(f"{type(self).__name__} has no tabular rows")
-
-    def prob(self, x, x_next, theta, t: int = 0) -> float:
-        row = self.prob_row(x, theta, t)
-        return float(row[x_next])
+    # --- tables -----------------------------------------------------------
 
     def successors(self, x: int) -> Sequence[int]:
         raise CapabilityError(f"{type(self).__name__} has no successor lists")
 
     def transition_matrix(self, theta: Array, t: int = 0) -> Array:
         """Dense (n_states, n_states) transition matrix."""
-        if not self.tabular:
-            raise CapabilityError(f"{type(self).__name__} is not tabular")
-        return np.stack([self.prob_row(x, theta, t) for x in range(self.n_states)])
+        raise CapabilityError(f"{type(self).__name__} is not tabular")
 
-    # --- differentiation -------------------------------------------------
+    def score_sums(self, theta: Array, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
+        """Row g of the result is the sum of coef[k] * score(x[k], y[k]) over
+        the transitions k with groups[k] = g, where score is the gradient of
+        log P(y | x, theta); shape (n_groups, n_params)."""
+        raise CapabilityError(f"{type(self).__name__} has no score sums")
 
-    def score(self, x, x_next, theta, t: int = 0) -> Array:
-        """Gradient of log P(x_next | x, theta) with respect to theta."""
-        raise CapabilityError(f"{type(self).__name__} is not differentiable")
-
-    def log_prob(self, x, x_next, theta, t: int = 0) -> float:
-        p = self.prob(x, x_next, theta, t)
-        if p <= 0.0:
-            return -math.inf
-        return math.log(p)
-
-    def log_prob_hess(self, x, x_next, theta, t: int = 0) -> Array:
-        """Hessian of log P(x_next | x, theta) with respect to theta."""
+    def row_hess(self, theta: Array, W: Array, t: int = 0) -> Array:
+        """sum_{x,y} W[x, y] d2P[x, y]/dtheta2, shape (n_params, n_params):
+        the second-order twin of row_vjp."""
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
 
     def score_table(self, theta: Array, t: int = 0) -> Array:
-        """Dense (n, n, n_params) table of score vectors, zero off support."""
+        """Dense (n, n, n_params) table of score vectors, zero off support,
+        summed by score_sums with one group per support transition."""
         if not self.tabular:
             raise CapabilityError(f"{type(self).__name__} is not tabular")
         n = self.n_states
+        succ = [np.asarray(self.successors(x), dtype=np.int64) for x in range(n)]
+        xs = np.repeat(np.arange(n), [s.size for s in succ])
+        ys = np.concatenate(succ)
+        k = xs.size
         out = np.zeros((n, n, self.n_params))
-        for x in range(n):
-            for y in self.successors(x):
-                out[x, y] = self.score(x, y, theta, t)
+        out[xs, ys] = self.score_sums(theta, xs, ys, np.ones(k), np.arange(k), k, t)
         return out
 
     def row_vjp(self, theta: Array, W: Array, t: int = 0) -> Array:
@@ -237,32 +229,16 @@ class ChainModel(abc.ABC):
         S = self.score_table(theta, t)
         return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
 
-    def score_sums(self, theta: Array, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
-        """Row g of the result is the sum of coef[k] * score(x[k], y[k]) over
-        the transitions k with groups[k] = g; shape (n_groups, n_params).
-
-        This generic form gathers from the dense score table and is the
-        reference for chains that sum scores without it.
-        """
-        out = np.zeros((n_groups, self.n_params))
-        S = self.score_table(theta, t)[np.asarray(x), np.asarray(y)]
-        np.add.at(out, np.asarray(groups), np.asarray(coef, dtype=float)[:, None] * S)
-        return out
-
     # --- sampling ---------------------------------------------------------
 
     def sample(self, x, theta, rng: np.random.Generator, t: int = 0):
         """Draw x_next from the tabular row of x; terminal states draw nothing."""
-        if not self.tabular:
-            raise CapabilityError(f"{type(self).__name__} is not samplable")
         if x in self.terminal:
             return x
-        return sample_index(np.cumsum(self.prob_row(x, theta, t)), rng.random())
+        return sample_index(np.cumsum(self.transition_matrix(theta, t)[x]), rng.random())
 
     def make_sampler(self, theta: Array, t: int = 0):
         """Return a callable (x, rng) -> x_next with tables precomputed."""
-        if not self.tabular:
-            return lambda x, rng: self.sample(x, theta, rng, t)
         cums = np.cumsum(self.transition_matrix(theta, t), axis=1)
         terminal = self.terminal
 
@@ -302,10 +278,10 @@ class CostModel(abc.ABC):
 
     A cost on a finite state set is a table: value_table(theta, t) holds
     L(x, theta) for every state x, grad_table(theta, t) the (n_states,
-    n_params) gradients, and n_states the number of states it covers. A
-    cost on continuous states evaluates one state at a time through
-    value(x, theta, t) and grad(x, theta, t). Both kinds give Hessians per
-    state through hess(x, theta, t).
+    n_params) gradients, hess_sum(theta, w, t) the weighted Hessian sum
+    sum_x w[x] d2L(x, theta), and n_states the number of states it covers.
+    A cost on continuous states evaluates one state at a time through
+    value(x, theta, t), grad(x, theta, t) and hess(x, theta, t).
     """
 
     n_params: int = 0
@@ -321,7 +297,7 @@ class CostModel(abc.ABC):
     def grad_table(self, theta: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no cost table")
 
-    def hess(self, x, theta, t: int = 0) -> Array:
+    def hess_sum(self, theta: Array, w: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
 
 
@@ -340,12 +316,6 @@ def row_kl(P: Array, Q: Array):
 # ---------------------------------------------------------------------------
 # Concrete chains
 # ---------------------------------------------------------------------------
-
-
-def _softmax(logits: Array) -> Array:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
 
 
 class SoftmaxChain(ChainModel):
@@ -391,6 +361,8 @@ class SoftmaxChain(ChainModel):
         extra = set(support) - set(self._succ)
         if extra & self.terminal:
             raise InvalidStructureError("terminal states must not list successors")
+        if extra:
+            raise InvalidStructureError(f"support lists state {min(extra)} outside 0..{n_states - 1}")
         self._slices = slices
         self.n_params = start
         if logit_offset is None:
@@ -399,6 +371,8 @@ class SoftmaxChain(ChainModel):
             self._offset = np.asarray(logit_offset, dtype=float)
             if self._offset.shape != (self.n_params,):
                 raise InvalidStructureError("logit offset length must match n_params")
+            if not np.all(np.isfinite(self._offset)):
+                raise InvalidStructureError("logit offset contains non-finite entries")
         # Flat layout of the parameters: parameter k is the logit of the
         # transition _flat_x[k] -> _flat_y[k]; each non-terminal state's
         # logits form one segment starting at _seg_start.
@@ -425,10 +399,6 @@ class SoftmaxChain(ChainModel):
         if x in self.terminal:
             return [x]
         return list(self._succ[x])
-
-    def _row_probs(self, x: int, theta: Array) -> Array:
-        sl = self._slices[x]
-        return _softmax(theta[sl] + self._offset[sl])
 
     def _flat_probs(self, theta: Array) -> Array:
         """P[_flat_x, _flat_y]: one softmax per segment, after subtracting
@@ -459,15 +429,31 @@ class SoftmaxChain(ChainModel):
         pw = p * np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
         return pw - p * self._segment_sums(pw)
 
+    def _segment_pairs(self):
+        """Index pairs (i, j) of the parameters that share a segment."""
+        return np.nonzero(self._seg_of[:, None] == self._seg_of[None, :])
+
     def fisher(self, theta, w, t: int = 0) -> Array:
         # block x is w_x (diag p - p p^T); terminal rows carry no parameters
         p = self._flat_probs(theta)
         wp = np.asarray(w, dtype=float)[self._flat_x] * p
-        i, j = np.nonzero(self._seg_of[:, None] == self._seg_of[None, :])
+        i, j = self._segment_pairs()
         F = np.zeros((self.n_params, self.n_params))
         F[i, j] = -wp[i] * p[j]
         F[np.diag_indices(self.n_params)] += wp
         return F
+
+    def row_hess(self, theta, W, t: int = 0) -> Array:
+        # with u = p * w on a segment and m = sum(u), the segment's block is
+        # diag(u - m p) - u p^T - p u^T + 2 m p p^T
+        p = self._flat_probs(theta)
+        u = p * np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
+        m = self._segment_sums(u)
+        i, j = self._segment_pairs()
+        H = np.zeros((self.n_params, self.n_params))
+        H[i, j] = (2.0 * m[i] * p[i] - u[i]) * p[j] - p[i] * u[j]
+        H[np.diag_indices(self.n_params)] += u - m * p
+        return H
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
         # score(x, y) is e_k - p on x's segment, with k the logit of x -> y:
@@ -488,36 +474,6 @@ class SoftmaxChain(ChainModel):
         mass = np.bincount(groups * n + x, weights=coef, minlength=n_groups * n)
         return hits - mass.reshape(n_groups, n)[:, self._flat_x] * self._flat_probs(theta)
 
-    def prob_row(self, x, theta, t: int = 0) -> Array:
-        row = np.zeros(self.n_states)
-        if x in self.terminal:
-            row[x] = 1.0
-            return row
-        row[self._succ[x]] = self._row_probs(x, theta)
-        return row
-
-    def score(self, x, x_next, theta, t: int = 0) -> Array:
-        g = np.zeros(self.n_params)
-        if x in self.terminal:
-            return g
-        succ = self._succ[x]
-        hits = np.nonzero(succ == x_next)[0]
-        if hits.size == 0:
-            raise InvalidStructureError(f"transition {x}->{x_next} is outside the support")
-        p = self._row_probs(x, theta)
-        sl = self._slices[x]
-        g[sl] = -p
-        g[sl.start + hits[0]] += 1.0
-        return g
-
-    def log_prob_hess(self, x, x_next, theta, t: int = 0) -> Array:
-        h = np.zeros((self.n_params, self.n_params))
-        if x in self.terminal:
-            return h
-        p = self._row_probs(x, theta)
-        sl = self._slices[x]
-        h[sl, sl] = np.outer(p, p) - np.diag(p)
-        return h
 
 
 class FixedTabularChain(ChainModel):
@@ -538,18 +494,23 @@ class FixedTabularChain(ChainModel):
         self._P /= self._P.sum(axis=1, keepdims=True)
         self.n_states = P.shape[0]
         self.terminal = frozenset(int(s) for s in terminal)
+        for s in self.terminal:
+            if not (0 <= s < self.n_states):
+                raise InvalidStructureError(f"terminal state {s} out of range")
+            if abs(self._P[s, s] - 1.0) > 1e-12:
+                raise InvalidStructureError(f"terminal state {s} must be absorbing")
         self.n_params = int(n_params)
 
-    def prob_row(self, x, theta, t: int = 0) -> Array:
-        return self._P[x].copy()
+    def transition_matrix(self, theta, t: int = 0) -> Array:
+        return self._P.copy()
 
     def successors(self, x):
         return list(np.nonzero(self._P[x] > 0)[0])
 
-    def score(self, x, x_next, theta, t: int = 0) -> Array:
-        return np.zeros(self.n_params)
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
+        return np.zeros((n_groups, self.n_params))
 
-    def log_prob_hess(self, x, x_next, theta, t: int = 0) -> Array:
+    def row_hess(self, theta, W, t: int = 0) -> Array:
         return np.zeros((self.n_params, self.n_params))
 
 
@@ -650,12 +611,15 @@ class GaussianLinearChain(ChainModel):
 
 
 class TimeVaryingChain(ChainModel):
-    """Stage-indexed chain dispatching to one sub-chain per stage.
+    """Stage-indexed tabular chain dispatching to one tabular sub-chain per
+    stage.
 
     All stages read the same parameter vector; queries beyond the last
     stage reuse the final sub-chain.
     """
 
+    tabular = True
+    samplable = True
     time_varying = True
 
     def __init__(self, stages: Sequence[ChainModel]):
@@ -665,6 +629,8 @@ class TimeVaryingChain(ChainModel):
         n_states = stages[0].n_states
         terminal = stages[0].terminal
         for c in stages:
+            if not c.tabular:
+                raise InvalidStructureError(f"stage chain {type(c).__name__} is not tabular")
             if c.n_params != n_params or c.n_states != n_states:
                 raise InvalidStructureError("stage chains must agree on sizes")
             if c.terminal != terminal:
@@ -673,16 +639,11 @@ class TimeVaryingChain(ChainModel):
         self.n_params = n_params
         self.n_states = n_states
         self.terminal = terminal
-        self.tabular = all(c.tabular for c in stages)
-        self.samplable = all(c.samplable for c in stages)
         self.differentiable = all(c.differentiable for c in stages)
         self.twice_differentiable = all(c.twice_differentiable for c in stages)
 
     def _at(self, t: int) -> ChainModel:
         return self.stages[min(t, len(self.stages) - 1)]
-
-    def prob_row(self, x, theta, t: int = 0):
-        return self._at(t).prob_row(x, theta)
 
     def successors(self, x):
         merged = []
@@ -691,12 +652,6 @@ class TimeVaryingChain(ChainModel):
                 if y not in merged:
                     merged.append(y)
         return merged
-
-    def score(self, x, x_next, theta, t: int = 0):
-        return self._at(t).score(x, x_next, theta)
-
-    def log_prob_hess(self, x, x_next, theta, t: int = 0):
-        return self._at(t).log_prob_hess(x, x_next, theta)
 
     def score_table(self, theta, t: int = 0):
         return self._at(t).score_table(theta)
@@ -710,14 +665,11 @@ class TimeVaryingChain(ChainModel):
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0):
         return self._at(t).score_sums(theta, x, y, coef, groups, n_groups)
 
+    def row_hess(self, theta, W, t: int = 0):
+        return self._at(t).row_hess(theta, W)
+
     def transition_matrix(self, theta, t: int = 0):
         return self._at(t).transition_matrix(theta)
-
-    def sample(self, x, theta, rng, t: int = 0):
-        return self._at(t).sample(x, theta, rng)
-
-    def make_sampler(self, theta, t: int = 0):
-        return self._at(t).make_sampler(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +698,7 @@ class TableCost(CostModel):
     def grad_table(self, theta, t: int = 0) -> Array:
         return np.zeros((self.n_states, self.n_params))
 
-    def hess(self, x, theta, t: int = 0) -> Array:
+    def hess_sum(self, theta, w, t: int = 0) -> Array:
         return np.zeros((self.n_params, self.n_params))
 
 
@@ -772,6 +724,10 @@ class QuadraticCost(CostModel):
         if quad_weights is None:
             quad_weights = np.ones(n)
         self.quad_weights = np.asarray(quad_weights, dtype=float)
+        if self.quad_weights.shape != (n,):
+            raise InvalidStructureError(
+                f"quadratic weights have shape {self.quad_weights.shape}, expected ({n},)"
+            )
 
     def value_table(self, theta, t: int = 0) -> Array:
         th = np.asarray(theta, dtype=float)
@@ -781,8 +737,8 @@ class QuadraticCost(CostModel):
         th = np.asarray(theta, dtype=float)
         return self.lin + np.outer(self.quad_weights, self.quad @ th)
 
-    def hess(self, x, theta, t: int = 0) -> Array:
-        return self.quad_weights[x] * self.quad
+    def hess_sum(self, theta, w, t: int = 0) -> Array:
+        return float(np.asarray(w, dtype=float) @ self.quad_weights) * self.quad
 
 
 class StateQuadraticCost(CostModel):
@@ -840,11 +796,8 @@ class WeightedSumCost(CostModel):
     def grad_table(self, theta, t: int = 0) -> Array:
         return sum(w * p.grad_table(theta, t) for w, p in zip(self.weights, self.parts))
 
-    def hess(self, x, theta, t: int = 0) -> Array:
-        h = np.zeros((self.n_params, self.n_params))
-        for w, p in zip(self.weights, self.parts):
-            h += w * p.hess(x, theta, t)
-        return h
+    def hess_sum(self, theta, w, t: int = 0) -> Array:
+        return sum(c * p.hess_sum(theta, w, t) for c, p in zip(self.weights, self.parts))
 
 
 class KlToFixedChainCost(CostModel):
@@ -883,14 +836,15 @@ class KlToFixedChainCost(CostModel):
         _, xs, ys, logr = row_kl(P, self.reference)
         return self.chain.score_sums(theta, xs, ys, P[xs, ys] * logr, xs, self.n_states, t)
 
-    def hess(self, x, theta, t: int = 0) -> Array:
-        row = self.chain.prob_row(x, theta, t)
-        h = np.zeros((self.n_params, self.n_params))
-        for y in np.flatnonzero(row > 0.0):
-            s = self.chain.score(x, y, theta, t)
-            curv = np.outer(s, s) + self.chain.log_prob_hess(x, y, theta, t)
-            h += row[y] * (math.log(row[y] / self.reference[x, y]) * curv + np.outer(s, s))
-        return h
+    def hess_sum(self, theta, w, t: int = 0) -> Array:
+        # sum_y d2P[x, y] is zero, so row x's Hessian is sum_y d2P log(P/q)
+        # plus the row's Fisher sum_y P s s^T
+        P = self.chain.transition_matrix(theta, t)
+        w = np.asarray(w, dtype=float)
+        _, xs, ys, logr = row_kl(P, self.reference)
+        C = np.zeros_like(P)
+        C[xs, ys] = w[xs] * logr
+        return self.chain.row_hess(theta, C, t) + self.chain.fisher(theta, w, t)
 
 
 class PolicyEntropyCost(CostModel):
@@ -935,8 +889,8 @@ class TimeVaryingCost(CostModel):
     def _at(self, t: int) -> CostModel:
         return self.stages[min(t, len(self.stages) - 1)]
 
-    def hess(self, x, theta, t: int = 0) -> Array:
-        return self._at(t).hess(x, theta)
+    def hess_sum(self, theta, w, t: int = 0) -> Array:
+        return self._at(t).hess_sum(theta, w)
 
     def value_table(self, theta, t: int = 0) -> Array:
         return self._at(t).value_table(theta)

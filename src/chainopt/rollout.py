@@ -788,28 +788,39 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
 
     Per path, with K the log-likelihood and L the accumulated cost:
         (dK dK' + d2K) L + dK dL' + dL dK' + d2L.
-    Requires second derivatives of both the chain's log rows and the cost.
-    The batch mean is symmetrized before it is returned.
+    Requires a tabular chain and second derivatives of both the chain and
+    the cost. A transition's d2 log P is row_hess at the indicator of
+    (x, y) divided by P[x, y], minus s s^T; a state's d2L is hess_sum at the
+    state's indicator; both are cached per stage. The batch mean is
+    symmetrized before it is returned.
     """
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
     _require_timevarying(problem)
     chain, cost = problem.chain, problem.cost
+    if not chain.tabular:
+        raise CapabilityError("path Hessian needs a tabular chain")
     if not chain.twice_differentiable or not cost.twice_differentiable:
         raise CapabilityError("path Hessian needs twice-differentiable chain and cost")
     T = problem.setting.horizon
-    p = problem.n_params
+    p, n = problem.n_params, chain.n_states
     cost_grads = _path_cost_grads(problem, theta, T)
     hess_cache = {}
 
     def chain_hess(t, x, y):
-        key = (t, int(x), int(y)) if chain.tabular else None
-        if key is not None and key in hess_cache:
-            return hess_cache[key]
-        h = chain.log_prob_hess(x, y, theta, t)
-        if key is not None:
-            hess_cache[key] = h
-        return h
+        key = (t, int(x), int(y))
+        if key not in hess_cache:
+            E = np.zeros((n, n))
+            E[x, y] = 1.0 / chain.transition_matrix(theta, t)[x, y]
+            s = chain.score_sums(theta, [x], [y], [1.0], [0], 1, t)[0]
+            hess_cache[key] = chain.row_hess(theta, E, t) - np.outer(s, s)
+        return hess_cache[key]
+
+    def cost_hess(t, x):
+        key = (t, int(x))
+        if key not in hess_cache:
+            hess_cache[key] = cost.hess_sum(theta, np.eye(n)[x], t)
+        return hess_cache[key]
 
     out = np.zeros((len(batch.rollouts), p, p))
     for i, r in enumerate(batch.rollouts):
@@ -823,7 +834,7 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         dL = cost_grads(r.states).sum(axis=0)
         d2L = np.zeros((p, p))
         for t in range(T + 1):
-            d2L += cost.hess(r.states[t], theta, t)
+            d2L += cost_hess(t, r.states[t])
         H = (np.outer(dK, dK) + d2K) * total_cost
         H += np.outer(dK, dL) + np.outer(dL, dK) + d2L
         out[i] = H

@@ -52,15 +52,14 @@ def _table_grad(problem: Problem, th, w, W) -> np.ndarray:
 
 
 def _table_hess(problem: Problem, th, w, W) -> np.ndarray:
-    WP = W * problem.chain.transition_matrix(th)
-    xs, ys = np.nonzero(WP)
-    return _hessian(problem, th, range(len(w)), w, xs, ys, WP[xs, ys])
+    """sum_x w[x] d2L(x) + sum_{x,y} W[x, y] d2P[x, y] at th, symmetrized."""
+    H = problem.cost.hess_sum(th, w) + problem.chain.row_hess(th, W)
+    return 0.5 * (H + H.T)
 
 
 def _hessian(problem: Problem, th, states, w, xs, ys, c) -> np.ndarray:
     """sum_k w_k d2L(states_k) + sum_j c_j (s s^T + d2 log P)(xs_j -> ys_j) at
-    th, symmetrized; c_j is the transition's coefficient at th (W * P on a
-    tabular chain)."""
+    th on a continuous chain, symmetrized; c_j is the draw's coefficient."""
     chain, cost = problem.chain, problem.cost
     if not chain.twice_differentiable or not cost.twice_differentiable:
         raise CapabilityError("surrogate Hessian needs second derivatives")

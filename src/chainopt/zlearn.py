@@ -230,8 +230,8 @@ class ZWeightedChain(ChainModel):
     """Baseline chain tilted by a linear-feature Z, as a differentiable model.
 
     P(x'|x, theta) = pbar(x'|x) exp(-g theta.phi(x')) / normalizer(x, theta).
-    The score is g (E_P[phi] - phi(x')) and the log-row Hessian is
-    -g^2 Cov_P[phi], both restricted to the baseline support.
+    The score is g (mu(x) - phi(x')) with mu = P phi, and the log-row
+    Hessian is -g^2 Cov_P(.|x)[phi], both on the baseline support.
     """
 
     tabular = True
@@ -259,43 +259,32 @@ class ZWeightedChain(ChainModel):
     def successors(self, x):
         return self._support[int(x)]
 
-    def prob_row(self, x, theta, t: int = 0) -> np.ndarray:
-        theta = check_params(theta, self.n_params)
-        x = int(x)
-        energies = self.gamma_z * (self.features @ theta)
-        sup = self._support[x]
-        logw = -energies[sup]
-        logw = logw - logw.max()
-        w = self.spec.baseline[x, sup] * np.exp(logw)
-        row = np.zeros(self.n_states)
-        row[sup] = w / w.sum()
-        return row
-
     def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
         theta = check_params(theta, self.n_params)
-        # subtract each row's largest log weight on its support, as prob_row does
+        # subtract each row's largest log weight on its support
         logw = np.where(self.spec.baseline > 0.0, -self.gamma_z * (self.features @ theta), -np.inf)
         weights = self.spec.baseline * np.exp(logw - logw.max(axis=1, keepdims=True))
         return weights / weights.sum(axis=1, keepdims=True)
 
-    def score(self, x, x_next, theta, t: int = 0) -> np.ndarray:
-        row = self.prob_row(x, theta, t)
-        mean_phi = row @ self.features
-        return self.gamma_z * (mean_phi - self.features[int(x_next)])
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> np.ndarray:
+        mu = self.transition_matrix(theta) @ self.features
+        x, y = np.asarray(x, dtype=np.int64), np.asarray(y, dtype=np.int64)
+        out = np.zeros((n_groups, self.n_params))
+        terms = np.asarray(coef, dtype=float)[:, None] * (mu[x] - self.features[y])
+        np.add.at(out, np.asarray(groups, dtype=np.int64), terms)
+        return self.gamma_z * out
 
-    def log_prob(self, x, x_next, theta, t: int = 0) -> float:
-        row = self.prob_row(x, theta, t)
-        p = row[int(x_next)]
-        if p <= 0.0:
-            raise InvalidStructureError("transition outside the baseline support")
-        return float(np.log(p))
-
-    def log_prob_hess(self, x, x_next, theta, t: int = 0) -> np.ndarray:
-        row = self.prob_row(x, theta, t)
-        mean_phi = row @ self.features
-        centered = self.features - mean_phi[None, :]
-        cov = (row[:, None] * centered).T @ centered
-        return -(self.gamma_z**2) * cov
+    def row_hess(self, theta, W, t: int = 0) -> np.ndarray:
+        # with C = W * P and r = C 1: g^2 [sum_{x,y} C (mu_x - phi_y)(mu_x - phi_y)^T
+        # - sum_x r_x Cov_x(phi)], expanded into products of (n, k) tables
+        P = self.transition_matrix(theta)
+        phi = self.features
+        mu = P @ phi
+        C = np.asarray(W, dtype=float) * P
+        r = C.sum(axis=1)
+        A = mu.T @ C @ phi
+        H = 2.0 * (mu.T * r) @ mu - A - A.T + (phi.T * (C.sum(axis=0) - P.T @ r)) @ phi
+        return self.gamma_z**2 * H
 
 
 def z_problem(spec: LmdpSpec, features, setting, init_weights=None, gamma: float = 1.0) -> Problem:

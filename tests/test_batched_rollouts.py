@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import transition_score
 
 from chainopt import (
-    ChainModel,
     EpisodicDiscounted,
     FeatureMap,
     FirstExit,
@@ -302,7 +302,8 @@ class TestLockstepMatchesPerStepEngine:
             np.testing.assert_array_equal(a.scores, b.scores)
             for t in range(a.n_steps):
                 np.testing.assert_array_equal(
-                    a.scores[t], problem.chain.score(a.states[t], a.states[t + 1], theta, t)
+                    a.scores[t],
+                    transition_score(problem.chain, a.states[t], a.states[t + 1], theta, t),
                 )
 
 
@@ -414,7 +415,7 @@ def reference_surrogate_grads(problem, theta, batch, baseline, alpha, eps):
             x, y = r.states[t], r.states[t + 1]
             adv = R[t + 1] - (b_table[x] if b_table is not None else 0.0)
             ratio = np.exp(min(np.log(P[x, y]) - np.log(P0[x, y]), 30.0))
-            term = gamma * gpow[t] * ratio * adv * chain.score(x, y, th)
+            term = gamma * gpow[t] * ratio * adv * transition_score(chain, x, y, th)
             g += term
             if np.clip(ratio, 1 - eps, 1 + eps) * adv <= ratio * adv:
                 g_clip += term
@@ -529,10 +530,24 @@ class TestVectorizedMatchesPerStep:
             assert_close(fit.weights, reference_fit(problem, batch, features, 1e-6))
 
 
+def softmax_score(chain, x, y, theta):
+    """e_k - p on the segment of x, with k the logit of x -> y; zero on a
+    terminal row."""
+    g = np.zeros(chain.n_params)
+    if x in chain.terminal:
+        return g
+    succ = chain.successors(x)
+    sl = chain.param_slice(x)
+    g[sl] = -chain.transition_matrix(theta)[x, succ]
+    g[sl.start + succ.index(y)] += 1.0
+    return g
+
+
 class TestScoreSums:
     @given(st.integers(0, 2**16), st.integers(1, 7), st.sampled_from([0.0, 1.0, 30.0]))
     @PROPERTY
     def test_softmax_override_matches_dense_reference(self, seed, n, scale):
+        """score_sums against a per-transition sum of the softmax score."""
         problem = random_softmax_problem(FirstExit(), max(n, 2), seed=seed)
         chain = problem.chain
         rng = np.random.default_rng(seed)
@@ -542,7 +557,9 @@ class TestScoreSums:
         y = np.array([rng.choice(np.flatnonzero(P[v] > 0)) for v in x])
         coef = rng.normal(size=40)
         groups = rng.integers(0, 5, size=40)
-        ref = ChainModel.score_sums(chain, theta, x, y, coef, groups, 5)
+        ref = np.zeros((5, chain.n_params))
+        for xk, yk, ck, gk in zip(x, y, coef, groups):
+            ref[gk] += ck * softmax_score(chain, xk, yk, theta)
         assert_close(chain.score_sums(theta, x, y, coef, groups, 5), ref)
 
     def test_off_support_transition_raises(self):

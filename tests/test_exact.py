@@ -19,6 +19,7 @@ from chainopt import (
     InvalidStructureError,
     Problem,
     ReachabilityError,
+    FixedTabularChain,
     SoftmaxChain,
     TableCost,
     TabularInitial,
@@ -34,6 +35,7 @@ from chainopt import (
     solve_value_timevarying,
     stationary_density,
 )
+from chainopt import exact
 from chainopt.harness import parse_config, run_optimize
 from chainopt.mdp import map_stochastic_mdp
 from chainopt.problems import (
@@ -109,6 +111,37 @@ class TestEpisodicSolver:
         for s in prob.chain.terminal:
             P[s, :] = 0.0  # stop accumulating after absorption
         np.testing.assert_allclose(V, series_value(P, L, 1.0, terms=5000), atol=1e-9)
+
+    def test_non_finite_transition_matrix_is_refused(self):
+        """A NaN row reaches no value: the solve names the cause instead of
+        returning NaN."""
+
+        class NanRow(FixedTabularChain):
+            def transition_matrix(self, theta, t=0):
+                P = super().transition_matrix(theta, t)
+                P[0] = np.nan
+                return P
+
+        chain = NanRow(np.full((2, 2), 0.5))
+        prob = Problem(chain, TableCost([1.0, 2.0]), EpisodicDiscounted(0.9),
+                       TabularInitial([0.5, 0.5]))
+        with pytest.raises(InvalidStructureError, match="transition matrix contains non-finite"):
+            objective(prob, np.zeros(0))
+
+    def test_residual_checks_refuse_nan(self):
+        """Each value and occupancy solve fails on a NaN residual, which
+        compares false against any tolerance."""
+        chain = FixedTabularChain(np.array([[0.5, 0.5], [0.2, 0.8]]))
+        prob = Problem(chain, TableCost([1.0, 2.0]), EpisodicDiscounted(0.9),
+                       TabularInitial([0.5, 0.5]))
+        P = chain.transition_matrix(np.zeros(0))
+        L = np.array([1.0, np.nan])
+        with pytest.raises(InvalidStructureError, match="value solve residual nan"):
+            exact._episodic_values(prob, P, L)
+        with pytest.raises(InvalidStructureError, match="average solve residual nan"):
+            exact._average_values(P, L)
+        with pytest.raises(InvalidStructureError, match="occupancy residual nan"):
+            exact._occupancy(prob, np.where(P > 0.3, np.nan, P))
 
     def test_unreachable_terminal_raises(self):
         chain = SoftmaxChain(3, {0: [0, 1], 1: [0, 1]}, terminal=[2])

@@ -8,6 +8,7 @@ an independent consistency check of both.
 
 import numpy as np
 import pytest
+from conftest import fd_vector, log_prob, transition_score
 
 from chainopt import (
     Average,
@@ -73,15 +74,10 @@ class TestSoftmaxPolicy:
         theta = 0.4 * np.random.default_rng(0).normal(size=policy.n_params)
         table = policy.table(theta)
         np.testing.assert_allclose(table.sum(axis=1), np.ones(3), atol=1e-12)
-        h = 1e-6
         for x in range(3):
             sl = policy.param_slice(x)
-            jac = policy.jac_block(x, theta)
-            for i in range(4):
-                e = np.zeros(policy.n_params)
-                e[sl.start + i] = h
-                col = (policy.row(x, theta + e) - policy.row(x, theta - e)) / (2 * h)
-                np.testing.assert_allclose(jac[i], col, atol=1e-8)
+            fd = fd_vector(lambda th: policy.row(x, th), theta)
+            np.testing.assert_allclose(policy.jac_block(x, theta), fd[:, sl].T, atol=1e-8)
 
 
 class TestPolicyAveragedChain:
@@ -96,17 +92,16 @@ class TestPolicyAveragedChain:
     def test_score_matches_fd_of_log_prob(self):
         mdp, policy, theta = random_mdp(3, 2, seed=2)
         chain = PolicyAveragedChain(mdp.transitions, policy)
-        h = 1e-6
         for x in range(3):
             for y in range(3):
-                got = chain.score(x, y, theta)
-                fd = np.zeros(theta.size)
-                for i in range(theta.size):
-                    e = np.zeros(theta.size)
-                    e[i] = h
-                    fd[i] = (chain.log_prob(x, y, theta + e)
-                             - chain.log_prob(x, y, theta - e)) / (2 * h)
+                got = transition_score(chain, x, y, theta)
+                fd = fd_vector(lambda th: log_prob(chain, x, y, th), theta)
                 np.testing.assert_allclose(got, fd, atol=1e-8)
+
+    def test_rejects_terminal_out_of_range(self):
+        mdp, policy, _ = random_mdp(2, 2, seed=2)
+        with pytest.raises(InvalidStructureError, match="terminal state 9 out of range"):
+            PolicyAveragedChain(mdp.transitions, policy, terminal=[9])
 
     def test_bottleneck_view(self):
         """The intermediate map is the action distribution; rows and their

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import fd_vector, log_prob, transition_score
 
 from chainopt import (
     Average,
@@ -27,17 +28,6 @@ from chainopt.mdp import LmdpSpec, PolicyAveragedChain, SoftmaxPolicy
 from chainopt.model import PolicyEntropyCost, sample_index
 from chainopt.problems import random_mdp, random_softmax_problem
 from chainopt.zlearn import ZWeightedChain
-
-
-def fd_vector(fn, theta, h=1e-6):
-    """Central finite difference of a vector-to-scalar function."""
-    theta = np.asarray(theta, dtype=float)
-    g = np.zeros(theta.size)
-    for i in range(theta.size):
-        e = np.zeros(theta.size)
-        e[i] = h
-        g[i] = (fn(theta + e) - fn(theta - e)) / (2 * h)
-    return g
 
 
 class TestSettings:
@@ -92,26 +82,28 @@ class TestSoftmaxChain:
         chain, theta = self.make()
         for x in (0, 1):
             for y in chain.successors(x):
-                got = chain.score(x, y, theta)
-                want = fd_vector(lambda th: chain.log_prob(x, y, th), theta)
+                got = transition_score(chain, x, y, theta)
+                want = fd_vector(lambda th: log_prob(chain, x, y, th), theta)
                 np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_log_prob_hess_matches_fd_of_score(self):
+        """d2 log P(y | x) = row_hess at the indicator of (x, y) over P[x, y],
+        minus s s^T, is the derivative of the score."""
         chain, theta = self.make()
-        h = 1e-5
+        P = chain.transition_matrix(theta)
         for x in (0, 1):
             for y in chain.successors(x):
-                H = chain.log_prob_hess(x, y, theta)
+                E = np.zeros((3, 3))
+                E[x, y] = 1.0 / P[x, y]
+                s = transition_score(chain, x, y, theta)
+                H = chain.row_hess(theta, E) - np.outer(s, s)
                 np.testing.assert_allclose(H, H.T, atol=1e-12)
-                for i in range(theta.size):
-                    e = np.zeros(theta.size)
-                    e[i] = h
-                    col = (chain.score(x, y, theta + e) - chain.score(x, y, theta - e)) / (2 * h)
-                    np.testing.assert_allclose(H[:, i], col, atol=1e-7)
+                col = fd_vector(lambda th: transition_score(chain, x, y, th), theta, h=1e-5)
+                np.testing.assert_allclose(H, col, atol=1e-7)
 
     def test_score_is_zero_outside_own_row(self):
         chain, theta = self.make()
-        s = chain.score(0, 1, theta)
+        s = transition_score(chain, 0, 1, theta)
         sl = chain.param_slice(1)
         np.testing.assert_array_equal(s[sl], 0.0)
 
@@ -121,11 +113,20 @@ class TestSoftmaxChain:
         draw = chain.make_sampler(theta)
         n = 40_000
         hits = np.bincount([draw(0, rng) for _ in range(n)], minlength=3)
-        np.testing.assert_allclose(hits / n, chain.prob_row(0, theta), atol=0.01)
+        np.testing.assert_allclose(hits / n, chain.transition_matrix(theta)[0], atol=0.01)
 
     def test_rejects_terminal_with_parameters(self):
         with pytest.raises(InvalidStructureError):
             SoftmaxChain(2, {0: [0, 1], 1: [0]}, terminal=[1])
+
+    def test_rejects_support_key_out_of_range(self):
+        with pytest.raises(InvalidStructureError, match="state 7 outside"):
+            SoftmaxChain(3, {0: [1], 1: [2], 2: [0], 7: [1]})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_offset(self, bad):
+        with pytest.raises(InvalidStructureError, match="non-finite"):
+            SoftmaxChain(2, {0: [0, 1], 1: [0, 1]}, logit_offset=[bad, 0.0, 0.0, 0.0])
 
 
 class TestFixedTabularChain:
@@ -134,11 +135,22 @@ class TestFixedTabularChain:
         chain = FixedTabularChain(P, n_params=2)
         theta = np.zeros(2)
         np.testing.assert_allclose(chain.transition_matrix(theta), P)
-        np.testing.assert_array_equal(chain.score(0, 1, theta), np.zeros(2))
+        np.testing.assert_array_equal(transition_score(chain, 0, 1, theta), np.zeros(2))
+        np.testing.assert_array_equal(chain.row_hess(theta, np.ones((2, 2))), np.zeros((2, 2)))
 
     def test_rejects_bad_matrix(self):
         with pytest.raises(InvalidStructureError):
             FixedTabularChain(np.array([[0.7, 0.4], [0.2, 0.8]]))
+
+    def test_rejects_terminal_out_of_range(self):
+        with pytest.raises(InvalidStructureError, match="terminal state 5 out of range"):
+            FixedTabularChain(np.full((3, 3), 1.0 / 3.0), terminal=[5])
+
+    def test_rejects_terminal_row_that_is_not_a_self_loop(self):
+        """The sampler treats a terminal state as absorbing, so its row must be."""
+        P = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(InvalidStructureError, match="terminal state 1 must be absorbing"):
+            FixedTabularChain(P, terminal=[1])
 
 
 class TestGaussianLinearChain:
@@ -194,7 +206,13 @@ class TestCosts:
                 fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-6,
             )
-            np.testing.assert_allclose(cost.hess(x, theta), cost.hess(x, theta).T)
+        w = rng.uniform(size=n)
+        np.testing.assert_allclose(cost.hess_sum(theta, w), (w @ [0.5, 1.0, 2.0]) * quad)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    def test_quadratic_cost_rejects_short_weights(self, size):
+        with pytest.raises(InvalidStructureError, match="quadratic weights"):
+            QuadraticCost(np.zeros(3), np.zeros((3, 2)), np.eye(2), quad_weights=np.ones(size))
 
     def test_weighted_sum_combines_parts(self):
         rng = np.random.default_rng(2)
@@ -253,14 +271,19 @@ class TestTimeVarying:
         c1 = FixedTabularChain(np.array([[1.0, 0.0], [1.0, 0.0]]), n_params=0)
         chain = TimeVaryingChain([c0, c1])
         theta = np.zeros(0)
-        np.testing.assert_allclose(chain.prob_row(0, theta, t=0), [0.0, 1.0])
-        np.testing.assert_allclose(chain.prob_row(0, theta, t=1), [1.0, 0.0])
-        np.testing.assert_allclose(chain.prob_row(0, theta, t=5), [1.0, 0.0])
+        np.testing.assert_allclose(chain.transition_matrix(theta, t=0)[0], [0.0, 1.0])
+        np.testing.assert_allclose(chain.transition_matrix(theta, t=1)[0], [1.0, 0.0])
+        np.testing.assert_allclose(chain.transition_matrix(theta, t=5)[0], [1.0, 0.0])
 
         cost = TimeVaryingCost([TableCost([1.0, 2.0]), TableCost([3.0, 4.0])])
         assert cost.value_table(theta, t=0)[1] == 2.0
         assert cost.value_table(theta, t=1)[1] == 4.0
         assert cost.value_table(theta, t=9)[1] == 4.0
+
+    def test_stages_must_be_tabular(self):
+        gaussian = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(InvalidStructureError, match="not tabular"):
+            TimeVaryingChain([gaussian, gaussian])
 
 
 class TestProblemValidation:
@@ -312,7 +335,8 @@ class TestProblemValidation:
 
 def old_softmax_sampler(chain, theta):
     succ = {x: np.array(chain.successors(x)) for x in range(chain.n_states)}
-    cums = {x: np.cumsum(chain.prob_row(x, theta)[succ[x]]) for x in succ}
+    P = chain.transition_matrix(theta)
+    cums = {x: np.cumsum(P[x][succ[x]]) for x in succ}
 
     def step(x, rng):
         if x in chain.terminal:
@@ -325,7 +349,8 @@ def old_softmax_sampler(chain, theta):
 
 
 def old_policy_averaged_sampler(chain, theta):
-    cums = {x: np.cumsum(chain.prob_row(x, theta)) for x in range(chain.n_states)}
+    P = chain.transition_matrix(theta)
+    cums = {x: np.cumsum(P[x]) for x in range(chain.n_states)}
 
     def step(x, rng):
         if x in chain.terminal:
@@ -424,4 +449,4 @@ class TestTabularSampler:
         rng = np.random.default_rng(3)
         n = 20_000
         hits = np.bincount([chain.sample(1, theta, rng) for _ in range(n)], minlength=4)
-        np.testing.assert_allclose(hits / n, chain.prob_row(1, theta), atol=0.015)
+        np.testing.assert_allclose(hits / n, chain.transition_matrix(theta)[1], atol=0.015)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from chainopt import (
+    CapabilityError,
     EpisodicDiscounted,
+    GaussianInitial,
+    GaussianLinearChain,
+    Problem,
+    StateQuadraticCost,
+    TimeVarying,
     FeatureMap,
     RegularizationRequiredError,
     StalenessError,
@@ -200,3 +206,13 @@ class TestPathDerivatives:
         np.testing.assert_allclose(est.mean, est.mean.T, atol=1e-12)
         H = fd_hessian_oracle(prob, theta)
         assert np.all(np.abs(est.mean - H) <= 6 * est.stderr + 1e-8)
+
+    def test_path_hessian_refuses_a_continuous_chain(self):
+        chain = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2))
+        cost = StateQuadraticCost(np.eye(2), n_params=chain.n_params)
+        init = GaussianInitial(np.zeros(2), np.eye(2))
+        prob = Problem(chain, cost, TimeVarying(2), init)
+        theta = np.zeros(prob.n_params)
+        batch = generate_rollouts(prob, theta, 5, seed=0)
+        with pytest.raises(CapabilityError, match="tabular"):
+            path_hessian(prob, theta, batch)

@@ -8,6 +8,7 @@ from chainopt import (
     ConfigError,
     EpisodicDiscounted,
     FeatureMap,
+    FirstExit,
     FisherMatrix,
     chain_iteration_step,
     ClippedSurrogate,
@@ -25,14 +26,17 @@ from chainopt import (
 )
 from chainopt.errors import InvalidStructureError
 from chainopt.exact import fd_gradient
-from chainopt.mdp import map_entropy_mdp
+from chainopt.harness import _interior_features
+from chainopt.mdp import map_entropy_mdp, map_proximal_mdp
 from chainopt.problems import (
     canonical_two_state,
     gaussian_linear_problem,
+    gridworld_lmdp,
     random_mdp,
     random_smdp_problem,
     random_softmax_problem,
 )
+from chainopt.zlearn import z_problem
 from chainopt.surrogate import _damped_solve
 
 
@@ -77,6 +81,21 @@ class TestExactSurrogate:
         np.testing.assert_allclose(H, H.T, atol=1e-12)
         H_fd = fd_hessian(sur.value, np.zeros(prob.n_params), h=1e-4)
         np.testing.assert_allclose(H, H_fd, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["gridworld-z", "proximal"])
+    def test_kl_hessians_match_fd_of_surrogate(self, kind):
+        """The KL costs' Hessian sums with the Z-weighted and policy-averaged
+        row Hessians, through the exact surrogate."""
+        if kind == "gridworld-z":
+            spec = gridworld_lmdp(4, seed=1)
+            prob = z_problem(spec, _interior_features(spec), FirstExit())
+        else:
+            mdp, policy, theta = random_mdp(4, 3, seed=7)
+            prob = map_proximal_mdp(mdp, policy, policy.table(0.5 * theta))
+        sur = ExactSurrogate(prob, probe_theta(prob, 21))
+        zero = np.zeros(prob.n_params)
+        H_fd = fd_hessian(sur.value, zero, h=1e-4)
+        np.testing.assert_allclose(sur.hess(zero), H_fd, atol=1e-5)
 
 
 class TestSampledSurrogate:

@@ -1,24 +1,33 @@
 """Table-level derivatives checked against references.
 
-Chains with vectorized tables (transition matrix, row_vjp, fisher) must
-agree with the per-state methods and with ChainModel's dense score-table
-contractions on random supports, terminal sets, logit offsets and large
-logits. Every cost on a finite state set is a pair of tables: its
-value_table must match a closed form, and row x of its grad_table the
-central difference of value_table(theta)[x].
+A tabular chain is its tables. Transition matrices must agree with
+test-local per-row references; row_vjp and fisher overrides with
+ChainModel's dense score-table contractions, on random supports, terminal
+sets, logit offsets and large logits. Each table is also checked against
+a central difference of the table below it: score_table against log P,
+row_vjp against <W, P>, row_hess against row_vjp. Every cost on a finite
+state set is a set of tables: its value_table must match a closed form,
+row x of its grad_table the central difference of value_table(theta)[x],
+and hess_sum(theta, w) the central difference of w @ grad_table.
 """
 
 import numpy as np
 import pytest
+from conftest import fd_vector
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import chainopt
 from chainopt import (
     ChainModel,
+    CostModel,
     DivergenceUndefinedError,
+    FixedTabularChain,
+    GaussianLinearChain,
     KlToFixedChainCost,
     QuadraticCost,
     SoftmaxChain,
+    StateQuadraticCost,
     TableCost,
     TimeVaryingChain,
     TimeVaryingCost,
@@ -70,11 +79,26 @@ def softmax_chains(draw, max_states=7):
     return chain, theta, rng
 
 
+def softmax_rows(chain, theta):
+    """Rows of a SoftmaxChain one state at a time: the softmax of the
+    state's logits plus offsets, or a self loop at a terminal state."""
+    rows = np.zeros((chain.n_states, chain.n_states))
+    for x in range(chain.n_states):
+        if x in chain.terminal:
+            rows[x, x] = 1.0
+            continue
+        sl = chain.param_slice(x)
+        z = theta[sl] + chain._offset[sl]
+        e = np.exp(z - z.max())
+        rows[x, chain.successors(x)] = e / e.sum()
+    return rows
+
+
 @given(softmax_chains())
 @PROPERTY
-def test_softmax_transition_matrix_stacks_prob_rows(case):
+def test_softmax_transition_matrix_matches_row_softmax(case):
     chain, theta, _ = case
-    rows = np.stack([chain.prob_row(x, theta) for x in range(chain.n_states)])
+    rows = softmax_rows(chain, theta)
     P = chain.transition_matrix(theta)
     assert_close(P, rows)
     assert np.all(np.isfinite(P))
@@ -153,7 +177,9 @@ def test_policy_averaged_tables_match_per_state(case, scale):
     theta = scale * rng.normal(size=policy.n_params)
     n = policy.n_states
     assert_close(policy.table(theta), np.stack([policy.row(x, theta) for x in range(n)]))
-    assert_close(chain.transition_matrix(theta), ChainModel.transition_matrix(chain, theta))
+    rows = np.stack([np.eye(n)[x] if x in terminal else policy.row(x, theta) @ trans[x]
+                     for x in range(n)])
+    assert_close(chain.transition_matrix(theta), rows)
     W = rng.normal(size=(n, n))
     assert_close(chain.row_vjp(theta, W), ChainModel.row_vjp(chain, theta, W))
 
@@ -223,10 +249,9 @@ def test_kl_cost_tables_on_softmax_chain(case):
     assert_fd_rows(cost, theta)
 
 
-@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e3]))
-@PROPERTY
-def test_kl_cost_tables_on_z_weighted_chain(n, k, seed, scale):
-    rng = np.random.default_rng(seed)
+def random_z_chain(rng, n, k, gamma=1.0):
+    """A ZWeightedChain on a sparse random baseline whose last state is
+    terminal, and the baseline."""
     baseline = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
     baseline[np.arange(n), rng.integers(0, n, n)] += 1.0
     baseline[n - 1] = np.eye(n)[n - 1]  # terminal
@@ -235,7 +260,14 @@ def test_kl_cost_tables_on_z_weighted_chain(n, k, seed, scale):
     spec = LmdpSpec(baseline, cost_r, terminal=[n - 1])
     features = rng.uniform(size=(n, k))
     features[n - 1] = 0.0
-    chain = ZWeightedChain(spec, features)
+    return ZWeightedChain(spec, features, gamma), baseline
+
+
+@given(st.integers(2, 5), st.integers(1, 3), st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e3]))
+@PROPERTY
+def test_kl_cost_tables_on_z_weighted_chain(n, k, seed, scale):
+    rng = np.random.default_rng(seed)
+    chain, baseline = random_z_chain(rng, n, k)
     theta = scale * rng.normal(size=k)
     cost = KlToFixedChainCost(chain, baseline)
     assert_close(cost.value_table(theta), kl_rows(chain.transition_matrix(theta), baseline))
@@ -286,33 +318,172 @@ def test_policy_kl_from_old_refuses_a_starved_action():
         cost.value_table(np.array([0.0, -1e3]))
 
 
-@pytest.mark.parametrize("zweighted", [False, True], ids=["softmax", "z-weighted"])
-def test_kl_cost_tables_make_no_per_state_row_calls(zweighted, monkeypatch):
-    """The KL cost builds both tables from one transition matrix; on a
-    softmax chain its gradient needs no per-transition scores either."""
-    rng = np.random.default_rng(4)
-    n = 5
-    baseline = rng.dirichlet(np.ones(n), size=n)
-    if zweighted:
-        chain = ZWeightedChain(LmdpSpec(baseline, np.ones(n)), rng.normal(size=(n, 2)))
-    else:
-        chain = SoftmaxChain(n, {x: list(range(n)) for x in range(n)})
-    cost = KlToFixedChainCost(chain, baseline)
-    theta = rng.normal(size=chain.n_params)
-    calls = []
-    for name in ("prob_row", "score"):
-        monkeypatch.setattr(chain, name, lambda *a, _n=name, **k: calls.append(_n))
-    cost.value_table(theta)
-    if not zweighted:
-        cost.grad_table(theta)
-    assert calls == []
-
-
-def test_z_weighted_transition_matrix_matches_prob_rows_at_large_energies():
+def test_z_weighted_transition_matrix_matches_per_row_reference_at_large_energies():
     """exp(-energy) overflows at these parameters; the rows stay finite."""
     baseline = np.full((3, 3), 1.0 / 3.0)
     baseline[2] = [0.0, 0.5, 0.5]
-    chain = ZWeightedChain(LmdpSpec(baseline, np.ones(3)), np.array([[1.0], [0.0], [-1.0]]))
+    features = np.array([[1.0], [0.0], [-1.0]])
+    chain = ZWeightedChain(LmdpSpec(baseline, np.ones(3)), features)
     for theta in (np.array([1e3]), np.array([-1e3]), np.array([0.3])):
-        rows = np.stack([chain.prob_row(x, theta) for x in range(3)])
+        rows = np.zeros((3, 3))
+        for x in range(3):
+            sup = np.flatnonzero(baseline[x] > 0.0)
+            logw = -(features @ theta)[sup]
+            w = baseline[x, sup] * np.exp(logw - logw.max())
+            rows[x, sup] = w / w.sum()
         assert_close(chain.transition_matrix(theta), rows)
+
+
+# ---------------------------------------------------------------------------
+# Each table against a central difference of the table below it
+# ---------------------------------------------------------------------------
+
+
+ORACLE = settings(PROPERTY, max_examples=20)
+
+CHAIN_KINDS = ["softmax", "staged", "fixed", "policy", "z"]
+
+
+@st.composite
+def tabular_chains(draw, kind):
+    """(chain, theta, t, rng) for a tabular chain of the given kind, at
+    parameter scales where central differences are accurate."""
+    scale = draw(st.sampled_from([0.0, 1.0, 3.0]))
+    if kind in ("softmax", "staged"):
+        chain, _, rng = draw(softmax_chains(max_states=5))
+        t = 0
+        if kind == "staged":
+            other = SoftmaxChain(
+                chain.n_states,
+                {x: chain.successors(x) for x in range(chain.n_states) if x not in chain.terminal},
+                terminal=chain.terminal,
+                logit_offset=rng.normal(size=chain.n_params),
+            )
+            chain, t = TimeVaryingChain([chain, other]), draw(st.sampled_from([0, 1, 4]))
+        return chain, scale * rng.normal(size=chain.n_params), t, rng
+    if kind == "policy":
+        policy, trans, terminal, _, rng = draw(policy_cases())
+        chain = PolicyAveragedChain(trans, policy, terminal=terminal)
+        return chain, scale * rng.normal(size=chain.n_params), 0, rng
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 5))
+    if kind == "fixed":
+        chain = FixedTabularChain(rng.dirichlet(np.ones(n), size=n), n_params=2)
+    else:
+        chain = random_z_chain(rng, n, draw(st.integers(1, 3)), rng.uniform(0.5, 1.5))[0]
+    return chain, scale * rng.normal(size=chain.n_params), 0, rng
+
+
+def support(chain):
+    xs = [x for x in range(chain.n_states) for _ in chain.successors(x)]
+    ys = [y for x in range(chain.n_states) for y in chain.successors(x)]
+    return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+@given(data=st.data())
+@ORACLE
+def test_score_table_is_fd_of_log_transition_matrix(kind, data):
+    chain, theta, t, _ = data.draw(tabular_chains(kind))
+    xs, ys = support(chain)
+    S = chain.score_table(theta, t)
+    fd = fd_vector(lambda th: np.log(chain.transition_matrix(th, t)[xs, ys]), theta)
+    np.testing.assert_allclose(S[xs, ys], fd, rtol=1e-5, atol=1e-6)
+    off = np.ones((chain.n_states, chain.n_states), dtype=bool)
+    off[xs, ys] = False
+    assert not np.any(S[off])
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+@given(data=st.data())
+@ORACLE
+def test_row_vjp_is_fd_of_weighted_transition_matrix(kind, data):
+    chain, theta, t, rng = data.draw(tabular_chains(kind))
+    W = rng.normal(size=(chain.n_states, chain.n_states))
+    fd = fd_vector(lambda th: np.sum(W * chain.transition_matrix(th, t)), theta)
+    np.testing.assert_allclose(chain.row_vjp(theta, W, t), fd, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", CHAIN_KINDS)
+@given(data=st.data())
+@ORACLE
+def test_row_hess_is_fd_of_row_vjp(kind, data):
+    chain, theta, t, rng = data.draw(tabular_chains(kind))
+    W = rng.normal(size=(chain.n_states, chain.n_states))
+    H = chain.row_hess(theta, W, t)
+    assert H.shape == (chain.n_params, chain.n_params)
+    np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-12)
+    fd = fd_vector(lambda th: chain.row_vjp(th, W, t), theta)
+    np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-6)
+
+
+COST_KINDS = ["table", "quadratic", "sum", "staged", "policy-expected", "policy-kl"] + [
+    "kl-" + kind for kind in CHAIN_KINDS
+]
+
+
+@st.composite
+def tabular_costs(draw, kind):
+    """(cost, theta, t, rng) for a twice-differentiable cost on a finite
+    state set of the given kind; "kl-<chain kind>" is the KL cost on that
+    chain."""
+    if kind.startswith("kl-"):
+        chain, theta, t, rng = draw(tabular_chains(kind[3:]))
+        reference = rng.dirichlet(np.ones(chain.n_states), size=chain.n_states)
+        return KlToFixedChainCost(chain, reference), theta, t, rng
+    if kind.startswith("policy-"):
+        policy, _, _, costs, rng = draw(policy_cases())
+        theta = draw(st.sampled_from([0.0, 1.0, 3.0])) * rng.normal(size=policy.n_params)
+        if kind == "policy-expected":
+            return PolicyExpectedCost(policy, costs), theta, 0, rng
+        pi_old = rng.dirichlet(np.ones(policy.n_actions), size=policy.n_states)
+        return PolicyKlFromOldCost(policy, pi_old), theta, 0, rng
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(1, 5)), draw(st.integers(0, 4))
+    theta = rng.normal(size=p)
+    table = TableCost(rng.normal(size=n), n_params=p)
+    quad = random_quadratic(rng, n, p)
+    cost = {
+        "table": table,
+        "quadratic": quad,
+        "sum": WeightedSumCost([table, quad], weights=[2.0, -0.5]),
+        "staged": TimeVaryingCost([table, quad]),
+    }[kind]
+    return cost, theta, 3 if kind == "staged" else 0, rng
+
+
+@pytest.mark.parametrize("kind", COST_KINDS)
+@given(data=st.data())
+@ORACLE
+def test_hess_sum_is_fd_of_weighted_grad_table(kind, data):
+    cost, theta, t, rng = data.draw(tabular_costs(kind))
+    assert cost.twice_differentiable
+    w = rng.uniform(size=cost.n_states)
+    H = cost.hess_sum(theta, w, t)
+    assert H.shape == (theta.size, theta.size)
+    fd = fd_vector(lambda th: w @ cost.grad_table(th, t), theta)
+    np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-6)
+
+
+def test_tabular_chains_and_costs_have_no_per_state_methods():
+    """Tabular chains are transition_matrix, score_sums and row_hess; tabular
+    costs are value_table, grad_table and hess_sum. Per-state methods
+    belong to the continuous chain and cost only."""
+    classes = {
+        obj for module in (chainopt.model, chainopt.mdp, chainopt.zlearn)
+        for obj in vars(module).values()
+        if isinstance(obj, type) and issubclass(obj, (ChainModel, CostModel))
+    }
+    per_state = ("prob_row", "prob", "score", "log_prob", "log_prob_hess", "_row_probs")
+    for cls in classes:
+        if cls in (GaussianLinearChain, StateQuadraticCost):
+            continue
+        for name in per_state + ("hess",):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+        if issubclass(cls, ChainModel) and cls.tabular:
+            for name in ("transition_matrix", "score_sums", "row_hess"):
+                assert name in vars(cls), f"{cls.__name__} lacks {name}"
+    assert "score_table" in vars(ChainModel)
+    assert {"score", "log_prob", "log_prob_hess"} <= set(vars(GaussianLinearChain))
+    assert "hess" in vars(StateQuadraticCost)
+    assert not hasattr(chainopt.mdp, "_softmax_second_derivative")

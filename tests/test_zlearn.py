@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import fd_vector, log_prob, transition_score
 
 from chainopt import (
     Average,
@@ -140,18 +141,12 @@ class TestZWeightedChain:
         features = np.eye(4)
         chain = ZWeightedChain(spec, features)
         theta = 0.3 * np.random.default_rng(6).normal(size=4)
-        h = 1e-6
         for x in range(4):
             for y in range(4):
                 if spec.baseline[x, y] == 0.0:
                     continue
-                fd = np.zeros(4)
-                for i in range(4):
-                    e = np.zeros(4)
-                    e[i] = h
-                    fd[i] = (chain.log_prob(x, y, theta + e)
-                             - chain.log_prob(x, y, theta - e)) / (2 * h)
-                np.testing.assert_allclose(chain.score(x, y, theta), fd, atol=1e-8)
+                fd = fd_vector(lambda th: log_prob(chain, x, y, th), theta)
+                np.testing.assert_allclose(transition_score(chain, x, y, theta), fd, atol=1e-8)
 
     def test_z_problem_objective_matches_lmdp_objective(self):
         spec = ergodic_spec(4, seed=7)

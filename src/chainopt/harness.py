@@ -52,7 +52,7 @@ from .problems import (
 )
 from .rollout import (
     FeatureMap,
-    discounted_returns,
+    batch_steps,
     effective_gamma,
     estimate_gradient,
     fit_value_approx,
@@ -602,13 +602,8 @@ class _AdamState:
 
 
 def _batch_j_estimate(problem, batch):
-    g = effective_gamma(problem, batch)
-    vals = [
-        float(discounted_returns(r.costs, g)[0])
-        for r in batch.rollouts
-        if not r.diverged
-    ]
-    vals = np.asarray(vals)
+    steps = batch_steps(batch, effective_gamma(problem, batch))
+    vals = steps.returns[steps.first]
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return float(vals.mean()), stderr
 

@@ -21,7 +21,10 @@ normal draws on one stream and keep a per-step loop. Tabular score
 vectors are filled on first read, for the whole batch at once.
 
 Estimators consume whole batches as flat per-step arrays and refuse
-parameters that differ from the ones the batch was generated under.
+parameters that differ from the ones the batch was generated under. Their
+cost-to-go R_t = L_t + gamma R_{t+1} is one backward scan over the batch,
+bit-identical to ``scipy.signal.lfilter([1], [1, -gamma])`` over each
+rollout's reversed costs: the same operations in the same order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import (
     CapabilityError,
@@ -54,6 +56,7 @@ END_HORIZON = "horizon-cap"
 END_GEOMETRIC = "geometric-stop"
 
 _MODES = ("terminal", "horizon", "geometric")
+_REASONS = (END_HORIZON, END_TERMINAL, END_GEOMETRIC)
 
 # Uniforms a tabular rollout takes from its stream at a time.
 _BLOCK = 64
@@ -229,14 +232,34 @@ class RolloutBatch:
 
 
 def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
-    """Reload a dumped batch, recomputing score vectors from the chain."""
+    """Reload a dumped batch, recomputing score vectors from the chain. A
+    malformed line raises InvalidStructureError naming it."""
     chain = problem.chain
     tv = isinstance(problem.setting, TimeVarying)
     with open(path) as fh:
         meta = json.loads(fh.readline())
-        theta = np.asarray(meta["theta"], dtype=float)
         records = [json.loads(line) for line in fh]
+
+    def bad(line, why):
+        return InvalidStructureError(f"{path}, line {line}: {why}")
+
+    if meta["mode"] not in _MODES:
+        raise bad(1, f"unknown termination mode {meta['mode']!r}")
+    if tv and meta["horizon_cap"] != problem.setting.horizon:
+        raise bad(1, f"horizon cap {meta['horizon_cap']} is not the problem's horizon")
+    theta = np.asarray(meta["theta"], dtype=float)
+    if theta.shape != (problem.n_params,):
+        raise bad(1, f"theta has shape {theta.shape}, expected ({problem.n_params},)")
     states = [np.asarray(rec["states"]) for rec in records]
+    for line, (rec, st) in enumerate(zip(records, states), start=2):
+        if rec["end"] not in _REASONS:
+            raise bad(line, f"unknown end reason {rec['end']!r}")
+        if len(st) == 0 or len(rec["costs"]) != len(st):
+            raise bad(line, f"{len(st)} states and {len(rec['costs'])} costs")
+        if chain.tabular and not (
+            st.dtype.kind == "i" and st.ndim == 1 and 0 <= st.min() and st.max() < chain.n_states
+        ):
+            raise bad(line, f"states must be integers in 0..{chain.n_states - 1}")
     if chain.tabular:
         states = [s.astype(np.int64) for s in states]
         table = _TabularScores(chain, theta, meta["horizon_cap"] if tv else 1, states)
@@ -334,9 +357,6 @@ def _inverse_cdf(cum: np.ndarray, top, u: np.ndarray) -> np.ndarray:
     return np.where(idx < cum.shape[1], idx, top)
 
 
-_REASONS = (END_HORIZON, END_TERMINAL, END_GEOMETRIC)
-
-
 def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> list:
     chain = problem.chain
     n = chain.n_states
@@ -428,11 +448,6 @@ def effective_gamma(problem: Problem, batch: RolloutBatch) -> float:
     return problem.gamma
 
 
-def discounted_returns(costs: np.ndarray, gamma: float) -> np.ndarray:
-    """Cost-to-go R_t = sum_{k>=t} gamma^{k-t} L_k via a linear filter."""
-    return lfilter([1.0], [1.0, -gamma], costs[::-1])[::-1]
-
-
 def check_batch(theta, batch: RolloutBatch):
     theta = np.asarray(theta, dtype=float)
     if theta.shape != batch.theta.shape or not np.array_equal(theta, batch.theta):
@@ -470,33 +485,26 @@ def batch_steps(batch: RolloutBatch, gamma: float) -> BatchSteps:
         states=states,
         owner=owner,
         t=t,
-        returns=_batch_returns(costs, lengths, owner, t, gamma),
+        returns=_batch_returns(costs, lengths, first, gamma),
         weights=(gamma ** np.arange(lengths.max(initial=0)))[t],
         trans=np.flatnonzero(t < lengths[owner] - 1),
         first=first,
     )
 
 
-def _batch_returns(costs, lengths, owner, t, gamma) -> np.ndarray:
-    """discounted_returns of every rollout, concatenated. Rollouts whose
-    lengths share a power of two go through one lfilter over their
-    reversed costs, zero-padded on the right, which gives each rollout's
-    values bit for bit and at most doubles the memory."""
+def _batch_returns(costs, lengths, first, gamma) -> np.ndarray:
+    """R_t = L_t + gamma R_{t+1} of every rollout, concatenated. Ordered
+    longest first, the rollouts still alive k steps from their ends are a
+    prefix, so each step back is one gather and one update of that prefix."""
     out = np.empty_like(costs)
-    if lengths.size == 0:
-        return out
-    group = np.floor(np.log2(lengths)).astype(np.int64)
-    step_group = group[owner]
-    col = lengths[owner] - 1 - t  # position in the reversed costs
-    for g in _present(group):
-        members = group == g
-        sel = step_group == g
-        width = int(lengths[members].max())
-        flat = (np.cumsum(members) - 1)[owner[sel]] * width + col[sel]
-        padded = np.zeros(int(members.sum()) * width)
-        padded[flat] = costs[sel]
-        filtered = lfilter([1.0], [1.0, -gamma], padded.reshape(-1, width), axis=1)
-        out[sel] = filtered.ravel()[flat]
+    rows = (first + lengths - 1)[np.argsort(-lengths, kind="stable")]  # each rollout's end
+    alive = np.cumsum(np.bincount(lengths)[::-1])[::-1]  # rollouts with at least k costs
+    R = np.zeros(lengths.size)
+    for m in alive[1:].tolist():
+        rows = rows[:m]
+        R = costs[rows] + gamma * R[:m]
+        out[rows] = R
+        rows -= 1
     return out
 
 

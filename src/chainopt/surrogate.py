@@ -10,7 +10,6 @@ preconditioning, and surrogate Hessians all share one code path.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -200,7 +199,6 @@ class SampledSurrogate:
         over = logr > _LOG_RATIO_CAP
         if np.any(over):
             self.n_ratio_clipped += int(over.sum())
-            warnings.warn("probability ratios overflowed; log ratios capped", RuntimeWarning)
             logr = np.minimum(logr, _LOG_RATIO_CAP)
         return np.exp(logr), None
 

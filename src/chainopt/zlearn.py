@@ -13,7 +13,6 @@ back into a differentiable model usable with every gradient tool here.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -361,7 +360,6 @@ class _ZUpdater:
             if new < _Z_FLOOR:
                 new = _Z_FLOOR
                 self.n_floored += 1
-                warnings.warn("Z update hit the positivity floor", RuntimeWarning)
             self._ztab[x] = new
         else:
             zx = self.z_at(x)

@@ -33,6 +33,17 @@ def log_prob(chain, x, y, theta, t=0):
     return np.log(chain.transition_matrix(theta, t)[x, y])
 
 
+def discounted_returns(costs, gamma):
+    """Cost-to-go R_t = L_t + gamma R_{t+1} of one rollout, by a plain loop
+    from the last step back."""
+    out = np.empty(len(costs))
+    R = 0.0
+    for t in range(len(costs) - 1, -1, -1):
+        R = costs[t] + gamma * R
+        out[t] = R
+    return out
+
+
 def record_acceptance(index: int, name: str, passed: bool, detail: str = "") -> None:
     status = "PASS" if passed else "FAIL"
     line = f"criterion {index:2d} [{name}] {status}"

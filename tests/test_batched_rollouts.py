@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import transition_score
+from conftest import discounted_returns, transition_score
 
 from chainopt import (
     EpisodicDiscounted,
@@ -50,7 +50,6 @@ from chainopt.rollout import (
     Rollout,
     RolloutBatch,
     baseline_expected_values,
-    discounted_returns,
     effective_gamma,
     rollout_rng,
 )
@@ -541,6 +540,53 @@ def softmax_score(chain, x, y, theta):
     g[sl] = -chain.transition_matrix(theta)[x, succ]
     g[sl.start + succ.index(y)] += 1.0
     return g
+
+
+@st.composite
+def return_cases(draw):
+    """(per-rollout costs, gamma): one rollout, equal lengths or mixed
+    lengths of 1-400 steps, with costs of either sign spanning 1e-3 to 1e3."""
+    shape = draw(st.sampled_from(["single", "equal", "mixed"]))
+    if shape == "single":
+        lengths = [draw(st.integers(1, 400))]
+    elif shape == "equal":
+        lengths = [draw(st.integers(1, 400))] * draw(st.integers(2, 20))
+    else:
+        lengths = draw(st.lists(st.integers(1, 400), min_size=2, max_size=40))
+    gamma = draw(st.sampled_from([0.0, 1.0, 0.99]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    costs = [rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-3, 3, k) for k in lengths]
+    return costs, gamma
+
+
+def scanned_returns(costs, gamma):
+    """batch_steps(...).returns of a hand-built batch with the given costs."""
+    rollouts = [
+        Rollout(np.zeros(c.size, dtype=np.int64), c, np.zeros((c.size - 1, 1)), END_TERMINAL)
+        for c in costs
+    ]
+    batch = RolloutBatch(rollouts, np.zeros(1), 0, "terminal", 10_000)
+    return rollout.batch_steps(batch, gamma).returns
+
+
+class TestReturnScan:
+    """The batch scan must give every rollout's discounted returns bit for
+    bit: as the one-rollout loop does, and as scipy's first-order filter."""
+
+    @given(return_cases())
+    @PROPERTY
+    def test_matches_the_one_rollout_loop(self, case):
+        costs, gamma = case
+        ref = np.concatenate([discounted_returns(c, gamma) for c in costs])
+        np.testing.assert_array_equal(scanned_returns(costs, gamma), ref)
+
+    @given(return_cases())
+    @PROPERTY
+    def test_matches_lfilter(self, case):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        costs, gamma = case
+        ref = np.concatenate([lfilter([1.0], [1.0, -gamma], c[::-1])[::-1] for c in costs])
+        np.testing.assert_array_equal(scanned_returns(costs, gamma), ref)
 
 
 class TestScoreSums:

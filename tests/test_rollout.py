@@ -1,17 +1,27 @@
 """Rollout generation, serialization, value fitting, and sampled gradients."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from conftest import discounted_returns
 
+import chainopt
 from chainopt import (
     CapabilityError,
     EpisodicDiscounted,
+    FirstExit,
     GaussianInitial,
     GaussianLinearChain,
     Problem,
     StateQuadraticCost,
     TimeVarying,
     FeatureMap,
+    InvalidStructureError,
     RegularizationRequiredError,
     StalenessError,
     batch_from_jsonl,
@@ -24,7 +34,7 @@ from chainopt import (
     path_hessian,
     solve_value_episodic,
 )
-from chainopt.rollout import check_batch, discounted_returns
+from chainopt.rollout import check_batch
 from chainopt.problems import (
     canonical_two_state,
     random_softmax_problem,
@@ -100,6 +110,51 @@ class TestSerialization:
             np.testing.assert_allclose(ra.costs, rb.costs, rtol=0, atol=0)
             np.testing.assert_allclose(ra.scores, rb.scores, rtol=0, atol=0)
 
+    @pytest.mark.parametrize(
+        "line, key, edit",
+        [
+            (1, "mode", lambda v: "bogus"),
+            (1, "theta", lambda v: v[:-1]),
+            (2, "states", lambda v: [-1] + v[1:]),
+            (3, "states", lambda v: v[:-1] + [99]),
+            (2, "states", lambda v: [v[0] + 0.5] + v[1:]),
+            (2, "costs", lambda v: v[:-1]),
+            (3, "costs", lambda v: v + [0.0]),
+            (4, "end", lambda v: "bogus"),
+        ],
+        ids=[
+            "mode",
+            "theta-size",
+            "negative-state",
+            "state-out-of-range",
+            "fractional-state",
+            "cost-missing",
+            "cost-extra",
+            "end-reason",
+        ],
+    )
+    def test_corrupt_file_is_rejected_naming_the_line(self, tmp_path, line, key, edit):
+        prob = random_softmax_problem(FirstExit(), 5, seed=1)
+        path = _corrupt_dump(prob, tmp_path, line, key, edit)
+        with pytest.raises(InvalidStructureError, match=f"line {line}:"):
+            batch_from_jsonl(prob, path)
+
+    def test_time_varying_file_must_have_the_problem_horizon(self, tmp_path):
+        prob = random_timevarying_problem(horizon=4, n_states=4, seed=0)
+        path = _corrupt_dump(prob, tmp_path, 1, "horizon_cap", lambda v: 2)
+        with pytest.raises(InvalidStructureError, match="line 1:"):
+            batch_from_jsonl(prob, path)
+
+
+def _corrupt_dump(prob, tmp_path, line, key, edit):
+    """Dump a 4-rollout batch with one field of one line edited."""
+    path = tmp_path / "batch.jsonl"
+    generate_rollouts(prob, np.zeros(prob.n_params), 4, seed=0).to_jsonl(path)
+    docs = [json.loads(text) for text in path.read_text().splitlines()]
+    docs[line - 1][key] = edit(docs[line - 1][key])
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return path
+
 
 class TestDiscountedReturns:
     def test_small_cases_by_hand(self):
@@ -110,6 +165,20 @@ class TestDiscountedReturns:
         np.testing.assert_allclose(
             discounted_returns(np.array([3.0]), 0.9), [3.0]
         )
+
+
+def test_import_loads_no_scipy():
+    """The library needs numpy only; importing it loads no scipy module."""
+    src = str(Path(chainopt.__file__).resolve().parents[1])
+    code = "import sys, chainopt; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestValueFit:

@@ -10,6 +10,10 @@ from chainopt import (
     FeatureMap,
     FirstExit,
     FisherMatrix,
+    GaussianInitial,
+    GaussianLinearChain,
+    Problem,
+    StateQuadraticCost,
     chain_iteration_step,
     ClippedSurrogate,
     estimate_gradient,
@@ -36,6 +40,7 @@ from chainopt.problems import (
     random_smdp_problem,
     random_softmax_problem,
 )
+from chainopt.rollout import END_HORIZON, Rollout, RolloutBatch
 from chainopt.zlearn import z_problem
 from chainopt.surrogate import _damped_solve
 
@@ -334,6 +339,27 @@ class TestContinuousSampledSurrogate:
         sur = SampledSurrogate(self.prob, self.theta, self.batch)
         H = sur.hess(np.zeros(self.prob.n_params))
         np.testing.assert_allclose(H, H.T, atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_capped_ratios_are_counted_not_warned(self):
+        """One transition ten standard deviations from its mean: moving the
+        mean halfway towards it gives a log ratio of (10^2 - 5^2) / 2 = 37.5,
+        above the cap of 30."""
+        chain = GaussianLinearChain(np.array([[0.5]]), np.eye(1), np.eye(1))
+        prob = Problem(
+            chain,
+            StateQuadraticCost(np.eye(1), n_params=1),
+            EpisodicDiscounted(0.9),
+            GaussianInitial(np.zeros(1), np.eye(1)),
+        )
+        theta = np.zeros(1)
+        states = np.array([[0.0], [10.0]])
+        costs = np.array([prob.cost.value(x, theta) for x in states])
+        scores = chain.score(states[0], states[1], theta)[None, :]
+        batch = RolloutBatch([Rollout(states, costs, scores, END_HORIZON)], theta, 0, "horizon", 1)
+        sur = SampledSurrogate(prob, theta, batch)
+        assert np.isfinite(sur.value(np.array([5.0])))
+        assert sur.n_ratio_clipped == 1
 
 
 class TestDampedSolve:

@@ -209,6 +209,14 @@ class TestZLearning:
         # snapshots are frozen copies, not views of the live table
         assert not np.array_equal(snaps[0][1].energies, snaps[-1][1].energies)
 
+    @pytest.mark.filterwarnings("error")
+    def test_floor_hits_are_counted_not_warned(self):
+        """A step cost of 30 drives exp(-r) Z below the positivity floor."""
+        spec = gridworld_lmdp(3, 0, 30.0)
+        z0 = TabularZ(np.zeros(spec.n_states), terminal=spec.terminal)
+        _, stats = zlearn_baseline(spec, z0, 50, seed=0)
+        assert stats.n_floored > 0
+
     def test_unknown_greedy_mode_rejected(self):
         spec = path_spec()
         z0 = TabularZ(np.zeros(spec.n_states), terminal=spec.terminal)

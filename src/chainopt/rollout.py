@@ -231,48 +231,71 @@ class RolloutBatch:
                 fh.write(json.dumps(rec) + "\n")
 
 
+def _numbers(value):
+    """value as a numeric array, or None unless it nests numbers evenly."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        return None
+    return arr if arr.dtype.kind in "if" else None
+
+
 def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
     """Reload a dumped batch, recomputing score vectors from the chain. A
-    malformed line raises InvalidStructureError naming it."""
+    malformed line raises InvalidStructureError naming the file and the line."""
     chain = problem.chain
     tv = isinstance(problem.setting, TimeVarying)
-    with open(path) as fh:
-        meta = json.loads(fh.readline())
-        records = [json.loads(line) for line in fh]
 
     def bad(line, why):
         return InvalidStructureError(f"{path}, line {line}: {why}")
+
+    def parse(line, text, keys):
+        try:
+            doc = json.loads(text)
+        except ValueError:
+            doc = None
+        if not (isinstance(doc, dict) and all(k in doc for k in keys)):
+            raise bad(line, f"expected a JSON object with keys {', '.join(keys)}")
+        return doc
+
+    with open(path) as fh:
+        meta = parse(1, fh.readline(), ("theta", "seed", "mode", "horizon_cap"))
+        records = [parse(i, text, ("states", "costs", "end")) for i, text in enumerate(fh, start=2)]
 
     if meta["mode"] not in _MODES:
         raise bad(1, f"unknown termination mode {meta['mode']!r}")
     if tv and meta["horizon_cap"] != problem.setting.horizon:
         raise bad(1, f"horizon cap {meta['horizon_cap']} is not the problem's horizon")
-    theta = np.asarray(meta["theta"], dtype=float)
-    if theta.shape != (problem.n_params,):
-        raise bad(1, f"theta has shape {theta.shape}, expected ({problem.n_params},)")
-    states = [np.asarray(rec["states"]) for rec in records]
-    for line, (rec, st) in enumerate(zip(records, states), start=2):
+    theta = _numbers(meta["theta"])
+    if theta is None or theta.shape != (problem.n_params,):
+        raise bad(1, f"theta must be {problem.n_params} numbers")
+    theta = theta.astype(float)
+    states, costs = [], []
+    for line, rec in enumerate(records, start=2):
         if rec["end"] not in _REASONS:
             raise bad(line, f"unknown end reason {rec['end']!r}")
-        if len(st) == 0 or len(rec["costs"]) != len(st):
-            raise bad(line, f"{len(st)} states and {len(rec['costs'])} costs")
+        st, cost = _numbers(rec["states"]), _numbers(rec["costs"])
+        if st is None or st.ndim == 0 or len(st) == 0:
+            raise bad(line, "states must be a non-empty array of numbers")
+        if cost is None or cost.shape != (len(st),):
+            raise bad(line, f"{len(st)} states need as many numeric costs")
         if chain.tabular and not (
             st.dtype.kind == "i" and st.ndim == 1 and 0 <= st.min() and st.max() < chain.n_states
         ):
             raise bad(line, f"states must be integers in 0..{chain.n_states - 1}")
+        states.append(st.astype(np.int64) if chain.tabular else st)
+        costs.append(cost.astype(float))
     if chain.tabular:
-        states = [s.astype(np.int64) for s in states]
         table = _TabularScores(chain, theta, meta["horizon_cap"] if tv else 1, states)
     rollouts = []
-    for i, (rec, st) in enumerate(zip(records, states)):
+    for i, (rec, st, cost) in enumerate(zip(records, states, costs)):
         if chain.tabular:
             scores = table.lazy(i)
         else:
             scores = np.zeros((st.shape[0] - 1, problem.n_params))
             for t in range(scores.shape[0]):
                 scores[t] = chain.score(st[t], st[t + 1], theta, t if tv else 0)
-        costs = np.asarray(rec["costs"], dtype=float)
-        rollouts.append(Rollout(st, costs, scores, rec["end"]))
+        rollouts.append(Rollout(st, cost, scores, rec["end"]))
     return RolloutBatch(rollouts, theta, meta["seed"], meta["mode"], meta["horizon_cap"])
 
 

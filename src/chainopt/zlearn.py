@@ -8,12 +8,26 @@ in the average setting. Z-learning estimates the same fixed point from
 sampled transitions, either walking the baseline or the greedily induced
 chain. A linear-feature parameterization of Z turns the induced chain
 back into a differentiable model usable with every gradient tool here.
+
+The walks train a TabularZ on Python floats. Their uniforms are those of
+successive ``rng.random()`` calls, taken in blocks: one for the start
+state, then per loop step one for a restart from the start law (drawn as
+``Generator.choice(n, p=p0)`` draws it), or for a step one for the
+double-sample target and then one for the successor, both inverse-CDF
+lookups with ``model.sample_index``'s clamp. The greedy walk sums the
+successor weights b Z^gamma left to right and powers with libm ``pow``.
+numpy sums fewer than 8 terms in the same order, so at gamma = 1 and with
+fewer than 8 successors per row the walks are bit-equal to a numpy loop
+(tests/test_zlearn_walks.py keeps one); otherwise the greedy exact-g
+target differs from it by rounding.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,7 +45,6 @@ from .model import (
     WeightedSumCost,
     check_params,
     row_kl,
-    sample_index,
 )
 from .surrogate import FisherMatrix, fisher_matrix, fisher_range, natural_gradient
 
@@ -110,9 +123,6 @@ class LinearFeatureZ:
 
     def z_table(self) -> np.ndarray:
         return np.exp(-(self.features @ self.theta))
-
-    def copy(self) -> "LinearFeatureZ":
-        return LinearFeatureZ(self.features, self.theta.copy(), self.gamma, self.terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +210,10 @@ def lmdp_cost_table(spec: LmdpSpec, P: np.ndarray) -> np.ndarray:
 
 def lmdp_problem(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> Problem:
     """Wrap a candidate chain as an evaluatable fixed-chain problem."""
-    n = spec.n_states
     chain = FixedTabularChain(P, terminal=spec.terminal, n_params=1)
     cost = TableCost(lmdp_cost_table(spec, P), 1)
-    if init_weights is None:
-        init_weights = np.array(
-            [0.0 if x in spec.terminal else 1.0 for x in range(n)]
-        )
-        init_weights = init_weights / init_weights.sum()
-    return Problem(chain, cost, setting, TabularInitial(init_weights))
+    start = _start_law(spec) if init_weights is None else init_weights
+    return Problem(chain, cost, setting, TabularInitial(start))
 
 
 def lmdp_objective(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> float:
@@ -293,11 +298,8 @@ def z_problem(spec: LmdpSpec, features, setting, init_weights=None, gamma: float
     cost = WeightedSumCost(
         [TableCost(spec.state_cost, chain.n_params), KlToFixedChainCost(chain, spec.baseline)]
     )
-    n = spec.n_states
-    if init_weights is None:
-        init_weights = np.array([0.0 if x in spec.terminal else 1.0 for x in range(n)])
-        init_weights = init_weights / init_weights.sum()
-    return Problem(chain, cost, setting, TabularInitial(init_weights))
+    start = _start_law(spec) if init_weights is None else init_weights
+    return Problem(chain, cost, setting, TabularInitial(start))
 
 
 # ---------------------------------------------------------------------------
@@ -324,60 +326,81 @@ def z_bellman_residual(spec: LmdpSpec, z) -> float:
     return float(rel[interior].max()) if interior else 0.0
 
 
-def _init_distribution(spec: LmdpSpec, init_weights):
-    if init_weights is not None:
-        w = np.asarray(init_weights, dtype=float)
-    else:
-        w = np.array([0.0 if x in spec.terminal else 1.0 for x in range(spec.n_states)])
+def _start_law(spec: LmdpSpec, init_weights=None) -> np.ndarray:
+    """init_weights normalized, by default uniform on the interior states."""
+    if init_weights is None:
+        init_weights = [0.0 if x in spec.terminal else 1.0 for x in range(spec.n_states)]
+    w = np.asarray(init_weights, dtype=float)
+    if w.shape != (spec.n_states,) or not np.all(np.isfinite(w) & (w >= 0.0)) or w.sum() <= 0.0:
+        raise InvalidStructureError("init_weights must be one non-negative weight per state")
     return w / w.sum()
 
 
-class _ZUpdater:
-    """Shared update rule: tabular Z-space averaging with positivity floor,
-    or a feature-space gradient step on the squared target error."""
+def _uniforms(rng: np.random.Generator):
+    """The values of successive ``rng.random()`` calls, drawn in blocks."""
+    while True:
+        yield from rng.random(4096).tolist()
 
-    def __init__(self, z, c: float):
-        self.z = z
-        self.c = float(c)
-        self.tabular = isinstance(z, TabularZ)
-        self.visits = np.zeros(z.n_states, dtype=np.int64)
-        self.n_floored = 0
-        self.step_count = 0
-        if self.tabular:
-            self._ztab = z.z_table()
 
-    def z_at(self, x) -> float:
-        if self.tabular:
-            return float(self._ztab[x])
-        return float(np.exp(-(self.z.features[x] @ self.z.theta)))
+def _pick(cum: list, u: float) -> int:
+    """``model.sample_index``, with its clamp, on a Python list."""
+    i = bisect_right(cum, u)
+    return i if i < len(cum) else bisect_left(cum, cum[-1])
 
-    def update(self, x, target):
-        beta = self.c / (self.c + self.visits[x])
-        self.visits[x] += 1
-        self.step_count += 1
-        if self.tabular:
-            new = (1.0 - beta) * self._ztab[x] + beta * target
+
+def _walk(spec: LmdpSpec, z, steps, seed, c, init_weights, record_every, on_record, mode):
+    """The Z-learning loop shared by both walks, on Python floats; mode is
+    "baseline", "exact-g" or "double-sample"."""
+    if not isinstance(z, TabularZ):
+        raise InvalidStructureError(f"Z-learning walks a TabularZ, not a {type(z).__name__}")
+    draw = _uniforms(np.random.default_rng(seed)).__next__
+    cdf0 = np.cumsum(_start_law(spec, init_weights))
+    cdf0 = (cdf0 / cdf0[-1]).tolist()  # the start law as Generator.choice normalizes it
+    base_cums = np.cumsum(spec.baseline, axis=1).tolist()
+    succ = [np.flatnonzero(row > 0.0).tolist() for row in spec.baseline]
+    base_w = [row[sup].tolist() for row, sup in zip(spec.baseline, succ)]
+    exp_neg_r = [math.exp(-r) for r in spec.state_cost.tolist()]
+    terminal = [x in spec.terminal for x in range(spec.n_states)]
+    ztab = z.z_table().tolist()
+    visits = [0] * spec.n_states
+    gamma, c = z.gamma, float(c)
+    n_floored = n_restarts = 0
+    x = bisect_right(cdf0, draw())
+    for k in range(1, steps + 1):
+        if terminal[x]:
+            x = bisect_right(cdf0, draw())
+            n_restarts += 1
+        else:
+            if mode == "baseline":
+                x_next = _pick(base_cums[x], draw())
+                target = exp_neg_r[x] * ztab[x_next] ** gamma
+            else:
+                sup = succ[x]
+                weights = [b * ztab[y] ** gamma for b, y in zip(base_w[x], sup)]
+                total = 0.0
+                for w in weights:
+                    total += w
+                if mode == "exact-g":
+                    target = exp_neg_r[x] * total
+                else:
+                    target = exp_neg_r[x] * ztab[_pick(base_cums[x], draw())] ** gamma
+                x_next = sup[_pick(list(accumulate([w / total for w in weights])), draw())]
+            beta = c / (c + visits[x])
+            visits[x] += 1
+            new = (1.0 - beta) * ztab[x] + beta * target
             if new < _Z_FLOOR:
                 new = _Z_FLOOR
-                self.n_floored += 1
-            self._ztab[x] = new
-        else:
-            zx = self.z_at(x)
-            err = zx - target
-            lr = self.c / (self.c + self.step_count)
-            self.z.theta += lr * err * zx * self.z.features[x]
-
-    def snapshot(self):
-        if self.tabular:
+                n_floored += 1
+            ztab[x] = new
+            x = x_next
+        if record_every and k % record_every == 0 and on_record is not None:
             with np.errstate(divide="ignore"):
-                return TabularZ(-np.log(self._ztab), self.z.gamma, self.z.terminal)
-        return self.z.copy()
-
-    def finish(self):
-        if self.tabular:
-            with np.errstate(divide="ignore"):
-                self.z.energies = -np.log(self._ztab)
-        return self.z
+                snapshot = TabularZ(-np.log(ztab), gamma, z.terminal)
+            on_record(k, snapshot)
+    trained = z.copy()
+    with np.errstate(divide="ignore"):
+        trained.energies = -np.log(ztab)
+    return trained, ZLearnStats(steps, np.array(visits, dtype=np.int64), n_floored, n_restarts)
 
 
 def zlearn_baseline(
@@ -390,32 +413,14 @@ def zlearn_baseline(
     record_every: int = 0,
     on_record=None,
 ) -> tuple:
-    """Train Z from transitions sampled under the baseline chain.
+    """Train a TabularZ from transitions sampled under the baseline chain.
 
     At each visited interior state the target is exp(-r(x)) Z(x')^gamma for
     the sampled successor x'. Episodes restart from the start law whenever
     a terminal state is entered. With record_every > 0, on_record(step,
     snapshot) fires every record_every loop steps. Returns (trained Z, stats).
     """
-    rng = np.random.default_rng(seed)
-    upd = _ZUpdater(z.copy(), c)
-    zz = upd.z
-    p0 = _init_distribution(spec, init_weights)
-    base_cums = np.cumsum(spec.baseline, axis=1)
-    n_restarts = 0
-    x = int(rng.choice(spec.n_states, p=p0))
-    for k in range(steps):
-        if x in spec.terminal:
-            x = int(rng.choice(spec.n_states, p=p0))
-            n_restarts += 1
-        else:
-            x_next = sample_index(base_cums[x], rng.random())
-            target = math.exp(-spec.state_cost[x]) * upd.z_at(x_next) ** zz.gamma
-            upd.update(x, target)
-            x = x_next
-        if record_every and (k + 1) % record_every == 0 and on_record is not None:
-            on_record(k + 1, upd.snapshot())
-    return upd.finish(), ZLearnStats(steps, upd.visits, upd.n_floored, n_restarts)
+    return _walk(spec, z, steps, seed, c, init_weights, record_every, on_record, "baseline")
 
 
 def zlearn_greedy(
@@ -429,7 +434,7 @@ def zlearn_greedy(
     record_every: int = 0,
     on_record=None,
 ) -> tuple:
-    """Train Z while walking the currently induced (greedily tilted) chain.
+    """Train a TabularZ while walking the currently induced (greedily tilted) chain.
 
     Targets: "exact-g" evaluates exp(-r(x)) G[Z^gamma](x) with the known
     baseline row; "double-sample" replaces G by a fresh independent draw
@@ -437,35 +442,7 @@ def zlearn_greedy(
     """
     if mode not in ("exact-g", "double-sample"):
         raise InvalidStructureError(f"unknown integral mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    upd = _ZUpdater(z.copy(), c)
-    zz = upd.z
-    p0 = _init_distribution(spec, init_weights)
-    base_cums = np.cumsum(spec.baseline, axis=1)
-    supports = [np.flatnonzero(row > 0.0) for row in spec.baseline]
-    base_rows = [row[sup] for row, sup in zip(spec.baseline, supports)]
-    n_restarts = 0
-    x = int(rng.choice(spec.n_states, p=p0))
-    for k in range(steps):
-        if x in spec.terminal:
-            x = int(rng.choice(spec.n_states, p=p0))
-            n_restarts += 1
-        else:
-            sup = supports[x]
-            zvals = np.array([upd.z_at(y) for y in sup]) ** zz.gamma
-            weights = base_rows[x] * zvals
-            if mode == "exact-g":
-                target = math.exp(-spec.state_cost[x]) * float(weights.sum())
-            else:
-                y = sample_index(base_cums[x], rng.random())
-                target = math.exp(-spec.state_cost[x]) * upd.z_at(y) ** zz.gamma
-            probs = weights / weights.sum()
-            x_next = int(sup[sample_index(np.cumsum(probs), rng.random())])
-            upd.update(x, target)
-            x = x_next
-        if record_every and (k + 1) % record_every == 0 and on_record is not None:
-            on_record(k + 1, upd.snapshot())
-    return upd.finish(), ZLearnStats(steps, upd.visits, upd.n_floored, n_restarts)
+    return _walk(spec, z, steps, seed, c, init_weights, record_every, on_record, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,15 @@ class TestSerialization:
             (2, "costs", lambda v: v[:-1]),
             (3, "costs", lambda v: v + [0.0]),
             (4, "end", lambda v: "bogus"),
+            (2, "costs", lambda v: _DROP),
+            (3, "states", lambda v: _DROP),
+            (4, "end", lambda v: _DROP),
+            (1, "theta", lambda v: _DROP),
+            (1, "seed", lambda v: _DROP),
+            (2, None, lambda doc: list(doc.values())),
+            (3, "states", lambda v: [v[:2]] + v[1:]),
+            (2, "costs", lambda v: ["x"] + v[1:]),
+            (1, None, lambda doc: "{"),
         ],
         ids=[
             "mode",
@@ -131,13 +140,27 @@ class TestSerialization:
             "cost-missing",
             "cost-extra",
             "end-reason",
+            "no-costs",
+            "no-states",
+            "no-end",
+            "no-theta",
+            "no-seed",
+            "record-is-a-list",
+            "nested-states",
+            "string-cost",
+            "not-json",
         ],
     )
     def test_corrupt_file_is_rejected_naming_the_line(self, tmp_path, line, key, edit):
         prob = random_softmax_problem(FirstExit(), 5, seed=1)
         path = _corrupt_dump(prob, tmp_path, line, key, edit)
-        with pytest.raises(InvalidStructureError, match=f"line {line}:"):
+        with pytest.raises(InvalidStructureError, match=f"{path.name}, line {line}:"):
             batch_from_jsonl(prob, path)
+
+    def test_non_finite_costs_still_load(self, tmp_path):
+        prob = random_softmax_problem(FirstExit(), 5, seed=1)
+        path = _corrupt_dump(prob, tmp_path, 2, "costs", lambda v: [float("nan")] + v[1:])
+        assert np.isnan(batch_from_jsonl(prob, path).rollouts[0].costs[0])
 
     def test_time_varying_file_must_have_the_problem_horizon(self, tmp_path):
         prob = random_timevarying_problem(horizon=4, n_states=4, seed=0)
@@ -146,13 +169,25 @@ class TestSerialization:
             batch_from_jsonl(prob, path)
 
 
+_DROP = object()  # an edit returning this deletes the key
+
+
 def _corrupt_dump(prob, tmp_path, line, key, edit):
-    """Dump a 4-rollout batch with one field of one line edited."""
+    """Dump a 4-rollout batch with one field of one line edited; with key
+    None the edit replaces the whole line's document (a string is written
+    as raw text)."""
     path = tmp_path / "batch.jsonl"
     generate_rollouts(prob, np.zeros(prob.n_params), 4, seed=0).to_jsonl(path)
     docs = [json.loads(text) for text in path.read_text().splitlines()]
-    docs[line - 1][key] = edit(docs[line - 1][key])
-    path.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    doc = docs[line - 1]
+    if key is None:
+        docs[line - 1] = edit(doc)
+    elif edit(doc[key]) is _DROP:
+        del doc[key]
+    else:
+        doc[key] = edit(doc[key])
+    lines = [doc if isinstance(doc, str) else json.dumps(doc) for doc in docs]
+    path.write_text("".join(text + "\n" for text in lines))
     return path
 
 

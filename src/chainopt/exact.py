@@ -9,6 +9,7 @@ every analytic derivative in the package is checked against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -32,18 +33,14 @@ from .model import (
 )
 
 _RESIDUAL_TOL = 1e-10
+# Supports whose structural verdict is remembered. A softmax chain keeps
+# one support at every theta, so a run meets only a few.
+_SUPPORTS_CACHED = 64
 
 
 def _require_tabular(problem: Problem):
     if not problem.chain.tabular:
         raise CapabilityError("exact solvers require a tabular chain")
-
-
-def _nonterminal_mask(chain) -> np.ndarray:
-    mask = np.ones(chain.n_states, dtype=bool)
-    for s in chain.terminal:
-        mask[s] = False
-    return mask
 
 
 def _check_terminal_costs(L: np.ndarray, chain):
@@ -54,15 +51,58 @@ def _check_terminal_costs(L: np.ndarray, chain):
             )
 
 
+def reach_levels(A: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Breadth-first level of every state from the boolean start mask along
+    the boolean adjacency A (edges x -> y where A[x, y]); -1 if unreached."""
+    level = np.full(A.shape[0], -1)
+    frontier, k = start, 0
+    while frontier.any():
+        level[frontier] = k
+        frontier = A[frontier].any(axis=0) & (level < 0)
+        k += 1
+    return level
+
+
+@functools.lru_cache(maxsize=_SUPPORTS_CACHED)
+def _support_fault(n: int, pattern: bytes, terminal: Optional[bytes]) -> Optional[str]:
+    """Fault of the graph with edges packbits(P > 0), or None. With a terminal
+    mask: a state that never reaches it. Without: reducibility (from state 0
+    or back) or a period, the gcd of level(x) + 1 - level(y) on edges x -> y."""
+    A = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n).reshape(n, n).view(bool)
+    if terminal is not None:
+        return "unreached" if np.any(reach_levels(A.T, np.frombuffer(terminal, bool)) < 0) else None
+    start = np.arange(n) == 0
+    level = reach_levels(A, start)
+    if np.any(level < 0) or np.any(reach_levels(A.T, start) < 0):
+        return "chain is reducible: stationary distribution is not unique or not positive"
+    x, y = np.nonzero(A)
+    return "chain is periodic" if np.gcd.reduce(level[x] + 1 - level[y]) != 1 else None
+
+
+def _fault(P: np.ndarray, terminal: Optional[np.ndarray] = None) -> Optional[str]:
+    """The cached verdict for the nonzero pattern of this P, never for the
+    chain's declared support: softmax entries can underflow to zero."""
+    key = None if terminal is None else terminal.tobytes()
+    return _support_fault(P.shape[0], np.packbits(P > 0).tobytes(), key)
+
+
+def _solve(A: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
+    """np.linalg.solve, raising error where A is singular in floating point
+    although the support graph passed, as when rounding drops every exit."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        raise error from None
+
+
 def _live_block(P: np.ndarray, chain, message: str):
-    """Non-terminal mask and the matching block of P, after checking that
-    the block's spectral radius is below one, that is, that the terminal
-    set is reached with probability 1 from every state."""
-    live = _nonterminal_mask(chain)
-    Pnn = P[np.ix_(live, live)]
-    if Pnn.size and not np.max(np.abs(np.linalg.eigvals(Pnn))) < 1.0 - 1e-12:
+    """Non-terminal mask and the matching block of P, after checking on the
+    support graph that the terminal set is reached from every state."""
+    live = np.ones(P.shape[0], dtype=bool)
+    live[list(chain.terminal)] = False
+    if _fault(P, ~live):
         raise ReachabilityError(message)
-    return live, Pnn
+    return live, P[np.ix_(live, live)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,11 +135,10 @@ def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
     n = chain.n_states
     if isinstance(problem.setting, FirstExit):
         _check_terminal_costs(L, chain)
-        live, Pnn = _live_block(
-            P, chain, "terminal set is not reached with probability 1 from every state"
-        )
+        message = "terminal set is not reached with probability 1 from every state"
+        live, Pnn = _live_block(P, chain, message)
         V = np.zeros(n)
-        V[live] = np.linalg.solve(np.eye(Pnn.shape[0]) - Pnn, L[live])
+        V[live] = _solve(np.eye(Pnn.shape[0]) - Pnn, L[live], ReachabilityError(message))
     else:
         V = np.linalg.solve(np.eye(n) - gamma * P, L)
     residual = float(np.max(np.abs(V - (L + gamma * P @ V))))
@@ -112,16 +151,28 @@ def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
 def _average_values(P: np.ndarray, L: np.ndarray):
     """Stationary density d, average cost j and differential values V.
 
-    V = (I - P + 1 d')^{-1} (L - j 1) automatically satisfies the gauge
-    E_d[V] = 0 because d'(I - P + 1 d') = d'.
+    After the support-graph check, one stacked solve gives d'M = 1' and
+    M u = L for M = I - P + 1 1'. Then 1'u = d'L = j and u + j 1 = L + P u,
+    so V = u - (d'u) 1 solves the value equations with E_d[V] = 0.
     """
-    n = P.shape[0]
-    d = stationary_from_matrix(P)
+    fault = _fault(P)
+    if fault:
+        raise ErgodicityError(fault)
+    M = np.eye(P.shape[0]) - P + 1.0
+    rhs = np.stack([np.ones(P.shape[0]), L])[..., None]
+    error = ErgodicityError("chain is reducible: its couplings vanish in floating point")
+    d, u = _solve(np.stack([M.T, M]), rhs, error)[..., 0]
+    if not np.min(d) > 1e-12:
+        raise ErgodicityError("stationary distribution is not fully supported")
+    resid = float(np.max(np.abs(P.T @ d - d)))
+    if not resid <= 1e-9:
+        raise ErgodicityError(f"stationary solve residual {resid} too large")
     j = float(d @ L)
-    V = np.linalg.solve(np.eye(n) - P + np.outer(np.ones(n), d), L - j)
+    V = u - d @ u
     residual = float(np.max(np.abs(V + j - (L + P @ V))))
     gauge = abs(float(d @ V))
-    if not (residual <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))) and gauge <= 1e-9):
+    scale = max(1.0, np.max(np.abs(V)))
+    if not (residual <= _RESIDUAL_TOL * scale and gauge <= 1e-9 * scale):
         raise InvalidStructureError(f"average solve residual {residual}, gauge {gauge}")
     return d, j, V, residual
 
@@ -133,7 +184,8 @@ def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
     for s in chain.terminal:
         P[s, :] = 0.0
     p0 = problem.init.weights
-    rho = np.linalg.solve(np.eye(chain.n_states) - problem.gamma * P.T, p0)
+    error = ReachabilityError("occupancy diverges: terminal set not always reached")
+    rho = _solve(np.eye(chain.n_states) - problem.gamma * P.T, p0, error)
     resid = float(np.max(np.abs(rho - (p0 + problem.gamma * P.T @ rho))))
     if not resid <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(rho))):
         raise InvalidStructureError(f"occupancy residual {resid} too large")
@@ -253,25 +305,10 @@ def stationary_density(problem: Problem, theta) -> np.ndarray:
 
 
 def stationary_from_matrix(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix, with ergodicity checks."""
-    vals, vecs = np.linalg.eig(P.T)
-    close = np.abs(vals - 1.0) < 1e-8
-    if close.sum() == 0:
-        raise ErgodicityError("no stationary distribution found")
-    if close.sum() > 1:
-        raise ErgodicityError("chain is reducible: stationary distribution is not unique")
-    on_circle = (np.abs(np.abs(vals) - 1.0) < 1e-10) & ~close
-    if on_circle.any():
-        raise ErgodicityError("chain is periodic")
-    d = np.real(vecs[:, np.nonzero(close)[0][0]])
-    d = np.abs(d)
-    d = d / d.sum()
-    if np.min(d) <= 1e-12:
-        raise ErgodicityError("stationary distribution is not fully supported")
-    resid = float(np.max(np.abs(P.T @ d - d)))
-    if resid > 1e-9:
-        raise ErgodicityError(f"stationary solve residual {resid} too large")
-    return d
+    """Stationary distribution of a row-stochastic matrix: irreducibility and
+    aperiodicity are decided on the support graph of P, once per support,
+    and d solves d'(I - P + 1 1') = 1'."""
+    return _average_values(P, np.zeros(P.shape[0]))[0]
 
 
 def solve_value_average(problem: Problem, theta) -> AverageCost:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DivergenceUndefinedError, InvalidStructureError
-from .exact import solve, stationary_from_matrix
+from .exact import _average_values, solve
 from .model import (
     Average,
     ChainModel,
@@ -512,19 +512,12 @@ def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting, init=N
     ell_flat = ell.reshape(nsa)
 
     if isinstance(setting, (EpisodicDiscounted, FirstExit)):
-        gamma = setting.gamma
-        Q = np.linalg.solve(np.eye(nsa) - gamma * T, ell_flat)
-        v = np.array([pi[x] @ Q[x * n_a : (x + 1) * n_a] for x in range(n_s)])
-        return v, None
-
-    if isinstance(setting, Average):
-        mu = stationary_from_matrix(T)
-        j = float(mu @ ell_flat)
-        Q = np.linalg.solve(np.eye(nsa) - T + np.outer(np.ones(nsa), mu), ell_flat - j)
-        v = np.array([pi[x] @ Q[x * n_a : (x + 1) * n_a] for x in range(n_s)])
-        return v, j
-
-    raise CapabilityError("action-space evaluation covers stationary settings only")
+        Q, j = np.linalg.solve(np.eye(nsa) - setting.gamma * T, ell_flat), None
+    elif isinstance(setting, Average):
+        _, j, Q, _ = _average_values(T, ell_flat)
+    else:
+        raise CapabilityError("action-space evaluation covers stationary settings only")
+    return np.array([pi[x] @ Q[x * n_a : (x + 1) * n_a] for x in range(n_s)]), j
 
 
 def chain_as_action_mdp(problem: Problem, theta):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidStructureError
+from .exact import reach_levels
 from .mdp import LmdpSpec, SoftmaxPolicy, TabularMdp, map_stochastic_mdp
 from .model import (
     Average,
@@ -205,16 +206,7 @@ def gridworld_lmdp(size: int = 5, seed: int = 0, step_cost: float = 0.002) -> Lm
         if not ok:
             continue
         # goal must be reachable from every free cell
-        reach = {goal}
-        frontier = [goal]
-        into = [np.flatnonzero(P[:, m] > 0) for m in range(n)]
-        while frontier:
-            m = frontier.pop()
-            for src in into[m]:
-                if src not in reach:
-                    reach.add(int(src))
-                    frontier.append(int(src))
-        if len(reach) != n:
+        if np.any(reach_levels(P.T > 0, np.arange(n) == goal) < 0):
             continue
         r = np.full(n, float(step_cost))
         r[goal] = 0.0

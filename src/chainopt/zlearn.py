@@ -212,12 +212,14 @@ def lmdp_problem(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> P
     """Wrap a candidate chain as an evaluatable fixed-chain problem."""
     chain = FixedTabularChain(P, terminal=spec.terminal, n_params=1)
     cost = TableCost(lmdp_cost_table(spec, P), 1)
-    start = _start_law(spec) if init_weights is None else init_weights
-    return Problem(chain, cost, setting, TabularInitial(start))
+    return Problem(chain, cost, setting, TabularInitial(_start_law(spec, init_weights)))
 
 
 def lmdp_objective(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> float:
-    """Objective of a candidate chain; unreachable terminals give +inf."""
+    """Objective of a candidate chain. A chain that leaves the baseline
+    support or never reaches the terminals gives +inf; malformed start
+    weights raise InvalidStructureError."""
+    _start_law(spec, init_weights)  # raises here, outside the try below
     try:
         prob = lmdp_problem(spec, P, setting, init_weights)
         return objective(prob, np.zeros(1))
@@ -298,8 +300,7 @@ def z_problem(spec: LmdpSpec, features, setting, init_weights=None, gamma: float
     cost = WeightedSumCost(
         [TableCost(spec.state_cost, chain.n_params), KlToFixedChainCost(chain, spec.baseline)]
     )
-    start = _start_law(spec) if init_weights is None else init_weights
-    return Problem(chain, cost, setting, TabularInitial(start))
+    return Problem(chain, cost, setting, TabularInitial(_start_law(spec, init_weights)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from chainopt import (
     solve_value_timevarying,
     stationary_density,
 )
-from chainopt import exact
+from chainopt import exact, harness
 from chainopt.harness import parse_config, run_optimize
 from chainopt.mdp import map_stochastic_mdp
 from chainopt.problems import (
@@ -363,21 +363,22 @@ class TestOneSolvePerTheta:
     @pytest.mark.parametrize("method", ["exact-gd", "natural", "chain-iteration"])
     def test_optimizer_solves_once_per_curve_row(self, method, monkeypatch):
         """run_optimize makes one exact solve per curve row, which its
-        objective, gradient, Fisher and exact surrogate share: one
-        reachability check per row, and under exact-gd one P build."""
-        counts = {"transition_matrix": 0, "eigvals": 0}
+        objective, gradient, Fisher and exact surrogate share, and under
+        exact-gd one P build."""
+        counts = {"transition_matrix": 0, "solve": 0}
+        originals = {"transition_matrix": SoftmaxChain.transition_matrix, "solve": exact.solve}
 
-        def count(owner, name):
-            original = getattr(owner, name)
-
-            def counted(*args, **kwargs):
+        def counted(name):
+            def wrapper(*args, **kwargs):
                 counts[name] += 1
-                return original(*args, **kwargs)
+                return originals[name](*args, **kwargs)
 
-            monkeypatch.setattr(owner, name, counted)
+            return wrapper
 
-        count(SoftmaxChain, "transition_matrix")
-        count(np.linalg, "eigvals")
+        monkeypatch.setattr(SoftmaxChain, "transition_matrix", counted("transition_matrix"))
+        # harness binds exact.solve under its own name
+        monkeypatch.setattr(exact, "solve", counted("solve"))
+        monkeypatch.setattr(harness, "solve", counted("solve"))
         config = parse_config(json.dumps({
             "problem": {"kind": "softmax-tabular", "setting": "first-exit",
                         "n_states": 16, "seed": 2},
@@ -386,6 +387,6 @@ class TestOneSolvePerTheta:
         }))
         rows = len(run_optimize(config)["curve"].rows)
         assert rows == 4
-        assert counts["eigvals"] == rows
+        assert counts["solve"] == rows
         if method == "exact-gd":
             assert counts["transition_matrix"] == rows

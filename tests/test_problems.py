@@ -1,6 +1,7 @@
 """Reference problem builders: shapes, structure, and reproducibility."""
 
 import numpy as np
+import pytest
 
 from chainopt import (
     Average,
@@ -11,6 +12,7 @@ from chainopt import (
     fd_gradient_oracle,
     objective,
 )
+from chainopt.mdp import LmdpSpec
 from chainopt.problems import (
     canonical_two_state,
     gaussian_linear_problem,
@@ -117,6 +119,69 @@ class TestGridworld:
         a = gridworld_lmdp(5, seed=0)
         b = gridworld_lmdp(5, seed=1)
         assert a.n_states != b.n_states or not np.array_equal(a.baseline, b.baseline)
+
+    @pytest.mark.parametrize("size", [3, 4, 5, 6])
+    def test_layouts_match_the_inline_search(self, size):
+        """The builder's reachability check is the shared support-graph
+        search; the layouts equal those of the set-based search it replaced,
+        including on seeds where that search rejected a draw."""
+        rejected = 0
+        for seed in range(20):
+            want, disconnected = reference_gridworld(size, seed)
+            rejected += disconnected
+            got = gridworld_lmdp(size, seed)
+            np.testing.assert_array_equal(got.baseline, want.baseline)
+            np.testing.assert_array_equal(got.state_cost, want.state_cost)
+            assert got.terminal == want.terminal
+        assert rejected > 0
+
+
+def reference_gridworld(size, seed, step_cost=0.002):
+    """gridworld_lmdp with its former inline reverse search from the goal
+    over P[:, m] > 0, and the number of draws that search rejected."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    disconnected = 0
+    for _attempt in range(1000):
+        blocked = rng.random((size, size)) < 0.2
+        blocked[0, 0] = False
+        blocked[size - 1, size - 1] = False
+        free = [(i, j) for i in range(size) for j in range(size) if not blocked[i, j]]
+        index = {cell: k for k, cell in enumerate(free)}
+        goal = index[(size - 1, size - 1)]
+        n = len(free)
+        P = np.zeros((n, n))
+        ok = True
+        for (i, j), k in index.items():
+            if k == goal:
+                P[k, k] = 1.0
+                continue
+            nbrs = [index[(i + di, j + dj)]
+                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                    if 0 <= i + di < size and 0 <= j + dj < size
+                    and not blocked[i + di, j + dj]]
+            if not nbrs:
+                ok = False
+                break
+            for m in nbrs:
+                P[k, m] = 1.0 / len(nbrs)
+        if not ok:
+            continue
+        reach = {goal}
+        frontier = [goal]
+        into = [np.flatnonzero(P[:, m] > 0) for m in range(n)]
+        while frontier:
+            m = frontier.pop()
+            for src in into[m]:
+                if src not in reach:
+                    reach.add(int(src))
+                    frontier.append(int(src))
+        if len(reach) != n:
+            disconnected += 1
+            continue
+        r = np.full(n, float(step_cost))
+        r[goal] = 0.0
+        return LmdpSpec(P, r, terminal=[goal]), disconnected
+    raise AssertionError("no connected layout")
 
 
 class TestGaussianLinear:

@@ -82,6 +82,48 @@ class TestFirstExitSolve:
             solve_z_firstexit(LmdpSpec(*spec_args, terminal=[2]))
 
 
+class TestLmdpObjective:
+    def spec_and_chain(self):
+        spec = gridworld_lmdp(3)
+        return spec, induced_chain(spec, solve_z_firstexit(spec))
+
+    def test_start_weights_are_normalized(self):
+        """Weights of any positive sum give the normalized start law, as in
+        the walks; they are not an unreachable-terminal +inf."""
+        spec, P = self.spec_and_chain()
+        w = np.array([0.0 if x in spec.terminal else 1.0 for x in range(spec.n_states)])
+        want = lmdp_objective(spec, P, FirstExit())
+        assert want == pytest.approx(0.0203, abs=1e-4)
+        assert lmdp_objective(spec, P, FirstExit(), w) == pytest.approx(want, rel=1e-14)
+        assert lmdp_objective(spec, P, FirstExit(), w / w.sum()) == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[1.0, 1.0], [-1.0] + [1.0] * 6, [0.0] * 7, [np.nan] + [1.0] * 6],
+        ids=["short", "negative", "zero-sum", "nan"],
+    )
+    def test_malformed_start_weights_raise(self, weights):
+        spec, P = self.spec_and_chain()
+        with pytest.raises(InvalidStructureError, match="init_weights"):
+            lmdp_objective(spec, P, FirstExit(), weights)
+
+    def test_chain_off_the_baseline_support_is_infinite(self):
+        spec = path_spec()
+        P = induced_chain(spec, solve_z_firstexit(spec))
+        P[0] = [0.5, 0.0, 0.5, 0.0, 0.0]
+        assert spec.baseline[0, 2] == 0.0
+        assert lmdp_objective(spec, P, FirstExit()) == np.inf
+
+    def test_unreachable_terminal_is_infinite(self):
+        """States 0 and 1 pass mass only to each other, inside the baseline
+        support; the support graph has no path from them to the goal."""
+        spec = path_spec()
+        P = induced_chain(spec, solve_z_firstexit(spec))
+        P[1] = [1.0, 0.0, 0.0, 0.0, 0.0]
+        P[0] = [0.5, 0.5, 0.0, 0.0, 0.0]
+        assert lmdp_objective(spec, P, FirstExit()) == np.inf
+
+
 class TestAverageSolve:
     def test_eigenpair_and_objective(self):
         spec = ergodic_spec(5, seed=1)

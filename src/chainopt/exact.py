@@ -70,7 +70,8 @@ def _support_fault(n: int, pattern: bytes, terminal: Optional[bytes]) -> Optiona
     or back) or a period, the gcd of level(x) + 1 - level(y) on edges x -> y."""
     A = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n).reshape(n, n).view(bool)
     if terminal is not None:
-        return "unreached" if np.any(reach_levels(A.T, np.frombuffer(terminal, bool)) < 0) else None
+        unreached = reach_levels(A.T, np.frombuffer(terminal, bool)) < 0
+        return "a state does not reach the terminal set" if unreached.any() else None
     start = np.arange(n) == 0
     level = reach_levels(A, start)
     if np.any(level < 0) or np.any(reach_levels(A.T, start) < 0):

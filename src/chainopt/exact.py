@@ -33,8 +33,7 @@ from .model import (
 )
 
 _RESIDUAL_TOL = 1e-10
-# Supports whose structural verdict is remembered. A softmax chain keeps
-# one support at every theta, so a run meets only a few.
+# Supports whose verdict is remembered; a softmax chain keeps one at every theta.
 _SUPPORTS_CACHED = 64
 
 
@@ -52,8 +51,7 @@ def _check_terminal_costs(L: np.ndarray, chain):
 
 
 def reach_levels(A: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Breadth-first level of every state from the boolean start mask along
-    the boolean adjacency A (edges x -> y where A[x, y]); -1 if unreached."""
+    """BFS level of each state from the start mask along edges A[x, y]; -1 if unreached."""
     level = np.full(A.shape[0], -1)
     frontier, k = start, 0
     while frontier.any():
@@ -65,9 +63,9 @@ def reach_levels(A: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_SUPPORTS_CACHED)
 def _support_fault(n: int, pattern: bytes, terminal: Optional[bytes]) -> Optional[str]:
-    """Fault of the graph with edges packbits(P > 0), or None. With a terminal
-    mask: a state that never reaches it. Without: reducibility (from state 0
-    or back) or a period, the gcd of level(x) + 1 - level(y) on edges x -> y."""
+    """Fault of the graph with edges packbits(P > 0), or None: with a terminal mask, a
+    state that never reaches it; without, reducibility or a period, the gcd of
+    level(x) + 1 - level(y) on edges x -> y."""
     A = np.unpackbits(np.frombuffer(pattern, np.uint8), count=n * n).reshape(n, n).view(bool)
     if terminal is not None:
         unreached = reach_levels(A.T, np.frombuffer(terminal, bool)) < 0
@@ -81,15 +79,13 @@ def _support_fault(n: int, pattern: bytes, terminal: Optional[bytes]) -> Optiona
 
 
 def _fault(P: np.ndarray, terminal: Optional[np.ndarray] = None) -> Optional[str]:
-    """The cached verdict for the nonzero pattern of this P, never for the
-    chain's declared support: softmax entries can underflow to zero."""
+    """Cached verdict for the nonzero pattern of this P: entries can underflow to 0."""
     key = None if terminal is None else terminal.tobytes()
     return _support_fault(P.shape[0], np.packbits(P > 0).tobytes(), key)
 
 
 def _solve(A: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
-    """np.linalg.solve, raising error where A is singular in floating point
-    although the support graph passed, as when rounding drops every exit."""
+    """np.linalg.solve, raising error where A is singular in floating point."""
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -152,29 +148,15 @@ def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
 def _average_values(P: np.ndarray, L: np.ndarray):
     """Stationary density d, average cost j and differential values V.
 
-    After the support-graph check, one stacked solve gives d'M = 1' and
-    M u = L for M = I - P + 1 1'. Then 1'u = d'L = j and u + j 1 = L + P u,
-    so V = u - (d'u) 1 solves the value equations with E_d[V] = 0.
-    """
-    fault = _fault(P)
-    if fault:
-        raise ErgodicityError(fault)
-    M = np.eye(P.shape[0]) - P + 1.0
-    rhs = np.stack([np.ones(P.shape[0]), L])[..., None]
-    error = ErgodicityError("chain is reducible: its couplings vanish in floating point")
-    d, u = _solve(np.stack([M.T, M]), rhs, error)[..., 0]
-    if not np.min(d) > 1e-12:
-        raise ErgodicityError("stationary distribution is not fully supported")
-    resid = float(np.max(np.abs(P.T @ d - d)))
-    if not resid <= 1e-9:
-        raise ErgodicityError(f"stationary solve residual {resid} too large")
+    With d'M = 1' and M u = L for M = I - P + 1 1', 1'u = d'L = j and
+    u + j 1 = L + P u, so V = u - (d'u) 1 solves the value equations with
+    E_d[V] = (d'u)(1 - 1'd), which stationary_from_matrix keeps near 0."""
+    d, u = stationary_from_matrix(P, costs=L)
     j = float(d @ L)
     V = u - d @ u
     residual = float(np.max(np.abs(V + j - (L + P @ V))))
-    gauge = abs(float(d @ V))
-    scale = max(1.0, np.max(np.abs(V)))
-    if not (residual <= _RESIDUAL_TOL * scale and gauge <= 1e-9 * scale):
-        raise InvalidStructureError(f"average solve residual {residual}, gauge {gauge}")
+    if not residual <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
+        raise InvalidStructureError(f"average solve residual {residual} too large")
     return d, j, V, residual
 
 
@@ -305,11 +287,28 @@ def stationary_density(problem: Problem, theta) -> np.ndarray:
     return stationary_from_matrix(P)
 
 
-def stationary_from_matrix(P: np.ndarray) -> np.ndarray:
-    """Stationary distribution of a row-stochastic matrix: irreducibility and
-    aperiodicity are decided on the support graph of P, once per support,
-    and d solves d'(I - P + 1 1') = 1'."""
-    return _average_values(P, np.zeros(P.shape[0]))[0]
+def stationary_from_matrix(P: np.ndarray, *, costs: Optional[np.ndarray] = None):
+    """Stationary distribution d of a row-stochastic matrix: irreducibility
+    and aperiodicity are decided on the support graph of P, once per support,
+    and d solves d'M = 1' for M = I - P + 1 1'. Given a cost table, returns
+    (d, u) with M u = costs from the same stacked solve."""
+    fault = _fault(P)
+    if fault:
+        raise ErgodicityError(fault)
+    n = P.shape[0]
+    M = np.eye(n) - P + 1.0
+    rhs = np.stack([np.ones(n), np.zeros(n) if costs is None else costs])[..., None]
+    error = ErgodicityError("chain is reducible: its couplings vanish in floating point")
+    d, u = _solve(np.stack([M.T, M]), rhs, error)[..., 0]
+    if not np.min(d) > 1e-12:
+        raise ErgodicityError("stationary distribution is not fully supported")
+    # 1'd = 1 - d'(1 - P 1)/n, so a gap above the models' row-sum tolerance is a fault
+    if not abs(1.0 - d.sum()) <= 1e-9:
+        raise InvalidStructureError(f"stationary density sums to {d.sum()}, not 1")
+    resid = float(np.max(np.abs(P.T @ d - d)))
+    if not resid <= 1e-9:
+        raise ErgodicityError(f"stationary solve residual {resid} too large")
+    return d if costs is None else (d, u)
 
 
 def solve_value_average(problem: Problem, theta) -> AverageCost:

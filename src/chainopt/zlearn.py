@@ -210,19 +210,21 @@ def lmdp_cost_table(spec: LmdpSpec, P: np.ndarray) -> np.ndarray:
 
 def lmdp_problem(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> Problem:
     """Wrap a candidate chain as an evaluatable fixed-chain problem."""
+    return _lmdp_problem(spec, P, setting, _start_law(spec, init_weights))
+
+
+def _lmdp_problem(spec: LmdpSpec, P: np.ndarray, setting, start: np.ndarray) -> Problem:
     chain = FixedTabularChain(P, terminal=spec.terminal, n_params=1)
     cost = TableCost(lmdp_cost_table(spec, P), 1)
-    return Problem(chain, cost, setting, TabularInitial(_start_law(spec, init_weights)))
+    return Problem(chain, cost, setting, TabularInitial(start))
 
 
 def lmdp_objective(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) -> float:
-    """Objective of a candidate chain. A chain that leaves the baseline
-    support or never reaches the terminals gives +inf; malformed start
-    weights raise InvalidStructureError."""
-    _start_law(spec, init_weights)  # raises here, outside the try below
+    """Objective of a candidate chain; +inf for a chain off the baseline support
+    or with unreachable terminals. Malformed start weights raise."""
+    start = _start_law(spec, init_weights)
     try:
-        prob = lmdp_problem(spec, P, setting, init_weights)
-        return objective(prob, np.zeros(1))
+        return objective(_lmdp_problem(spec, P, setting, start), np.zeros(1))
     except (ReachabilityError, InvalidStructureError):
         return np.inf
 

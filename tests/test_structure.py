@@ -24,6 +24,7 @@ from chainopt import (
     ExactSurrogate,
     FirstExit,
     FixedTabularChain,
+    InvalidStructureError,
     Problem,
     ReachabilityError,
     TableCost,
@@ -116,21 +117,43 @@ def decoupled_chain(eps):
 
 @pytest.mark.parametrize("k", [8, 9])
 def test_near_decoupled_chain_is_solved(k):
-    """An eigenvalue 1 - O(eps) sits next to the stationary one. The solve
-    returns the exact law up to the chain's conditioning: rounding P to
-    floats moves d by about unit roundoff / eps, because the halves
-    exchange mass at rate eps."""
+    """An eigenvalue 1 - O(eps) sits next to the stationary one. Rounding P
+    to floats moves the exact law by about 1e-17, since the law depends
+    only on the off-diagonal entries of P. The LU solve of I - P + 1 1',
+    whose condition number grows as 1/eps, is what loses accuracy: d is off
+    by 2.2e-9 at eps = 1e-8 and 8.5e-9 at eps = 1e-9, j by 7.8e-9 and
+    6.2e-8. The bounds are about three times those errors."""
+    d_tol, j_tol = {8: (1e-8, 3e-8), 9: (3e-8, 2e-7)}[k]
     eps = Fraction(1, 10**k)
     Pq = decoupled_chain(eps)
     law = rational_law(Pq)
     P = np.array(Pq, dtype=float)
-    tol = np.finfo(float).eps / float(eps)
     np.testing.assert_allclose(stationary_from_matrix(P), np.array(law, dtype=float),
-                               rtol=0, atol=tol)
+                               rtol=0, atol=d_tol)
     L = np.array([1.0, 2.0, 3.0, 4.0])
     prob = Problem(FixedTabularChain(P), TableCost(L), Average(), None)
     j = sum(w * Fraction(c) for w, c in zip(law, L))
-    assert abs(objective(prob, np.zeros(0)) - float(j)) <= tol * L.max()
+    assert abs(objective(prob, np.zeros(0)) - float(j)) <= j_tol
+
+
+def test_stacked_solve_gives_d_and_the_cost_solution():
+    """With a cost table, stationary_from_matrix returns the same d and the
+    solution u of (I - P + 1 1') u = L, whose entries sum to j = d'L."""
+    P = np.array(decoupled_chain(Fraction(1, 10)), dtype=float)
+    L = np.array([1.0, 2.0, 3.0, 4.0])
+    d, u = stationary_from_matrix(P, costs=L)
+    np.testing.assert_array_equal(d, stationary_from_matrix(P))
+    np.testing.assert_allclose((np.eye(4) - P + 1.0) @ u, L, rtol=0, atol=1e-13)
+    assert u.sum() == pytest.approx(d @ L, abs=1e-13)
+
+
+def test_density_that_does_not_sum_to_one_is_refused():
+    """For the solved d, 1'd = 1 - d'(1 - P 1)/n: rows that do not sum to
+    one show up as a density off the simplex."""
+    P = np.array(decoupled_chain(Fraction(1, 10)), dtype=float)
+    P[0] *= 1.001
+    with pytest.raises(InvalidStructureError, match="stationary density sums to"):
+        stationary_from_matrix(P)
 
 
 # ---------------------------------------------------------------------------

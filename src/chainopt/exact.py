@@ -35,6 +35,9 @@ from .model import (
 _RESIDUAL_TOL = 1e-10
 # Supports whose verdict is remembered; a softmax chain keeps one at every theta.
 _SUPPORTS_CACHED = 64
+# Bytes of P in one stacked solve of the finite-difference oracle: enough
+# probes to spread the per-call overhead, few enough to keep peak memory flat.
+_PROBE_STACK_BYTES = 64 * 1024
 
 
 def _require_tabular(problem: Problem):
@@ -42,11 +45,47 @@ def _require_tabular(problem: Problem):
         raise CapabilityError("exact solvers require a tabular chain")
 
 
+def _params(theta, n_params: int) -> np.ndarray:
+    """check_params for a vector, or for every row of a (k, n_params) stack."""
+    th = np.asarray(theta, dtype=float)
+    if th.ndim != 2 or th.shape[1] != n_params:
+        return check_params(th, n_params)
+    if not np.all(np.isfinite(th)):
+        raise InvalidStructureError("parameter vector contains non-finite entries")
+    return th
+
+
+def _at_each(table, theta: np.ndarray, *args) -> np.ndarray:
+    """table(theta, *args), or its values at the rows of a stack of theta, stacked."""
+    if theta.ndim == 1:
+        return table(theta, *args)
+    return np.stack([table(th, *args) for th in theta])
+
+
+def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v, over any leading stack axes of A and v."""
+    return (A @ v[..., None])[..., 0]
+
+
+def _first_failing(ok, values):
+    """The entry of values where the check ok first fails."""
+    return np.extract(~ok, values)[0]
+
+
+def _check_residual(residual, values: np.ndarray, name: str):
+    """Each residual must be at most _RESIDUAL_TOL times the scale of its
+    values, max(1, max |v|); written so that a NaN residual fails too."""
+    ok = residual <= _RESIDUAL_TOL * np.maximum(1.0, np.abs(values).max(axis=-1))
+    if not ok.all():
+        raise InvalidStructureError(f"{name} residual {_first_failing(ok, residual)} too large")
+
+
 def _check_terminal_costs(L: np.ndarray, chain):
     for s in chain.terminal:
-        if abs(L[s]) > 1e-12:
+        ok = np.abs(L[..., s]) <= 1e-12
+        if not ok.all():
             raise InvalidStructureError(
-                f"terminal state {s} must have zero cost, found {L[s]}"
+                f"terminal state {s} must have zero cost, found {_first_failing(ok, L[..., s])}"
             )
 
 
@@ -79,27 +118,36 @@ def _support_fault(n: int, pattern: bytes, terminal: Optional[bytes]) -> Optiona
 
 
 def _fault(P: np.ndarray, terminal: Optional[np.ndarray] = None) -> Optional[str]:
-    """Cached verdict for the nonzero pattern of this P: entries can underflow to 0."""
+    """Cached verdict for the nonzero pattern of this P, or the first fault
+    among those of each P of a stack: entries can underflow to 0."""
+    n = P.shape[-1]
     key = None if terminal is None else terminal.tobytes()
-    return _support_fault(P.shape[0], np.packbits(P > 0).tobytes(), key)
+    for pattern in np.packbits((P > 0).reshape(-1, n * n), axis=1):
+        fault = _support_fault(n, pattern.tobytes(), key)
+        if fault:
+            return fault
+    return None
 
 
 def _solve(A: np.ndarray, b: np.ndarray, error: Exception) -> np.ndarray:
-    """np.linalg.solve, raising error where A is singular in floating point."""
+    """x with A x = b over any leading stack axes, raising error where an A is
+    singular in floating point."""
     try:
-        return np.linalg.solve(A, b)
+        return np.linalg.solve(A, b[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise error from None
 
 
 def _live_block(P: np.ndarray, chain, message: str):
-    """Non-terminal mask and the matching block of P, after checking on the
-    support graph that the terminal set is reached from every state."""
-    live = np.ones(P.shape[0], dtype=bool)
+    """Non-terminal mask and the matching block of P (of each P of a stack),
+    after checking on the support graph that the terminal set is reached
+    from every state."""
+    live = np.ones(P.shape[-1], dtype=bool)
     live[list(chain.terminal)] = False
     if _fault(P, ~live):
         raise ReachabilityError(message)
-    return live, P[np.ix_(live, live)]
+    idx = np.flatnonzero(live)
+    return live, P[..., idx[:, None], idx]
 
 
 # ---------------------------------------------------------------------------
@@ -107,56 +155,57 @@ def _live_block(P: np.ndarray, chain, message: str):
 # ---------------------------------------------------------------------------
 
 
-def _setup(problem: Problem, theta, settings, message: str) -> np.ndarray:
+def _setup(problem: Problem, theta, settings, message: str, stack=False) -> np.ndarray:
     _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
+    theta = (_params if stack else check_params)(theta, problem.n_params)
     if not isinstance(problem.setting, settings):
         raise InvalidStructureError(message)
     return theta
 
 
 def _build(problem: Problem, theta: np.ndarray):
-    """Transition matrix and step-cost table at theta."""
-    P = problem.chain.transition_matrix(theta)
-    if not np.all(np.isfinite(P)):
+    """Transition matrix and step-cost table at theta, or their stacks over
+    the rows of a stack of theta."""
+    P = _at_each(problem.chain.transition_matrix, theta)
+    if not np.isfinite(P).all():
         raise InvalidStructureError("transition matrix contains non-finite entries")
-    L = problem.cost.value_table(theta)
-    if not np.all(np.isfinite(L)):
+    L = _at_each(problem.cost.value_table, theta)
+    if not np.isfinite(L).all():
         raise InvalidStructureError("cost table contains non-finite entries")
     return P, L
 
 
 def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
-    """V = L + gamma P V, with the first-exit reachability check."""
+    """V = L + gamma P V, with the first-exit reachability check; P and L
+    may carry a leading stack axis, and every check runs on each solve."""
     chain, gamma = problem.chain, problem.gamma
-    n = chain.n_states
     if isinstance(problem.setting, FirstExit):
         _check_terminal_costs(L, chain)
         message = "terminal set is not reached with probability 1 from every state"
         live, Pnn = _live_block(P, chain, message)
-        V = np.zeros(n)
-        V[live] = _solve(np.eye(Pnn.shape[0]) - Pnn, L[live], ReachabilityError(message))
+        V = np.zeros(L.shape)
+        V[..., live] = _solve(
+            np.eye(Pnn.shape[-1]) - Pnn, L[..., live], ReachabilityError(message)
+        )
     else:
-        V = np.linalg.solve(np.eye(n) - gamma * P, L)
-    residual = float(np.max(np.abs(V - (L + gamma * P @ V))))
-    # written so that a NaN residual fails too
-    if not residual <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
-        raise InvalidStructureError(f"value solve residual {residual} too large")
+        V = np.linalg.solve(np.eye(chain.n_states) - gamma * P, L[..., None])[..., 0]
+    residual = np.abs(V - (L + gamma * _apply(P, V))).max(axis=-1)
+    _check_residual(residual, V, "value solve")
     return V, residual
 
 
 def _average_values(P: np.ndarray, L: np.ndarray):
-    """Stationary density d, average cost j and differential values V.
+    """Stationary density d, average cost j and differential values V, of
+    one chain or of each chain of a stack.
 
     With d'M = 1' and M u = L for M = I - P + 1 1', 1'u = d'L = j and
     u + j 1 = L + P u, so V = u - (d'u) 1 solves the value equations with
     E_d[V] = (d'u)(1 - 1'd), which stationary_from_matrix keeps near 0."""
     d, u = stationary_from_matrix(P, costs=L)
-    j = float(d @ L)
-    V = u - d @ u
-    residual = float(np.max(np.abs(V + j - (L + P @ V))))
-    if not residual <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(V))):
-        raise InvalidStructureError(f"average solve residual {residual} too large")
+    j = np.sum(d * L, axis=-1)
+    V = u - np.sum(d * u, axis=-1)[..., None]
+    residual = np.abs(V + j[..., None] - (L + _apply(P, V))).max(axis=-1)
+    _check_residual(residual, V, "average solve")
     return d, j, V, residual
 
 
@@ -169,9 +218,7 @@ def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
     p0 = problem.init.weights
     error = ReachabilityError("occupancy diverges: terminal set not always reached")
     rho = _solve(np.eye(chain.n_states) - problem.gamma * P.T, p0, error)
-    resid = float(np.max(np.abs(rho - (p0 + problem.gamma * P.T @ rho))))
-    if not resid <= _RESIDUAL_TOL * max(1.0, np.max(np.abs(rho))):
-        raise InvalidStructureError(f"occupancy residual {resid} too large")
+    _check_residual(np.abs(rho - (p0 + problem.gamma * P.T @ rho)).max(), rho, "occupancy")
     return rho
 
 
@@ -216,7 +263,15 @@ def solve(problem: Problem, theta) -> Solution:
     problem at theta. This is the one place that pairs visitation weights
     and values with a setting."""
     _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
+    sol = _solve_at(problem, check_params(theta, problem.n_params))
+    sol.J, sol.residual = float(sol.J), float(sol.residual)
+    return sol
+
+
+def _solve_at(problem: Problem, theta: np.ndarray) -> Solution:
+    """solve at a checked theta; at a (k, n_params) stack of theta, the
+    Solution's arrays and numbers stack the k solves, each put through
+    every check of a single solve."""
     setting = problem.setting
     if isinstance(setting, TimeVarying):
         raise CapabilityError(
@@ -231,7 +286,7 @@ def solve(problem: Problem, theta) -> Solution:
         d, j, V, residual = _average_values(P, L)
         return Solution(problem, theta, P, L, V, problem.gamma, j, residual, d)
     V, residual = _episodic_values(problem, P, L)
-    J = float(problem.init.weights @ V)
+    J = V @ problem.init.weights
     return Solution(problem, theta, P, L, V, problem.gamma, J, residual)
 
 
@@ -291,23 +346,29 @@ def stationary_from_matrix(P: np.ndarray, *, costs: Optional[np.ndarray] = None)
     """Stationary distribution d of a row-stochastic matrix: irreducibility
     and aperiodicity are decided on the support graph of P, once per support,
     and d solves d'M = 1' for M = I - P + 1 1'. Given a cost table, returns
-    (d, u) with M u = costs from the same stacked solve."""
+    (d, u) with M u = costs from the same stacked solve. P may be a stack of
+    matrices, with costs stacked alike; every check then runs on each."""
     fault = _fault(P)
     if fault:
         raise ErgodicityError(fault)
-    n = P.shape[0]
-    M = np.eye(n) - P + 1.0
-    rhs = np.stack([np.ones(n), np.zeros(n) if costs is None else costs])[..., None]
+    M = np.eye(P.shape[-1]) - P + 1.0
+    rhs = np.zeros((2,) + P.shape[:-1])
+    rhs[0] = 1.0
+    if costs is not None:
+        rhs[1] = costs
     error = ErgodicityError("chain is reducible: its couplings vanish in floating point")
-    d, u = _solve(np.stack([M.T, M]), rhs, error)[..., 0]
-    if not np.min(d) > 1e-12:
+    d, u = _solve(np.stack([np.swapaxes(M, -1, -2), M]), rhs, error)
+    if not d.min() > 1e-12:
         raise ErgodicityError("stationary distribution is not fully supported")
     # 1'd = 1 - d'(1 - P 1)/n, so a gap above the models' row-sum tolerance is a fault
-    if not abs(1.0 - d.sum()) <= 1e-9:
-        raise InvalidStructureError(f"stationary density sums to {d.sum()}, not 1")
-    resid = float(np.max(np.abs(P.T @ d - d)))
-    if not resid <= 1e-9:
-        raise ErgodicityError(f"stationary solve residual {resid} too large")
+    total = d.sum(axis=-1)
+    ok = np.abs(1.0 - total) <= 1e-9
+    if not ok.all():
+        raise InvalidStructureError(f"stationary density sums to {_first_failing(ok, total)}, not 1")
+    resid = np.abs(_apply(np.swapaxes(P, -1, -2), d) - d).max(axis=-1)
+    ok = resid <= 1e-9
+    if not ok.all():
+        raise ErgodicityError(f"stationary solve residual {_first_failing(ok, resid)} too large")
     return d if costs is None else (d, u)
 
 
@@ -319,16 +380,18 @@ def solve_value_average(problem: Problem, theta) -> AverageCost:
 
 
 def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
-    """Backward recursion V_t = L_t + P_t V_{t+1}; returns (T+1, n_states)."""
-    theta = _setup(problem, theta, TimeVarying, "time-varying solver needs a time-varying setting")
+    """Backward recursion V_t = L_t + P_t V_{t+1}; returns (T+1, n_states),
+    or (k, T+1, n_states) for a (k, n_params) stack of theta."""
+    theta = _setup(
+        problem, theta, TimeVarying, "time-varying solver needs a time-varying setting", stack=True
+    )
     chain, cost = problem.chain, problem.cost
     T = problem.setting.horizon
-    n = chain.n_states
-    V = np.zeros((T + 1, n))
-    V[T] = cost.value_table(theta, T)
+    V = np.zeros(theta.shape[:-1] + (T + 1, chain.n_states))
+    V[..., T, :] = _at_each(cost.value_table, theta, T)
     for t in range(T - 1, -1, -1):
-        P = chain.transition_matrix(theta, t)
-        V[t] = cost.value_table(theta, t) + P @ V[t + 1]
+        P = _at_each(chain.transition_matrix, theta, t)
+        V[..., t, :] = _at_each(cost.value_table, theta, t) + _apply(P, V[..., t + 1, :])
     return V
 
 
@@ -362,12 +425,16 @@ def discounted_occupancy(problem: Problem, theta) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def objective(problem: Problem, theta) -> float:
-    """Expected accumulated cost under the setting's semantics."""
+def objective(problem: Problem, theta):
+    """Expected accumulated cost under the setting's semantics. At a
+    (k, n_params) stack of theta, the k objectives from stacked solves,
+    each put through every check of a single solve."""
     if isinstance(problem.setting, TimeVarying):
-        V = solve_value_timevarying(problem, theta)
-        return float(problem.init.weights @ V[0])
-    return solve(problem, theta).J
+        J = solve_value_timevarying(problem, theta)[..., 0, :] @ problem.init.weights
+    else:
+        _require_tabular(problem)
+        J = _solve_at(problem, _params(theta, problem.n_params)).J
+    return J if np.ndim(J) else float(J)
 
 
 def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None) -> np.ndarray:
@@ -494,8 +561,37 @@ def fd_hessian(fn, theta, h=1e-4) -> np.ndarray:
 
 
 def fd_gradient_oracle(problem: Problem, theta, h=1e-6) -> np.ndarray:
-    """Finite-difference gradient of the exact objective."""
-    return fd_gradient(lambda th: objective(problem, th), theta, h)
+    """Finite-difference gradient of the exact objective.
+
+    The probes and steps are fd_gradient's, up and down at each coordinate
+    in turn. They are solved in stacked chunks of at most 64 KiB of P, with
+    each probe's P and L built by the model and put through every check of a
+    single solve. A chunk that raises or gives a non-finite objective is
+    re-probed one theta at a time, so a ProbeError names the coordinate and
+    cause that fd_gradient would.
+    """
+    theta = np.asarray(theta, dtype=float)
+    p = theta.shape[0]
+    steps = h * (1.0 + np.abs(theta))
+    n = problem.chain.n_states or 1  # None off the tabular chains, whose probes all fail
+    size = max(1, _PROBE_STACK_BYTES // (8 * n * n))
+    J = np.empty(2 * p)
+    for start in range(0, 2 * p, size):
+        rows = np.arange(start, min(start + size, 2 * p))
+        coords = rows // 2
+        probes = np.repeat(theta[None], rows.size, axis=0)
+        probes[np.arange(rows.size), coords] += np.where(rows % 2, -steps[coords], steps[coords])
+        try:
+            values = objective(problem, probes)
+        except Exception:  # the failing probe raises again when re-probed alone
+            values = None
+        if values is None or not np.all(np.isfinite(values)):
+            values = [
+                _probe(lambda th: objective(problem, th), th, int(i))
+                for th, i in zip(probes, coords)
+            ]
+        J[rows] = values
+    return (J[0::2] - J[1::2]) / (2.0 * steps)
 
 
 def fd_hessian_oracle(problem: Problem, theta, h=1e-4) -> np.ndarray:

@@ -52,7 +52,6 @@ from .problems import (
 )
 from .rollout import (
     FeatureMap,
-    batch_steps,
     effective_gamma,
     estimate_gradient,
     fit_value_approx,
@@ -602,7 +601,7 @@ class _AdamState:
 
 
 def _batch_j_estimate(problem, batch):
-    steps = batch_steps(batch, effective_gamma(problem, batch))
+    steps = batch.steps(effective_gamma(problem, batch))
     vals = steps.returns[steps.first]
     stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
     return float(vals.mean()), stderr

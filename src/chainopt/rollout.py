@@ -196,9 +196,18 @@ class RolloutBatch:
     mode: str
     horizon_cap: int
     n_diverged: int = 0
+    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __len__(self):
         return len(self.rollouts)
+
+    def steps(self, gamma: float) -> "BatchSteps":
+        """batch_steps(self, gamma), built once per gamma and shared, so not to
+        be modified: the estimators and the value fit read the same batch,
+        often at different iterations."""
+        if gamma not in self._steps:
+            self._steps[gamma] = batch_steps(self, gamma)
+        return self._steps[gamma]
 
     @property
     def n_truncated(self) -> int:
@@ -601,7 +610,7 @@ def fit_value_approx(
     the weights are first summed per visited state, so the features are
     read once per visited state.
     """
-    steps = batch_steps(batch, effective_gamma(problem, batch))
+    steps = batch.steps(effective_gamma(problem, batch))
     w, wR = steps.weights, steps.weights * steps.returns
     if problem.chain.tabular:
         n = problem.chain.n_states
@@ -676,7 +685,7 @@ def estimate_gradient(
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
     gamma = effective_gamma(problem, batch)
-    steps = batch_steps(batch, gamma)
+    steps = batch.steps(gamma)
     if not steps.rollouts:
         raise InvalidStructureError("no valid rollouts in the batch")
     if problem.chain.tabular:

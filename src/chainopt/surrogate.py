@@ -26,7 +26,6 @@ from .model import Average, Problem, TimeVarying, check_params
 from .rollout import (
     RolloutBatch,
     ValueApprox,
-    batch_steps,
     baseline_expected_values,
     check_batch,
     effective_gamma,
@@ -145,7 +144,7 @@ class SampledSurrogate:
         chain = problem.chain
         self.tabular = chain.tabular
 
-        steps = batch_steps(batch, self.gamma)
+        steps = batch.steps(self.gamma)
         if not steps.rollouts:
             raise CapabilityError("batch has no usable rollouts")
         self.n_valid = len(steps.rollouts)

@@ -219,6 +219,33 @@ class TestOptimizeRunner:
         theta = json.loads((tmp_path / "theta.json").read_text())
         assert len(theta["theta"]) == 2
 
+    @pytest.mark.parametrize("method", ["alg1-sgd", "pco"])
+    def test_each_batch_is_flattened_once(self, method, monkeypatch):
+        """The gradient estimate (or sampled surrogate) reads a batch at its
+        iteration and the value fit reads it again at the next one; both
+        share one batch_steps per batch."""
+        from chainopt import harness, rollout
+
+        batches, flattened = [], []
+        generate, flatten = rollout.generate_rollouts, rollout.batch_steps
+        monkeypatch.setattr(
+            harness, "generate_rollouts", lambda *a, **k: batches.append(generate(*a, **k))
+            or batches[-1]
+        )
+        monkeypatch.setattr(
+            rollout, "batch_steps", lambda b, gamma: flattened.append(b) or flatten(b, gamma)
+        )
+        cfg = config_for(
+            problem={"setting": "first-exit", "n_states": 8, "seed": 2},
+            algorithm={"method": method, "iterations": 3, "batch_size": 64,
+                       "step_size": 0.05, "inner_iterations": 2},
+        )
+        run_optimize(cfg)
+        assert len(batches) == 4
+        # pco builds no surrogate at the last iteration, so nothing reads its last batch
+        read = batches if method == "alg1-sgd" else batches[:-1]
+        assert [id(b) for b in flattened] == [id(b) for b in read]
+
     def test_zero_iterations_single_row(self, tmp_path):
         cfg = canonical_config(iterations=0)
         report = run_optimize(cfg, out_dir=tmp_path)

@@ -29,6 +29,7 @@ from .model import (
     Problem,
     TabularInitial,
     TimeVarying,
+    check_param_stack,
     check_params,
 )
 
@@ -43,23 +44,6 @@ _PROBE_STACK_BYTES = 64 * 1024
 def _require_tabular(problem: Problem):
     if not problem.chain.tabular:
         raise CapabilityError("exact solvers require a tabular chain")
-
-
-def _params(theta, n_params: int) -> np.ndarray:
-    """check_params for a vector, or for every row of a (k, n_params) stack."""
-    th = np.asarray(theta, dtype=float)
-    if th.ndim != 2 or th.shape[1] != n_params:
-        return check_params(th, n_params)
-    if not np.all(np.isfinite(th)):
-        raise InvalidStructureError("parameter vector contains non-finite entries")
-    return th
-
-
-def _at_each(table, theta: np.ndarray, *args) -> np.ndarray:
-    """table(theta, *args), or its values at the rows of a stack of theta, stacked."""
-    if theta.ndim == 1:
-        return table(theta, *args)
-    return np.stack([table(th, *args) for th in theta])
 
 
 def _apply(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -157,22 +141,38 @@ def _live_block(P: np.ndarray, chain, message: str):
 
 def _setup(problem: Problem, theta, settings, message: str, stack=False) -> np.ndarray:
     _require_tabular(problem)
-    theta = (_params if stack else check_params)(theta, problem.n_params)
+    theta = (check_param_stack if stack else check_params)(theta, problem.n_params)
     if not isinstance(problem.setting, settings):
         raise InvalidStructureError(message)
     return theta
 
 
-def _build(problem: Problem, theta: np.ndarray):
-    """Transition matrix and step-cost table at theta, or their stacks over
-    the rows of a stack of theta."""
-    P = _at_each(problem.chain.transition_matrix, theta)
-    if not np.isfinite(P).all():
-        raise InvalidStructureError("transition matrix contains non-finite entries")
-    L = _at_each(problem.cost.value_table, theta)
-    if not np.isfinite(L).all():
-        raise InvalidStructureError("cost table contains non-finite entries")
-    return P, L
+def _table(model, method: str, theta: np.ndarray, t: int, shape: tuple, what: str):
+    """model.method(theta, t), refused unless it has the given shape and
+    finite entries: a model that ignores the stack axes of theta is never
+    broadcast over them."""
+    table = getattr(model, method)(theta, t)
+    if np.shape(table) != shape:
+        raise InvalidStructureError(
+            f"{type(model).__name__}.{method} returned shape {np.shape(table)}, expected {shape}"
+        )
+    if not np.isfinite(table).all():
+        raise InvalidStructureError(f"{what} contains non-finite entries")
+    return table
+
+
+def _cost_table(problem: Problem, theta: np.ndarray, t: int = 0) -> np.ndarray:
+    shape = theta.shape[:-1] + (problem.chain.n_states,)
+    return _table(problem.cost, "value_table", theta, t, shape, "cost table")
+
+
+def _build(problem: Problem, theta: np.ndarray, t: int = 0):
+    """Transition matrix and step-cost table at theta and stage t, or their
+    stacks over the rows of a stack of theta, from one call to each model."""
+    n = problem.chain.n_states
+    shape = theta.shape[:-1] + (n, n)
+    P = _table(problem.chain, "transition_matrix", theta, t, shape, "transition matrix")
+    return P, _cost_table(problem, theta, t)
 
 
 def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
@@ -385,13 +385,12 @@ def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
     theta = _setup(
         problem, theta, TimeVarying, "time-varying solver needs a time-varying setting", stack=True
     )
-    chain, cost = problem.chain, problem.cost
     T = problem.setting.horizon
-    V = np.zeros(theta.shape[:-1] + (T + 1, chain.n_states))
-    V[..., T, :] = _at_each(cost.value_table, theta, T)
+    V = np.zeros(theta.shape[:-1] + (T + 1, problem.chain.n_states))
+    V[..., T, :] = _cost_table(problem, theta, T)
     for t in range(T - 1, -1, -1):
-        P = _at_each(chain.transition_matrix, theta, t)
-        V[..., t, :] = _at_each(cost.value_table, theta, t) + _apply(P, V[..., t + 1, :])
+        P, L = _build(problem, theta, t)
+        V[..., t, :] = L + _apply(P, V[..., t + 1, :])
     return V
 
 
@@ -433,7 +432,7 @@ def objective(problem: Problem, theta):
         J = solve_value_timevarying(problem, theta)[..., 0, :] @ problem.init.weights
     else:
         _require_tabular(problem)
-        J = _solve_at(problem, _params(theta, problem.n_params)).J
+        J = _solve_at(problem, check_param_stack(theta, problem.n_params)).J
     return J if np.ndim(J) else float(J)
 
 
@@ -564,9 +563,11 @@ def fd_gradient_oracle(problem: Problem, theta, h=1e-6) -> np.ndarray:
     """Finite-difference gradient of the exact objective.
 
     The probes and steps are fd_gradient's, up and down at each coordinate
-    in turn. They are solved in stacked chunks of at most 64 KiB of P, with
-    each probe's P and L built by the model and put through every check of a
-    single solve. A chunk that raises or gives a non-finite objective is
+    in turn. They are solved in stacked chunks of at most 64 KiB of P. Each
+    chunk's P and L come from one stacked table call to the chain and one
+    to the cost (per stage, in the time-varying setting), and every check
+    of a single solve runs on each probe. A chunk that raises, as it does
+    when a model ignores the stack axis, or gives a non-finite objective is
     re-probed one theta at a time, so a ProbeError names the coordinate and
     cause that fd_gradient would.
     """

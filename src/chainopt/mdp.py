@@ -132,9 +132,12 @@ class SoftmaxPolicy:
         return e / e.sum()
 
     def table(self, theta) -> np.ndarray:
-        z = np.asarray(theta, dtype=float).reshape(self.n_states, self.n_actions)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        """(n_states, n_actions) action probabilities; stacked alike,
+        (..., n_states, n_actions), at theta of shape (..., n_params)."""
+        z = np.asarray(theta, dtype=float)
+        z = z.reshape(z.shape[:-1] + (self.n_states, self.n_actions))
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return e / e.sum(axis=-1, keepdims=True)
 
     def jac_block(self, x: int, theta) -> np.ndarray:
         """d pi(.|x) / d theta_block, the (n_actions, n_actions) softmax Jacobian."""
@@ -215,9 +218,9 @@ class PolicyAveragedChain(ChainModel):
         self._is_term[self._term] = True
 
     def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
-        P = np.einsum("xa,xay->xy", self.policy.table(theta), self.p)
-        P[self._term] = 0.0
-        P[self._term, self._term] = 1.0
+        P = np.einsum("...xa,xay->...xy", self.policy.table(theta), self.p)
+        P[..., self._term, :] = 0.0
+        P[..., self._term, self._term] = 1.0
         return P
 
     def row_vjp(self, theta, W, t: int = 0) -> np.ndarray:
@@ -295,7 +298,7 @@ class PolicyExpectedCost(CostModel):
         return self.costs[x].copy()
 
     def value_table(self, theta, t: int = 0) -> np.ndarray:
-        return np.sum(self.policy.table(theta) * self.costs, axis=1)
+        return np.sum(self.policy.table(theta) * self.costs, axis=-1)
 
     def grad_table(self, theta, t: int = 0) -> np.ndarray:
         return self.policy.block_table(self.policy.block_vjp(theta, self.costs))
@@ -326,9 +329,9 @@ class PolicyKlFromOldCost(CostModel):
         if np.any(starved):
             raise DivergenceUndefinedError(
                 "policy gives zero mass where the frozen policy is positive at state "
-                f"{int(np.nonzero(starved)[0][0])}"
+                f"{int(np.nonzero(starved)[-2][0])}"
             )
-        return row_kl(self.pi_old, pi)[0]
+        return row_kl(np.broadcast_to(self.pi_old, pi.shape), pi)[0]
 
     def grad_table(self, theta, t: int = 0) -> np.ndarray:
         return self.policy.block_table(self.policy.table(theta) - self.pi_old)
@@ -378,7 +381,7 @@ class MixedRowKlCost(CostModel):
         return self.p[x] @ logr
 
     def _mixed_kl(self, theta):
-        Q = np.einsum("xa,xay->xy", self.policy.table(theta), self.p)
+        Q = np.einsum("...xa,xay->...xy", self.policy.table(theta), self.p)
         return row_kl(Q, self.reference)
 
     def value_table(self, theta, t: int = 0) -> np.ndarray:

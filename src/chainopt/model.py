@@ -37,6 +37,17 @@ def check_params(theta, n_params: int) -> Array:
     return th
 
 
+def check_param_stack(theta, n_params: int) -> Array:
+    """check_params for a vector, or for every row of a stack of shape
+    (..., n_params)."""
+    th = np.asarray(theta, dtype=float)
+    if th.ndim < 2 or th.shape[-1] != n_params:
+        return check_params(th, n_params)
+    if not np.all(np.isfinite(th)):
+        raise InvalidStructureError("parameter vector contains non-finite entries")
+    return th
+
+
 def sample_index(cum: Array, u: float) -> int:
     """Inverse-CDF draw: the first index whose cumulative weight exceeds u.
 
@@ -165,6 +176,10 @@ class ChainModel(abc.ABC):
     terminal states whose rows are parameter-free self loops. A tabular
     chain is its tables: transition_matrix, score_sums and row_hess; the
     dense score table, row_vjp and fisher defaults are built from them.
+    transition_matrix also takes theta with leading stack axes, shape
+    (..., n_params), and returns the matrices stacked alike, (..., n, n).
+    The exact solvers refuse a table of any other shape; the
+    finite-difference oracle then re-probes one theta at a time.
     Continuous chains work per transition (score, log_prob, log_prob_hess).
     """
 
@@ -185,7 +200,8 @@ class ChainModel(abc.ABC):
         raise CapabilityError(f"{type(self).__name__} has no successor lists")
 
     def transition_matrix(self, theta: Array, t: int = 0) -> Array:
-        """Dense (n_states, n_states) transition matrix."""
+        """Dense (n_states, n_states) transition matrix; (..., n_states,
+        n_states) at theta of shape (..., n_params)."""
         raise CapabilityError(f"{type(self).__name__} is not tabular")
 
     def score_sums(self, theta: Array, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
@@ -280,8 +296,12 @@ class CostModel(abc.ABC):
     L(x, theta) for every state x, grad_table(theta, t) the (n_states,
     n_params) gradients, hess_sum(theta, w, t) the weighted Hessian sum
     sum_x w[x] d2L(x, theta), and n_states the number of states it covers.
-    A cost on continuous states evaluates one state at a time through
-    value(x, theta, t), grad(x, theta, t) and hess(x, theta, t).
+    value_table also takes theta with leading stack axes, shape (...,
+    n_params), and returns the tables stacked alike, (..., n_states); the
+    exact solvers refuse a table of any other shape, as for
+    ChainModel.transition_matrix. A cost on continuous states evaluates
+    one state at a time through value(x, theta, t), grad(x, theta, t) and
+    hess(x, theta, t).
     """
 
     n_params: int = 0
@@ -302,15 +322,21 @@ class CostModel(abc.ABC):
 
 
 def row_kl(P: Array, Q: Array):
-    """Per-row KL(P[x] || Q[x]) over the entries where P > 0.
+    """Per-row KL(P[..., x, :] || Q[..., x, :]) over the entries where P > 0,
+    for a P of shape (..., n, m) and a Q of P's shape or of shape (n, m).
 
-    Returns the (n,) divergences, those entries (xs, ys) and their log
-    ratios log(P / Q). Callers make sure Q is positive wherever P is.
+    Returns the (..., n) divergences, those entries (xs, ys) with xs
+    counting the rows of all leading axes (x itself for an (n, m) P), and
+    their log ratios log(P / Q). Callers make sure Q is positive wherever
+    P is.
     """
-    xs, ys = np.nonzero(P > 0.0)
-    p = P[xs, ys]
-    logr = np.log(p / Q[xs, ys])
-    return np.bincount(xs, weights=p * logr, minlength=P.shape[0]), xs, ys, logr
+    m = P.shape[-1]
+    at = np.flatnonzero(P > 0.0)
+    xs, ys = np.divmod(at, m)
+    p = P.ravel()[at]
+    logr = np.log(p / Q.ravel()[at % Q.size])
+    kl = np.bincount(xs, weights=p * logr, minlength=math.prod(P.shape[:-1]))
+    return kl.reshape(P.shape[:-1]), xs, ys, logr
 
 
 # ---------------------------------------------------------------------------
@@ -401,25 +427,28 @@ class SoftmaxChain(ChainModel):
         return list(self._succ[x])
 
     def _flat_probs(self, theta: Array) -> Array:
-        """P[_flat_x, _flat_y]: one softmax per segment, after subtracting
-        each segment's max logit."""
-        z = np.asarray(theta, dtype=float) + self._offset
+        """P[..., _flat_x, _flat_y]: one softmax per segment, after
+        subtracting each segment's max logit."""
+        # transposed, so that the segments run along the first axis
+        z = (np.asarray(theta, dtype=float) + self._offset).T
         if z.size == 0:
-            return z
+            return z.T
         z = z - np.maximum.reduceat(z, self._seg_start)[self._seg_of]
         e = np.exp(z)
-        return e / self._segment_sums(e)
+        return (e / self._segment_sums(e)).T
 
     def _segment_sums(self, v: Array) -> Array:
-        """Per-parameter sum of v over the parameter's segment."""
+        """Per-parameter sum of v over the parameter's segment, along the
+        first axis."""
         if v.size == 0:
             return v
         return np.add.reduceat(v, self._seg_start)[self._seg_of]
 
     def transition_matrix(self, theta, t: int = 0) -> Array:
-        P = np.zeros((self.n_states, self.n_states))
-        P[self._flat_x, self._flat_y] = self._flat_probs(theta)
-        P[self._term, self._term] = 1.0
+        probs = self._flat_probs(theta)
+        P = np.zeros(probs.shape[:-1] + (self.n_states, self.n_states))
+        P[..., self._flat_x, self._flat_y] = probs
+        P[..., self._term, self._term] = 1.0
         return P
 
     def row_vjp(self, theta, W, t: int = 0) -> Array:
@@ -502,7 +531,7 @@ class FixedTabularChain(ChainModel):
         self.n_params = int(n_params)
 
     def transition_matrix(self, theta, t: int = 0) -> Array:
-        return self._P.copy()
+        return np.broadcast_to(self._P, np.shape(theta)[:-1] + self._P.shape).copy()
 
     def successors(self, x):
         return list(np.nonzero(self._P[x] > 0)[0])
@@ -693,7 +722,7 @@ class TableCost(CostModel):
         self.n_states = self.values.shape[0]
 
     def value_table(self, theta, t: int = 0) -> Array:
-        return self.values.copy()
+        return np.broadcast_to(self.values, np.shape(theta)[:-1] + self.values.shape).copy()
 
     def grad_table(self, theta, t: int = 0) -> Array:
         return np.zeros((self.n_states, self.n_params))
@@ -731,7 +760,8 @@ class QuadraticCost(CostModel):
 
     def value_table(self, theta, t: int = 0) -> Array:
         th = np.asarray(theta, dtype=float)
-        return self.const + self.lin @ th + 0.5 * self.quad_weights * (th @ self.quad @ th)
+        quad = ((th @ self.quad)[..., None, :] @ th[..., None])[..., 0]  # (..., 1)
+        return self.const + th @ self.lin.T + 0.5 * self.quad_weights * quad
 
     def grad_table(self, theta, t: int = 0) -> Array:
         th = np.asarray(theta, dtype=float)
@@ -859,7 +889,7 @@ class PolicyEntropyCost(CostModel):
     def _entropy(self, theta):
         pi = self.policy.table(theta)
         logs = np.log(np.where(pi > 0, pi, 1.0))
-        return pi, logs, -np.sum(pi * logs, axis=1)
+        return pi, logs, -np.sum(pi * logs, axis=-1)
 
     def value_table(self, theta, t: int = 0) -> Array:
         return self._entropy(theta)[2]

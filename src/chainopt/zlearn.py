@@ -43,7 +43,7 @@ from .model import (
     TableCost,
     TabularInitial,
     WeightedSumCost,
-    check_params,
+    check_param_stack,
     row_kl,
 )
 from .surrogate import FisherMatrix, fisher_matrix, fisher_range, natural_gradient
@@ -268,11 +268,12 @@ class ZWeightedChain(ChainModel):
         return self._support[int(x)]
 
     def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
-        theta = check_params(theta, self.n_params)
+        theta = check_param_stack(theta, self.n_params)
         # subtract each row's largest log weight on its support
-        logw = np.where(self.spec.baseline > 0.0, -self.gamma_z * (self.features @ theta), -np.inf)
-        weights = self.spec.baseline * np.exp(logw - logw.max(axis=1, keepdims=True))
-        return weights / weights.sum(axis=1, keepdims=True)
+        energy = -self.gamma_z * (theta @ self.features.T)[..., None, :]
+        logw = np.where(self.spec.baseline > 0.0, energy, -np.inf)
+        weights = self.spec.baseline * np.exp(logw - logw.max(axis=-1, keepdims=True))
+        return weights / weights.sum(axis=-1, keepdims=True)
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> np.ndarray:
         mu = self.transition_matrix(theta) @ self.features

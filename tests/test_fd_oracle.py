@@ -12,7 +12,14 @@ import json
 import numpy as np
 import pytest
 
-from chainopt import CostModel, ProbeError, exact
+from chainopt import (
+    CostModel,
+    InvalidStructureError,
+    ProbeError,
+    QuadraticCost,
+    SoftmaxChain,
+    exact,
+)
 from chainopt.exact import fd_gradient, fd_gradient_oracle, objective
 from chainopt.harness import build_problem, parse_config
 
@@ -66,7 +73,8 @@ def test_stacked_objective_is_the_single_objective_at_each_row(name):
 
 
 class _NanAbove(CostModel):
-    """The wrapped cost table, NaN wherever theta[i] rises above theta0[i]."""
+    """The wrapped cost table, NaN in each table whose theta[i] rises above
+    theta0[i]."""
 
     def __init__(self, base, i, theta0):
         self.base, self.i, self.theta0 = base, i, theta0
@@ -74,7 +82,7 @@ class _NanAbove(CostModel):
 
     def value_table(self, theta, t: int = 0):
         L = self.base.value_table(theta, t)
-        return np.full_like(L, np.nan) if theta[self.i] > self.theta0[self.i] else L
+        return np.where((theta[..., self.i] > self.theta0[self.i])[..., None], np.nan, L)
 
 
 def _probe_failure(monkeypatch, b, i):
@@ -94,12 +102,12 @@ def _probe_failure(monkeypatch, b, i):
 
 @pytest.mark.parametrize("name, cause", [
     ("softmax-n40", "probe failed at coordinate {i}: cost table contains non-finite entries"),
-    ("timevarying", "probe is non-finite at coordinate {i}"),
+    ("timevarying", "probe failed at coordinate {i}: cost table contains non-finite entries"),
 ])
 def test_probe_error_names_the_coordinate_through_the_stacked_path(monkeypatch, name, cause):
-    """A probe that raises (the first-exit cost check) and one whose
-    objective is NaN (the time-varying recursion has no cost check) are both
-    reported at their coordinate, after the stacked solves that passed."""
+    """A probe whose cost table is NaN is refused by the cost check of the
+    first-exit solve and of each stage of the time-varying recursion, and
+    is reported at its coordinate, after the stacked solves that passed."""
     b = built(**PROBLEMS[name])
     p, n = b.theta0.size, b.problem.chain.n_states
     size = exact._PROBE_STACK_BYTES // (8 * n * n)
@@ -112,3 +120,48 @@ def test_probe_error_names_the_coordinate_through_the_stacked_path(monkeypatch, 
     chunk = 2 * i // size
     stacked = [(min(size, 2 * p - c * size), p) for c in range(chunk + 1)]
     assert shapes == stacked + [(p,)] * (2 * i - chunk * size + 1)
+
+
+def test_oracle_builds_each_chunk_from_one_call_to_each_table(monkeypatch):
+    """Every probe of a chunk comes from one transition_matrix call and one
+    value_table call at the chunk's stack of theta."""
+    b = built(**PROBLEMS["softmax-n40"])
+    p, n = b.theta0.size, b.problem.chain.n_states
+    shapes = {"transition_matrix": [], "value_table": []}
+    for cls, name in ((SoftmaxChain, "transition_matrix"), (QuadraticCost, "value_table")):
+        def counted(self, theta, t=0, original=getattr(cls, name), name=name):
+            shapes[name].append(np.shape(theta))
+            return original(self, theta, t)
+
+        monkeypatch.setattr(cls, name, counted)
+    fd_gradient_oracle(b.problem, start(b))
+    size = exact._PROBE_STACK_BYTES // (8 * n * n)
+    chunks = [(min(size, 2 * p - row), p) for row in range(0, 2 * p, size)]
+    assert shapes == {"transition_matrix": chunks, "value_table": chunks}
+
+
+class _ScaledTable(CostModel):
+    """The wrapped cost's table at theta0, scaled by 1 + sum(theta**2) over
+    the whole array: at a stack of theta it gives one table, not one per row."""
+
+    def __init__(self, base, theta0):
+        self.base, self.theta0 = base, theta0
+        self.n_params, self.n_states = base.n_params, base.n_states
+
+    def value_table(self, theta, t: int = 0):
+        return (1.0 + np.sum(theta**2)) * self.base.value_table(self.theta0, t)
+
+
+@pytest.mark.parametrize("name", ["softmax-discounted", "timevarying"])
+def test_a_table_that_ignores_the_stack_is_refused_and_reprobed(name):
+    b = built(**PROBLEMS[name])
+    theta = start(b)
+    problem = dataclasses.replace(b.problem, cost=_ScaledTable(b.problem.cost, b.theta0))
+    n = problem.chain.n_states
+    with pytest.raises(InvalidStructureError) as info:
+        objective(problem, np.stack([theta, theta]))
+    assert str(info.value) == (
+        f"_ScaledTable.value_table returned shape ({n},), expected (2, {n})"
+    )
+    reference = fd_gradient(lambda th: objective(problem, th), theta)
+    np.testing.assert_array_equal(fd_gradient_oracle(problem, theta), reference)

@@ -424,18 +424,24 @@ COST_KINDS = ["table", "quadratic", "sum", "staged", "policy-expected", "policy-
 
 @st.composite
 def tabular_costs(draw, kind):
-    """(cost, theta, t, rng) for a twice-differentiable cost on a finite
-    state set of the given kind; "kl-<chain kind>" is the KL cost on that
-    chain."""
+    """(cost, theta, t, rng) for a cost on a finite state set of the given
+    kind, twice differentiable for the kinds in COST_KINDS; "kl-<chain
+    kind>" is the KL cost on that chain."""
     if kind.startswith("kl-"):
         chain, theta, t, rng = draw(tabular_chains(kind[3:]))
         reference = rng.dirichlet(np.ones(chain.n_states), size=chain.n_states)
         return KlToFixedChainCost(chain, reference), theta, t, rng
     if kind.startswith("policy-"):
-        policy, _, _, costs, rng = draw(policy_cases())
+        policy, trans, _, costs, rng = draw(policy_cases())
         theta = draw(st.sampled_from([0.0, 1.0, 3.0])) * rng.normal(size=policy.n_params)
         if kind == "policy-expected":
             return PolicyExpectedCost(policy, costs), theta, 0, rng
+        if kind == "policy-entropy":
+            return PolicyEntropyCost(policy), theta, 0, rng
+        if kind == "policy-mixed-kl":
+            n = policy.n_states
+            reference = rng.dirichlet(np.ones(n), size=n)
+            return MixedRowKlCost(trans, policy, reference, rng.normal(size=n)), theta, 0, rng
         pi_old = rng.dirichlet(np.ones(policy.n_actions), size=policy.n_states)
         return PolicyKlFromOldCost(policy, pi_old), theta, 0, rng
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -487,3 +493,32 @@ def test_tabular_chains_and_costs_have_no_per_state_methods():
     assert {"score", "log_prob", "log_prob_hess"} <= set(vars(GaussianLinearChain))
     assert "hess" in vars(StateQuadraticCost)
     assert not hasattr(chainopt.mdp, "_softmax_second_derivative")
+
+
+# ---------------------------------------------------------------------------
+# Tables at a stack of theta
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind", ["chain-" + kind for kind in CHAIN_KINDS] + COST_KINDS
+    + ["policy-entropy", "policy-mixed-kl"]
+)
+@given(data=st.data())
+@ORACLE
+def test_tables_at_a_stack_of_theta_are_the_tables_at_each_row(kind, data):
+    """transition_matrix and value_table at a (k, n_params) stack of theta
+    give, row by row, the table at that row, at stage 0 and at the drawn
+    stage of a time-varying wrapper."""
+    if kind.startswith("chain-"):
+        model, theta, t, rng = data.draw(tabular_chains(kind[len("chain-"):]))
+        table = model.transition_matrix
+    else:
+        model, theta, t, rng = data.draw(tabular_costs(kind))
+        table = model.value_table
+    thetas = theta + rng.normal(size=(3, theta.size))
+    for stage in {0, t}:
+        stacked = table(thetas, stage)
+        assert stacked.shape == (3,) + table(theta, stage).shape
+        for row, th in zip(stacked, thetas):
+            assert_close(row, table(th, stage))

@@ -166,13 +166,15 @@ def _cost_table(problem: Problem, theta: np.ndarray, t: int = 0) -> np.ndarray:
     return _table(problem.cost, "value_table", theta, t, shape, "cost table")
 
 
+def _transition_table(problem: Problem, theta: np.ndarray, t: int = 0) -> np.ndarray:
+    shape = theta.shape[:-1] + (problem.chain.n_states,) * 2
+    return _table(problem.chain, "transition_matrix", theta, t, shape, "transition matrix")
+
+
 def _build(problem: Problem, theta: np.ndarray, t: int = 0):
     """Transition matrix and step-cost table at theta and stage t, or their
     stacks over the rows of a stack of theta, from one call to each model."""
-    n = problem.chain.n_states
-    shape = theta.shape[:-1] + (n, n)
-    P = _table(problem.chain, "transition_matrix", theta, t, shape, "transition matrix")
-    return P, _cost_table(problem, theta, t)
+    return _transition_table(problem, theta, t), _cost_table(problem, theta, t)
 
 
 def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
@@ -213,8 +215,7 @@ def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
     """rho = p0 + gamma P~' rho, with P~ the matrix P without terminal rows."""
     chain = problem.chain
     P = P.copy()
-    for s in chain.terminal:
-        P[s, :] = 0.0
+    P[list(chain.terminal)] = 0.0
     p0 = problem.init.weights
     error = ReachabilityError("occupancy diverges: terminal set not always reached")
     rho = _solve(np.eye(chain.n_states) - problem.gamma * P.T, p0, error)
@@ -337,9 +338,7 @@ def solve_value_episodic(problem: Problem, theta) -> ValueTable:
 def stationary_density(problem: Problem, theta) -> np.ndarray:
     """Stationary distribution of the chain; errors if not ergodic."""
     _require_tabular(problem)
-    theta = check_params(theta, problem.n_params)
-    P = problem.chain.transition_matrix(theta)
-    return stationary_from_matrix(P)
+    return stationary_from_matrix(_transition_table(problem, check_params(theta, problem.n_params)))
 
 
 def stationary_from_matrix(P: np.ndarray, *, costs: Optional[np.ndarray] = None):
@@ -382,16 +381,25 @@ def solve_value_average(problem: Problem, theta) -> AverageCost:
 def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
     """Backward recursion V_t = L_t + P_t V_{t+1}; returns (T+1, n_states),
     or (k, T+1, n_states) for a (k, n_params) stack of theta."""
+    return _stage_values(problem, theta)[0]
+
+
+def _stage_values(problem: Problem, theta, keep: bool = False):
+    """solve_value_timevarying's values, and with keep the stage matrices
+    P_0 .. P_{T-1} it built."""
     theta = _setup(
         problem, theta, TimeVarying, "time-varying solver needs a time-varying setting", stack=True
     )
     T = problem.setting.horizon
     V = np.zeros(theta.shape[:-1] + (T + 1, problem.chain.n_states))
     V[..., T, :] = _cost_table(problem, theta, T)
+    matrices = []
     for t in range(T - 1, -1, -1):
         P, L = _build(problem, theta, t)
         V[..., t, :] = L + _apply(P, V[..., t + 1, :])
-    return V
+        if keep:
+            matrices.insert(0, P)
+    return V, matrices
 
 
 # ---------------------------------------------------------------------------
@@ -412,10 +420,9 @@ def discounted_occupancy(problem: Problem, theta) -> np.ndarray:
     )
     if not isinstance(problem.init, TabularInitial):
         raise InvalidStructureError("occupancy needs a tabular start law")
-    chain = problem.chain
-    P = chain.transition_matrix(theta)
+    P = _transition_table(problem, theta)
     if isinstance(problem.setting, FirstExit):
-        _live_block(P, chain, "occupancy diverges: terminal set not always reached")
+        _live_block(P, problem.chain, "occupancy diverges: terminal set not always reached")
     return _occupancy(problem, P)
 
 
@@ -457,16 +464,14 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
         g += sol.gamma * chain.row_vjp(theta, np.outer(sol.weights, sol.values))
         return g
 
-    T = problem.setting.horizon
-    V = solve_value_timevarying(problem, theta)
+    V, matrices = _stage_values(problem, theta, keep=True)
     p = problem.init.weights.copy()
     g = np.zeros(problem.n_params)
-    for t in range(T + 1):
+    for t, P in enumerate(matrices):
         g += p @ cost.grad_table(theta, t)
-        if t < T:
-            g += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
-            p = chain.transition_matrix(theta, t).T @ p
-    return g
+        g += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
+        p = P.T @ p
+    return g + p @ cost.grad_table(theta, len(matrices))
 
 
 def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
@@ -543,19 +548,12 @@ def fd_hessian(fn, theta, h=1e-4) -> np.ndarray:
         H[i, i] = (_probe(fn, up, i) - 2.0 * f0 + _probe(fn, dn, i)) / steps[i] ** 2
     for i in range(k):
         for j in range(i + 1, k):
-            pp = theta.copy()
-            pp[[i, j]] += [steps[i], steps[j]]
-            pm = theta.copy()
-            pm[[i, j]] += [steps[i], -steps[j]]
-            mp = theta.copy()
-            mp[[i, j]] += [-steps[i], steps[j]]
-            mm = theta.copy()
-            mm[[i, j]] += [-steps[i], -steps[j]]
-            val = (
-                _probe(fn, pp, j) - _probe(fn, pm, j) - _probe(fn, mp, j) + _probe(fn, mm, j)
-            ) / (4.0 * steps[i] * steps[j])
-            H[i, j] = val
-            H[j, i] = val
+            f = []
+            for si, sj in ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)):
+                probe = theta.copy()
+                probe[[i, j]] += [si * steps[i], sj * steps[j]]
+                f.append(_probe(fn, probe, j))
+            H[i, j] = H[j, i] = (f[0] - f[1] - f[2] + f[3]) / (4.0 * steps[i] * steps[j])
     return 0.5 * (H + H.T)
 
 

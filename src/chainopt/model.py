@@ -10,6 +10,8 @@ finite horizon with time-varying stages.
 from __future__ import annotations
 
 import abc
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -344,6 +346,20 @@ def row_kl(P: Array, Q: Array):
 # ---------------------------------------------------------------------------
 
 
+def _first_row_fault(live, rows, n: int) -> str:
+    """The fault of the first successor row that fails a check, taken in
+    order: no successors, a successor twice, one outside 0..n-1."""
+    for x, row in zip(live, rows):
+        succ = [int(y) for y in row]
+        if not succ:
+            return f"non-terminal state {x} has no successors"
+        if len(set(succ)) != len(succ):
+            return f"state {x} lists a successor twice"
+        for y in succ:
+            if not (0 <= y < n):
+                return f"successor {y} of state {x} out of range"
+
+
 class SoftmaxChain(ChainModel):
     """Tabular chain with one softmax logit per allowed transition.
 
@@ -360,63 +376,59 @@ class SoftmaxChain(ChainModel):
     twice_differentiable = True
 
     def __init__(self, n_states, support, terminal=(), logit_offset=None):
-        self.n_states = int(n_states)
+        n = self.n_states = int(n_states)
         self.terminal = frozenset(int(s) for s in terminal)
         for s in self.terminal:
-            if not (0 <= s < self.n_states):
+            if not (0 <= s < n):
                 raise InvalidStructureError(f"terminal state {s} out of range")
-        self._succ = {}
-        slices = {}
-        start = 0
-        for x in range(self.n_states):
-            if x in self.terminal:
-                continue
-            if x not in support:
-                raise InvalidStructureError(f"non-terminal state {x} has no successors")
-            succ = [int(y) for y in support[x]]
-            if len(succ) == 0:
-                raise InvalidStructureError(f"non-terminal state {x} has no successors")
-            if len(set(succ)) != len(succ):
-                raise InvalidStructureError(f"state {x} lists a successor twice")
-            for y in succ:
-                if not (0 <= y < self.n_states):
-                    raise InvalidStructureError(f"successor {y} of state {x} out of range")
-            self._succ[x] = np.array(succ, dtype=np.int64)
-            slices[x] = slice(start, start + len(succ))
-            start += len(succ)
-        extra = set(support) - set(self._succ)
+        live = [x for x in range(n) if x not in self.terminal]
+        rows = [support.get(x, ()) for x in live]
+        lens = np.fromiter(map(len, rows), np.int64, len(live))
+        # Flat layout of the parameters: parameter k is the logit of the
+        # transition _flat_x[k] -> _flat_y[k]; each non-terminal state's
+        # logits form one segment starting at _seg_start.
+        self._flat_y = np.fromiter(itertools.chain.from_iterable(rows), np.int64)
+        self._seg_of = np.repeat(np.arange(len(live)), lens)
+        self._flat_x = np.array(live, dtype=np.int64)[self._seg_of]
+        ends = np.cumsum(lens)
+        self._seg_start = ends - lens
+        # transition x -> y has key x * n_states + y; parameter
+        # _key_param[j] is the logit of the transition with the j-th
+        # smallest key
+        keys = self._flat_x * n + self._flat_y
+        self._key_param = np.argsort(keys)
+        self._sorted_keys = keys[self._key_param]
+        # with every successor in range, a repeated key is a repeated successor
+        out = (self._flat_y < 0) | (self._flat_y >= n)
+        if (lens == 0).any() or out.any() or np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
+            raise InvalidStructureError(_first_row_fault(live, rows, n))
+        extra = set(support) - set(live)
         if extra & self.terminal:
             raise InvalidStructureError("terminal states must not list successors")
         if extra:
             raise InvalidStructureError(f"support lists state {min(extra)} outside 0..{n_states - 1}")
-        self._slices = slices
-        self.n_params = start
-        if logit_offset is None:
-            self._offset = np.zeros(self.n_params)
-        else:
-            self._offset = np.asarray(logit_offset, dtype=float)
-            if self._offset.shape != (self.n_params,):
-                raise InvalidStructureError("logit offset length must match n_params")
-            if not np.all(np.isfinite(self._offset)):
-                raise InvalidStructureError("logit offset contains non-finite entries")
-        # Flat layout of the parameters: parameter k is the logit of the
-        # transition _flat_x[k] -> _flat_y[k]; each non-terminal state's
-        # logits form one segment starting at _seg_start.
-        live = sorted(self._succ)
-        self._seg_start = np.array([slices[x].start for x in live], dtype=np.int64)
-        seg_len = [len(self._succ[x]) for x in live]
-        self._flat_x = np.repeat(np.array(live, dtype=np.int64), seg_len)
-        self._flat_y = np.array([y for x in live for y in self._succ[x]], dtype=np.int64)
-        self._seg_of = np.repeat(np.arange(len(live)), seg_len)
+        self._slices = dict(zip(live, map(slice, self._seg_start.tolist(), ends.tolist())))
+        self.n_params = self._flat_y.size
+        self._offset = self._checked_offset(logit_offset)
         self._term = np.array(sorted(self.terminal), dtype=np.int64)
-        self._is_term = np.zeros(self.n_states, dtype=bool)
+        self._is_term = np.zeros(n, dtype=bool)
         self._is_term[self._term] = True
-        # transition x -> y has key x * n_states + y; parameter
-        # _key_param[j] is the logit of the transition with the j-th
-        # smallest key
-        keys = self._flat_x * self.n_states + self._flat_y
-        self._key_param = np.argsort(keys)
-        self._sorted_keys = keys[self._key_param]
+
+    def _checked_offset(self, logit_offset) -> Array:
+        if logit_offset is None:
+            return np.zeros(self.n_params)
+        offset = np.asarray(logit_offset, dtype=float)
+        if offset.shape != (self.n_params,):
+            raise InvalidStructureError("logit offset length must match n_params")
+        if not np.all(np.isfinite(offset)):
+            raise InvalidStructureError("logit offset contains non-finite entries")
+        return offset
+
+    def _with_offset(self, logit_offset) -> "SoftmaxChain":
+        """This chain with another logit offset, sharing its support layout."""
+        chain = copy.copy(self)
+        chain._offset = chain._checked_offset(logit_offset)
+        return chain
 
     def param_slice(self, x: int) -> slice:
         return self._slices[x]
@@ -424,7 +436,7 @@ class SoftmaxChain(ChainModel):
     def successors(self, x: int):
         if x in self.terminal:
             return [x]
-        return list(self._succ[x])
+        return list(self._flat_y[self._slices[x]])
 
     def _flat_probs(self, theta: Array) -> Array:
         """P[..., _flat_x, _flat_y]: one softmax per segment, after
@@ -675,12 +687,7 @@ class TimeVaryingChain(ChainModel):
         return self.stages[min(t, len(self.stages) - 1)]
 
     def successors(self, x):
-        merged = []
-        for c in self.stages:
-            for y in c.successors(x):
-                if y not in merged:
-                    merged.append(y)
-        return merged
+        return list(dict.fromkeys(y for c in self.stages for y in c.successors(x)))
 
     def score_table(self, theta, t: int = 0):
         return self._at(t).score_table(theta)
@@ -748,7 +755,8 @@ class QuadraticCost(CostModel):
             raise InvalidStructureError("linear term shape mismatch")
         if self.quad.shape != (self.n_params, self.n_params):
             raise InvalidStructureError("quadratic term shape mismatch")
-        if not np.allclose(self.quad, self.quad.T):
+        # exact symmetry needs one bool temporary, allclose several float ones
+        if not np.array_equal(self.quad, self.quad.T) and not np.allclose(self.quad, self.quad.T):
             raise InvalidStructureError("quadratic term must be symmetric")
         if quad_weights is None:
             quad_weights = np.ones(n)

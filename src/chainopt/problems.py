@@ -50,7 +50,6 @@ def _random_support(rng, n: int, terminal=None, ring: bool = True):
     """Successor sets that keep the chain connected: a ring edge plus
     random extras (and an edge toward the terminal when one exists)."""
     support = {}
-    targets = list(range(n)) if terminal is None else [s for s in range(n)]
     for x in range(n):
         if terminal is not None and x == n - 1:
             continue
@@ -77,12 +76,8 @@ def random_softmax_problem(setting, n_states: int = 8, seed: int = 0) -> Problem
     n = n_states
     if isinstance(setting, FirstExit):
         support = _random_support(r_structure, n, terminal=n - 1)
-        chain = SoftmaxChain(
-            n, support, terminal=[n - 1], logit_offset=None
-        )
+        chain = SoftmaxChain(n, support, terminal=[n - 1])
         base = np.concatenate([r_cost.uniform(0.5, 2.0, n - 1), [0.0]])
-        lin = 0.05 * r_cost.normal(size=(n, chain.n_params))
-        lin[n - 1] = 0.0
         quad_w = np.concatenate([np.ones(n - 1), [0.0]])
         p0 = np.zeros(n)
         p0[0] = 1.0
@@ -91,13 +86,13 @@ def random_softmax_problem(setting, n_states: int = 8, seed: int = 0) -> Problem
         offsets = 0.5 * r_logits.normal(size=sum(len(s) for s in support.values()))
         chain = SoftmaxChain(n, support, logit_offset=offsets)
         base = r_cost.uniform(0.5, 2.0, n)
-        lin = 0.05 * r_cost.normal(size=(n, chain.n_params))
         quad_w = np.ones(n)
         p0 = np.full(n, 1.0 / n)
     else:
         raise InvalidStructureError("use random_timevarying_problem for finite horizons")
-    quad = 0.1 * np.eye(chain.n_params)
-    cost = QuadraticCost(base, lin, quad, quad_w)
+    lin = 0.05 * r_cost.normal(size=(n, chain.n_params))
+    lin[list(chain.terminal)] = 0.0
+    cost = QuadraticCost(base, lin, np.diag(np.full(chain.n_params, 0.1)), quad_w)
     return Problem(chain, cost, setting, TabularInitial(p0))
 
 
@@ -109,19 +104,18 @@ def random_timevarying_problem(horizon: int, n_states: int = 6, seed: int = 0) -
     """
     r_structure, r_cost, r_logits = _child_rngs(seed, 3)
     n = n_states
-    support = _random_support(r_structure, n)
-    probe = SoftmaxChain(n, support)
-    k = probe.n_params
-    stages = [
-        SoftmaxChain(n, support, logit_offset=0.5 * r_logits.normal(size=k))
-        for _ in range(horizon)
-    ]
-    chain = TimeVaryingChain(stages)
+    # one support, checked once and shared by every stage
+    layout = SoftmaxChain(n, _random_support(r_structure, n))
+    k = layout.n_params
+    chain = TimeVaryingChain(
+        [layout._with_offset(0.5 * r_logits.normal(size=k)) for _ in range(horizon)]
+    )
+    ridge = np.diag(np.full(k, 0.1))
     costs = []
     for _ in range(horizon + 1):
         base = r_cost.uniform(0.5, 2.0, n)
         lin = 0.05 * r_cost.normal(size=(n, k))
-        costs.append(QuadraticCost(base, lin, 0.1 * np.eye(k), np.ones(n)))
+        costs.append(QuadraticCost(base, lin, ridge, np.ones(n)))
     p0 = np.full(n, 1.0 / n)
     return Problem(chain, TimeVaryingCost(costs), TimeVarying(horizon), TabularInitial(p0))
 

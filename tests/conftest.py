@@ -8,6 +8,8 @@ with ``from conftest import ...``.
 
 import numpy as np
 
+from chainopt import InvalidStructureError
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -31,6 +33,70 @@ def transition_score(chain, x, y, theta, t=0):
 def log_prob(chain, x, y, theta, t=0):
     """log P[x, y] of a tabular chain, read from its transition matrix."""
     return np.log(chain.transition_matrix(theta, t)[x, y])
+
+
+class ReferenceSoftmaxLayout:
+    """SoftmaxChain's support checks and flat parameter layout, built one
+    state and one successor at a time: the reference for the constructor,
+    which builds them with numpy."""
+
+    def __init__(self, n_states, support, terminal=(), logit_offset=None):
+        self.n_states = int(n_states)
+        self.terminal = frozenset(int(s) for s in terminal)
+        for s in self.terminal:
+            if not (0 <= s < self.n_states):
+                raise InvalidStructureError(f"terminal state {s} out of range")
+        self._succ = {}
+        slices = {}
+        start = 0
+        for x in range(self.n_states):
+            if x in self.terminal:
+                continue
+            if x not in support:
+                raise InvalidStructureError(f"non-terminal state {x} has no successors")
+            succ = [int(y) for y in support[x]]
+            if len(succ) == 0:
+                raise InvalidStructureError(f"non-terminal state {x} has no successors")
+            if len(set(succ)) != len(succ):
+                raise InvalidStructureError(f"state {x} lists a successor twice")
+            for y in succ:
+                if not (0 <= y < self.n_states):
+                    raise InvalidStructureError(f"successor {y} of state {x} out of range")
+            self._succ[x] = np.array(succ, dtype=np.int64)
+            slices[x] = slice(start, start + len(succ))
+            start += len(succ)
+        extra = set(support) - set(self._succ)
+        if extra & self.terminal:
+            raise InvalidStructureError("terminal states must not list successors")
+        if extra:
+            raise InvalidStructureError(f"support lists state {min(extra)} outside 0..{n_states - 1}")
+        self._slices = slices
+        self.n_params = start
+        if logit_offset is None:
+            self._offset = np.zeros(self.n_params)
+        else:
+            self._offset = np.asarray(logit_offset, dtype=float)
+            if self._offset.shape != (self.n_params,):
+                raise InvalidStructureError("logit offset length must match n_params")
+            if not np.all(np.isfinite(self._offset)):
+                raise InvalidStructureError("logit offset contains non-finite entries")
+        live = sorted(self._succ)
+        self._seg_start = np.array([slices[x].start for x in live], dtype=np.int64)
+        seg_len = [len(self._succ[x]) for x in live]
+        self._flat_x = np.repeat(np.array(live, dtype=np.int64), seg_len)
+        self._flat_y = np.array([y for x in live for y in self._succ[x]], dtype=np.int64)
+        self._seg_of = np.repeat(np.arange(len(live)), seg_len)
+        keys = self._flat_x * self.n_states + self._flat_y
+        self._key_param = np.argsort(keys)
+        self._sorted_keys = keys[self._key_param]
+
+    def param_slice(self, x: int) -> slice:
+        return self._slices[x]
+
+    def successors(self, x: int):
+        if x in self.terminal:
+            return [x]
+        return list(self._succ[x])
 
 
 def discounted_returns(costs, gamma):

@@ -61,6 +61,20 @@ def theta_for(problem, seed):
     return 0.3 * rng.normal(size=problem.n_params)
 
 
+class NanRowChain(FixedTabularChain):
+    """A fixed chain whose row 0 is NaN."""
+
+    def transition_matrix(self, theta, t=0):
+        P = super().transition_matrix(theta, t)
+        P[..., 0, :] = np.nan
+        return P
+
+
+def nan_row_problem():
+    return Problem(NanRowChain(np.full((2, 2), 0.5)), TableCost([1.0, 2.0]),
+                   EpisodicDiscounted(0.9), TabularInitial([0.5, 0.5]))
+
+
 class TestCanonicalClosedForm:
     """The two-state escape problem has exact closed forms: with sigma the
     exit probability, J = 1/sigma, the start state is visited 1/sigma times
@@ -115,18 +129,15 @@ class TestEpisodicSolver:
     def test_non_finite_transition_matrix_is_refused(self):
         """A NaN row reaches no value: the solve names the cause instead of
         returning NaN."""
-
-        class NanRow(FixedTabularChain):
-            def transition_matrix(self, theta, t=0):
-                P = super().transition_matrix(theta, t)
-                P[0] = np.nan
-                return P
-
-        chain = NanRow(np.full((2, 2), 0.5))
-        prob = Problem(chain, TableCost([1.0, 2.0]), EpisodicDiscounted(0.9),
-                       TabularInitial([0.5, 0.5]))
         with pytest.raises(InvalidStructureError, match="transition matrix contains non-finite"):
-            objective(prob, np.zeros(0))
+            objective(nan_row_problem(), np.zeros(0))
+
+    @pytest.mark.parametrize("solver", [stationary_density, discounted_occupancy])
+    def test_non_finite_transition_matrix_is_refused_by_density_and_occupancy(self, solver):
+        """Nor a density or an occupancy: the cause is the NaN, not the
+        support graph."""
+        with pytest.raises(InvalidStructureError, match="transition matrix contains non-finite"):
+            solver(nan_row_problem(), np.zeros(0))
 
     def test_residual_checks_refuse_nan(self):
         """Each value and occupancy solve fails on a NaN residual, which
@@ -246,6 +257,32 @@ class TestExactGradient:
         np.testing.assert_allclose(
             exact_gradient(prob, theta), fd_gradient_oracle(prob, theta), atol=1e-7
         )
+
+    def test_time_varying_builds_each_stage_once(self, monkeypatch):
+        """The stage densities are pushed through the matrices of the
+        backward solve: one P per stage, and the gradient of the loop that
+        built each P again."""
+        prob = random_timevarying_problem(horizon=10, n_states=8, seed=4)
+        theta = theta_for(prob, 5)
+        V = solve_value_timevarying(prob, theta)
+        chain, cost = prob.chain, prob.cost
+        want, p = np.zeros(prob.n_params), prob.init.weights.copy()
+        for t in range(11):
+            want += p @ cost.grad_table(theta, t)
+            if t < 10:
+                want += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
+                p = chain.transition_matrix(theta, t).T @ p
+        stages = []
+        build = SoftmaxChain.transition_matrix
+
+        def counted(self, theta, t=0):
+            stages.append(t)
+            return build(self, theta, t)
+
+        monkeypatch.setattr(SoftmaxChain, "transition_matrix", counted)
+        got = exact_gradient(prob, theta)
+        assert len(stages) == 10
+        np.testing.assert_array_equal(got, want)
 
     def test_bottleneck_route_agrees(self):
         """The two-factor chain rule through the action distribution gives

@@ -1,8 +1,12 @@
 """Chain models, cost models, settings, and problem validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import fd_vector, log_prob, transition_score
+from conftest import ReferenceSoftmaxLayout, fd_vector, log_prob, transition_score
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainopt import (
     Average,
@@ -129,6 +133,116 @@ class TestSoftmaxChain:
             SoftmaxChain(2, {0: [0, 1], 1: [0, 1]}, logit_offset=[bad, 0.0, 0.0, 0.0])
 
 
+# The constructor's support faults: each corrupts a valid support once.
+SUPPORT_FAULTS = ("twice", "range", "empty", "missing", "terminal-row", "key", "terminal-range")
+
+
+@st.composite
+def softmax_layouts(draw):
+    """Arguments of SoftmaxChain: a valid support with a random terminal
+    set, rows given as lists, tuples or arrays, then up to three support
+    faults at random states, and an offset that is absent, fitting, one
+    entry short or non-finite."""
+    n = draw(st.integers(1, 6))
+    states = st.integers(0, n - 1)
+    terminal = draw(st.sets(states, max_size=n))
+    support = {
+        x: draw(st.lists(states, min_size=1, max_size=n, unique=True))
+        for x in range(n)
+        if x not in terminal
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        fault, x = draw(st.sampled_from(SUPPORT_FAULTS)), draw(states)
+        row = support.get(x)
+        if fault in ("twice", "range") and row:
+            y = draw(st.sampled_from(row)) if fault == "twice" else draw(st.sampled_from([-1, n, n + 3]))
+            row.insert(draw(st.integers(0, len(row))), y)
+        elif fault == "empty" and row is not None:
+            support[x] = []
+        elif fault == "missing":
+            support.pop(x, None)
+        elif fault == "terminal-row" and terminal:
+            support[draw(st.sampled_from(sorted(terminal)))] = [0]
+        elif fault == "key":
+            support[draw(st.sampled_from([-1, n, n + 2]))] = [0]
+        elif fault == "terminal-range":
+            terminal = terminal | {draw(st.sampled_from([-1, n]))}
+    kind = draw(st.sampled_from([list, tuple, np.array]))
+    support = {x: kind(row) for x, row in support.items()}
+    k = sum(len(row) for row in support.values())
+    mode = draw(st.sampled_from([None, "fit", "short", "nan"]))
+    offset = None
+    if mode is not None:
+        offset = np.random.default_rng(k).normal(size=max(0, k - (mode == "short")))
+        offset[:1] *= np.nan if mode == "nan" else 1.0
+    return n, support, terminal, offset
+
+
+LAYOUT_ARRAYS = ("_flat_x", "_flat_y", "_seg_start", "_seg_of", "_key_param", "_sorted_keys")
+
+
+class TestSoftmaxLayout:
+    """The constructor's numpy layout against the per-state reference."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(softmax_layouts())
+    def test_matches_per_state_reference(self, args):
+        try:
+            ref = ReferenceSoftmaxLayout(*args)
+        except InvalidStructureError as exc:
+            with pytest.raises(InvalidStructureError) as got:
+                SoftmaxChain(*args)
+            assert str(got.value) == str(exc)
+            return
+        chain = SoftmaxChain(*args)
+        assert chain.n_params == ref.n_params
+        np.testing.assert_array_equal(chain._offset, ref._offset)
+        for name in LAYOUT_ARRAYS:
+            got, want = getattr(chain, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+        for x in range(chain.n_states):
+            assert chain.successors(x) == ref.successors(x)
+            if x not in chain.terminal:
+                assert chain.param_slice(x) == ref.param_slice(x)
+
+    @pytest.mark.parametrize(
+        "n, support, terminal, message",
+        [
+            (3, {0: [1, 2, 1], 1: [0], 2: [0]}, (), "state 0 lists a successor twice"),
+            (3, {0: [1], 1: [4, 0], 2: [0]}, (), "successor 4 of state 1 out of range"),
+            (3, {0: [1], 1: [0, -1, 0], 2: [0]}, (), "state 1 lists a successor twice"),
+            (3, {0: [1], 1: [], 2: [0]}, (), "non-terminal state 1 has no successors"),
+            (3, {0: [1], 2: [0]}, (), "non-terminal state 1 has no successors"),
+            (3, {0: [1], 1: [9], 2: [5, 5]}, (), "successor 9 of state 1 out of range"),
+            (3, {0: [1, 2], 1: [0], 2: [0]}, [2], "terminal states must not list successors"),
+            (3, {0: [1], 1: [0], 2: [0], 3: [0]}, (), "support lists state 3 outside 0..2"),
+            (3, {0: [1], 1: [0]}, [3], "terminal state 3 out of range"),
+        ],
+    )
+    def test_each_support_fault_names_its_first_state(self, n, support, terminal, message):
+        with pytest.raises(InvalidStructureError) as ref:
+            ReferenceSoftmaxLayout(n, support, terminal)
+        assert str(ref.value) == message
+        with pytest.raises(InvalidStructureError) as got:
+            SoftmaxChain(n, support, terminal)
+        assert str(got.value) == message
+
+    def test_offset_copy_shares_the_layout(self):
+        chain = SoftmaxChain(3, {0: [1, 2], 1: [0, 2]}, terminal=[2])
+        staged = chain._with_offset([0.5, -1.0, 0.0, 2.0])
+        np.testing.assert_array_equal(
+            staged.transition_matrix(np.zeros(4)),
+            SoftmaxChain(3, {0: [1, 2], 1: [0, 2]}, [2], [0.5, -1.0, 0.0, 2.0]).transition_matrix(
+                np.zeros(4)
+            ),
+        )
+        assert staged._flat_y is chain._flat_y
+        np.testing.assert_array_equal(chain._offset, np.zeros(4))
+        with pytest.raises(InvalidStructureError, match="logit offset length"):
+            chain._with_offset(np.zeros(3))
+
+
 class TestFixedTabularChain:
     def test_rows_and_zero_score(self):
         P = np.array([[0.7, 0.3], [0.2, 0.8]])
@@ -208,6 +322,36 @@ class TestCosts:
             )
         w = rng.uniform(size=n)
         np.testing.assert_allclose(cost.hess_sum(theta, w), (w @ [0.5, 1.0, 2.0]) * quad)
+
+    @pytest.mark.parametrize("skew", [0.0, 1e-12])
+    def test_quadratic_cost_accepts_symmetric_quad(self, skew):
+        """Exact symmetry, and an asymmetry within allclose's tolerance."""
+        quad = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+        quad[0, 1] *= 1.0 + skew
+        assert np.array_equal(quad, quad.T) == (skew == 0.0)
+        cost = QuadraticCost(np.zeros(2), np.zeros((2, 3)), quad)
+        assert cost.quad is quad
+
+    @pytest.mark.parametrize("entry", [(0, 1, 0.5 * (1.0 + 1e-3)), (1, 1, np.nan), (0, 2, np.nan)])
+    def test_quadratic_cost_rejects_asymmetric_quad(self, entry):
+        quad = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.25], [0.0, 0.25, 3.0]])
+        quad[entry[:2]] = entry[2]
+        with pytest.raises(InvalidStructureError, match="quadratic term must be symmetric"):
+            QuadraticCost(np.zeros(2), np.zeros((2, 3)), quad)
+
+    def test_quadratic_cost_symmetry_check_allocates_little(self):
+        """An exactly symmetric Q is checked without a float temporary of
+        its size: the peak stays below a quarter of Q."""
+        p = 2000
+        quad = np.eye(p)
+        const, lin = np.zeros(2), np.zeros((2, p))
+        tracemalloc.start()
+        try:
+            QuadraticCost(const, lin, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < quad.nbytes / 4
 
     @pytest.mark.parametrize("size", [1, 2])
     def test_quadratic_cost_rejects_short_weights(self, size):

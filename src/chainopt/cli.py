@@ -57,6 +57,7 @@ def _load(args):
     config = load_config(args.config)
     if args.seed is not None:
         config.problem.seed = int(args.seed)
+        config.problem.validate()
     return config
 
 

@@ -232,6 +232,8 @@ class ProblemConfig:
             raise ConfigError("problem.step_cost must be non-negative")
         if self.n_dims < 1:
             raise ConfigError("problem.n_dims must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"problem.seed must be non-negative, got {self.seed}")
         if self.canonical and self.kind != "softmax-tabular":
             raise ConfigError("problem.canonical only applies to softmax-tabular")
         if self.canonical and self.setting != "first-exit":
@@ -749,6 +751,8 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
     """
     if pair not in EQUIV_PAIRS:
         raise ConfigError(f"pair must be one of {EQUIV_PAIRS}, got {pair!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = _probe_rng(seed)
     if pair == "smdp-dmdp":
         mdp, policy, theta0 = random_mdp(6, 3, seed)

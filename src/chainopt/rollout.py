@@ -10,15 +10,27 @@ geometric mode (stop when it is below 1 - gamma) and one step draw. A
 time-varying rollout sitting on a terminal state stays there and draws
 nothing. So the draw index is a function of (rollout, step).
 
-Tabular batches advance all live rollouts in lockstep. Each rollout takes
-its uniforms from its own stream in blocks (``rng.random(k)`` returns the
-values of k successive ``rng.random()`` calls); a finished rollout's
-unused draws are discarded, which no other rollout can see. A step draw
-is an inverse-CDF lookup in the cumulative rows of the transition matrix,
-the rows ``ChainModel.make_sampler`` draws from, with ``sample_index``'s
-clamp to the row's last positive entry. Continuous chains mix uniform and
-normal draws on one stream and keep a per-step loop. Tabular score
-vectors are filled on first read, for the whole batch at once.
+Tabular batches advance all live rollouts in lockstep, and every rollout
+that draws at a given point of the loop draws the same index of its own
+stream: index 0 for the start, then one per step, or two in geometric
+mode, while a parked time-varying rollout never draws again. So draw k of
+the batch is column k % _BLOCK of a block of uniforms, row i holding
+_BLOCK successive values of stream i (``rng.random(out=row)`` fills the row
+with the values of that many successive ``rng.random()`` calls). The
+drawing rollouts refill their rows whenever k reaches a multiple of
+_BLOCK, at a stop draw or at a step draw; a finished rollout's unused
+draws are discarded, which no other rollout can see. A step draw is an
+inverse-CDF lookup in the cumulative rows of the transition matrix, the
+rows ``ChainModel.make_sampler`` draws from, with ``sample_index``'s clamp
+to the row's last positive entry. Continuous chains mix uniform and
+normal draws on one stream and keep a per-step loop.
+
+A tabular batch keeps the flat per-step layout of the lockstep loop
+(``_Flat``): states in rollout order, each step's time, costs, and the
+length and end reason of each rollout. The estimators and the batch's
+summaries read these arrays. ``Rollout`` objects, and their score vectors
+(one ``score_sums`` call per stage for the whole batch), are built only
+when something reads ``batch.rollouts``.
 
 Estimators consume whole batches as flat per-step arrays and refuse
 parameters that differ from the ones the batch was generated under. Their
@@ -159,14 +171,51 @@ def _split(a: np.ndarray, lengths) -> list:
     return [a[e - k : e] for e, k in zip(ends, np.asarray(lengths).tolist())]
 
 
-class _TabularScores:
-    """The score vectors of a tabular batch, computed for every rollout on
-    the first request with one gather per stage from the chain's score
-    tables. ``lazy(i)`` is what rollout i reads them through."""
+@dataclass
+class _Flat:
+    """Rollouts as flat per-step arrays, rollout after rollout."""
 
-    def __init__(self, chain, theta, n_stages: int, states: list):
-        self.chain, self.theta, self.n_stages = chain, theta, n_stages
-        self.states = states
+    states: np.ndarray  # (N,) ints or (N, n_x) floats
+    t: np.ndarray  # the step's time within its rollout
+    costs: np.ndarray  # (N,)
+    lengths: np.ndarray  # states per rollout
+    codes: np.ndarray  # each rollout's end reason, an index into _REASONS
+
+    @staticmethod
+    def join(states: list, costs: list, codes) -> "_Flat":
+        """The layout of rollouts given as per-rollout arrays."""
+        lengths = np.array([c.shape[0] for c in costs], dtype=np.int64)
+        first = np.cumsum(lengths) - lengths
+        return _Flat(
+            states=np.concatenate(states) if states else np.zeros(0, dtype=np.int64),
+            t=np.arange(lengths.sum()) - np.repeat(first, lengths),
+            costs=np.concatenate(costs) if costs else np.zeros(0),
+            lengths=lengths,
+            codes=np.asarray(codes, dtype=np.int64),
+        )
+
+    def transitions(self) -> np.ndarray:
+        """The steps that start a transition: all but each rollout's last."""
+        return np.delete(np.arange(self.t.size), np.cumsum(self.lengths) - 1)
+
+
+def _stage_order(stage: np.ndarray):
+    """(order, [(s, slice)]): the positions sorted by stage, stably, and
+    the slice of that order holding each stage s present."""
+    order = np.argsort(stage, kind="stable")
+    ends = np.cumsum(np.bincount(stage)).tolist()
+    starts = [0] + ends[:-1]
+    return order, [(s, slice(a, b)) for s, (a, b) in enumerate(zip(starts, ends)) if b > a]
+
+
+class _TabularScores:
+    """The per-step score vectors of a flat tabular batch, computed for
+    every rollout on the first request with one ``score_sums`` call per
+    stage, one group per transition. ``lazy(i)`` is what rollout i reads
+    them through."""
+
+    def __init__(self, chain, theta, n_stages: int, flat: _Flat):
+        self.chain, self.theta, self.n_stages, self.flat = chain, theta, n_stages, flat
         self.pieces = None
 
     def lazy(self, i: int):
@@ -174,32 +223,62 @@ class _TabularScores:
 
     def _get(self, i: int) -> np.ndarray:
         if self.pieces is None:
-            steps = [s.shape[0] - 1 for s in self.states]
-            x = np.concatenate([s[:-1] for s in self.states])
-            y = np.concatenate([s[1:] for s in self.states])
-            stage = np.minimum(np.concatenate([np.arange(T) for T in steps]), self.n_stages - 1)
-            scores = np.zeros((x.shape[0], self.chain.n_params))
-            for s in _present(stage):
-                sel = stage == s
-                scores[sel] = self.chain.score_table(self.theta, int(s))[x[sel], y[sel]]
-            self.pieces = _split(scores, steps)
+            f = self.flat
+            k = f.transitions()
+            order, stages = _stage_order(np.minimum(f.t[k], self.n_stages - 1))
+            k = k[order]
+            x, y = f.states[k], f.states[k + 1]
+            scores = np.empty((k.size, self.chain.n_params))
+            for s, sl in stages:
+                c = sl.stop - sl.start
+                scores[order[sl]] = self.chain.score_sums(
+                    self.theta, x[sl], y[sl], np.ones(c), np.arange(c), c, s
+                )
+            self.pieces = _split(scores, f.lengths - 1)
         return self.pieces[i]
 
 
-@dataclass
 class RolloutBatch:
-    """Rollouts plus the exact generation context they were produced under."""
+    """Rollouts plus the exact generation context they were produced under.
 
-    rollouts: list
-    theta: np.ndarray
-    seed: int
-    mode: str
-    horizon_cap: int
-    n_diverged: int = 0
-    _steps: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    ``rollouts`` is a list of Rollout, or a callable that returns the list
+    on its first read; a batch given a callable must also be given
+    ``flat`` and holds no diverged rollouts. ``flat`` is the rollouts that
+    did not diverge in the flat layout; when not given, it is joined from
+    the list on first need.
+    """
+
+    def __init__(self, rollouts, theta, seed, mode, horizon_cap, n_diverged=0, flat=None):
+        self._rollouts = rollouts
+        self.theta = theta
+        self.seed = seed
+        self.mode = mode
+        self.horizon_cap = horizon_cap
+        self.n_diverged = n_diverged
+        self._flat = flat
+        self._steps = {}
+
+    @property
+    def rollouts(self) -> list:
+        if callable(self._rollouts):
+            self._rollouts = self._rollouts()
+        return self._rollouts
+
+    @property
+    def flat(self) -> _Flat:
+        if self._flat is None:
+            kept = [r for r in self.rollouts if not r.diverged]
+            self._flat = _Flat.join(
+                [r.states for r in kept],
+                [r.costs for r in kept],
+                [_REASONS.index(r.end_reason) for r in kept],
+            )
+        return self._flat
 
     def __len__(self):
-        return len(self.rollouts)
+        if callable(self._rollouts):
+            return self._flat.lengths.size
+        return len(self._rollouts)
 
     def steps(self, gamma: float) -> "BatchSteps":
         """batch_steps(self, gamma), built once per gamma and shared, so not to
@@ -215,10 +294,12 @@ class RolloutBatch:
         a terminal state."""
         if self.mode != "terminal":
             return 0
-        return sum(1 for r in self.rollouts if r.end_reason == END_HORIZON and not r.diverged)
+        return int(np.count_nonzero(self.flat.codes == _REASONS.index(END_HORIZON)))
 
     def total_steps(self) -> int:
-        return int(sum(r.n_steps for r in self.rollouts))
+        if callable(self._rollouts):
+            return self._flat.t.size - self._flat.lengths.size
+        return int(sum(r.n_steps for r in self._rollouts))
 
     def to_jsonl(self, path):
         """Line-delimited dump: a metadata line, then one rollout per line."""
@@ -294,18 +375,34 @@ def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
             raise bad(line, f"states must be integers in 0..{chain.n_states - 1}")
         states.append(st.astype(np.int64) if chain.tabular else st)
         costs.append(cost.astype(float))
+    seed, mode, cap = meta["seed"], meta["mode"], meta["horizon_cap"]
     if chain.tabular:
-        table = _TabularScores(chain, theta, meta["horizon_cap"] if tv else 1, states)
+        codes = [_REASONS.index(rec["end"]) for rec in records]
+        flat = _Flat.join(states, costs, codes)
+        return _flat_batch(chain, theta, flat, cap if tv else 1, seed, mode, cap)
     rollouts = []
-    for i, (rec, st, cost) in enumerate(zip(records, states, costs)):
-        if chain.tabular:
-            scores = table.lazy(i)
-        else:
-            scores = np.zeros((st.shape[0] - 1, problem.n_params))
-            for t in range(scores.shape[0]):
-                scores[t] = chain.score(st[t], st[t + 1], theta, t if tv else 0)
+    for rec, st, cost in zip(records, states, costs):
+        scores = np.zeros((st.shape[0] - 1, problem.n_params))
+        for t in range(scores.shape[0]):
+            scores[t] = chain.score(st[t], st[t + 1], theta, t if tv else 0)
         rollouts.append(Rollout(st, cost, scores, rec["end"]))
-    return RolloutBatch(rollouts, theta, meta["seed"], meta["mode"], meta["horizon_cap"])
+    return RolloutBatch(rollouts, theta, seed, mode, cap)
+
+
+def _flat_batch(chain, theta, flat: _Flat, n_stages: int, seed, mode, horizon_cap) -> RolloutBatch:
+    """A tabular batch in the flat layout. Its Rollout list shares the
+    layout's arrays and is built on first read; the first read of any
+    rollout's scores computes those of all."""
+
+    def rollouts():
+        table = _TabularScores(chain, theta, n_stages, flat)
+        pieces = zip(_split(flat.states, flat.lengths), _split(flat.costs, flat.lengths))
+        return [
+            Rollout(s, c, table.lazy(i), _REASONS[code])
+            for i, ((s, c), code) in enumerate(zip(pieces, flat.codes.tolist()))
+        ]
+
+    return RolloutBatch(rollouts, theta, seed, mode, horizon_cap, flat=flat)
 
 
 def _default_mode(problem: Problem) -> str:
@@ -339,6 +436,8 @@ def generate_rollouts(
         raise CapabilityError("rollout generation needs a samplable chain")
     if isinstance(problem.setting, Average):
         raise CapabilityError("rollout estimation covers episodic and finite-horizon settings")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidStructureError(f"seed must be a non-negative integer, got {seed!r}")
     tv = isinstance(problem.setting, TimeVarying)
     if tv:
         horizon_cap = problem.setting.horizon
@@ -352,44 +451,48 @@ def generate_rollouts(
     if n_rollouts < 1 or horizon_cap < 1:
         raise InvalidStructureError("need at least one rollout and one step")
     if chain.tabular:
-        rollouts = _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
-    else:
-        samplers = [chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
-        rollouts = [
-            _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode)
-            for rng in _rollout_streams(seed, n_rollouts)
-        ]
+        flat = _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
+        return _flat_batch(chain, theta, flat, horizon_cap if tv else 1, seed, mode, horizon_cap)
+    samplers = [chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
+    rollouts = [
+        _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode)
+        for rng in _rollout_streams(seed, n_rollouts)
+    ]
     n_diverged = sum(1 for r in rollouts if r.diverged)
     return RolloutBatch(rollouts, theta, seed, mode, horizon_cap, n_diverged)
 
 
 class _Uniforms:
-    """The uniform draws of a batch's rollouts, each from its own stream,
-    taken in blocks of _BLOCK."""
+    """The uniform draws of a batch's rollouts, each from its own stream.
+    Draw k of a rollout is column k % _BLOCK of its row of a block, which
+    the rollouts drawing at k refill from their streams when k is a
+    multiple of _BLOCK."""
 
     def __init__(self, seed: int, n_rollouts: int):
         self.streams = _rollout_streams(seed, n_rollouts)
         self.block = np.empty((n_rollouts, _BLOCK))
-        self.used = np.full(n_rollouts, _BLOCK)
+        self.k = 0
 
     def take(self, rows: np.ndarray) -> np.ndarray:
-        """The next draw of each of the given rollouts."""
-        for i in rows[self.used[rows] == _BLOCK]:
-            self.block[i] = self.streams[i].random(_BLOCK)
-            self.used[i] = 0
-        u = self.block[rows, self.used[rows]]
-        self.used[rows] += 1
-        return u
+        """Draw k of each of the given rollouts, all of which made draws
+        0..k-1 (the module docstring says why every drawing rollout does)."""
+        col = self.k % _BLOCK
+        if col == 0:
+            for i in rows.tolist():
+                self.streams[i].random(out=self.block[i])
+        self.k += 1
+        return self.block[rows, col]
 
 
 def _inverse_cdf(cum: np.ndarray, top, u: np.ndarray) -> np.ndarray:
-    """sample_index per draw: the count of entries of the cumulative row
-    that are <= u, or the row's clamp index top when u reaches the total."""
-    idx = np.count_nonzero(cum <= u[:, None], axis=1)
-    return np.where(idx < cum.shape[1], idx, top)
+    """sample_index per draw: the first entry of the (nondecreasing)
+    cumulative row above u, or the row's clamp index top when u reaches
+    the total."""
+    idx = np.argmax(cum > u[:, None], axis=1)
+    return np.where(cum[:, -1] > u, idx, top)
 
 
-def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> list:
+def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> _Flat:
     chain = problem.chain
     n = chain.n_states
     n_stages = horizon_cap if tv else 1
@@ -407,41 +510,45 @@ def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -
     init_cum = np.cumsum(problem.init.weights)[None, :]
     x = _inverse_cdf(init_cum, np.argmax(init_cum[0] >= init_cum[0, -1]), draws.take(live))
     reason = np.zeros(n_rollouts, dtype=np.int64)  # index into _REASONS
-    visits, visited = [live], [x.copy()]  # rollouts alive at each step, and their states
+    visits, visited = [live], [x]  # rollouts alive at each step, and their states
     t = 0
     while live.size:
         if not tv:
-            done = terminal[x[live]]
+            done = terminal[x]
             reason[live[done]] = 1
-            live = live[~done]
+            live, x = live[~done], x[~done]
         if t >= horizon_cap:
             break
         if mode == "geometric":
             done = draws.take(live) < stop_prob
             reason[live[done]] = 2
-            live = live[~done]
-        movers = live[~terminal[x[live]]]
-        if movers.size:
-            stage, rows = min(t, n_stages - 1), x[movers]
-            x[movers] = _inverse_cdf(cums[stage, rows], tops[stage, rows], draws.take(movers))
+            live, x = live[~done], x[~done]
+        stage = min(t, n_stages - 1)
+        cum, top = cums[stage], tops[stage]
+        if tv:
+            # a rollout parked on a terminal state stays there and draws nothing
+            x = x.copy()
+            move = ~terminal[x]
+            rows = x[move]
+            x[move] = _inverse_cdf(cum[rows], top[rows], draws.take(live[move]))
+        else:
+            x = _inverse_cdf(cum[x], top[x], draws.take(live))
         visits.append(live)
-        visited.append(x[live])
+        visited.append(x)
         t += 1
 
+    # the loop's output is step-major; step k of rollout i goes to first[i] + k
     owner = np.concatenate(visits)
-    order = np.argsort(owner, kind="stable")
-    states = np.concatenate(visited)[order]
-    step = np.concatenate([np.full(v.size, k) for k, v in enumerate(visits)])[order]
+    step = np.repeat(np.arange(len(visits)), [v.size for v in visits])
+    lengths = np.bincount(owner, minlength=n_rollouts)
+    at = (np.cumsum(lengths) - lengths)[owner] + step
+    states, steps = np.empty_like(owner), np.empty_like(step)
+    states[at] = np.concatenate(visited)
+    steps[at] = step
     n_tables = n_stages + (1 if tv else 0)
     L = np.stack([problem.cost.value_table(theta, k) for k in range(n_tables)])
-    costs = L[np.minimum(step, n_tables - 1), states]
-    lengths = np.bincount(owner, minlength=n_rollouts)
-    states = _split(states, lengths)
-    table = _TabularScores(chain, theta, n_stages, states)
-    return [
-        Rollout(s, c, table.lazy(i), _REASONS[code])
-        for i, (s, c, code) in enumerate(zip(states, _split(costs, lengths), reason))
-    ]
+    costs = L[np.minimum(steps, n_tables - 1), states]
+    return _Flat(states, steps, costs, lengths, reason)
 
 
 def _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode) -> Rollout:
@@ -491,9 +598,10 @@ class BatchSteps:
     """The rollouts of a batch that did not diverge, as flat per-step
     arrays, rollout after rollout."""
 
-    rollouts: list
+    lengths: np.ndarray  # states per rollout
     states: np.ndarray  # (N,) ints or (N, n_x) floats
-    owner: np.ndarray  # the step's rollout, an index into rollouts
+    costs: np.ndarray  # L_t
+    owner: np.ndarray  # the step's rollout, an index into lengths
     t: np.ndarray  # the step's time within its rollout
     returns: np.ndarray  # discounted cost-to-go R_t
     weights: np.ndarray  # gamma^t
@@ -502,24 +610,18 @@ class BatchSteps:
 
 
 def batch_steps(batch: RolloutBatch, gamma: float) -> BatchSteps:
-    rollouts = [r for r in batch.rollouts if not r.diverged]
-    lengths = np.array([r.costs.shape[0] for r in rollouts], dtype=np.int64)
+    f = batch.flat
+    lengths = f.lengths
     first = np.cumsum(lengths) - lengths
-    owner = np.repeat(np.arange(len(rollouts)), lengths)
-    t = np.arange(owner.size) - first[owner]
-    if rollouts:
-        states = np.concatenate([r.states for r in rollouts])
-        costs = np.concatenate([r.costs for r in rollouts])
-    else:
-        states, costs = np.zeros(0, dtype=np.int64), np.zeros(0)
     return BatchSteps(
-        rollouts=rollouts,
-        states=states,
-        owner=owner,
-        t=t,
-        returns=_batch_returns(costs, lengths, first, gamma),
-        weights=(gamma ** np.arange(lengths.max(initial=0)))[t],
-        trans=np.flatnonzero(t < lengths[owner] - 1),
+        lengths=lengths,
+        states=f.states,
+        costs=f.costs,
+        owner=np.repeat(np.arange(lengths.size), lengths),
+        t=f.t,
+        returns=_batch_returns(f.costs, lengths, first, gamma),
+        weights=(gamma ** np.arange(lengths.max(initial=0)))[f.t],
+        trans=f.transitions(),
         first=first,
     )
 
@@ -538,11 +640,6 @@ def _batch_returns(costs, lengths, first, gamma) -> np.ndarray:
         out[rows] = R
         rows -= 1
     return out
-
-
-def _present(labels: np.ndarray) -> np.ndarray:
-    """The distinct values of an array of small non-negative ints, in order."""
-    return np.flatnonzero(np.bincount(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +783,22 @@ def estimate_gradient(
     check_batch(theta, batch)
     gamma = effective_gamma(problem, batch)
     steps = batch.steps(gamma)
-    if not steps.rollouts:
+    n_valid = steps.lengths.size
+    if not n_valid:
         raise InvalidStructureError("no valid rollouts in the batch")
-    if problem.chain.tabular:
-        kept = _tabular_contributions(problem, theta, batch, steps, gamma, baseline)
-    else:
-        kept = _continuous_contributions(problem, theta, steps, gamma, baseline)
-    n_valid = len(steps.rollouts)
+    k = steps.trans
+    adv = steps.returns[k + 1]
+    if baseline is not None:
+        adv = adv - _baseline_values(problem, theta, baseline, steps)
+    coef = gamma * steps.weights[k] * adv
+    kept = _contributions(problem, theta, batch, steps, steps.weights, coef)
     mean = kept.mean(axis=0)
     if n_valid > 1:
         stderr = kept.std(axis=0, ddof=1) / math.sqrt(n_valid)
     else:
         stderr = np.full(problem.n_params, np.inf)
     n_truncated = batch.n_truncated
-    frac_bad = (batch.n_diverged + n_truncated) / len(batch.rollouts)
+    frac_bad = (batch.n_diverged + n_truncated) / len(batch)
     return GradientEstimate(
         mean=mean,
         stderr=stderr,
@@ -708,7 +807,7 @@ def estimate_gradient(
         valid=frac_bad <= 0.01,
         diagnostics={
             "mean_return": float(np.mean(steps.returns[steps.first])),
-            "mean_length": float(np.mean([r.n_steps for r in steps.rollouts])),
+            "mean_length": float(np.mean(steps.lengths - 1)),
             "n_diverged": batch.n_diverged,
             "n_truncated": n_truncated,
             "per_rollout": kept,
@@ -716,54 +815,62 @@ def estimate_gradient(
     )
 
 
-def _tabular_contributions(problem, theta, batch, steps: BatchSteps, gamma, baseline):
-    """Per-rollout contributions from per-stage cost-gradient tables and the
-    chain's score sums; no per-step Python."""
+def _baseline_values(problem, theta, baseline: ValueApprox, steps: BatchSteps) -> np.ndarray:
+    """b(x_t) at the transitions: the baseline's predicted value one step
+    ahead, from the stage tables on a tabular chain and per step otherwise."""
+    k = steps.trans
+    if problem.chain.tabular:
+        tables = np.stack(baseline_expected_values(problem, theta, baseline))
+        return tables[np.minimum(steps.t[k], len(tables) - 1), steps.states[k]]
+    chain = problem.chain
+    stage = steps.t if isinstance(problem.setting, TimeVarying) else np.zeros_like(steps.t)
+    return np.array(
+        [baseline.predict(chain.mean(steps.states[j], theta, int(stage[j]))) for j in k]
+    )
+
+
+def _contributions(problem, theta, batch, steps: BatchSteps, step_w, coef) -> np.ndarray:
+    """Per-rollout sums of step_w * dL(x_t) over the steps plus coef *
+    score_t over the transitions steps.trans, shape (rollouts, n_params)."""
+    if problem.chain.tabular:
+        return _tabular_contributions(problem, theta, batch, steps, step_w, coef)
+    return _continuous_contributions(problem, theta, batch, steps, step_w, coef)
+
+
+def _tabular_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
+    """One bincount of the step weights over (rollout, stage, state) times
+    the stacked stage cost-gradient tables, plus the chain's score sums
+    over the transitions sorted by stage; no per-step Python."""
     chain, cost = problem.chain, problem.cost
     tv = isinstance(problem.setting, TimeVarying)
     n_stages = batch.horizon_cap if tv else 1
     n_tables = n_stages + (1 if tv else 0)
-    n, m = chain.n_states, len(steps.rollouts)
-    out = np.zeros((m, problem.n_params))
-    stage = np.minimum(steps.t, n_tables - 1)
-    for s in _present(stage):
-        sel = stage == s
-        mass = np.bincount(
-            steps.owner[sel] * n + steps.states[sel], weights=steps.weights[sel], minlength=m * n
-        )
-        out += mass.reshape(m, n) @ cost.grad_table(theta, int(s))
+    n, m, p = chain.n_states, steps.lengths.size, problem.n_params
+    G = np.stack([cost.grad_table(theta, s) for s in range(n_tables)])
+    cell = (steps.owner * n_tables + np.minimum(steps.t, n_tables - 1)) * n + steps.states
+    mass = np.bincount(cell, weights=step_w, minlength=m * n_tables * n)
+    out = mass.reshape(m, n_tables * n) @ G.reshape(n_tables * n, p)
 
-    k = steps.trans
-    x, y = steps.states[k], steps.states[k + 1]
-    stage = np.minimum(steps.t[k], n_stages - 1)
-    adv = steps.returns[k + 1]
-    if baseline is not None:
-        adv = adv - np.stack(baseline_expected_values(problem, theta, baseline))[stage, x]
-    coef = gamma * steps.weights[k] * adv
-    for s in _present(stage):
-        sel = stage == s
-        out += chain.score_sums(theta, x[sel], y[sel], coef[sel], steps.owner[k][sel], m, int(s))
+    order, stages = _stage_order(np.minimum(steps.t[steps.trans], n_stages - 1))
+    k = steps.trans[order]
+    x, y, group, c = steps.states[k], steps.states[k + 1], steps.owner[k], coef[order]
+    for s, sl in stages:
+        out += chain.score_sums(theta, x[sl], y[sl], c[sl], group[sl], m, s)
     return out
 
 
-def _continuous_contributions(problem, theta, steps: BatchSteps, gamma, baseline):
-    """Per-rollout contributions with per-step cost gradients, baselines and
-    the stored scores."""
-    chain, cost = problem.chain, problem.cost
+def _continuous_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
+    """Per-step cost gradients and the stored scores, summed per rollout."""
+    cost = problem.cost
     tv = isinstance(problem.setting, TimeVarying)
     stage = steps.t if tv else np.zeros_like(steps.t)
-    out = np.zeros((len(steps.rollouts), problem.n_params))
+    out = np.zeros((steps.lengths.size, problem.n_params))
     gL = np.stack([cost.grad(x, theta, int(s)) for x, s in zip(steps.states, stage)])
-    np.add.at(out, steps.owner, steps.weights[:, None] * gL)
+    np.add.at(out, steps.owner, step_w[:, None] * gL)
     k = steps.trans
     if k.size:
-        adv = steps.returns[k + 1]
-        if baseline is not None:
-            adv = adv - np.array(
-                [baseline.predict(chain.mean(steps.states[j], theta, int(stage[j]))) for j in k]
-            )
-        scores = np.concatenate([r.scores for r in steps.rollouts])
-        np.add.at(out, steps.owner[k], (gamma * steps.weights[k] * adv)[:, None] * scores)
+        scores = np.concatenate([r.scores for r in batch.rollouts if not r.diverged])
+        np.add.at(out, steps.owner[k], coef[:, None] * scores)
     return out
 
 
@@ -786,37 +893,26 @@ def _require_timevarying(problem: Problem):
         raise CapabilityError("path derivatives are defined for finite-horizon problems")
 
 
-def _path_cost_grads(problem: Problem, theta, T: int):
-    """states -> (T + 1, n_params) stage cost gradients along a path: rows
-    of the stage gradient tables on a tabular chain, per-state calls
-    otherwise."""
-    cost = problem.cost
-    if problem.chain.tabular:
-        tables = [cost.grad_table(theta, t) for t in range(T + 1)]
-        return lambda states: np.stack([tables[t][states[t]] for t in range(T + 1)])
-    return lambda states: np.stack([cost.grad(states[t], theta, t) for t in range(T + 1)])
-
-
 def path_gradient(problem: Problem, theta, batch: RolloutBatch) -> GradientEstimate:
-    """Whole-path gradient estimate: (sum of scores) L_path + grad L_path."""
+    """Whole-path gradient estimate: (sum of scores) L_path + grad L_path,
+    that is, each score weighted by its rollout's total cost and each cost
+    gradient by one."""
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
     _require_timevarying(problem)
-    T = problem.setting.horizon
-    cost_grads = _path_cost_grads(problem, theta, T)
-    out = np.zeros((len(batch.rollouts), problem.n_params))
-    for i, r in enumerate(batch.rollouts):
-        if r.n_steps != T:
-            raise InvalidStructureError("path derivatives need full-horizon rollouts")
-        total_cost = float(r.costs.sum())
-        score_sum = r.scores.sum(axis=0)
-        out[i] = score_sum * total_cost + cost_grads(r.states).sum(axis=0)
+    steps = batch.steps(effective_gamma(problem, batch))
+    if batch.n_diverged or np.any(steps.lengths != problem.setting.horizon + 1):
+        raise InvalidStructureError("path derivatives need full-horizon rollouts")
+    m = steps.lengths.size
+    total_cost = np.bincount(steps.owner, weights=steps.costs, minlength=m)
+    coef = total_cost[steps.owner[steps.trans]]
+    out = _contributions(problem, theta, batch, steps, np.ones(steps.t.size), coef)
     mean = out.mean(axis=0)
-    stderr = out.std(axis=0, ddof=1) / math.sqrt(len(batch.rollouts))
+    stderr = out.std(axis=0, ddof=1) / math.sqrt(m)
     return GradientEstimate(
         mean=mean,
         stderr=stderr,
-        n_rollouts=len(batch.rollouts),
+        n_rollouts=m,
         n_diverged=batch.n_diverged,
         valid=True,
         diagnostics={"per_rollout": out},
@@ -844,7 +940,7 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         raise CapabilityError("path Hessian needs twice-differentiable chain and cost")
     T = problem.setting.horizon
     p, n = problem.n_params, chain.n_states
-    cost_grads = _path_cost_grads(problem, theta, T)
+    G = [cost.grad_table(theta, t) for t in range(T + 1)]
     hess_cache = {}
 
     def chain_hess(t, x, y):
@@ -871,7 +967,7 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         d2K = np.zeros((p, p))
         for t in range(T):
             d2K += chain_hess(t, r.states[t], r.states[t + 1])
-        dL = cost_grads(r.states).sum(axis=0)
+        dL = np.stack([G[t][r.states[t]] for t in range(T + 1)]).sum(axis=0)
         d2L = np.zeros((p, p))
         for t in range(T + 1):
             d2L += cost_hess(t, r.states[t])

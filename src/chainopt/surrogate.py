@@ -145,9 +145,9 @@ class SampledSurrogate:
         self.tabular = chain.tabular
 
         steps = batch.steps(self.gamma)
-        if not steps.rollouts:
+        self.n_valid = steps.lengths.size
+        if not self.n_valid:
             raise CapabilityError("batch has no usable rollouts")
-        self.n_valid = len(steps.rollouts)
         self.states = steps.states
         self.state_w = steps.weights
         k = steps.trans

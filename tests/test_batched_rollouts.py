@@ -6,6 +6,7 @@ vectorized value fit, gradient estimate and sampled-surrogate gradients
 must agree with per-step references to 1e-12.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -227,6 +228,18 @@ class TestLockstepMatchesPerStepEngine:
         theta = _theta(problem, scale)
         new = generate_rollouts(problem, theta, 40, seed=11, **kw)
         ref = per_step_rollouts(problem, theta, 40, seed=11, **kw)
+        # the summaries and steps of the flat batch, read before anything
+        # builds its Rollout list, against those of the reference's list
+        assert new.total_steps() == ref.total_steps()
+        assert new.n_truncated == ref.n_truncated
+        mean_length = lambda b: estimate_gradient(problem, theta, b).diagnostics["mean_length"]
+        assert mean_length(new) == mean_length(ref)
+        gamma = effective_gamma(problem, new)
+        got, want = new.steps(gamma), ref.steps(gamma)
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
         assert_same_batch(new, ref, tmp_path)
 
     def test_rollouts_outlive_a_block(self, tmp_path):
@@ -304,6 +317,45 @@ class TestLockstepMatchesPerStepEngine:
                     a.scores[t],
                     transition_score(problem.chain, a.states[t], a.states[t + 1], theta, t),
                 )
+
+
+class TestFlatBatches:
+    """Tabular batches stay in the flat layout unless their Rollout list
+    is read."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        count = []
+        init = Rollout.__init__
+        monkeypatch.setattr(
+            Rollout, "__init__", lambda self, *a, **kw: count.append(1) or init(self, *a, **kw)
+        )
+        return count
+
+    @pytest.mark.parametrize("setting", ["first-exit", "episodic"])
+    @pytest.mark.parametrize(
+        "algorithm",
+        [
+            {"method": "alg1-sgd", "iterations": 2, "batch_size": 64},
+            {"method": "pco", "iterations": 2, "batch_size": 64, "inner_iterations": 3},
+        ],
+        ids=["alg1-sgd", "pco"],
+    )
+    def test_sampled_methods_build_no_rollout(self, built, setting, algorithm):
+        doc = {
+            "problem": {"kind": "softmax-tabular", "setting": setting, "n_states": 8, "seed": 4},
+            "algorithm": algorithm,
+        }
+        report = run_optimize(parse_config(json.dumps(doc)))
+        assert report["rollout_steps"] > 0
+        assert built == []
+
+    def test_reading_rollouts_builds_them_once(self, built):
+        problem = random_timevarying_problem(horizon=3, n_states=4, seed=1)
+        batch = generate_rollouts(problem, np.zeros(problem.n_params), 9, seed=2)
+        assert len(batch) == 9 and batch.total_steps() == 27 and built == []
+        assert batch.rollouts is batch.rollouts
+        assert len(built) == 9
 
 
 class TestTruncation:

@@ -88,6 +88,11 @@ class TestConfigContract:
         with pytest.raises(ConfigError, match="kind"):
             parse_config(json.dumps({"problem": {"kind": "mystery"}}))
 
+    def test_negative_seed_is_refused(self):
+        doc = {"kind": "softmax-tabular", "setting": "first-exit", "n_states": 6, "seed": -2}
+        with pytest.raises(ConfigError, match=r"problem\.seed"):
+            parse_config(json.dumps({"problem": doc, "algorithm": {"method": "alg1-sgd"}}))
+
     def test_kind_setting_matrix(self):
         with pytest.raises(ConfigError, match="setting"):
             config_for(problem={"kind": "gridworld-lmdp", "setting": "episodic"})
@@ -465,6 +470,15 @@ class TestCli:
         # far too few steps for this heavily charged grid: check fails
         assert cli_main(["zlearn", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_negative_seed_override_is_a_config_error(self, tmp_path, capsys):
+        doc = self.canonical_doc(method="alg1-sgd", batch_size=8, iterations=1)
+        cfg = self.write_config(tmp_path, doc)
+        assert cli_main(["optimize", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert "problem.seed" in capsys.readouterr().err
+        args = ["equiv", "--pair", "smdp-dmdp", "--out", str(tmp_path), "--seed", "-1"]
+        assert cli_main(args) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_seed_override_changes_sampled_run(self, tmp_path):
         doc = self.canonical_doc(method="alg1-sgd", batch_size=32, iterations=2)

@@ -88,6 +88,19 @@ class TestGeneration:
         batch = generate_rollouts(prob, np.zeros(prob.n_params), 30, seed=5)
         assert all(r.n_steps == 4 for r in batch.rollouts)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        prob = canonical_two_state()
+        with pytest.raises(InvalidStructureError, match="seed"):
+            generate_rollouts(prob, np.zeros(2), 4, seed=seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        prob = canonical_two_state()
+        a = generate_rollouts(prob, np.zeros(2), 4, seed=np.int64(3))
+        b = generate_rollouts(prob, np.zeros(2), 4, seed=3)
+        for ra, rb in zip(a.rollouts, b.rollouts):
+            np.testing.assert_array_equal(ra.states, rb.states)
+
     def test_stale_batch_is_rejected(self):
         prob = canonical_two_state()
         batch = generate_rollouts(prob, np.zeros(2), 10, seed=0)
@@ -291,6 +304,35 @@ class TestGradientEstimation:
         assert np.all(np.abs(est.mean - exact) <= 5 * est.stderr + 1e-12)
 
 
+def reference_path_gradient(problem, theta, batch):
+    """path_gradient as a per-rollout loop: the score sum times the total
+    cost, plus the stage cost gradients along the path."""
+    T = problem.setting.horizon
+    cost = problem.cost
+    if problem.chain.tabular:
+        tables = [cost.grad_table(theta, t) for t in range(T + 1)]
+        grads = lambda states: np.stack([tables[t][states[t]] for t in range(T + 1)])
+    else:
+        grads = lambda states: np.stack([cost.grad(states[t], theta, t) for t in range(T + 1)])
+    out = np.zeros((len(batch.rollouts), problem.n_params))
+    for i, r in enumerate(batch.rollouts):
+        assert r.n_steps == T
+        out[i] = r.scores.sum(axis=0) * float(r.costs.sum()) + grads(r.states).sum(axis=0)
+    return out
+
+
+def _assert_close(a, b):
+    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _gaussian_timevarying():
+    chain = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2))
+    cost = StateQuadraticCost(np.eye(2), n_params=chain.n_params)
+    init = GaussianInitial(np.zeros(2), np.eye(2))
+    return Problem(chain, cost, TimeVarying(3), init)
+
+
 class TestPathDerivatives:
     def test_path_gradient_matches_estimate_route(self):
         """Whole-path likelihood-ratio gradient agrees with the exact
@@ -302,6 +344,41 @@ class TestPathDerivatives:
         est = path_gradient(prob, theta, batch)
         assert np.all(np.abs(est.mean - exact) <= 5 * est.stderr + 1e-12)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_timevarying_problem(horizon=2, n_states=3, seed=4),
+            lambda: random_timevarying_problem(horizon=7, n_states=5, seed=2),
+            lambda: random_timevarying_problem(horizon=1, n_states=6, seed=9),
+            _gaussian_timevarying,
+        ],
+        ids=["h2n3", "h7n5", "h1n6", "gaussian"],
+    )
+    def test_path_gradient_matches_the_per_rollout_loop(self, make, tmp_path):
+        prob = make()
+        theta = 0.3 * np.random.default_rng(1).normal(size=prob.n_params)
+        batch = generate_rollouts(prob, theta, 60, seed=5)
+        est = path_gradient(prob, theta, batch)
+        ref = reference_path_gradient(prob, theta, batch)
+        _assert_close(est.diagnostics["per_rollout"], ref)
+        _assert_close(est.mean, ref.mean(axis=0))
+        _assert_close(est.stderr, ref.std(axis=0, ddof=1) / np.sqrt(len(ref)))
+        if prob.chain.tabular:
+            # a reloaded batch takes the same flat route
+            batch.to_jsonl(tmp_path / "b.jsonl")
+            back = batch_from_jsonl(prob, tmp_path / "b.jsonl")
+            np.testing.assert_array_equal(
+                path_gradient(prob, theta, back).diagnostics["per_rollout"],
+                est.diagnostics["per_rollout"],
+            )
+
+    def test_path_gradient_refuses_a_short_rollout(self, tmp_path):
+        prob = random_timevarying_problem(horizon=3, n_states=4, seed=0)
+        cut = lambda doc: {**doc, "states": doc["states"][:-1], "costs": doc["costs"][:-1]}
+        path = _corrupt_dump(prob, tmp_path, 3, None, cut)
+        with pytest.raises(InvalidStructureError, match="full-horizon"):
+            path_gradient(prob, np.zeros(prob.n_params), batch_from_jsonl(prob, path))
+
     def test_path_hessian_symmetric_and_consistent(self):
         prob = random_timevarying_problem(horizon=2, n_states=3, seed=4)
         theta = 0.1 * np.random.default_rng(4).normal(size=prob.n_params)
@@ -312,10 +389,7 @@ class TestPathDerivatives:
         assert np.all(np.abs(est.mean - H) <= 6 * est.stderr + 1e-8)
 
     def test_path_hessian_refuses_a_continuous_chain(self):
-        chain = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2))
-        cost = StateQuadraticCost(np.eye(2), n_params=chain.n_params)
-        init = GaussianInitial(np.zeros(2), np.eye(2))
-        prob = Problem(chain, cost, TimeVarying(2), init)
+        prob = _gaussian_timevarying()
         theta = np.zeros(prob.n_params)
         batch = generate_rollouts(prob, theta, 5, seed=0)
         with pytest.raises(CapabilityError, match="tabular"):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -130,33 +130,45 @@ CSV_HEADER = "iter,J,grad_norm,wall_ms,steps"
 # ---------------------------------------------------------------------------
 
 
-def _reject_unknown(section: str, given: dict, known):
+# The JSON types a config field takes, by its annotation; a bool is
+# neither an integer nor a number here.
+_JSON_TYPES = {
+    "bool": ((bool,), "a boolean"),
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def _field_types(cls, path: str, given) -> dict:
+    """Field name -> annotation of the config dataclass cls, after refusing
+    a section that is not an object and a name that is no field of cls."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"{path} section must be an object")
+    known = {f.name: f.type for f in fields(cls)}
     for key in given:
         if key not in known:
-            path = f"{section}.{key}" if section else key
-            raise ConfigError(f"unknown config field {path}")
+            raise ConfigError(f"unknown config field {path}.{key}")
+    return known
 
 
-def _get(section: str, given: dict, name: str, default, kind):
-    value = given.get(name, default)
-    path = f"{section}.{name}"
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be a boolean")
-        return value
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer")
-        return int(value)
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path} must be a number")
-        return float(value)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path} must be a string")
-        return value
-    raise AssertionError(kind)
+def _typed(path: str, value, kind: str):
+    types, noun = _JSON_TYPES[kind]
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        raise ConfigError(f"{path} must be {noun}")
+    return float(value) if kind == "float" else value
+
+
+def _section(cls, path: str, given, **defaults):
+    """The config dataclass cls built from the JSON object given, whose
+    values are checked against the annotations in field order. A field
+    that given lacks takes its value from defaults, else the dataclass
+    default."""
+    values = dict(defaults)
+    for name, kind in _field_types(cls, path, given).items():
+        if name in given:
+            values[name] = _typed(f"{path}.{name}", given[name], kind)
+    return cls(**values)
 
 
 @dataclass
@@ -173,35 +185,16 @@ class ProblemConfig:
     canonical: bool = False
     seed: int = 0
 
-    _FIELDS = (
-        "kind", "setting", "gamma", "horizon", "n_states", "n_actions",
-        "size", "step_cost", "n_dims", "canonical", "seed",
-    )
-
     @classmethod
     def from_dict(cls, d: dict) -> "ProblemConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("problem section must be an object")
-        _reject_unknown("problem", d, cls._FIELDS)
-        kind = _get("problem", d, "kind", None, str) if "kind" in d else None
-        if kind is None:
+        # kind is checked ahead of the other fields: setting's default depends on it
+        _field_types(cls, "problem", d)
+        if "kind" not in d:
             raise ConfigError("problem.kind is required")
+        kind = _typed("problem.kind", d["kind"], "str")
         if kind not in PROBLEM_KINDS:
             raise ConfigError(f"problem.kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-        setting = _get("problem", d, "setting", KIND_SETTINGS[kind][0], str)
-        cfg = cls(
-            kind=kind,
-            setting=setting,
-            gamma=_get("problem", d, "gamma", 0.9, float),
-            horizon=_get("problem", d, "horizon", 10, int),
-            n_states=_get("problem", d, "n_states", 8, int),
-            n_actions=_get("problem", d, "n_actions", 3, int),
-            size=_get("problem", d, "size", 5, int),
-            step_cost=_get("problem", d, "step_cost", 0.002, float),
-            n_dims=_get("problem", d, "n_dims", 2, int),
-            canonical=_get("problem", d, "canonical", False, bool),
-            seed=_get("problem", d, "seed", 0, int),
-        )
+        cfg = _section(cls, "problem", d, setting=KIND_SETTINGS[kind][0])
         cfg.validate()
         return cfg
 
@@ -239,9 +232,6 @@ class ProblemConfig:
         if self.canonical and self.setting != "first-exit":
             raise ConfigError("problem.canonical requires the first-exit setting")
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
 
 @dataclass
 class AlgorithmConfig:
@@ -253,7 +243,6 @@ class AlgorithmConfig:
     clip_radius: float = 0.2
     damping: float = 1e-8
     baseline: bool = True
-    value_features: str = "tabular"
     kappa: float = 1.0
     inner_iterations: int = 30
     use_adam: bool = False
@@ -261,35 +250,9 @@ class AlgorithmConfig:
     record_every: int = 1000
     double_sample: bool = False
 
-    _FIELDS = (
-        "method", "iterations", "step_size", "batch_size", "horizon_cap",
-        "clip_radius", "damping", "baseline", "value_features", "kappa",
-        "inner_iterations", "use_adam", "zlearn_steps", "record_every",
-        "double_sample",
-    )
-
     @classmethod
     def from_dict(cls, d: dict) -> "AlgorithmConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("algorithm section must be an object")
-        _reject_unknown("algorithm", d, cls._FIELDS)
-        cfg = cls(
-            method=_get("algorithm", d, "method", "exact-gd", str),
-            iterations=_get("algorithm", d, "iterations", 50, int),
-            step_size=_get("algorithm", d, "step_size", 0.1, float),
-            batch_size=_get("algorithm", d, "batch_size", 256, int),
-            horizon_cap=_get("algorithm", d, "horizon_cap", 1000, int),
-            clip_radius=_get("algorithm", d, "clip_radius", 0.2, float),
-            damping=_get("algorithm", d, "damping", 1e-8, float),
-            baseline=_get("algorithm", d, "baseline", True, bool),
-            value_features=_get("algorithm", d, "value_features", "tabular", str),
-            kappa=_get("algorithm", d, "kappa", 1.0, float),
-            inner_iterations=_get("algorithm", d, "inner_iterations", 30, int),
-            use_adam=_get("algorithm", d, "use_adam", False, bool),
-            zlearn_steps=_get("algorithm", d, "zlearn_steps", 100_000, int),
-            record_every=_get("algorithm", d, "record_every", 1000, int),
-            double_sample=_get("algorithm", d, "double_sample", False, bool),
-        )
+        cfg = _section(cls, "algorithm", d)
         cfg.validate()
         return cfg
 
@@ -308,8 +271,6 @@ class AlgorithmConfig:
             raise ConfigError("algorithm.clip_radius must lie in (0, 1)")
         if self.damping < 0:
             raise ConfigError("algorithm.damping must be non-negative")
-        if self.value_features not in ("tabular", "none"):
-            raise ConfigError("algorithm.value_features must be 'tabular' or 'none'")
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError("algorithm.kappa must lie in [0, 1]")
         if self.inner_iterations < 1:
@@ -318,9 +279,6 @@ class AlgorithmConfig:
             raise ConfigError("algorithm.zlearn_steps must be at least 1")
         if self.record_every < 1:
             raise ConfigError("algorithm.record_every must be at least 1")
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
 
 
 @dataclass
@@ -331,23 +289,9 @@ class OutputConfig:
     theta_json: str = "theta.json"
     timing: bool = False
 
-    _FIELDS = ("curve_csv", "report_json", "z_table", "theta_json", "timing")
-
     @classmethod
     def from_dict(cls, d: dict) -> "OutputConfig":
-        if not isinstance(d, dict):
-            raise ConfigError("output section must be an object")
-        _reject_unknown("output", d, cls._FIELDS)
-        return cls(
-            curve_csv=_get("output", d, "curve_csv", "curve.csv", str),
-            report_json=_get("output", d, "report_json", "report.json", str),
-            z_table=_get("output", d, "z_table", "z.txt", str),
-            theta_json=_get("output", d, "theta_json", "theta.json", str),
-            timing=_get("output", d, "timing", False, bool),
-        )
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return _section(cls, "output", d)
 
 
 @dataclass
@@ -360,7 +304,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config document must be a JSON object")
-        _reject_unknown("", {k: None for k in d}, ("problem", "algorithm", "output"))
+        for key in d:
+            if key not in ("problem", "algorithm", "output"):
+                raise ConfigError(f"unknown config field {key}")
         if "problem" not in d:
             raise ConfigError("problem section is required")
         cfg = cls(
@@ -377,19 +323,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"algorithm.method {method!r} cannot run on problem.kind {kind!r}"
             )
-        if self.algorithm.baseline and self.algorithm.value_features == "tabular":
-            if kind == "gaussian-linear":
-                raise ConfigError(
-                    "algorithm.value_features 'tabular' needs a finite state space; "
-                    "set algorithm.baseline false for gaussian-linear"
-                )
+        if self.algorithm.baseline and kind == "gaussian-linear":
+            raise ConfigError(
+                "the tabular value baseline needs a finite state space; "
+                "set algorithm.baseline false for gaussian-linear"
+            )
 
     def to_dict(self) -> dict:
-        return {
-            "problem": self.problem.to_dict(),
-            "algorithm": self.algorithm.to_dict(),
-            "output": self.output.to_dict(),
-        }
+        return asdict(self)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -632,11 +573,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     prev_batch = None
     kappa = alg.kappa
     adam = _AdamState(theta.size, alg.step_size) if alg.use_adam else None
-    features = (
-        FeatureMap.tabular(problem.chain.n_states)
-        if tabular and alg.baseline and alg.value_features == "tabular"
-        else None
-    )
+    features = FeatureMap.tabular(problem.chain.n_states) if tabular and alg.baseline else None
     sampled = method in ("alg1-sgd", "pco")
     stationary_tabular = tabular and not isinstance(problem.setting, TimeVarying)
 
@@ -668,41 +605,29 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
         else:
             j_val, j_se = _batch_j_estimate(problem, batch)
 
-        if method == "exact-gd":
+        if method == "alg1-sgd":
+            grad = estimate_gradient(problem, theta, batch, baseline=approx).mean
+        else:
             grad = exact_gradient(problem, theta, solution=sol)
-            if not last:
-                theta = adam.step(theta, grad) if adam else theta - alg.step_size * grad
-        elif method == "natural":
-            grad = exact_gradient(problem, theta, solution=sol)
-            if not last:
-                fisher = fisher_matrix(problem, theta, solution=sol)
-                ngrad = natural_gradient(grad, fisher, alg.damping)
-                theta = adam.step(theta, ngrad) if adam else theta - alg.step_size * ngrad
-        elif method == "alg1-sgd":
-            est = estimate_gradient(problem, theta, batch, baseline=approx)
-            grad = est.mean
-            if not last:
-                theta = adam.step(theta, grad) if adam else theta - alg.step_size * grad
-        elif method == "pco":
-            grad = exact_gradient(problem, theta, solution=sol)
-            if not last:
+        if not last and method in ("pco", "chain-iteration", "newton-surrogate"):
+            if method == "pco":
                 surr = ClippedSurrogate(
                     SampledSurrogate(problem, theta, batch, approx), alg.clip_radius
                 )
-                report = chain_iteration_step(
-                    problem, theta, surrogate=surr, inner="gd",
-                    kappa=kappa, max_inner=alg.inner_iterations,
-                )
-                theta, kappa = report.theta, report.kappa_next
-        else:  # chain-iteration / newton-surrogate on the exact surrogate
-            grad = exact_gradient(problem, theta, solution=sol)
-            if not last:
-                report = chain_iteration_step(
-                    problem, theta, surrogate=ExactSurrogate(problem, theta, solution=sol),
-                    inner="newton" if method == "newton-surrogate" else "gd",
-                    kappa=kappa, max_inner=alg.inner_iterations,
-                )
-                theta, kappa = report.theta, report.kappa_next
+            else:
+                surr = ExactSurrogate(problem, theta, solution=sol)
+            report = chain_iteration_step(
+                problem, theta, surrogate=surr,
+                inner="newton" if method == "newton-surrogate" else "gd",
+                kappa=kappa, max_inner=alg.inner_iterations,
+            )
+            theta, kappa = report.theta, report.kappa_next
+        elif not last:  # a gradient step: plain, natural or sampled
+            step = grad
+            if method == "natural":
+                fisher = fisher_matrix(problem, theta, solution=sol)
+                step = natural_gradient(grad, fisher, alg.damping)
+            theta = adam.step(theta, step) if adam else theta - alg.step_size * step
         prev_batch = batch
 
         wall = int(round(1000 * (time.perf_counter() - t0))) if out.timing else 0

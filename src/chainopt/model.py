@@ -177,7 +177,7 @@ class ChainModel(abc.ABC):
     index states by integers 0..n_states-1 and may carry a set of absorbing
     terminal states whose rows are parameter-free self loops. A tabular
     chain is its tables: transition_matrix, score_sums and row_hess; the
-    dense score table, row_vjp and fisher defaults are built from them.
+    row_vjp and fisher defaults sum score_sums over the support of P.
     transition_matrix also takes theta with leading stack axes, shape
     (..., n_params), and returns the matrices stacked alike, (..., n, n).
     The exact solvers refuse a table of any other shape; the
@@ -219,7 +219,8 @@ class ChainModel(abc.ABC):
 
     def score_table(self, theta: Array, t: int = 0) -> Array:
         """Dense (n, n, n_params) table of score vectors, zero off support,
-        summed by score_sums with one group per support transition."""
+        summed by score_sums with one group per support transition. No
+        library path builds it; the tests' dense references do."""
         if not self.tabular:
             raise CapabilityError(f"{type(self).__name__} is not tabular")
         n = self.n_states
@@ -232,20 +233,21 @@ class ChainModel(abc.ABC):
         return out
 
     def row_vjp(self, theta: Array, W: Array, t: int = 0) -> Array:
-        """sum_{x,y} W[x, y] dP[x, y]/dtheta, with dP = P * score.
-
-        This generic form contracts the dense score table and is the
-        reference that chains with table-level derivatives are checked
-        against.
-        """
+        """sum_{x,y} W[x, y] dP[x, y]/dtheta, with dP = P * score: one
+        score_sums group over the support of P."""
         P = self.transition_matrix(theta, t)
-        return np.einsum("xy,xy,xyp->p", W, P, self.score_table(theta, t))
+        xs, ys = np.nonzero(P)
+        coef = np.asarray(W, dtype=float)[xs, ys] * P[xs, ys]
+        return self.score_sums(theta, xs, ys, coef, np.zeros(xs.size, np.int64), 1, t)[0]
 
     def fisher(self, theta: Array, w: Array, t: int = 0) -> Array:
-        """sum_x w[x] sum_y P[x, y] score score^T, shape (n_params, n_params)."""
+        """sum_x w[x] sum_y P[x, y] score score^T, shape (n_params, n_params),
+        from one score_sums group per transition on the support of P."""
         P = self.transition_matrix(theta, t)
-        S = self.score_table(theta, t)
-        return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
+        xs, ys = np.nonzero(P)
+        k = xs.size
+        S = self.score_sums(theta, xs, ys, np.ones(k), np.arange(k), k, t)
+        return (S.T * (np.asarray(w, dtype=float)[xs] * P[xs, ys])) @ S
 
     # --- sampling ---------------------------------------------------------
 

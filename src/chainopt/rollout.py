@@ -96,9 +96,8 @@ def _rollout_streams(seed: int, n: int) -> list:
     seed states of all n streams are hashed together, with numpy's
     SeedSequence algorithm (the mix of the entropy words into a pool of
     four, then generate_state) in uint32 arithmetic over the n spawn keys.
+    The seed is a non-negative integer, as generate_rollouts checks.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        return [rollout_rng(seed, i) for i in range(n)]
     u32 = np.uint32
     words, rest = [], int(seed)
     while rest > 0 or not words:

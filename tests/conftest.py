@@ -35,6 +35,21 @@ def log_prob(chain, x, y, theta, t=0):
     return np.log(chain.transition_matrix(theta, t)[x, y])
 
 
+def dense_row_vjp(chain, theta, W, t=0):
+    """sum_{x,y} W[x, y] dP[x, y]/dtheta contracted from the dense score
+    table: the reference for every chain's row_vjp."""
+    P = chain.transition_matrix(theta, t)
+    return np.einsum("xy,xy,xyp->p", W, P, chain.score_table(theta, t))
+
+
+def dense_fisher(chain, theta, w, t=0):
+    """sum_x w[x] sum_y P[x, y] score score^T contracted from the dense
+    score table: the reference for every chain's fisher."""
+    P = chain.transition_matrix(theta, t)
+    S = chain.score_table(theta, t)
+    return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
+
+
 class ReferenceSoftmaxLayout:
     """SoftmaxChain's support checks and flat parameter layout, built one
     state and one successor at a time: the reference for the constructor,

@@ -1,6 +1,7 @@
 """Experiment harness: config contract, runners, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,36 @@ class TestConfigContract:
         with pytest.raises(ConfigError, match="outputs"):
             parse_config(json.dumps({"problem": {"kind": "softmax-tabular"}, "outputs": {}}))
 
+    def test_section_errors_come_in_contract_order(self):
+        """An unknown field is named before a missing kind, the kind's type
+        before anything else in the section, and a section that is not an
+        object before anything in it."""
+        with pytest.raises(ConfigError, match=r"unknown config field problem\.bogus"):
+            parse_config(json.dumps({"problem": {"bogus": 1, "gamma": "x"}}))
+        with pytest.raises(ConfigError, match=r"problem\.kind is required"):
+            parse_config(json.dumps({"problem": {"gamma": "x"}}))
+        with pytest.raises(ConfigError, match=r"problem\.kind must be a string"):
+            parse_config(json.dumps({"problem": {"kind": 3}}))
+        with pytest.raises(ConfigError, match=r"problem\.kind must be one of"):
+            parse_config(json.dumps({"problem": {"kind": "mystery", "gamma": "x"}}))
+        for section in ("problem", "algorithm", "output"):
+            doc = {"problem": {"kind": "softmax-tabular"}, section: [1]}
+            with pytest.raises(ConfigError, match=rf"^{section} section must be an object$"):
+                parse_config(json.dumps(doc))
+
+    def test_value_features_is_an_unknown_field(self):
+        """baseline alone switches the value baseline."""
+        with pytest.raises(
+            ConfigError, match=r"^unknown config field algorithm\.value_features$"
+        ):
+            config_for(algorithm={"value_features": "none"})
+
+    def test_readme_example_config_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(block)
+        assert (cfg.problem.kind, cfg.algorithm.method) == ("softmax-tabular", "exact-gd")
+
     def test_type_errors_are_rejected(self):
         with pytest.raises(ConfigError):
             config_for(algorithm={"iterations": "ten"})
@@ -108,7 +139,7 @@ class TestConfigContract:
             )
         with pytest.raises(ConfigError, match="method"):
             config_for(algorithm={"method": "zlearn-baseline"})
-        # gaussian needs the baseline disabled or non-tabular features
+        # the value baseline is tabular, so gaussian needs it disabled
         with pytest.raises(ConfigError, match="baseline"):
             config_for(problem={"kind": "gaussian-linear"},
                        algorithm={"method": "alg1-sgd"})

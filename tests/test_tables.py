@@ -1,9 +1,10 @@
 """Table-level derivatives checked against references.
 
 A tabular chain is its tables. Transition matrices must agree with
-test-local per-row references; row_vjp and fisher overrides with
-ChainModel's dense score-table contractions, on random supports, terminal
-sets, logit offsets and large logits. Each table is also checked against
+test-local per-row references; row_vjp and fisher, the overrides and
+ChainModel's support-based defaults alike, with the dense score-table
+contractions of conftest, on random supports, terminal sets, logit
+offsets and large logits. Each table is also checked against
 a central difference of the table below it: score_table against log P,
 row_vjp against <W, P>, row_hess against row_vjp. Every cost on a finite
 state set is a set of tables: its value_table must match a closed form,
@@ -13,15 +14,17 @@ and hess_sum(theta, w) the central difference of w @ grad_table.
 
 import numpy as np
 import pytest
-from conftest import fd_vector
+from conftest import dense_fisher, dense_row_vjp, fd_vector
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import chainopt
 from chainopt import (
+    Average,
     ChainModel,
     CostModel,
     DivergenceUndefinedError,
+    FirstExit,
     FixedTabularChain,
     GaussianLinearChain,
     KlToFixedChainCost,
@@ -32,7 +35,9 @@ from chainopt import (
     TimeVaryingChain,
     TimeVaryingCost,
     WeightedSumCost,
+    exact_gradient,
     fd_gradient,
+    solve,
 )
 from chainopt.mdp import (
     LmdpSpec,
@@ -43,7 +48,9 @@ from chainopt.mdp import (
     SoftmaxPolicy,
 )
 from chainopt.model import PolicyEntropyCost
-from chainopt.zlearn import ZWeightedChain
+from chainopt.problems import gridworld_lmdp, random_smdp_problem
+from chainopt.surrogate import ExactSurrogate, fisher_matrix
+from chainopt.zlearn import ZWeightedChain, z_problem
 
 PROPERTY = settings(
     max_examples=60,
@@ -111,7 +118,7 @@ def test_softmax_row_vjp_matches_dense_reference(case):
     chain, theta, rng = case
     n = chain.n_states
     W = rng.normal(size=(n, n))
-    assert_close(chain.row_vjp(theta, W), ChainModel.row_vjp(chain, theta, W))
+    assert_close(chain.row_vjp(theta, W), dense_row_vjp(chain, theta, W))
 
 
 @given(softmax_chains())
@@ -121,7 +128,7 @@ def test_softmax_fisher_matches_dense_reference(case):
     w = rng.uniform(0.0, 1.0, size=chain.n_states)
     F = chain.fisher(theta, w)
     assert F.shape == (chain.n_params, chain.n_params)
-    assert_close(F, ChainModel.fisher(chain, theta, w))
+    assert_close(F, dense_fisher(chain, theta, w))
 
 
 def test_chain_without_parameters():
@@ -132,6 +139,7 @@ def test_chain_without_parameters():
     assert chain.row_vjp(theta, np.ones((4, 4))).shape == (0,)
     assert chain.fisher(theta, np.ones(4)).shape == (0, 0)
     assert ChainModel.row_vjp(chain, theta, np.ones((4, 4))).shape == (0,)
+    assert ChainModel.fisher(chain, theta, np.ones(4)).shape == (0, 0)
 
 
 @given(softmax_chains(max_states=5))
@@ -181,7 +189,88 @@ def test_policy_averaged_tables_match_per_state(case, scale):
                      for x in range(n)])
     assert_close(chain.transition_matrix(theta), rows)
     W = rng.normal(size=(n, n))
-    assert_close(chain.row_vjp(theta, W), ChainModel.row_vjp(chain, theta, W))
+    assert_close(chain.row_vjp(theta, W), dense_row_vjp(chain, theta, W))
+
+
+# ---------------------------------------------------------------------------
+# ChainModel's support-based row_vjp and fisher against the dense reference
+# ---------------------------------------------------------------------------
+
+
+def _gridworld_z_chain():
+    spec = gridworld_lmdp(4, seed=2)
+    features = np.random.default_rng(5).normal(size=(spec.n_states, 3))
+    features[sorted(spec.terminal)] = 0.0
+    return ZWeightedChain(spec, features, gamma=0.8), 0
+
+
+def _smdp_chain_with_terminal():
+    problem, _ = random_smdp_problem(5, 3, seed=4)
+    return PolicyAveragedChain(problem.chain.p, problem.chain.policy, terminal=[2]), 0
+
+
+def _fixed_chain():
+    P = np.random.default_rng(6).dirichlet(np.ones(4), size=4)
+    return FixedTabularChain(P, n_params=3), 0
+
+
+def _time_varying_stage():
+    rng = np.random.default_rng(7)
+    support = {0: [0, 1, 2], 1: [2, 3], 2: [0, 3]}
+    stages = [
+        SoftmaxChain(4, support, terminal=[3], logit_offset=rng.normal(size=7))
+        for _ in range(3)
+    ]
+    return TimeVaryingChain(stages), 1
+
+
+GENERIC_CHAINS = {
+    "z-gridworld": _gridworld_z_chain,
+    "smdp-terminal": _smdp_chain_with_terminal,
+    "fixed": _fixed_chain,
+    "time-varying-stage": _time_varying_stage,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_CHAINS))
+@given(
+    values=st.lists(st.floats(-3.0, 3.0), min_size=32, max_size=32),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(PROPERTY, max_examples=20)
+def test_generic_row_vjp_and_fisher_match_the_dense_reference(name, values, seed):
+    chain, t = GENERIC_CHAINS[name]()
+    theta = np.resize(np.asarray(values), chain.n_params)
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(chain.n_states, chain.n_states))
+    w = rng.uniform(size=chain.n_states)
+    assert_close(ChainModel.row_vjp(chain, theta, W, t), dense_row_vjp(chain, theta, W, t))
+    F = ChainModel.fisher(chain, theta, w, t)
+    assert F.shape == (chain.n_params, chain.n_params)
+    assert_close(F, dense_fisher(chain, theta, w, t))
+
+
+@pytest.mark.parametrize("kind", ["gridworld", "smdp"])
+def test_exact_derivatives_build_no_score_table(kind, monkeypatch):
+    """The exact gradient, the exact Fisher and the exact surrogate Hessian
+    on the chains without closed forms go through the support, never
+    through the dense (n, n, p) score table."""
+    if kind == "gridworld":
+        spec = gridworld_lmdp(4, seed=2)
+        interior = [x for x in range(spec.n_states) if x not in spec.terminal]
+        problem = z_problem(spec, np.eye(spec.n_states)[:, interior], FirstExit())
+    else:
+        problem, _ = random_smdp_problem(5, 3, seed=4, setting=Average())
+    theta = 0.3 * np.random.default_rng(8).normal(size=problem.n_params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("score_table was called")
+
+    monkeypatch.setattr(ChainModel, "score_table", refuse)
+    sol = solve(problem, theta)
+    exact_gradient(problem, theta, solution=sol)
+    fisher_matrix(problem, theta, solution=sol)
+    ExactSurrogate(problem, theta, solution=sol).hess(np.zeros(problem.n_params))
 
 
 def assert_fd_rows(cost, theta, t=0):

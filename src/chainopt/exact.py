@@ -460,18 +460,17 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
 
     if not isinstance(problem.setting, TimeVarying):
         sol = solution_at(problem, theta, solution)
-        g = sol.weights @ cost.grad_table(theta)
-        g += sol.gamma * chain.row_vjp(theta, np.outer(sol.weights, sol.values))
-        return g
+        W = np.outer(sol.weights, sol.values)
+        return cost.grad_sum(theta, sol.weights) + sol.gamma * chain.row_vjp(theta, W)
 
     V, matrices = _stage_values(problem, theta, keep=True)
     p = problem.init.weights.copy()
     g = np.zeros(problem.n_params)
     for t, P in enumerate(matrices):
-        g += p @ cost.grad_table(theta, t)
+        g += cost.grad_sum(theta, p, t)
         g += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
         p = P.T @ p
-    return g + p @ cost.grad_table(theta, len(matrices))
+    return g + cost.grad_sum(theta, p, len(matrices))
 
 
 def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
@@ -487,9 +486,7 @@ def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
         raise CapabilityError("bottleneck gradient needs bottleneck chain and cost")
     sol = solve(problem, theta)
     g = np.zeros(problem.n_params)
-    for x in range(chain.n_states):
-        if x in chain.terminal:
-            continue
+    for x in sorted(set(range(chain.n_states)) - chain.terminal):
         eta = chain.bottleneck(x, theta)
         jac = chain.prob_row_eta_jac(x, eta)
         inner = cost.grad_eta(x, eta) + sol.gamma * (jac.T @ sol.values)

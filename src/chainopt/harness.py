@@ -568,8 +568,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     alg, out = config.algorithm, config.output
     tabular = built.tabular
     curve = LearningCurve(with_stderr=not tabular)
-    steps_used = 0
-    truncated = 0
+    steps_used = truncated = ratio_clipped = 0
     prev_batch = None
     kappa = alg.kappa
     adam = _AdamState(theta.size, alg.step_size) if alg.use_adam else None
@@ -622,6 +621,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
                 kappa=kappa, max_inner=alg.inner_iterations,
             )
             theta, kappa = report.theta, report.kappa_next
+            ratio_clipped += surr.base.n_ratio_clipped if method == "pco" else 0
         elif not last:  # a gradient step: plain, natural or sampled
             step = grad
             if method == "natural":
@@ -646,6 +646,8 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
         "rollouts_truncated": truncated,
         "theta": [float(v) for v in theta],
     }
+    if method == "pco":
+        report["ratio_clipped"] = ratio_clipped
     if out_dir is not None:
         _write(os.path.join(out_dir, out.curve_csv), curve.to_csv())
         _write(

@@ -172,13 +172,11 @@ class SoftmaxPolicy:
         H[np.arange(n), :, np.arange(n), :] = B
         return H.reshape(self.n_params, self.n_params)
 
-    def block_table(self, B) -> np.ndarray:
-        """(n_states, n_params) table whose row x holds B[x] in the
-        parameter block of x and zeros elsewhere."""
-        n, k = self.n_states, self.n_actions
-        G = np.zeros((n, n, k))
-        G[np.arange(n), np.arange(n)] = B
-        return G.reshape(n, n * k)
+    def block_sum(self, w, B) -> np.ndarray:
+        """sum_x w[..., x] times B[x] in the parameter block of x, shape
+        (..., n_params), for an (n_states, n_actions) table B."""
+        w = np.asarray(w, dtype=float)
+        return (w[..., None] * B).reshape(w.shape[:-1] + (self.n_params,))
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +298,8 @@ class PolicyExpectedCost(CostModel):
     def value_table(self, theta, t: int = 0) -> np.ndarray:
         return np.sum(self.policy.table(theta) * self.costs, axis=-1)
 
-    def grad_table(self, theta, t: int = 0) -> np.ndarray:
-        return self.policy.block_table(self.policy.block_vjp(theta, self.costs))
+    def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
+        return self.policy.block_sum(w, self.policy.block_vjp(theta, self.costs))
 
     def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
         return self.policy.block_hess(theta, np.reshape(w, (-1, 1)) * self.costs)
@@ -333,8 +331,8 @@ class PolicyKlFromOldCost(CostModel):
             )
         return row_kl(np.broadcast_to(self.pi_old, pi.shape), pi)[0]
 
-    def grad_table(self, theta, t: int = 0) -> np.ndarray:
-        return self.policy.block_table(self.policy.table(theta) - self.pi_old)
+    def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
+        return self.policy.block_sum(w, self.policy.table(theta) - self.pi_old)
 
     def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
         # minus sum_a pi_old log pi has the log-normalizer's Hessian
@@ -358,14 +356,12 @@ class MixedRowKlCost(CostModel):
         self.reference = np.asarray(reference, dtype=float)
         self.state_cost = np.asarray(state_cost, dtype=float)
         self.n_params = policy.n_params
-        n = self.p.shape[0]
-        self.n_states = n
-        for x in range(n):
-            reachable = self.p[x].max(axis=0) > 0
-            if np.any(reachable & (self.reference[x] <= 0)):
-                raise DivergenceUndefinedError(
-                    f"reference row {x} lacks support on reachable successors"
-                )
+        self.n_states = self.p.shape[0]
+        lacking = np.any((self.p.max(axis=1) > 0) & (self.reference <= 0), axis=1)
+        if lacking.any():
+            raise DivergenceUndefinedError(
+                f"reference row {np.argmax(lacking)} lacks support on reachable successors"
+            )
 
     def value_eta(self, x, eta, t: int = 0) -> float:
         q = np.asarray(eta, dtype=float) @ self.p[x]
@@ -387,13 +383,13 @@ class MixedRowKlCost(CostModel):
     def value_table(self, theta, t: int = 0) -> np.ndarray:
         return self.state_cost + self._mixed_kl(theta)[0]
 
-    def grad_table(self, theta, t: int = 0) -> np.ndarray:
-        # row x is jac_block(x) @ grad_eta(x, pi(.|x)), for all x at once
+    def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
+        # state x adds jac_block(x) @ grad_eta(x, pi(.|x)), for all x at once
         _, xs, ys, logr = self._mixed_kl(theta)
         D = np.zeros((self.n_states, self.n_states))
         D[xs, ys] = logr + 1.0
         C = np.einsum("xay,xy->xa", self.p, D)
-        return self.policy.block_table(self.policy.block_vjp(theta, C))
+        return self.policy.block_sum(w, self.policy.block_vjp(theta, C))
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +497,8 @@ def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting, init=N
     pi = np.asarray(pi_table, dtype=float)
     n_s, n_a, _ = p.shape
     nsa = n_s * n_a
-
-    def idx(x, a):
-        return x * n_a + a
-
-    T = np.zeros((nsa, nsa))
-    for x in range(n_s):
-        for a in range(n_a):
-            for y in range(n_s):
-                if p[x, a, y] == 0.0:
-                    continue
-                T[idx(x, a), idx(y, 0) : idx(y, 0) + n_a] += p[x, a, y] * pi[y]
+    # T[(x, a), (y, b)] = p(y | x, a) pi(b | y)
+    T = (p[:, :, :, None] * pi[None, None]).reshape(nsa, nsa)
     ell_flat = ell.reshape(nsa)
 
     if isinstance(setting, (EpisodicDiscounted, FirstExit)):
@@ -533,8 +520,7 @@ def chain_as_action_mdp(problem: Problem, theta):
     chain, cost = problem.chain, problem.cost
     n = chain.n_states
     p = np.zeros((n, n, n))
-    for y in range(n):
-        p[:, y, y] = 1.0
+    p[:, np.arange(n), np.arange(n)] = 1.0
     pi = chain.transition_matrix(theta)
     ell = np.tile(cost.value_table(theta)[:, None], (1, n))
     return p, ell, pi
@@ -557,7 +543,7 @@ def stochastic_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, theta) ->
     v, _ = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
     sol = solve(map_stochastic_mdp(mdp, policy), theta)
     Q = mdp.costs + sol.gamma * np.einsum("xay,y->xa", mdp.transitions, v)
-    return (sol.weights[:, None] * policy.block_vjp(theta, Q)).reshape(-1)
+    return policy.block_sum(sol.weights, policy.block_vjp(theta, Q))
 
 
 def lmdp_policy_gradient(problem: Problem, spec: LmdpSpec, theta) -> np.ndarray:

@@ -296,16 +296,16 @@ class ChainModel(abc.ABC):
 class CostModel(abc.ABC):
     """Parameterized step cost L(x, theta).
 
-    A cost on a finite state set is a table: value_table(theta, t) holds
-    L(x, theta) for every state x, grad_table(theta, t) the (n_states,
-    n_params) gradients, hess_sum(theta, w, t) the weighted Hessian sum
-    sum_x w[x] d2L(x, theta), and n_states the number of states it covers.
-    value_table also takes theta with leading stack axes, shape (...,
-    n_params), and returns the tables stacked alike, (..., n_states); the
-    exact solvers refuse a table of any other shape, as for
-    ChainModel.transition_matrix. A cost on continuous states evaluates
-    one state at a time through value(x, theta, t), grad(x, theta, t) and
-    hess(x, theta, t).
+    A cost on a finite state set is a table and its contractions:
+    value_table(theta, t) holds L(x, theta) for every state x,
+    grad_sum(theta, w, t) = sum_x w[..., x] dL(x, theta), shape (...,
+    n_params), hess_sum(theta, w, t) = sum_x w[x] d2L(x, theta), and
+    n_states is the number of states it covers. value_table also takes
+    theta of shape (..., n_params) and returns the tables stacked alike,
+    (..., n_states); the exact solvers refuse a table of any other shape,
+    as for ChainModel.transition_matrix. A cost on continuous states
+    evaluates one state at a time through value(x, theta, t),
+    grad(x, theta, t) and hess(x, theta, t).
     """
 
     n_params: int = 0
@@ -318,7 +318,7 @@ class CostModel(abc.ABC):
     def value_table(self, theta: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no cost table")
 
-    def grad_table(self, theta: Array, t: int = 0) -> Array:
+    def grad_sum(self, theta: Array, w: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no cost table")
 
     def hess_sum(self, theta: Array, w: Array, t: int = 0) -> Array:
@@ -733,15 +733,16 @@ class TableCost(CostModel):
     def value_table(self, theta, t: int = 0) -> Array:
         return np.broadcast_to(self.values, np.shape(theta)[:-1] + self.values.shape).copy()
 
-    def grad_table(self, theta, t: int = 0) -> Array:
-        return np.zeros((self.n_states, self.n_params))
+    def grad_sum(self, theta, w, t: int = 0) -> Array:
+        return np.zeros(np.shape(w)[:-1] + (self.n_params,))
 
     def hess_sum(self, theta, w, t: int = 0) -> Array:
         return np.zeros((self.n_params, self.n_params))
 
 
 class QuadraticCost(CostModel):
-    """Per-state quadratic cost c[x] + b[x].theta + 0.5 w[x] theta'Q theta."""
+    """Per-state quadratic cost c[x] + b[x].theta + 0.5 w[x] theta'Q theta,
+    with Q symmetric, or given as the vector of its diagonal."""
 
     differentiable = True
     twice_differentiable = True
@@ -755,10 +756,11 @@ class QuadraticCost(CostModel):
         self.n_params = self.lin.shape[1]
         if self.lin.shape != (n, self.n_params):
             raise InvalidStructureError("linear term shape mismatch")
-        if self.quad.shape != (self.n_params, self.n_params):
+        if self.quad.shape not in ((self.n_params,), (self.n_params, self.n_params)):
             raise InvalidStructureError("quadratic term shape mismatch")
         # exact symmetry needs one bool temporary, allclose several float ones
-        if not np.array_equal(self.quad, self.quad.T) and not np.allclose(self.quad, self.quad.T):
+        Q = self.quad
+        if Q.ndim == 2 and not (np.array_equal(Q, Q.T) or np.allclose(Q, Q.T)):
             raise InvalidStructureError("quadratic term must be symmetric")
         if quad_weights is None:
             quad_weights = np.ones(n)
@@ -768,17 +770,23 @@ class QuadraticCost(CostModel):
                 f"quadratic weights have shape {self.quad_weights.shape}, expected ({n},)"
             )
 
+    def _q_times(self, th: Array) -> Array:
+        return self.quad * th if self.quad.ndim == 1 else th @ self.quad
+
     def value_table(self, theta, t: int = 0) -> Array:
         th = np.asarray(theta, dtype=float)
-        quad = ((th @ self.quad)[..., None, :] @ th[..., None])[..., 0]  # (..., 1)
+        quad = (self._q_times(th)[..., None, :] @ th[..., None])[..., 0]  # (..., 1)
         return self.const + th @ self.lin.T + 0.5 * self.quad_weights * quad
 
-    def grad_table(self, theta, t: int = 0) -> Array:
-        th = np.asarray(theta, dtype=float)
-        return self.lin + np.outer(self.quad_weights, self.quad @ th)
+    def grad_sum(self, theta, w, t: int = 0) -> Array:
+        w, th = np.asarray(w, dtype=float), np.asarray(theta, dtype=float)
+        if w.size > self.n_states**2:  # more rows than states: the (n, p) table is smaller
+            return w @ (self.lin + np.outer(self.quad_weights, self._q_times(th)))
+        return w @ self.lin + (w @ self.quad_weights)[..., None] * self._q_times(th)
 
     def hess_sum(self, theta, w, t: int = 0) -> Array:
-        return float(np.asarray(w, dtype=float) @ self.quad_weights) * self.quad
+        Q = float(np.asarray(w, dtype=float) @ self.quad_weights) * self.quad
+        return np.diag(Q) if Q.ndim == 1 else Q
 
 
 class StateQuadraticCost(CostModel):
@@ -833,8 +841,8 @@ class WeightedSumCost(CostModel):
     def value_table(self, theta, t: int = 0) -> Array:
         return sum(w * p.value_table(theta, t) for w, p in zip(self.weights, self.parts))
 
-    def grad_table(self, theta, t: int = 0) -> Array:
-        return sum(w * p.grad_table(theta, t) for w, p in zip(self.weights, self.parts))
+    def grad_sum(self, theta, w, t: int = 0) -> Array:
+        return sum(c * p.grad_sum(theta, w, t) for c, p in zip(self.weights, self.parts))
 
     def hess_sum(self, theta, w, t: int = 0) -> Array:
         return sum(c * p.hess_sum(theta, w, t) for c, p in zip(self.weights, self.parts))
@@ -871,10 +879,16 @@ class KlToFixedChainCost(CostModel):
     def value_table(self, theta, t: int = 0) -> Array:
         return row_kl(self.chain.transition_matrix(theta, t), self.reference)[0]
 
-    def grad_table(self, theta, t: int = 0) -> Array:
+    def grad_sum(self, theta, w, t: int = 0) -> Array:
+        # one score_sums group per row of w, over the support transitions
         P = self.chain.transition_matrix(theta, t)
         _, xs, ys, logr = row_kl(P, self.reference)
-        return self.chain.score_sums(theta, xs, ys, P[xs, ys] * logr, xs, self.n_states, t)
+        w = np.asarray(w, dtype=float)
+        k = w.size // self.n_states
+        coef = (w.reshape(k, -1)[:, xs] * (P[xs, ys] * logr)).ravel()
+        groups = np.repeat(np.arange(k), xs.size)
+        S = self.chain.score_sums(theta, np.tile(xs, k), np.tile(ys, k), coef, groups, k, t)
+        return S.reshape(w.shape[:-1] + (self.n_params,))
 
     def hess_sum(self, theta, w, t: int = 0) -> Array:
         # sum_y d2P[x, y] is zero, so row x's Hessian is sum_y d2P log(P/q)
@@ -904,9 +918,9 @@ class PolicyEntropyCost(CostModel):
     def value_table(self, theta, t: int = 0) -> Array:
         return self._entropy(theta)[2]
 
-    def grad_table(self, theta, t: int = 0) -> Array:
+    def grad_sum(self, theta, w, t: int = 0) -> Array:
         pi, logs, h = self._entropy(theta)
-        return self.policy.block_table(-pi * (logs + h[:, None]))
+        return self.policy.block_sum(w, -pi * (logs + h[:, None]))
 
 
 class TimeVaryingCost(CostModel):
@@ -935,8 +949,8 @@ class TimeVaryingCost(CostModel):
     def value_table(self, theta, t: int = 0) -> Array:
         return self._at(t).value_table(theta)
 
-    def grad_table(self, theta, t: int = 0) -> Array:
-        return self._at(t).grad_table(theta)
+    def grad_sum(self, theta, w, t: int = 0) -> Array:
+        return self._at(t).grad_sum(theta, w)
 
 
 # ---------------------------------------------------------------------------

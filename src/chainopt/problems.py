@@ -92,7 +92,7 @@ def random_softmax_problem(setting, n_states: int = 8, seed: int = 0) -> Problem
         raise InvalidStructureError("use random_timevarying_problem for finite horizons")
     lin = 0.05 * r_cost.normal(size=(n, chain.n_params))
     lin[list(chain.terminal)] = 0.0
-    cost = QuadraticCost(base, lin, np.diag(np.full(chain.n_params, 0.1)), quad_w)
+    cost = QuadraticCost(base, lin, np.full(chain.n_params, 0.1), quad_w)
     return Problem(chain, cost, setting, TabularInitial(p0))
 
 
@@ -110,7 +110,7 @@ def random_timevarying_problem(horizon: int, n_states: int = 6, seed: int = 0) -
     chain = TimeVaryingChain(
         [layout._with_offset(0.5 * r_logits.normal(size=k)) for _ in range(horizon)]
     )
-    ridge = np.diag(np.full(k, 0.1))
+    ridge = np.full(k, 0.1)
     costs = []
     for _ in range(horizon + 1):
         base = r_cost.uniform(0.5, 2.0, n)

@@ -837,18 +837,19 @@ def _contributions(problem, theta, batch, steps: BatchSteps, step_w, coef) -> np
 
 
 def _tabular_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
-    """One bincount of the step weights over (rollout, stage, state) times
-    the stacked stage cost-gradient tables, plus the chain's score sums
+    """One bincount of the step weights over (rollout, stage, state),
+    contracted by each stage's cost grad_sum, plus the chain's score sums
     over the transitions sorted by stage; no per-step Python."""
     chain, cost = problem.chain, problem.cost
     tv = isinstance(problem.setting, TimeVarying)
     n_stages = batch.horizon_cap if tv else 1
     n_tables = n_stages + (1 if tv else 0)
-    n, m, p = chain.n_states, steps.lengths.size, problem.n_params
-    G = np.stack([cost.grad_table(theta, s) for s in range(n_tables)])
+    n, m = chain.n_states, steps.lengths.size
     cell = (steps.owner * n_tables + np.minimum(steps.t, n_tables - 1)) * n + steps.states
-    mass = np.bincount(cell, weights=step_w, minlength=m * n_tables * n)
-    out = mass.reshape(m, n_tables * n) @ G.reshape(n_tables * n, p)
+    mass = np.bincount(cell, weights=step_w, minlength=m * n_tables * n).reshape(m, n_tables, n)
+    out = cost.grad_sum(theta, mass[:, 0], 0)
+    for s in range(1, n_tables):
+        out += cost.grad_sum(theta, mass[:, s], s)
 
     order, stages = _stage_order(np.minimum(steps.t[steps.trans], n_stages - 1))
     k = steps.trans[order]
@@ -939,7 +940,12 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         raise CapabilityError("path Hessian needs twice-differentiable chain and cost")
     T = problem.setting.horizon
     p, n = problem.n_params, chain.n_states
-    G = [cost.grad_table(theta, t) for t in range(T + 1)]
+    rollouts = batch.rollouts
+    if any(r.n_steps != T for r in rollouts):
+        raise InvalidStructureError("path derivatives need full-horizon rollouts")
+    # each rollout's cost gradient sum: per stage, grad_sum at its one-hot visits
+    states, onehot = np.array([r.states for r in rollouts]), np.eye(n)
+    dLs = sum(cost.grad_sum(theta, onehot[states[:, t]], t) for t in range(T + 1))
     hess_cache = {}
 
     def chain_hess(t, x, y):
@@ -954,26 +960,19 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
     def cost_hess(t, x):
         key = (t, int(x))
         if key not in hess_cache:
-            hess_cache[key] = cost.hess_sum(theta, np.eye(n)[x], t)
+            hess_cache[key] = cost.hess_sum(theta, onehot[x], t)
         return hess_cache[key]
 
-    out = np.zeros((len(batch.rollouts), p, p))
-    for i, r in enumerate(batch.rollouts):
-        if r.n_steps != T:
-            raise InvalidStructureError("path derivatives need full-horizon rollouts")
+    out = np.zeros((len(rollouts), p, p))
+    for i, (r, dL) in enumerate(zip(rollouts, dLs)):
         total_cost = float(r.costs.sum())
         dK = r.scores.sum(axis=0)
-        d2K = np.zeros((p, p))
-        for t in range(T):
-            d2K += chain_hess(t, r.states[t], r.states[t + 1])
-        dL = np.stack([G[t][r.states[t]] for t in range(T + 1)]).sum(axis=0)
-        d2L = np.zeros((p, p))
-        for t in range(T + 1):
-            d2L += cost_hess(t, r.states[t])
+        d2K = sum(chain_hess(t, r.states[t], r.states[t + 1]) for t in range(T))
+        d2L = sum(cost_hess(t, x) for t, x in enumerate(r.states))
         H = (np.outer(dK, dK) + d2K) * total_cost
         H += np.outer(dK, dL) + np.outer(dL, dK) + d2L
         out[i] = H
     mean = out.mean(axis=0)
     mean = 0.5 * (mean + mean.T)
-    stderr = out.std(axis=0, ddof=1) / math.sqrt(len(batch.rollouts))
-    return HessianEstimate(mean=mean, stderr=stderr, n_rollouts=len(batch.rollouts))
+    stderr = out.std(axis=0, ddof=1) / math.sqrt(len(rollouts))
+    return HessianEstimate(mean=mean, stderr=stderr, n_rollouts=len(rollouts))

@@ -46,7 +46,7 @@ def _table_value(problem: Problem, th, w, W, P) -> float:
 
 
 def _table_grad(problem: Problem, th, w, W) -> np.ndarray:
-    return w @ problem.cost.grad_table(th) + problem.chain.row_vjp(th, W)
+    return problem.cost.grad_sum(th, w) + problem.chain.row_vjp(th, W)
 
 
 def _table_hess(problem: Problem, th, w, W) -> np.ndarray:

@@ -50,6 +50,12 @@ def dense_fisher(chain, theta, w, t=0):
     return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
 
 
+def dense_grad_table(cost, theta, t=0):
+    """The (n_states, n_params) table whose row x is dL(x, theta), read
+    through grad_sum at the identity weights: the per-state reference."""
+    return cost.grad_sum(theta, np.eye(cost.n_states), t)
+
+
 class ReferenceSoftmaxLayout:
     """SoftmaxChain's support checks and flat parameter layout, built one
     state and one successor at a time: the reference for the constructor,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import discounted_returns, transition_score
+from conftest import dense_grad_table, discounted_returns, transition_score
 
 from chainopt import (
     EpisodicDiscounted,
@@ -426,7 +426,7 @@ def reference_estimate(problem, theta, batch, baseline=None):
     gamma = effective_gamma(problem, batch)
     tv = isinstance(problem.setting, TimeVarying)
     n_stages = batch.horizon_cap if tv else 1
-    G = [problem.cost.grad_table(theta, t) for t in range(n_stages + (1 if tv else 0))]
+    G = [dense_grad_table(problem.cost, theta, t) for t in range(n_stages + (1 if tv else 0))]
     if baseline is not None:
         B = baseline_expected_values(problem, theta, baseline)
     out = np.zeros((len(batch.rollouts), problem.n_params))
@@ -453,7 +453,7 @@ def reference_surrogate_grads(problem, theta, batch, baseline, alpha, eps):
     th = theta + alpha
     b_table = baseline_expected_values(problem, theta, baseline)[0] if baseline else None
     P0, P = chain.transition_matrix(theta), chain.transition_matrix(th)
-    G = cost.grad_table(th)
+    G = dense_grad_table(cost, th)
     g = np.zeros(problem.n_params)
     g_clip = np.zeros(problem.n_params)
     for r in batch.rollouts:

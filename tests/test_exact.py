@@ -222,14 +222,17 @@ class TestTimeVaryingSolver:
         prob = random_timevarying_problem(horizon=3, n_states=4, seed=8)
         theta = theta_for(prob, 7)
         rng = np.random.default_rng(123)
+        # the draws of chain.sample, from tables built once per stage
+        L = [prob.cost.value_table(theta, t) for t in range(4)]
+        step = [prob.chain.make_sampler(theta, t) for t in range(3)]
         total = 0.0
         n = 40_000
         for _ in range(n):
             x = prob.init.sample(rng)
             for t in range(3):
-                total += prob.cost.value_table(theta, t)[x]
-                x = prob.chain.sample(x, theta, rng, t)
-            total += prob.cost.value_table(theta, 3)[x]
+                total += L[t][x]
+                x = step[t](x, rng)
+            total += L[3][x]
         assert abs(total / n - objective(prob, theta)) < 0.05
 
 
@@ -268,7 +271,7 @@ class TestExactGradient:
         chain, cost = prob.chain, prob.cost
         want, p = np.zeros(prob.n_params), prob.init.weights.copy()
         for t in range(11):
-            want += p @ cost.grad_table(theta, t)
+            want += cost.grad_sum(theta, p, t)
             if t < 10:
                 want += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
                 p = chain.transition_matrix(theta, t).T @ p

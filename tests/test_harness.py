@@ -282,6 +282,44 @@ class TestOptimizeRunner:
         read = batches if method == "alg1-sgd" else batches[:-1]
         assert [id(b) for b in flattened] == [id(b) for b in read]
 
+    def test_pco_report_sums_clipped_ratios(self, tmp_path, monkeypatch):
+        """report.json's ratio_clipped is the sum of n_ratio_clipped over the
+        iterations' sampled surrogates, and reruns write it byte for byte.
+        A tabular chain caps no log ratio, so a subclass that also counts
+        the ratios above 1 stands in for the clipping."""
+        from chainopt import harness
+
+        made = []
+
+        class Counting(harness.SampledSurrogate):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def _ratios(self, th):
+                r, P = super()._ratios(th)
+                self.n_ratio_clipped += int(np.sum(r > 1.0))
+                return r, P
+
+        cfg = config_for(
+            problem={"setting": "first-exit", "n_states": 6, "seed": 3},
+            algorithm={"method": "pco", "iterations": 3, "batch_size": 64,
+                       "inner_iterations": 4},
+        )
+        assert run_optimize(cfg)["ratio_clipped"] == 0
+        assert "ratio_clipped" not in run_optimize(canonical_config(iterations=1))
+        monkeypatch.setattr(harness, "SampledSurrogate", Counting)
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            run_optimize(cfg, out_dir=tmp_path / run)
+        assert len(made) == 6
+        counts = [s.n_ratio_clipped for s in made]
+        assert counts[:3] == counts[3:]
+        report = json.loads((tmp_path / "a/report.json").read_text())
+        assert report["ratio_clipped"] == sum(counts[:3]) > 0
+        a, b = ((tmp_path / run / "report.json").read_bytes() for run in ("a", "b"))
+        assert a == b
+
     def test_zero_iterations_single_row(self, tmp_path):
         cfg = canonical_config(iterations=0)
         report = run_optimize(cfg, out_dir=tmp_path)

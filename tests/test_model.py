@@ -4,7 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import ReferenceSoftmaxLayout, fd_vector, log_prob, transition_score
+from conftest import (
+    ReferenceSoftmaxLayout,
+    dense_grad_table,
+    fd_vector,
+    log_prob,
+    transition_score,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -303,7 +309,7 @@ class TestCosts:
         cost = TableCost([1.0, 0.0], n_params=3)
         theta = np.ones(3)
         assert cost.value_table(theta)[0] == 1.0
-        np.testing.assert_array_equal(cost.grad_table(theta)[0], np.zeros(3))
+        np.testing.assert_array_equal(dense_grad_table(cost, theta)[0], np.zeros(3))
         np.testing.assert_array_equal(cost.value_table(theta), [1.0, 0.0])
 
     def test_quadratic_cost_derivatives(self):
@@ -316,7 +322,7 @@ class TestCosts:
         theta = rng.normal(size=p)
         for x in range(n):
             np.testing.assert_allclose(
-                cost.grad_table(theta)[x],
+                dense_grad_table(cost, theta)[x],
                 fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-6,
             )
@@ -353,6 +359,11 @@ class TestCosts:
             tracemalloc.stop()
         assert peak < quad.nbytes / 4
 
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_quadratic_cost_rejects_a_diagonal_of_the_wrong_length(self, size):
+        with pytest.raises(InvalidStructureError, match="quadratic term shape mismatch"):
+            QuadraticCost(np.zeros(2), np.zeros((2, 3)), np.ones(size))
+
     @pytest.mark.parametrize("size", [1, 2])
     def test_quadratic_cost_rejects_short_weights(self, size):
         with pytest.raises(InvalidStructureError, match="quadratic weights"):
@@ -367,8 +378,8 @@ class TestCosts:
         want = 2.0 * a.value_table(theta)[1] + 0.5 * b.value_table(theta)[1]
         assert abs(cost.value_table(theta)[1] - want) < 1e-14
         np.testing.assert_allclose(
-            cost.grad_table(theta)[1],
-            2.0 * a.grad_table(theta)[1] + 0.5 * b.grad_table(theta)[1],
+            dense_grad_table(cost, theta)[1],
+            2.0 * dense_grad_table(a, theta)[1] + 0.5 * dense_grad_table(b, theta)[1],
         )
 
     def test_kl_to_fixed_chain_matches_manual_kl(self):
@@ -381,7 +392,7 @@ class TestCosts:
             manual = float(np.sum(P[x] * np.log(P[x] / ref[x])))
             assert abs(cost.value_table(theta)[x] - manual) < 1e-12
             np.testing.assert_allclose(
-                cost.grad_table(theta)[x],
+                dense_grad_table(cost, theta)[x],
                 fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-7,
             )
@@ -395,7 +406,7 @@ class TestCosts:
             pi = policy.row(x, theta)
             assert abs(cost.value_table(theta)[x] + float(np.sum(pi * np.log(pi)))) < 1e-12
             np.testing.assert_allclose(
-                cost.grad_table(theta)[x],
+                dense_grad_table(cost, theta)[x],
                 fd_vector(lambda th: cost.value_table(th)[x], theta),
                 atol=1e-7,
             )

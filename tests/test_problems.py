@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import dense_grad_table
 
 from chainopt import (
     Average,
@@ -49,9 +50,16 @@ class TestRandomSoftmax:
                 c.chain.transition_matrix(np.zeros(c.n_params)),
             )
 
+    def test_ridge_stays_diagonal(self):
+        """The builders pass the 0.1 ridge as the diagonal of Q."""
+        softmax = random_softmax_problem(FirstExit(), n_states=5, seed=0)
+        staged = random_timevarying_problem(horizon=2, n_states=4, seed=0)
+        for cost in [softmax.cost] + staged.cost.stages:
+            np.testing.assert_array_equal(cost.quad, np.full(cost.n_params, 0.1))
+
     def test_cost_has_parameter_dependence(self):
         prob = random_softmax_problem(EpisodicDiscounted(0.9), n_states=5, seed=0)
-        g = prob.cost.grad_table(0.3 * np.ones(prob.n_params))[0]
+        g = dense_grad_table(prob.cost, 0.3 * np.ones(prob.n_params))[0]
         assert np.linalg.norm(g) > 0
 
     def test_gradients_check_out(self):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import discounted_returns
+from conftest import dense_grad_table, discounted_returns
 
 import chainopt
 from chainopt import (
@@ -310,7 +310,7 @@ def reference_path_gradient(problem, theta, batch):
     T = problem.setting.horizon
     cost = problem.cost
     if problem.chain.tabular:
-        tables = [cost.grad_table(theta, t) for t in range(T + 1)]
+        tables = [dense_grad_table(cost, theta, t) for t in range(T + 1)]
         grads = lambda states: np.stack([tables[t][states[t]] for t in range(T + 1)])
     else:
         grads = lambda states: np.stack([cost.grad(states[t], theta, t) for t in range(T + 1)])

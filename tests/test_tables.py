@@ -7,14 +7,17 @@ contractions of conftest, on random supports, terminal sets, logit
 offsets and large logits. Each table is also checked against
 a central difference of the table below it: score_table against log P,
 row_vjp against <W, P>, row_hess against row_vjp. Every cost on a finite
-state set is a set of tables: its value_table must match a closed form,
-row x of its grad_table the central difference of value_table(theta)[x],
-and hess_sum(theta, w) the central difference of w @ grad_table.
+state set is a table and its contractions: its value_table must match a
+closed form, grad_sum(theta, w) the central difference of w @
+value_table for a vector w and row by row for w with leading axes, row x
+of conftest's dense grad_sum(theta, eye(n)) the central difference of
+value_table(theta)[x], and hess_sum(theta, w) the central difference of
+grad_sum(theta, w).
 """
 
 import numpy as np
 import pytest
-from conftest import dense_fisher, dense_row_vjp, fd_vector
+from conftest import dense_fisher, dense_grad_table, dense_row_vjp, fd_vector
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -274,8 +277,9 @@ def test_exact_derivatives_build_no_score_table(kind, monkeypatch):
 
 
 def assert_fd_rows(cost, theta, t=0):
-    """Row x of grad_table equals the central difference of value_table[x]."""
-    G = cost.grad_table(theta, t)
+    """Row x of the dense grad_sum(theta, eye(n)) equals the central
+    difference of value_table[x]."""
+    G = dense_grad_table(cost, theta, t)
     assert G.shape == (cost.n_states, theta.size)
     assert np.all(np.isfinite(G)) and np.all(np.isfinite(cost.value_table(theta, t)))
     fd = np.stack(
@@ -307,7 +311,7 @@ def test_state_cost_tables(n, p, seed, scale):
     want = quad.const + quad.lin @ theta + 0.5 * quad.quad_weights * (theta @ quad.quad @ theta)
     assert_close(quad.value_table(theta), want)
     assert_close(table.value_table(theta), table.values)
-    np.testing.assert_array_equal(table.grad_table(theta), np.zeros((n, p)))
+    np.testing.assert_array_equal(dense_grad_table(table, theta), np.zeros((n, p)))
     both = WeightedSumCost([table, quad], weights=[2.0, -0.5])
     assert_close(both.value_table(theta), 2.0 * table.values - 0.5 * want)
     other = random_quadratic(rng, n, p)
@@ -506,7 +510,9 @@ def test_row_hess_is_fd_of_row_vjp(kind, data):
     np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-6)
 
 
-COST_KINDS = ["table", "quadratic", "sum", "staged", "policy-expected", "policy-kl"] + [
+COST_KINDS = [
+    "table", "quadratic", "quadratic-diag", "sum", "staged", "policy-expected", "policy-kl"
+] + [
     "kl-" + kind for kind in CHAIN_KINDS
 ]
 
@@ -543,6 +549,9 @@ def tabular_costs(draw, kind):
         "quadratic": quad,
         "sum": WeightedSumCost([table, quad], weights=[2.0, -0.5]),
         "staged": TimeVaryingCost([table, quad]),
+        "quadratic-diag": QuadraticCost(
+            rng.normal(size=n), rng.normal(size=(n, p)), rng.normal(size=p), rng.uniform(size=n)
+        ),
     }[kind]
     return cost, theta, 3 if kind == "staged" else 0, rng
 
@@ -556,14 +565,57 @@ def test_hess_sum_is_fd_of_weighted_grad_table(kind, data):
     w = rng.uniform(size=cost.n_states)
     H = cost.hess_sum(theta, w, t)
     assert H.shape == (theta.size, theta.size)
-    fd = fd_vector(lambda th: w @ cost.grad_table(th, t), theta)
+    fd = fd_vector(lambda th: cost.grad_sum(th, w, t), theta)
     np.testing.assert_allclose(H, fd, rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("kind", COST_KINDS + ["policy-entropy", "policy-mixed-kl"])
+@given(data=st.data())
+@ORACLE
+def test_grad_sum_is_fd_of_weighted_value_table(kind, data):
+    """grad_sum(theta, w) is the central difference of w @ value_table for
+    a vector w; for w with leading axes, fewer rows than states or more,
+    it contracts each row alike."""
+    cost, theta, t, rng = data.draw(tabular_costs(kind))
+    w = rng.uniform(size=cost.n_states)
+    g = cost.grad_sum(theta, w, t)
+    assert g.shape == theta.shape
+    fd = fd_vector(lambda th: w @ cost.value_table(th, t), theta)
+    np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-6)
+    for lead in [(1,), (2, 3), (4 * cost.n_states,)]:
+        W = rng.uniform(size=lead + (cost.n_states,))
+        G = cost.grad_sum(theta, W, t)
+        assert G.shape == lead + theta.shape
+        for i in np.ndindex(lead):
+            assert_close(G[i], cost.grad_sum(theta, W[i], t))
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(0, 5),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 1e3]),
+)
+@PROPERTY
+def test_diagonal_quadratic_cost_matches_its_dense_twin(n, p, seed, scale):
+    """A 1-D quad is the diagonal of Q: value_table at a stack of theta,
+    grad_sum at stacked weights and hess_sum agree with np.diag(quad)."""
+    rng = np.random.default_rng(seed)
+    const, lin, q = rng.normal(size=n), rng.normal(size=(n, p)), rng.normal(size=p)
+    qw = rng.uniform(size=n)
+    diag, dense = QuadraticCost(const, lin, q, qw), QuadraticCost(const, lin, np.diag(q), qw)
+    thetas = scale * rng.normal(size=(3, p))
+    w = rng.uniform(size=(3, n))
+    assert_close(diag.value_table(thetas), dense.value_table(thetas))
+    assert_close(diag.grad_sum(thetas[0], w), dense.grad_sum(thetas[0], w))
+    assert_close(diag.hess_sum(thetas[0], w[0]), dense.hess_sum(thetas[0], w[0]))
 
 
 def test_tabular_chains_and_costs_have_no_per_state_methods():
     """Tabular chains are transition_matrix, score_sums and row_hess; tabular
-    costs are value_table, grad_table and hess_sum. Per-state methods
-    belong to the continuous chain and cost only."""
+    costs are value_table, grad_sum and hess_sum, with no dense gradient
+    table. Per-state methods belong to the continuous chain and cost
+    only."""
     classes = {
         obj for module in (chainopt.model, chainopt.mdp, chainopt.zlearn)
         for obj in vars(module).values()
@@ -573,7 +625,7 @@ def test_tabular_chains_and_costs_have_no_per_state_methods():
     for cls in classes:
         if cls in (GaussianLinearChain, StateQuadraticCost):
             continue
-        for name in per_state + ("hess",):
+        for name in per_state + ("hess", "grad_table"):
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
         if issubclass(cls, ChainModel) and cls.tabular:
             for name in ("transition_matrix", "score_sums", "row_hess"):

@@ -20,6 +20,24 @@ numpy sums fewer than 8 terms in the same order, so at gamma = 1 and with
 fewer than 8 successors per row the walks are bit-equal to a numpy loop
 (tests/test_zlearn_walks.py keeps one); otherwise the greedy exact-g
 target differs from it by rounding.
+
+Three devices shorten each step without changing a bit of the walk:
+
+- Every cumulative row, and the start law, is cut before its first entry
+  reaching the row total. One ``bisect_right`` on the cut list returns
+  what ``sample_index`` returns: a draw below the total finds the same
+  first entry above it, and a draw at or above the total runs off the cut
+  end, which is the clamp's first entry reaching the total.
+- A Z^gamma list is refreshed by one ``pow`` at each update, where a read
+  used to take one; it is the same ``pow`` of the same value. At gamma = 1
+  the list is Z itself, since libm's ``pow(z, 1.0)`` is z exactly.
+- The greedy successor is the first running sum of w / total above the
+  draw. The sums are formed left to right, as ``accumulate`` forms them,
+  so the scan stops where ``bisect_right`` on the whole list lands; only a
+  draw at or above the last sum builds that list and takes ``_pick``.
+
+The loop runs in chunks of record_every steps with on_record called
+between chunks, so no step tests for a record.
 """
 
 from __future__ import annotations
@@ -27,7 +45,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from numbers import Real
 
 import numpy as np
 
@@ -172,17 +191,15 @@ def solve_z_average(spec: LmdpSpec, max_iters: int = 100_000) -> tuple:
         raise InvalidStructureError("average Z solve needs an ergodic baseline")
     M = np.exp(-spec.state_cost)[:, None] * spec.baseline
     w = np.ones(spec.n_states)
-    lam = 1.0
+    Mw = M @ w
     for _ in range(max_iters):
-        w_next = M @ w
-        lam = w_next.max()
+        lam = Mw.max()
         if lam <= 0.0:
             raise SpectralError("power iteration collapsed to zero")
-        w_next = w_next / lam
-        if np.abs(M @ w_next - lam * w_next).max() < 1e-12:
-            w = w_next
+        w = Mw / lam
+        Mw = M @ w  # the residual's product is the next iteration's
+        if np.abs(Mw - lam * w).max() < 1e-12:
             break
-        w = w_next
     else:
         raise SpectralError("power iteration did not converge")
     if np.any(w <= 0.0):
@@ -342,8 +359,7 @@ def _start_law(spec: LmdpSpec, init_weights=None) -> np.ndarray:
 
 def _uniforms(rng: np.random.Generator):
     """The values of successive ``rng.random()`` calls, drawn in blocks."""
-    while True:
-        yield from rng.random(4096).tolist()
+    return chain.from_iterable(map(np.ndarray.tolist, map(rng.random, repeat(4096))))
 
 
 def _pick(cum: list, u: float) -> int:
@@ -352,43 +368,89 @@ def _pick(cum: list, u: float) -> int:
     return i if i < len(cum) else bisect_left(cum, cum[-1])
 
 
+def _cut(cum: np.ndarray) -> list:
+    """A cumulative row cut before its first entry reaching the row total:
+    ``bisect_right`` on it is ``_pick`` on the whole row."""
+    cum = cum.tolist()
+    return cum[: bisect_left(cum, cum[-1])]
+
+
+def _running_pick(weights: list, total: float, u: float) -> int:
+    """``_pick`` on the running sums of w / total, stopping at the first sum
+    above u; only a draw at or above the last sum builds the whole list."""
+    run, i = 0.0, 0
+    for w in weights:
+        run += w / total
+        if run > u:
+            return i
+        i += 1
+    return _pick(list(accumulate([w / total for w in weights])), u)
+
+
 def _walk(spec: LmdpSpec, z, steps, seed, c, init_weights, record_every, on_record, mode):
     """The Z-learning loop shared by both walks, on Python floats; mode is
     "baseline", "exact-g" or "double-sample"."""
     if not isinstance(z, TabularZ):
         raise InvalidStructureError(f"Z-learning walks a TabularZ, not a {type(z).__name__}")
+    for name, value in (("steps", steps), ("record_every", record_every)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+            raise InvalidStructureError(f"{name} must be a non-negative integer, got {value!r}")
+    if isinstance(c, bool) or not isinstance(c, Real) or not 0.0 < c < math.inf:
+        raise InvalidStructureError(f"c must be a finite positive number, got {c!r}")
     draw = _uniforms(np.random.default_rng(seed)).__next__
     cdf0 = np.cumsum(_start_law(spec, init_weights))
-    cdf0 = (cdf0 / cdf0[-1]).tolist()  # the start law as Generator.choice normalizes it
-    base_cums = np.cumsum(spec.baseline, axis=1).tolist()
+    starts = _cut(cdf0 / cdf0[-1])  # the start law as Generator.choice normalizes it
+    cuts = [_cut(row) for row in np.cumsum(spec.baseline, axis=1)]
     succ = [np.flatnonzero(row > 0.0).tolist() for row in spec.baseline]
     base_w = [row[sup].tolist() for row, sup in zip(spec.baseline, succ)]
     exp_neg_r = [math.exp(-r) for r in spec.state_cost.tolist()]
     terminal = [x in spec.terminal for x in range(spec.n_states)]
-    ztab = z.z_table().tolist()
-    visits = [0] * spec.n_states
     gamma, c = z.gamma, float(c)
-    n_floored = n_restarts = 0
-    x = bisect_right(cdf0, draw())
-    for k in range(1, steps + 1):
-        if terminal[x]:
-            x = bisect_right(cdf0, draw())
-            n_restarts += 1
-        else:
-            if mode == "baseline":
-                x_next = _pick(base_cums[x], draw())
-                target = exp_neg_r[x] * ztab[x_next] ** gamma
+    ztab = z.z_table().tolist()
+    # Z^gamma, refreshed on each update; at gamma = 1 it is Z itself, as
+    # libm pow(z, 1.0) returns z exactly
+    zg_separate = gamma != 1.0
+    zg = [v**gamma for v in ztab] if zg_separate else ztab
+    visits = [0] * spec.n_states
+    exact = mode == "exact-g"
+    n_floored = 0
+
+    # Both loops write the update out in full, sparing a call per step.
+    def baseline_steps(x, n):
+        nonlocal n_floored
+        for _ in range(n):
+            if terminal[x]:
+                x = bisect_right(starts, draw())
             else:
-                sup = succ[x]
-                weights = [b * ztab[y] ** gamma for b, y in zip(base_w[x], sup)]
-                total = 0.0
-                for w in weights:
-                    total += w
-                if mode == "exact-g":
-                    target = exp_neg_r[x] * total
-                else:
-                    target = exp_neg_r[x] * ztab[_pick(base_cums[x], draw())] ** gamma
-                x_next = sup[_pick(list(accumulate([w / total for w in weights])), draw())]
+                x_next = bisect_right(cuts[x], draw())
+                target = exp_neg_r[x] * zg[x_next]
+                beta = c / (c + visits[x])
+                visits[x] += 1
+                new = (1.0 - beta) * ztab[x] + beta * target
+                if new < _Z_FLOOR:
+                    new = _Z_FLOOR
+                    n_floored += 1
+                ztab[x] = new
+                if zg_separate:
+                    zg[x] = new**gamma
+                x = x_next
+        return x
+
+    def greedy_steps(x, n):
+        nonlocal n_floored
+        for _ in range(n):
+            if terminal[x]:
+                x = bisect_right(starts, draw())
+                continue
+            weights = [b * zg[y] for b, y in zip(base_w[x], succ[x])]
+            total = 0.0
+            for w in weights:
+                total += w
+            if exact:
+                target = exp_neg_r[x] * total
+            else:
+                target = exp_neg_r[x] * zg[bisect_right(cuts[x], draw())]
+            i = _running_pick(weights, total, draw())
             beta = c / (c + visits[x])
             visits[x] += 1
             new = (1.0 - beta) * ztab[x] + beta * target
@@ -396,14 +458,25 @@ def _walk(spec: LmdpSpec, z, steps, seed, c, init_weights, record_every, on_reco
                 new = _Z_FLOOR
                 n_floored += 1
             ztab[x] = new
-            x = x_next
-        if record_every and k % record_every == 0 and on_record is not None:
+            if zg_separate:
+                zg[x] = new**gamma
+            x = succ[x][i]
+        return x
+
+    walk = baseline_steps if mode == "baseline" else greedy_steps
+    x = bisect_right(starts, draw())
+    done = 0
+    if record_every and on_record is not None:
+        for done in range(record_every, steps + 1, record_every):
+            x = walk(x, record_every)
             with np.errstate(divide="ignore"):
                 snapshot = TabularZ(-np.log(ztab), gamma, z.terminal)
-            on_record(k, snapshot)
+            on_record(done, snapshot)
+    walk(x, steps - done)
     trained = z.copy()
     with np.errstate(divide="ignore"):
         trained.energies = -np.log(ztab)
+    n_restarts = steps - sum(visits)  # every step either restarts or updates
     return trained, ZLearnStats(steps, np.array(visits, dtype=np.int64), n_floored, n_restarts)
 
 

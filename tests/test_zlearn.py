@@ -1,5 +1,7 @@
 """Exact Z solvers, stochastic Z updates, and the compatible-feature check."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import fd_vector, log_prob, transition_score
@@ -124,7 +126,34 @@ class TestLmdpObjective:
         assert lmdp_objective(spec, P, FirstExit()) == np.inf
 
 
+def reference_solve_z_average(spec, max_iters=100_000):
+    """The power iteration as it was before the residual's product was
+    reused: two matrix-vector products per iteration."""
+    M = np.exp(-spec.state_cost)[:, None] * spec.baseline
+    w = np.ones(spec.n_states)
+    lam = 1.0
+    for _ in range(max_iters):
+        w_next = M @ w
+        lam = w_next.max()
+        w_next = w_next / lam
+        if np.abs(M @ w_next - lam * w_next).max() < 1e-12:
+            w = w_next
+            break
+        w = w_next
+    else:
+        raise AssertionError("reference power iteration did not converge")
+    return -np.log(w), -math.log(lam)
+
+
 class TestAverageSolve:
+    @pytest.mark.parametrize("n, seed", [(5, 1), (4, 2)])
+    def test_bit_equal_to_the_two_product_loop(self, n, seed):
+        spec = ergodic_spec(n, seed=seed)
+        z, j = solve_z_average(spec)
+        energies, j_ref = reference_solve_z_average(spec)
+        np.testing.assert_array_equal(z.energies, energies)
+        assert j == j_ref
+
     def test_eigenpair_and_objective(self):
         spec = ergodic_spec(5, seed=1)
         z, j = solve_z_average(spec)

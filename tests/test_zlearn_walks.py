@@ -11,9 +11,13 @@ greedy energies agree to 1e-12 and the walks take the same steps.
 """
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainopt import InvalidStructureError
 from chainopt.mdp import LmdpSpec
@@ -23,7 +27,9 @@ from chainopt.zlearn import (
     LinearFeatureZ,
     TabularZ,
     ZLearnStats,
+    _cut,
     _pick,
+    _running_pick,
     zlearn_baseline,
     zlearn_greedy,
 )
@@ -153,10 +159,11 @@ def dense_spec(n=12, seed=0):
 WALKS = ["baseline", "exact-g", "double-sample"]
 
 
-def _run(walk, learn_baseline, learn_greedy, spec, z, **kw):
-    """One walk recording every 250 steps; returns (Z, stats, records)."""
+def _run(walk, learn_baseline, learn_greedy, spec, z, record_every=250, hook=True, **kw):
+    """One walk, by default recording every 250 steps; returns (Z, stats, records)."""
     records = []
-    kw = dict(kw, record_every=250, on_record=lambda k, snap: records.append((k, snap.energies)))
+    on_record = (lambda k, snap: records.append((k, snap.energies))) if hook else None
+    kw = dict(kw, record_every=record_every, on_record=on_record)
     if walk == "baseline":
         out = learn_baseline(spec, z, **kw)
     else:
@@ -232,6 +239,32 @@ class TestBitEqualToNumpyLoop:
         )
 
 
+@pytest.mark.parametrize("walk", WALKS)
+class TestRecordBoundaries:
+    """The walks run in chunks of record_every steps; these are the chunk
+    layouts the 3000/250 walks above never take."""
+
+    def _check(self, walk, steps, record_every, hook, want_records):
+        spec = gridworld_lmdp(4, seed=1)
+        new, ref = _both(walk, spec, _zero_z(spec), steps=steps, seed=4,
+                         record_every=record_every, hook=hook)
+        _assert_same_walk(new, ref)
+        assert new[1].steps == steps
+        assert [k for k, _ in new[2]] == want_records
+
+    def test_steps_not_a_multiple_of_record_every(self, walk):
+        self._check(walk, 3100, 250, True, list(range(250, 3001, 250)))
+
+    def test_record_every_above_steps(self, walk):
+        self._check(walk, 700, 1000, True, [])
+
+    def test_record_every_zero_with_a_hook(self, walk):
+        self._check(walk, 900, 0, True, [])
+
+    def test_no_hook_with_record_every(self, walk):
+        self._check(walk, 900, 250, False, [])
+
+
 def test_step_draw_matches_sample_index_and_its_clamp():
     """Draws at or above a row's total, which the walks almost never meet,
     land on the last positive entry in both."""
@@ -240,6 +273,41 @@ def test_step_draw_matches_sample_index_and_its_clamp():
         for u in (0.0, 0.2, 0.3, 0.49, 0.5, 0.7, 0.9999999999999999, cum[-1]):
             assert _pick(cum, u) == sample_index(np.array(cum), u)
     assert _pick(rows[0], 0.7) == 2
+
+
+# A non-negative row with a positive entry, zero heads, zero runs inside it
+# and zero tails, down to a single entry.
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-300, 1e3), st.floats(0.0, 1.0))
+_ROWS = st.builds(
+    lambda head, body, tail: [0.0] * head + body + [0.0] * tail,
+    st.integers(0, 3),
+    st.lists(_ENTRY, min_size=1, max_size=10).filter(lambda body: max(body) > 0.0),
+    st.integers(0, 3),
+)
+
+
+def _draws(cum):
+    """0, every cumulative entry, the total and the largest uniform below 1."""
+    return [0.0, *cum, cum[-1], 1.0 - 2.0**-53]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_ROWS)
+def test_lookups_match_sample_index(row):
+    """The walks' two lookups against ``sample_index``: ``bisect_right`` on a
+    cut cumulative row, raw or normalized as the start law is, and the
+    early-exit pick on the running sums of w / total."""
+    cum = np.cumsum(row)
+    for cdf in (cum, cum / cum[-1]):
+        cut = _cut(cdf)
+        for u in _draws(cdf.tolist()):
+            assert bisect_right(cut, u) == sample_index(cdf, u)
+    total = 0.0
+    for w in row:
+        total += w
+    running = list(accumulate([w / total for w in row]))
+    for u in _draws(running):
+        assert _running_pick(row, total, u) == sample_index(np.array(running), u)
 
 
 class TestWalkInputs:
@@ -259,3 +327,27 @@ class TestWalkInputs:
         spec = path_spec()
         with pytest.raises(InvalidStructureError, match="init_weights"):
             zlearn_baseline(spec, _zero_z(spec), 10, init_weights=weights)
+
+    @pytest.mark.parametrize("walk", WALKS)
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("c", 0), ("c", -5), ("c", math.nan), ("c", math.inf),
+         ("steps", -3), ("steps", 2.5), ("record_every", -2), ("record_every", True)],
+        ids=["c-zero", "c-negative", "c-nan", "c-inf", "steps-negative", "steps-float",
+             "record_every-negative", "record_every-bool"],
+    )
+    def test_bad_argument_is_refused_by_name(self, walk, arg, value):
+        spec = path_spec()
+        kw = {"steps": 10, arg: value}
+        with pytest.raises(InvalidStructureError, match=f"^{arg} must be"):
+            if walk == "baseline":
+                zlearn_baseline(spec, _zero_z(spec), **kw)
+            else:
+                zlearn_greedy(spec, _zero_z(spec), mode=walk, **kw)
+
+    def test_zero_steps_return_the_start_table(self):
+        spec = path_spec()
+        z, stats = zlearn_baseline(spec, _zero_z(spec), 0, record_every=5,
+                                   on_record=lambda k, snap: pytest.fail("recorded"))
+        np.testing.assert_array_equal(z.energies, 0.0)
+        assert (stats.steps, stats.n_restarts, stats.visits.sum()) == (0, 0, 0)

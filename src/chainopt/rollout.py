@@ -23,14 +23,19 @@ draws are discarded, which no other rollout can see. A step draw is an
 inverse-CDF lookup in the cumulative rows of the transition matrix, the
 rows ``ChainModel.make_sampler`` draws from, with ``sample_index``'s clamp
 to the row's last positive entry. Continuous chains mix uniform and
-normal draws on one stream and keep a per-step loop.
+normal draws on one stream and keep a per-step loop per rollout; a step
+that leaves the finite numbers diverges its rollout.
 
-A tabular batch keeps the flat per-step layout of the lockstep loop
-(``_Flat``): states in rollout order, each step's time, costs, and the
-length and end reason of each rollout. The estimators and the batch's
-summaries read these arrays. ``Rollout`` objects, and their score vectors
-(one ``score_sums`` call per stage for the whole batch), are built only
-when something reads ``batch.rollouts``.
+Every batch is one layout (``_Flat``): the states of the rollouts that
+did not diverge, rollout after rollout, each step's time, costs, and the
+length and end reason of each rollout, plus the count of diverged
+rollouts. Generation, ``batch_from_arrays`` and ``batch_from_jsonl`` build
+it; the estimators and the batch's summaries read it. A score
+d log P(y | x, theta) belongs to the chain, theta and the sampled
+transition, not to the batch: ``transition_scores`` computes the scores of
+a batch's transitions when an estimator needs them. ``batch.rollouts`` is
+a read-only list of per-rollout views, for the jsonl dump and for readers
+outside the library.
 
 Estimators consume whole batches as flat per-step arrays and refuse
 parameters that differ from the ones the batch was generated under. Their
@@ -44,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -139,35 +145,18 @@ def _rollout_streams(seed: int, n: int) -> list:
 
 
 class Rollout:
-    """One sampled trajectory with per-step costs and score vectors.
+    """One kept rollout of a batch, as read-only views of the batch's
+    arrays: ``states`` (T+1,) ints or (T+1, n_x) floats, ``costs`` (T+1,),
+    and its ``end_reason``."""
 
-    ``states`` is (T+1,) ints or (T+1, n_x) floats, ``costs`` (T+1,) and
-    ``scores`` (T, n_params). ``scores`` may be given as a callable that
-    returns them; it is called on first read.
-    """
-
-    def __init__(self, states, costs, scores, end_reason: str, diverged: bool = False):
+    def __init__(self, states, costs, end_reason: str):
         self.states = states
         self.costs = costs
-        self._scores = scores
         self.end_reason = end_reason
-        self.diverged = diverged
-
-    @property
-    def scores(self) -> np.ndarray:
-        if callable(self._scores):
-            self._scores = self._scores()
-        return self._scores
 
     @property
     def n_steps(self) -> int:
         return self.states.shape[0] - 1
-
-
-def _split(a: np.ndarray, lengths) -> list:
-    """Consecutive pieces of a with the given lengths (views)."""
-    ends = np.cumsum(lengths).tolist()
-    return [a[e - k : e] for e, k in zip(ends, np.asarray(lengths).tolist())]
 
 
 @dataclass
@@ -179,19 +168,6 @@ class _Flat:
     costs: np.ndarray  # (N,)
     lengths: np.ndarray  # states per rollout
     codes: np.ndarray  # each rollout's end reason, an index into _REASONS
-
-    @staticmethod
-    def join(states: list, costs: list, codes) -> "_Flat":
-        """The layout of rollouts given as per-rollout arrays."""
-        lengths = np.array([c.shape[0] for c in costs], dtype=np.int64)
-        first = np.cumsum(lengths) - lengths
-        return _Flat(
-            states=np.concatenate(states) if states else np.zeros(0, dtype=np.int64),
-            t=np.arange(lengths.sum()) - np.repeat(first, lengths),
-            costs=np.concatenate(costs) if costs else np.zeros(0),
-            lengths=lengths,
-            codes=np.asarray(codes, dtype=np.int64),
-        )
 
     def transitions(self) -> np.ndarray:
         """The steps that start a transition: all but each rollout's last."""
@@ -207,82 +183,41 @@ def _stage_order(stage: np.ndarray):
     return order, [(s, slice(a, b)) for s, (a, b) in enumerate(zip(starts, ends)) if b > a]
 
 
-class _TabularScores:
-    """The per-step score vectors of a flat tabular batch, computed for
-    every rollout on the first request with one ``score_sums`` call per
-    stage, one group per transition. ``lazy(i)`` is what rollout i reads
-    them through."""
-
-    def __init__(self, chain, theta, n_stages: int, flat: _Flat):
-        self.chain, self.theta, self.n_stages, self.flat = chain, theta, n_stages, flat
-        self.pieces = None
-
-    def lazy(self, i: int):
-        return lambda: self._get(i)
-
-    def _get(self, i: int) -> np.ndarray:
-        if self.pieces is None:
-            f = self.flat
-            k = f.transitions()
-            order, stages = _stage_order(np.minimum(f.t[k], self.n_stages - 1))
-            k = k[order]
-            x, y = f.states[k], f.states[k + 1]
-            scores = np.empty((k.size, self.chain.n_params))
-            for s, sl in stages:
-                c = sl.stop - sl.start
-                scores[order[sl]] = self.chain.score_sums(
-                    self.theta, x[sl], y[sl], np.ones(c), np.arange(c), c, s
-                )
-            self.pieces = _split(scores, f.lengths - 1)
-        return self.pieces[i]
-
-
 class RolloutBatch:
-    """Rollouts plus the exact generation context they were produced under.
+    """The rollouts of a batch that did not diverge, in the flat layout,
+    with the count of those that diverged and the exact generation context
+    they were produced under. The layout's arrays are made read-only: the
+    batch, its ``steps`` and its ``rollouts`` share them."""
 
-    ``rollouts`` is a list of Rollout, or a callable that returns the list
-    on its first read; a batch given a callable must also be given
-    ``flat`` and holds no diverged rollouts. ``flat`` is the rollouts that
-    did not diverge in the flat layout; when not given, it is joined from
-    the list on first need.
-    """
-
-    def __init__(self, rollouts, theta, seed, mode, horizon_cap, n_diverged=0, flat=None):
-        self._rollouts = rollouts
+    def __init__(self, flat: _Flat, theta, seed, mode, horizon_cap, n_diverged=0):
+        for a in vars(flat).values():
+            a.flags.writeable = False
+        self.flat = flat
         self.theta = theta
         self.seed = seed
         self.mode = mode
         self.horizon_cap = horizon_cap
         self.n_diverged = n_diverged
-        self._flat = flat
         self._steps = {}
 
-    @property
+    @cached_property
     def rollouts(self) -> list:
-        if callable(self._rollouts):
-            self._rollouts = self._rollouts()
-        return self._rollouts
-
-    @property
-    def flat(self) -> _Flat:
-        if self._flat is None:
-            kept = [r for r in self.rollouts if not r.diverged]
-            self._flat = _Flat.join(
-                [r.states for r in kept],
-                [r.costs for r in kept],
-                [_REASONS.index(r.end_reason) for r in kept],
-            )
-        return self._flat
+        """The kept rollouts as Rollout views of the arrays, built on first read."""
+        f = self.flat
+        ends = np.cumsum(f.lengths).tolist()
+        return [
+            Rollout(f.states[e - k : e], f.costs[e - k : e], _REASONS[code])
+            for e, k, code in zip(ends, f.lengths.tolist(), f.codes.tolist())
+        ]
 
     def __len__(self):
-        if callable(self._rollouts):
-            return self._flat.lengths.size
-        return len(self._rollouts)
+        """Rollouts drawn: the kept ones and the diverged ones."""
+        return self.flat.lengths.size + self.n_diverged
 
     def steps(self, gamma: float) -> "BatchSteps":
-        """batch_steps(self, gamma), built once per gamma and shared, so not to
-        be modified: the estimators and the value fit read the same batch,
-        often at different iterations."""
+        """batch_steps(self, gamma), built once per gamma and shared: the
+        estimators and the value fit read the same batch, often at
+        different iterations."""
         if gamma not in self._steps:
             self._steps[gamma] = batch_steps(self, gamma)
         return self._steps[gamma]
@@ -296,28 +231,49 @@ class RolloutBatch:
         return int(np.count_nonzero(self.flat.codes == _REASONS.index(END_HORIZON)))
 
     def total_steps(self) -> int:
-        if callable(self._rollouts):
-            return self._flat.t.size - self._flat.lengths.size
-        return int(sum(r.n_steps for r in self._rollouts))
+        """Transitions of the kept rollouts."""
+        return self.flat.t.size - self.flat.lengths.size
 
     def to_jsonl(self, path):
-        """Line-delimited dump: a metadata line, then one rollout per line."""
+        """Line-delimited dump: a metadata line, then one kept rollout per
+        line; the metadata's n_diverged counts the rollouts left out, and a
+        record's seed pair holds the batch seed and the rollout's place
+        among the kept ones."""
         with open(path, "w") as fh:
             meta = {
                 "theta": self.theta.tolist(),
                 "seed": self.seed,
                 "mode": self.mode,
                 "horizon_cap": self.horizon_cap,
+                "n_diverged": int(self.n_diverged),
             }
             fh.write(json.dumps(meta) + "\n")
             for i, r in enumerate(self.rollouts):
                 rec = {
                     "seed": [self.seed, i],
-                    "states": np.asarray(r.states).tolist(),
+                    "states": r.states.tolist(),
                     "costs": r.costs.tolist(),
                     "end": r.end_reason,
                 }
                 fh.write(json.dumps(rec) + "\n")
+
+
+def batch_from_arrays(
+    states: list, costs: list, ends: list, theta, seed, mode, horizon_cap, n_diverged=0
+) -> RolloutBatch:
+    """A batch of the given rollouts that did not diverge: per rollout its
+    states, (T+1,) ints or (T+1, n_x) floats, its (T+1,) costs and its end
+    reason (END_HORIZON, END_TERMINAL or END_GEOMETRIC)."""
+    lengths = np.array([c.shape[0] for c in costs], dtype=np.int64)
+    first = np.cumsum(lengths) - lengths
+    flat = _Flat(
+        states=np.concatenate(states) if states else np.zeros(0, dtype=np.int64),
+        t=np.arange(lengths.sum()) - np.repeat(first, lengths),
+        costs=np.concatenate(costs) if costs else np.zeros(0),
+        lengths=lengths,
+        codes=np.array([_REASONS.index(e) for e in ends], dtype=np.int64),
+    )
+    return RolloutBatch(flat, theta, seed, mode, horizon_cap, n_diverged)
 
 
 def _numbers(value):
@@ -330,8 +286,8 @@ def _numbers(value):
 
 
 def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
-    """Reload a dumped batch, recomputing score vectors from the chain. A
-    malformed line raises InvalidStructureError naming the file and the line."""
+    """Reload a dumped batch. A malformed line raises InvalidStructureError
+    naming the file and the line."""
     chain = problem.chain
     tv = isinstance(problem.setting, TimeVarying)
 
@@ -358,7 +314,9 @@ def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
     theta = _numbers(meta["theta"])
     if theta is None or theta.shape != (problem.n_params,):
         raise bad(1, f"theta must be {problem.n_params} numbers")
-    theta = theta.astype(float)
+    n_diverged = meta.get("n_diverged", 0)
+    if isinstance(n_diverged, bool) or not isinstance(n_diverged, int) or n_diverged < 0:
+        raise bad(1, f"n_diverged must be a non-negative integer, got {n_diverged!r}")
     states, costs = [], []
     for line, rec in enumerate(records, start=2):
         if rec["end"] not in _REASONS:
@@ -372,36 +330,15 @@ def batch_from_jsonl(problem: Problem, path) -> RolloutBatch:
             st.dtype.kind == "i" and st.ndim == 1 and 0 <= st.min() and st.max() < chain.n_states
         ):
             raise bad(line, f"states must be integers in 0..{chain.n_states - 1}")
-        states.append(st.astype(np.int64) if chain.tabular else st)
+        if not chain.tabular and not (st.ndim == 2 and st.shape[1] == chain.n_x):
+            raise bad(line, f"states must be rows of {chain.n_x} numbers")
+        states.append(st.astype(np.int64) if chain.tabular else st.astype(float))
         costs.append(cost.astype(float))
-    seed, mode, cap = meta["seed"], meta["mode"], meta["horizon_cap"]
-    if chain.tabular:
-        codes = [_REASONS.index(rec["end"]) for rec in records]
-        flat = _Flat.join(states, costs, codes)
-        return _flat_batch(chain, theta, flat, cap if tv else 1, seed, mode, cap)
-    rollouts = []
-    for rec, st, cost in zip(records, states, costs):
-        scores = np.zeros((st.shape[0] - 1, problem.n_params))
-        for t in range(scores.shape[0]):
-            scores[t] = chain.score(st[t], st[t + 1], theta, t if tv else 0)
-        rollouts.append(Rollout(st, cost, scores, rec["end"]))
-    return RolloutBatch(rollouts, theta, seed, mode, cap)
-
-
-def _flat_batch(chain, theta, flat: _Flat, n_stages: int, seed, mode, horizon_cap) -> RolloutBatch:
-    """A tabular batch in the flat layout. Its Rollout list shares the
-    layout's arrays and is built on first read; the first read of any
-    rollout's scores computes those of all."""
-
-    def rollouts():
-        table = _TabularScores(chain, theta, n_stages, flat)
-        pieces = zip(_split(flat.states, flat.lengths), _split(flat.costs, flat.lengths))
-        return [
-            Rollout(s, c, table.lazy(i), _REASONS[code])
-            for i, ((s, c), code) in enumerate(zip(pieces, flat.codes.tolist()))
-        ]
-
-    return RolloutBatch(rollouts, theta, seed, mode, horizon_cap, flat=flat)
+    ends = [rec["end"] for rec in records]
+    return batch_from_arrays(
+        states, costs, ends, theta.astype(float), meta["seed"], meta["mode"],
+        meta["horizon_cap"], n_diverged,
+    )
 
 
 def _default_mode(problem: Problem) -> str:
@@ -451,14 +388,8 @@ def generate_rollouts(
         raise InvalidStructureError("need at least one rollout and one step")
     if chain.tabular:
         flat = _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
-        return _flat_batch(chain, theta, flat, horizon_cap if tv else 1, seed, mode, horizon_cap)
-    samplers = [chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
-    rollouts = [
-        _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode)
-        for rng in _rollout_streams(seed, n_rollouts)
-    ]
-    n_diverged = sum(1 for r in rollouts if r.diverged)
-    return RolloutBatch(rollouts, theta, seed, mode, horizon_cap, n_diverged)
+        return RolloutBatch(flat, theta, seed, mode, horizon_cap)
+    return _continuous_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
 
 
 class _Uniforms:
@@ -550,33 +481,38 @@ def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -
     return _Flat(states, steps, costs, lengths, reason)
 
 
-def _continuous_rollout(problem, theta, samplers, rng, horizon_cap, mode) -> Rollout:
-    chain = problem.chain
-    tv = isinstance(problem.setting, TimeVarying)
+def _continuous_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> RolloutBatch:
+    """One draw loop per rollout. A rollout whose next state is not finite
+    has diverged: the batch drops it and counts it in n_diverged. That
+    check is the handling of an overflowing step, so the draws run with
+    numpy's overflow and invalid-value warnings off."""
+    samplers = [problem.chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
     stop_prob = 1.0 - problem.gamma
-    x = problem.init.sample(rng)
-    states = [x]
-    diverged = False
-    t = 0
-    reason = END_HORIZON
-    while True:
-        if t >= horizon_cap:
-            break
-        if mode == "geometric" and rng.random() < stop_prob:
-            reason = END_GEOMETRIC
-            break
-        x_next = samplers[min(t, len(samplers) - 1)](states[-1], rng)
-        if not np.all(np.isfinite(x_next)):
-            diverged = True
-            break
-        states.append(x_next)
-        t += 1
-    T = len(states) - 1
-    costs = np.array([problem.cost.value(states[k], theta, k if tv else 0) for k in range(T + 1)])
-    scores = np.zeros((T, problem.n_params))
-    for k in range(T):
-        scores[k] = chain.score(states[k], states[k + 1], theta, k if tv else 0)
-    return Rollout(np.asarray(states, dtype=float), costs, scores, reason, diverged)
+    kept, ends = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rng in _rollout_streams(seed, n_rollouts):
+            states = [problem.init.sample(rng)]
+            end = END_HORIZON
+            while len(states) <= horizon_cap:
+                if mode == "geometric" and rng.random() < stop_prob:
+                    end = END_GEOMETRIC
+                    break
+                x_next = samplers[min(len(states) - 1, len(samplers) - 1)](states[-1], rng)
+                if not np.isfinite(x_next).all():
+                    end = None
+                    break
+                states.append(x_next)
+            if end is not None:
+                kept.append(states)
+                ends.append(end)
+    costs = [
+        np.array([problem.cost.value(x, theta, t if tv else 0) for t, x in enumerate(states)])
+        for states in kept
+    ]
+    kept = [np.asarray(states, dtype=float) for states in kept]
+    return batch_from_arrays(
+        kept, costs, ends, theta, seed, mode, horizon_cap, n_rollouts - len(ends)
+    )
 
 
 def effective_gamma(problem: Problem, batch: RolloutBatch) -> float:
@@ -638,6 +574,30 @@ def _batch_returns(costs, lengths, first, gamma) -> np.ndarray:
         R = costs[rows] + gamma * R[:m]
         out[rows] = R
         rows -= 1
+    return out
+
+
+def transition_scores(problem: Problem, theta, steps: BatchSteps) -> np.ndarray:
+    """The score d log P(y | x, theta) of each transition steps.trans,
+    shape (transitions, n_params): on a tabular chain from one score_sums
+    call per stage, one group per transition; on a continuous chain from
+    chain.score per transition."""
+    chain, p = problem.chain, problem.n_params
+    k = steps.trans
+    stage = steps.t[k] if isinstance(problem.setting, TimeVarying) else np.zeros_like(k)
+    if not chain.tabular:
+        scores = [
+            chain.score(steps.states[j], steps.states[j + 1], theta, s)
+            for j, s in zip(k.tolist(), stage.tolist())
+        ]
+        return np.array(scores).reshape(k.size, p)
+    order, stages = _stage_order(stage)
+    k = k[order]
+    x, y = steps.states[k], steps.states[k + 1]
+    out = np.empty((k.size, p))
+    for s, sl in stages:
+        c = sl.stop - sl.start
+        out[order[sl]] = chain.score_sums(theta, x[sl], y[sl], np.ones(c), np.arange(c), c, s)
     return out
 
 
@@ -860,7 +820,7 @@ def _tabular_contributions(problem, theta, batch, steps: BatchSteps, step_w, coe
 
 
 def _continuous_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
-    """Per-step cost gradients and the stored scores, summed per rollout."""
+    """Per-step cost gradients and the transitions' scores, summed per rollout."""
     cost = problem.cost
     tv = isinstance(problem.setting, TimeVarying)
     stage = steps.t if tv else np.zeros_like(steps.t)
@@ -868,9 +828,7 @@ def _continuous_contributions(problem, theta, batch, steps: BatchSteps, step_w, 
     gL = np.stack([cost.grad(x, theta, int(s)) for x, s in zip(steps.states, stage)])
     np.add.at(out, steps.owner, step_w[:, None] * gL)
     k = steps.trans
-    if k.size:
-        scores = np.concatenate([r.scores for r in batch.rollouts if not r.diverged])
-        np.add.at(out, steps.owner[k], coef[:, None] * scores)
+    np.add.at(out, steps.owner[k], coef[:, None] * transition_scores(problem, theta, steps))
     return out
 
 
@@ -925,10 +883,13 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
     Per path, with K the log-likelihood and L the accumulated cost:
         (dK dK' + d2K) L + dK dL' + dL dK' + d2L.
     Requires a tabular chain and second derivatives of both the chain and
-    the cost. A transition's d2 log P is row_hess at the indicator of
-    (x, y) divided by P[x, y], minus s s^T; a state's d2L is hess_sum at the
-    state's indicator; both are cached per stage. The batch mean is
-    symmetrized before it is returned.
+    the cost. dK is the score sum per rollout and dL the cost gradient sum,
+    one score_sums and one grad_sum call per stage. A transition's
+    d2 log P is row_hess at the indicator of (x, y) divided by P[x, y],
+    minus s s^T, and a state's d2L is hess_sum at the state's indicator:
+    each is computed once per distinct (t, x, y) or (t, x) and summed per
+    rollout as counts times those matrices. The batch mean is symmetrized
+    before it is returned.
     """
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
@@ -940,39 +901,42 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         raise CapabilityError("path Hessian needs twice-differentiable chain and cost")
     T = problem.setting.horizon
     p, n = problem.n_params, chain.n_states
-    rollouts = batch.rollouts
-    if any(r.n_steps != T for r in rollouts):
+    steps = batch.steps(effective_gamma(problem, batch))
+    if batch.n_diverged or np.any(steps.lengths != T + 1):
         raise InvalidStructureError("path derivatives need full-horizon rollouts")
-    # each rollout's cost gradient sum: per stage, grad_sum at its one-hot visits
-    states, onehot = np.array([r.states for r in rollouts]), np.eye(n)
-    dLs = sum(cost.grad_sum(theta, onehot[states[:, t]], t) for t in range(T + 1))
-    hess_cache = {}
+    m = steps.lengths.size
+    states = steps.states.reshape(m, T + 1)
+    total_cost = steps.costs.reshape(m, T + 1).sum(axis=1)
+    ones, owner, onehot = np.ones(m), np.arange(m), np.eye(n)
+    dK = sum(
+        chain.score_sums(theta, states[:, t], states[:, t + 1], ones, owner, m, t) for t in range(T)
+    )
+    dL = sum(cost.grad_sum(theta, onehot[states[:, t]], t) for t in range(T + 1))
 
-    def chain_hess(t, x, y):
-        key = (t, int(x), int(y))
-        if key not in hess_cache:
-            E = np.zeros((n, n))
-            E[x, y] = 1.0 / chain.transition_matrix(theta, t)[x, y]
-            s = chain.score_sums(theta, [x], [y], [1.0], [0], 1, t)[0]
-            hess_cache[key] = chain.row_hess(theta, E, t) - np.outer(s, s)
-        return hess_cache[key]
+    def per_rollout(keys, hess):
+        """Sum over each rollout's row of keys of hess(key), from the
+        counts of each distinct key: shape (m, p, p)."""
+        uniq, inv = np.unique(keys, return_inverse=True)
+        cell = owner[:, None] * uniq.size + inv.reshape(keys.shape)
+        counts = np.bincount(cell.ravel(), minlength=m * uniq.size).reshape(m, uniq.size)
+        H = np.stack([hess(*divmod(key, n)) for key in uniq.tolist()])
+        return (counts @ H.reshape(uniq.size, p * p)).reshape(m, p, p)
 
-    def cost_hess(t, x):
-        key = (t, int(x))
-        if key not in hess_cache:
-            hess_cache[key] = cost.hess_sum(theta, onehot[x], t)
-        return hess_cache[key]
+    def chain_hess(tx, y):
+        t, x = divmod(tx, n)
+        E = np.zeros((n, n))
+        E[x, y] = 1.0 / chain.transition_matrix(theta, t)[x, y]
+        s = chain.score_sums(theta, [x], [y], [1.0], [0], 1, t)[0]
+        return chain.row_hess(theta, E, t) - np.outer(s, s)
 
-    out = np.zeros((len(rollouts), p, p))
-    for i, (r, dL) in enumerate(zip(rollouts, dLs)):
-        total_cost = float(r.costs.sum())
-        dK = r.scores.sum(axis=0)
-        d2K = sum(chain_hess(t, r.states[t], r.states[t + 1]) for t in range(T))
-        d2L = sum(cost_hess(t, x) for t, x in enumerate(r.states))
-        H = (np.outer(dK, dK) + d2K) * total_cost
-        H += np.outer(dK, dL) + np.outer(dL, dK) + d2L
-        out[i] = H
+    # d2 log P keyed by (t, x, y), d2L by (t, x)
+    tx = np.arange(T + 1) * n + states
+    d2K = per_rollout(tx[:, :-1] * n + states[:, 1:], chain_hess)
+    d2L = per_rollout(tx, lambda t, x: cost.hess_sum(theta, onehot[x], t))
+    outer = lambda a, b: a[:, :, None] * b[:, None, :]
+    out = (outer(dK, dK) + d2K) * total_cost[:, None, None]
+    out += outer(dK, dL) + outer(dL, dK) + d2L
     mean = out.mean(axis=0)
     mean = 0.5 * (mean + mean.T)
-    stderr = out.std(axis=0, ddof=1) / math.sqrt(len(rollouts))
-    return HessianEstimate(mean=mean, stderr=stderr, n_rollouts=len(rollouts))
+    stderr = out.std(axis=0, ddof=1) / math.sqrt(m)
+    return HessianEstimate(mean=mean, stderr=stderr, n_rollouts=m)

@@ -29,6 +29,7 @@ from .rollout import (
     baseline_expected_values,
     check_batch,
     effective_gamma,
+    transition_scores,
 )
 
 _LOG_RATIO_CAP = 30.0
@@ -430,10 +431,10 @@ def fisher_matrix(
     mass-normalized occupancy (stationary density in the average setting),
     built by the chain's fisher from per-row blocks; a solution computed
     at theta may be passed in to skip the solve.
-    Sampled form: discount-weighted outer products of stored scores over
-    the batch, normalized by the discount-weighted state-visit mass. Under
-    geometric stopping the realized transition mass carries an extra
-    factor of gamma, which the weights divide back out.
+    Sampled form: discount-weighted outer products of the transitions'
+    scores over the batch, normalized by the discount-weighted state-visit
+    mass. Under geometric stopping the realized transition mass carries an
+    extra factor of gamma, which the weights divide back out.
     """
     theta = check_params(theta, problem.n_params)
     if batch is None:
@@ -445,29 +446,23 @@ def fisher_matrix(
 
     check_batch(theta, batch)
     gamma = problem.gamma
-    geometric = batch.mode == "geometric"
-    p = problem.n_params
-    nums = []
-    dens = []
-    for r in batch.rollouts:
-        if r.diverged:
-            continue
-        T = r.n_steps
-        if geometric:
-            num_w = np.full(T, 1.0 / gamma)
-            den = float(T + 1)
-        else:
-            num_w = gamma ** np.arange(T)
-            den = float((gamma ** np.arange(T + 1)).sum())
-        nums.append(np.einsum("t,tp,tq->pq", num_w, r.scores, r.scores))
-        dens.append(den)
-    if not nums:
+    steps = batch.steps(effective_gamma(problem, batch))
+    n = steps.lengths.size
+    if not n:
         raise CapabilityError("batch has no usable rollouts")
-    nums = np.stack(nums)
-    dens = np.asarray(dens)
+    k = steps.trans
+    S = transition_scores(problem, theta, steps)
+    if batch.mode == "geometric":
+        num_w = np.full(k.size, 1.0 / gamma)
+        dens = steps.lengths.astype(float)
+    else:
+        w = gamma ** steps.t
+        num_w, dens = w[k], np.bincount(steps.owner, weights=w, minlength=n)
+    # per-rollout sums of the weighted outer products, grouped by owner
+    nums = np.zeros((n, problem.n_params, problem.n_params))
+    np.add.at(nums, steps.owner[k], num_w[:, None, None] * S[:, :, None] * S[:, None, :])
     F = nums.sum(axis=0) / dens.sum()
     # stderr of the ratio estimator via linearization around the means
-    n = len(dens)
     resid = nums - F[None, :, :] * dens[:, None, None]
     se = resid.std(axis=0, ddof=1) / (np.sqrt(n) * dens.mean()) if n > 1 else None
     return FisherMatrix(matrix=0.5 * (F + F.T), source="sampled", n_rollouts=n, stderr=se)

@@ -8,7 +8,15 @@ with ``from conftest import ...``.
 
 import numpy as np
 
-from chainopt import InvalidStructureError
+from chainopt import (
+    EpisodicDiscounted,
+    GaussianInitial,
+    GaussianLinearChain,
+    InvalidStructureError,
+    Problem,
+    StateQuadraticCost,
+)
+from chainopt.rollout import effective_gamma, transition_scores
 
 ACCEPTANCE_RESULTS = []
 
@@ -28,6 +36,14 @@ def fd_vector(fn, theta, h=1e-6):
 def transition_score(chain, x, y, theta, t=0):
     """Score of one tabular transition x -> y, read through score_sums."""
     return chain.score_sums(theta, [x], [y], [1.0], [0], 1, t)[0]
+
+
+def rollout_scores(problem, batch):
+    """Each kept rollout's (T, n_params) scores, read through
+    transition_scores over the batch's steps."""
+    steps = batch.steps(effective_gamma(problem, batch))
+    scores = transition_scores(problem, batch.theta, steps)
+    return np.split(scores, np.cumsum(steps.lengths - 1)[:-1])
 
 
 def log_prob(chain, x, y, theta, t=0):
@@ -118,6 +134,15 @@ class ReferenceSoftmaxLayout:
         if x in self.terminal:
             return [x]
         return list(self._succ[x])
+
+
+def diverging_gaussian_problem():
+    """A 1-D Gaussian chain whose step multiplies the state by 1e308, so a
+    start state beyond about 1.8 in size overflows on its first step; the
+    cost 1e-318 x^2 stays finite on every state that does not."""
+    chain = GaussianLinearChain(np.array([[1e308]]), np.eye(1), np.eye(1))
+    cost = StateQuadraticCost(1e-318 * np.eye(1), n_params=1)
+    return Problem(chain, cost, EpisodicDiscounted(0.9), GaussianInitial(np.zeros(1), np.eye(1)))
 
 
 def discounted_returns(costs, gamma):

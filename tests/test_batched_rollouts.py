@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from conftest import dense_grad_table, discounted_returns, transition_score
+from conftest import (
+    dense_grad_table,
+    discounted_returns,
+    diverging_gaussian_problem,
+    rollout_scores,
+    transition_score,
+)
 
 from chainopt import (
     EpisodicDiscounted,
@@ -29,9 +35,11 @@ from chainopt import (
     TimeVaryingChain,
     batch_from_jsonl,
     estimate_gradient,
+    fisher_matrix,
     fit_value_approx,
     generate_rollouts,
     parse_config,
+    path_hessian,
     run_optimize,
 )
 from chainopt import rollout
@@ -39,6 +47,7 @@ from chainopt.harness import _interior_features
 from chainopt.model import FixedTabularChain, TimeVaryingCost, sample_index
 from chainopt.problems import (
     canonical_two_state,
+    gaussian_linear_problem,
     gridworld_lmdp,
     random_smdp_problem,
     random_softmax_problem,
@@ -49,10 +58,11 @@ from chainopt.rollout import (
     END_HORIZON,
     END_TERMINAL,
     Rollout,
-    RolloutBatch,
     baseline_expected_values,
+    batch_from_arrays,
     effective_gamma,
     rollout_rng,
+    transition_scores,
 )
 from chainopt.surrogate import ClippedSurrogate, SampledSurrogate
 from chainopt.zlearn import z_problem
@@ -93,14 +103,14 @@ def per_step_rollouts(problem, theta, n_rollouts, horizon_cap=10_000, mode=None,
     score_tables = [chain.score_table(theta, t) for t in range(n_stages)]
     terminal = chain.terminal if (mode != "horizon" or not tv) else frozenset()
     stop_at_terminal = not tv
-    rollouts = []
+    states, costs, scores, ends = [], [], [], []
     for i in range(n_rollouts):
         rng = rollout_rng(seed, i)
         x = problem.init.sample(rng)
-        states = [x]
+        path = [x]
         t = 0
         while True:
-            if stop_at_terminal and states[-1] in terminal:
+            if stop_at_terminal and path[-1] in terminal:
                 reason = END_TERMINAL
                 break
             if t >= horizon_cap:
@@ -109,28 +119,93 @@ def per_step_rollouts(problem, theta, n_rollouts, horizon_cap=10_000, mode=None,
             if mode == "geometric" and rng.random() < stop_prob:
                 reason = END_GEOMETRIC
                 break
-            states.append(samplers[min(t, n_stages - 1)](states[-1], rng))
+            path.append(samplers[min(t, n_stages - 1)](path[-1], rng))
             t += 1
-        T = len(states) - 1
-        st_ = np.asarray(states, dtype=np.int64)
-        costs = np.array(
-            [cost_tables[min(k, len(cost_tables) - 1)][st_[k]] for k in range(T + 1)]
+        T = len(path) - 1
+        st_ = np.asarray(path, dtype=np.int64)
+        states.append(st_)
+        costs.append(
+            np.array([cost_tables[min(k, len(cost_tables) - 1)][st_[k]] for k in range(T + 1)])
         )
-        scores = np.zeros((T, problem.n_params))
+        score = np.zeros((T, problem.n_params))
         for k in range(T):
-            scores[k] = score_tables[min(k, n_stages - 1)][st_[k], st_[k + 1]]
-        rollouts.append(Rollout(st_, costs, scores, reason))
-    return RolloutBatch(rollouts, theta, seed, mode, horizon_cap)
+            score[k] = score_tables[min(k, n_stages - 1)][st_[k], st_[k + 1]]
+        scores.append(score)
+        ends.append(reason)
+    batch = batch_from_arrays(states, costs, ends, theta, seed, mode, horizon_cap)
+    # the scores the engine stored with its rollouts, for assert_same_batch
+    batch.reference = problem, np.concatenate(scores)
+    return batch
 
 
 def assert_same_batch(new, ref, tmp_path):
+    """The same dump byte for byte, and transition_scores over the new
+    batch bit for bit the scores the reference engine stored."""
     new.to_jsonl(tmp_path / "new.jsonl")
     ref.to_jsonl(tmp_path / "ref.jsonl")
     assert (tmp_path / "new.jsonl").read_bytes() == (tmp_path / "ref.jsonl").read_bytes()
+    assert len(new.rollouts) == len(ref.rollouts)
     for a, b in zip(new.rollouts, ref.rollouts):
         assert a.end_reason == b.end_reason
-        assert a.states.dtype == b.states.dtype and a.scores.shape == b.scores.shape
-        np.testing.assert_array_equal(a.scores, b.scores)
+        assert a.states.dtype == b.states.dtype and a.states.shape == b.states.shape
+        np.testing.assert_array_equal(a.states, b.states)
+        np.testing.assert_array_equal(a.costs, b.costs)
+    problem, scores = ref.reference
+    got = transition_scores(problem, new.theta, new.steps(effective_gamma(problem, new)))
+    assert got.shape == scores.shape
+    np.testing.assert_array_equal(got, scores)
+
+
+def per_rollout_continuous(problem, theta, n_rollouts, horizon_cap=10_000, mode=None, seed=0):
+    """Continuous generation as it was before batches became flat arrays:
+    one loop per rollout, its costs and scores computed after its draws, a
+    diverged rollout kept with a flag. The batch holds the rollouts that
+    did not diverge, with their stored scores as ``batch.reference``."""
+    chain = problem.chain
+    tv = isinstance(problem.setting, TimeVarying)
+    if tv:
+        horizon_cap = problem.setting.horizon
+        mode = "horizon"
+    if mode is None:
+        mode = rollout._default_mode(problem)
+    samplers = [chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
+    stop_prob = 1.0 - problem.gamma
+    kept = []
+    for i in range(n_rollouts):
+        rng = rollout_rng(seed, i)
+        x = problem.init.sample(rng)
+        states = [x]
+        diverged = False
+        t = 0
+        reason = END_HORIZON
+        while True:
+            if t >= horizon_cap:
+                break
+            if mode == "geometric" and rng.random() < stop_prob:
+                reason = END_GEOMETRIC
+                break
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_next = samplers[min(t, len(samplers) - 1)](states[-1], rng)
+            if not np.all(np.isfinite(x_next)):
+                diverged = True
+                break
+            states.append(x_next)
+            t += 1
+        T = len(states) - 1
+        costs = np.array(
+            [problem.cost.value(states[k], theta, k if tv else 0) for k in range(T + 1)]
+        )
+        scores = np.zeros((T, problem.n_params))
+        for k in range(T):
+            scores[k] = chain.score(states[k], states[k + 1], theta, k if tv else 0)
+        if not diverged:
+            kept.append((np.asarray(states, dtype=float), costs, scores, reason))
+    states, costs, scores, ends = (list(c) for c in zip(*kept))
+    batch = batch_from_arrays(
+        states, costs, ends, theta, seed, mode, horizon_cap, n_rollouts - len(kept)
+    )
+    batch.reference = problem, np.concatenate(scores)
+    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +385,13 @@ class TestLockstepMatchesPerStepEngine:
         batch = generate_rollouts(problem, theta, 20, seed=3)
         batch.to_jsonl(tmp_path / "b.jsonl")
         back = batch_from_jsonl(problem, tmp_path / "b.jsonl")
-        for a, b in zip(back.rollouts, batch.rollouts):
-            np.testing.assert_array_equal(a.scores, b.scores)
+        for a, b, sa, sb in zip(
+            back.rollouts, batch.rollouts, rollout_scores(problem, back), rollout_scores(problem, batch)
+        ):
+            np.testing.assert_array_equal(sa, sb)
             for t in range(a.n_steps):
                 np.testing.assert_array_equal(
-                    a.scores[t],
+                    sa[t],
                     transition_score(problem.chain, a.states[t], a.states[t + 1], theta, t),
                 )
 
@@ -430,7 +507,7 @@ def reference_estimate(problem, theta, batch, baseline=None):
     if baseline is not None:
         B = baseline_expected_values(problem, theta, baseline)
     out = np.zeros((len(batch.rollouts), problem.n_params))
-    for i, r in enumerate(batch.rollouts):
+    for i, (r, scores) in enumerate(zip(batch.rollouts, rollout_scores(problem, batch))):
         T = r.n_steps
         R = discounted_returns(r.costs, gamma)
         gpow = gamma ** np.arange(T + 1)
@@ -440,7 +517,7 @@ def reference_estimate(problem, theta, batch, baseline=None):
             adv = R[1:]
             if baseline is not None:
                 adv = adv - np.array([B[min(t, n_stages - 1)][r.states[t]] for t in range(T)])
-            g = g + (gamma * gpow[:T] * adv) @ r.scores
+            g = g + (gamma * gpow[:T] * adv) @ scores
         out[i] = g
     return out
 
@@ -613,11 +690,10 @@ def return_cases(draw):
 
 def scanned_returns(costs, gamma):
     """batch_steps(...).returns of a hand-built batch with the given costs."""
-    rollouts = [
-        Rollout(np.zeros(c.size, dtype=np.int64), c, np.zeros((c.size - 1, 1)), END_TERMINAL)
-        for c in costs
-    ]
-    batch = RolloutBatch(rollouts, np.zeros(1), 0, "terminal", 10_000)
+    states = [np.zeros(c.size, dtype=np.int64) for c in costs]
+    batch = batch_from_arrays(
+        states, costs, [END_TERMINAL] * len(costs), np.zeros(1), 0, "terminal", 10_000
+    )
     return rollout.batch_steps(batch, gamma).returns
 
 
@@ -667,3 +743,139 @@ class TestScoreSums:
                 np.zeros(2), [0], [2], [1.0], [0], 1
             )
         assert chain.score_sums(np.zeros(2), [1], [1], [1.0], [0], 1).tolist() == [[0.0, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# Continuous batches, the path Hessian and the sampled Fisher against the
+# per-rollout loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_timevarying():
+    problem, theta = gaussian_linear_problem(2, seed=1)
+    return Problem(problem.chain, problem.cost, TimeVarying(5), problem.init), theta
+
+
+CONTINUOUS = {
+    "gaussian-geometric": lambda: (*gaussian_linear_problem(2, seed=0), {"mode": "geometric"}),
+    "gaussian-horizon": lambda: (
+        *gaussian_linear_problem(2, seed=0), {"mode": "horizon", "horizon_cap": 12}
+    ),
+    "gaussian-timevarying": lambda: (*_gaussian_timevarying(), {}),
+    "diverging": lambda: (diverging_gaussian_problem(), np.zeros(1), {"horizon_cap": 3}),
+}
+
+
+class TestContinuousBatchesMatchPerRolloutLoop:
+    @pytest.mark.parametrize("case", sorted(CONTINUOUS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_byte_identical_batches(self, case, seed, tmp_path):
+        problem, theta, kw = CONTINUOUS[case]()
+        new = generate_rollouts(problem, theta, 40, seed=seed, **kw)
+        ref = per_rollout_continuous(problem, theta, 40, seed=seed, **kw)
+        assert (new.n_diverged > 0) == (case == "diverging")
+        assert new.n_diverged == ref.n_diverged and len(new) == 40
+        assert new.total_steps() == ref.total_steps()
+        assert_same_batch(new, ref, tmp_path)
+
+
+def reference_path_hessian(problem, theta, batch):
+    """path_hessian's per-rollout Hessians as the loop it was: per-step
+    second derivatives cached by (t, x, y) and (t, x), summed along each
+    rollout, with dK the rollout's score sum."""
+    chain, cost = problem.chain, problem.cost
+    T = problem.setting.horizon
+    p, n = problem.n_params, chain.n_states
+    rollouts = batch.rollouts
+    states, onehot = np.array([r.states for r in rollouts]), np.eye(n)
+    dLs = sum(cost.grad_sum(theta, onehot[states[:, t]], t) for t in range(T + 1))
+    hess_cache = {}
+
+    def chain_hess(t, x, y):
+        key = (t, int(x), int(y))
+        if key not in hess_cache:
+            E = np.zeros((n, n))
+            E[x, y] = 1.0 / chain.transition_matrix(theta, t)[x, y]
+            s = chain.score_sums(theta, [x], [y], [1.0], [0], 1, t)[0]
+            hess_cache[key] = chain.row_hess(theta, E, t) - np.outer(s, s)
+        return hess_cache[key]
+
+    def cost_hess(t, x):
+        key = (t, int(x))
+        if key not in hess_cache:
+            hess_cache[key] = cost.hess_sum(theta, onehot[x], t)
+        return hess_cache[key]
+
+    out = np.zeros((len(rollouts), p, p))
+    for i, (r, dL, scores) in enumerate(zip(rollouts, dLs, rollout_scores(problem, batch))):
+        total_cost = float(r.costs.sum())
+        dK = scores.sum(axis=0)
+        d2K = sum(chain_hess(t, r.states[t], r.states[t + 1]) for t in range(T))
+        d2L = sum(cost_hess(t, x) for t, x in enumerate(r.states))
+        H = (np.outer(dK, dK) + d2K) * total_cost
+        H += np.outer(dK, dL) + np.outer(dL, dK) + d2L
+        out[i] = H
+    return out
+
+
+def reference_sampled_fisher(problem, batch):
+    """The sampled Fisher as the per-rollout loop it was: (matrix, stderr)."""
+    gamma = problem.gamma
+    nums, dens = [], []
+    for r, scores in zip(batch.rollouts, rollout_scores(problem, batch)):
+        T = r.n_steps
+        if batch.mode == "geometric":
+            num_w = np.full(T, 1.0 / gamma)
+            den = float(T + 1)
+        else:
+            num_w = gamma ** np.arange(T)
+            den = float((gamma ** np.arange(T + 1)).sum())
+        nums.append(np.einsum("t,tp,tq->pq", num_w, scores, scores))
+        dens.append(den)
+    nums = np.stack(nums)
+    dens = np.asarray(dens)
+    F = nums.sum(axis=0) / dens.sum()
+    resid = nums - F[None, :, :] * dens[:, None, None]
+    se = resid.std(axis=0, ddof=1) / (np.sqrt(len(dens)) * dens.mean())
+    return 0.5 * (F + F.T), se
+
+
+class TestBatchEstimatorsMatchPerRolloutLoops:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_timevarying_problem(horizon=2, n_states=3, seed=4),
+            lambda: random_timevarying_problem(horizon=7, n_states=5, seed=2),
+            lambda: random_timevarying_problem(horizon=1, n_states=6, seed=9),
+            _timevarying_with_terminal,
+        ],
+        ids=["h2n3", "h7n5", "h1n6", "terminal"],
+    )
+    def test_path_hessian(self, make):
+        problem = make()
+        theta = _theta(problem, 0.4)
+        batch = generate_rollouts(problem, theta, 300, seed=6)
+        est = path_hessian(problem, theta, batch)
+        ref = reference_path_hessian(problem, theta, batch)
+        mean = ref.mean(axis=0)
+        assert_close(est.mean, 0.5 * (mean + mean.T))
+        assert_close(est.stderr, ref.std(axis=0, ddof=1) / np.sqrt(len(ref)))
+        assert est.n_rollouts == len(ref)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["softmax-terminal", "softmax-terminal-cap", "softmax-geometric", "softmax-horizon",
+         "timevarying", "smdp-geometric", "gaussian-geometric", "gaussian-horizon"],
+    )
+    def test_sampled_fisher(self, case):
+        if case.startswith("gaussian"):
+            problem, theta, kw = CONTINUOUS[case]()
+        else:
+            problem, scale, kw = CASES[case]()
+            theta = _theta(problem, scale)
+        batch = generate_rollouts(problem, theta, 200, seed=9, **kw)
+        got = fisher_matrix(problem, theta, batch)
+        matrix, stderr = reference_sampled_fisher(problem, batch)
+        assert_close(got.matrix, matrix)
+        assert_close(got.stderr, stderr)
+        assert got.n_rollouts == 200

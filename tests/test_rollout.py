@@ -8,7 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import dense_grad_table, discounted_returns
+from conftest import (
+    dense_grad_table,
+    discounted_returns,
+    diverging_gaussian_problem,
+    rollout_scores,
+)
 
 import chainopt
 from chainopt import (
@@ -37,6 +42,7 @@ from chainopt import (
 from chainopt.rollout import check_batch
 from chainopt.problems import (
     canonical_two_state,
+    gaussian_linear_problem,
     random_softmax_problem,
     random_timevarying_problem,
 )
@@ -50,7 +56,8 @@ class TestGeneration:
         b = generate_rollouts(prob, theta, 50, seed=3)
         for ra, rb in zip(a.rollouts, b.rollouts):
             np.testing.assert_array_equal(ra.states, rb.states)
-            np.testing.assert_array_equal(ra.scores, rb.scores)
+        for sa, sb in zip(rollout_scores(prob, a), rollout_scores(prob, b)):
+            np.testing.assert_array_equal(sa, sb)
         c = generate_rollouts(prob, theta, 50, seed=4)
         assert any(
             ra.states.shape != rc.states.shape or not np.array_equal(ra.states, rc.states)
@@ -108,6 +115,19 @@ class TestGeneration:
             check_batch(np.array([0.1, 0.0]), batch)
 
 
+def _softmax():
+    return random_softmax_problem(FirstExit(), 5, seed=1)
+
+
+def _gaussian():
+    return gaussian_linear_problem(2)[0]
+
+
+def _with_states(states):
+    """An edit of a whole record: these states, with one cost each."""
+    return lambda doc: {**doc, "states": states, "costs": [1.0] * len(states)}
+
+
 class TestSerialization:
     def test_jsonl_round_trip(self, tmp_path):
         prob = random_softmax_problem(EpisodicDiscounted(0.9), n_states=5, seed=3)
@@ -121,28 +141,52 @@ class TestSerialization:
         for ra, rb in zip(batch.rollouts, back.rollouts):
             np.testing.assert_array_equal(ra.states, rb.states)
             np.testing.assert_allclose(ra.costs, rb.costs, rtol=0, atol=0)
-            np.testing.assert_allclose(ra.scores, rb.scores, rtol=0, atol=0)
+        for sa, sb in zip(rollout_scores(prob, batch), rollout_scores(prob, back)):
+            np.testing.assert_allclose(sa, sb, rtol=0, atol=0)
+
+    def test_round_trip_keeps_divergence(self, tmp_path):
+        prob = diverging_gaussian_problem()
+        theta = np.zeros(1)
+        batch = generate_rollouts(prob, theta, 50, horizon_cap=1, seed=0)
+        batch.to_jsonl(tmp_path / "batch.jsonl")
+        back = batch_from_jsonl(prob, tmp_path / "batch.jsonl")
+        fresh, again = (estimate_gradient(prob, theta, b) for b in (batch, back))
+        assert batch.n_diverged == back.n_diverged == fresh.n_diverged == 4
+        assert not fresh.valid and fresh.n_rollouts == 46
+        assert (again.valid, again.n_rollouts, again.n_diverged) == (False, 46, 4)
+        np.testing.assert_array_equal(again.mean, fresh.mean)
+
+    def test_dump_without_n_diverged_loads_none(self, tmp_path):
+        prob = random_softmax_problem(FirstExit(), 5, seed=1)
+        path = _corrupt_dump(prob, tmp_path, 1, "n_diverged", lambda v: _DROP)
+        back = batch_from_jsonl(prob, path)
+        assert back.n_diverged == 0 and len(back) == 4
 
     @pytest.mark.parametrize(
-        "line, key, edit",
+        "make, line, key, edit",
         [
-            (1, "mode", lambda v: "bogus"),
-            (1, "theta", lambda v: v[:-1]),
-            (2, "states", lambda v: [-1] + v[1:]),
-            (3, "states", lambda v: v[:-1] + [99]),
-            (2, "states", lambda v: [v[0] + 0.5] + v[1:]),
-            (2, "costs", lambda v: v[:-1]),
-            (3, "costs", lambda v: v + [0.0]),
-            (4, "end", lambda v: "bogus"),
-            (2, "costs", lambda v: _DROP),
-            (3, "states", lambda v: _DROP),
-            (4, "end", lambda v: _DROP),
-            (1, "theta", lambda v: _DROP),
-            (1, "seed", lambda v: _DROP),
-            (2, None, lambda doc: list(doc.values())),
-            (3, "states", lambda v: [v[:2]] + v[1:]),
-            (2, "costs", lambda v: ["x"] + v[1:]),
-            (1, None, lambda doc: "{"),
+            (_softmax, 1, "mode", lambda v: "bogus"),
+            (_softmax, 1, "theta", lambda v: v[:-1]),
+            (_softmax, 2, "states", lambda v: [-1] + v[1:]),
+            (_softmax, 3, "states", lambda v: v[:-1] + [99]),
+            (_softmax, 2, "states", lambda v: [v[0] + 0.5] + v[1:]),
+            (_softmax, 2, "costs", lambda v: v[:-1]),
+            (_softmax, 3, "costs", lambda v: v + [0.0]),
+            (_softmax, 4, "end", lambda v: "bogus"),
+            (_softmax, 2, "costs", lambda v: _DROP),
+            (_softmax, 3, "states", lambda v: _DROP),
+            (_softmax, 4, "end", lambda v: _DROP),
+            (_softmax, 1, "theta", lambda v: _DROP),
+            (_softmax, 1, "seed", lambda v: _DROP),
+            (_softmax, 2, None, lambda doc: list(doc.values())),
+            (_softmax, 3, "states", lambda v: [v[:2]] + v[1:]),
+            (_softmax, 2, "costs", lambda v: ["x"] + v[1:]),
+            (_softmax, 1, None, lambda doc: "{"),
+            (_softmax, 1, "n_diverged", lambda v: -1),
+            (_softmax, 1, "n_diverged", lambda v: 1.5),
+            (_gaussian, 2, None, _with_states([0.0, 1.0, 2.0])),
+            (_gaussian, 3, None, _with_states([[0, 1, 2], [1, 1, 1]])),
+            (_gaussian, 4, None, _with_states([[0], [1]])),
         ],
         ids=[
             "mode",
@@ -162,10 +206,15 @@ class TestSerialization:
             "nested-states",
             "string-cost",
             "not-json",
+            "negative-n-diverged",
+            "fractional-n-diverged",
+            "flat-continuous-states",
+            "wide-continuous-states",
+            "narrow-continuous-states",
         ],
     )
-    def test_corrupt_file_is_rejected_naming_the_line(self, tmp_path, line, key, edit):
-        prob = random_softmax_problem(FirstExit(), 5, seed=1)
+    def test_corrupt_file_is_rejected_naming_the_line(self, tmp_path, make, line, key, edit):
+        prob = make()
         path = _corrupt_dump(prob, tmp_path, line, key, edit)
         with pytest.raises(InvalidStructureError, match=f"{path.name}, line {line}:"):
             batch_from_jsonl(prob, path)
@@ -315,9 +364,9 @@ def reference_path_gradient(problem, theta, batch):
     else:
         grads = lambda states: np.stack([cost.grad(states[t], theta, t) for t in range(T + 1)])
     out = np.zeros((len(batch.rollouts), problem.n_params))
-    for i, r in enumerate(batch.rollouts):
+    for i, (r, scores) in enumerate(zip(batch.rollouts, rollout_scores(problem, batch))):
         assert r.n_steps == T
-        out[i] = r.scores.sum(axis=0) * float(r.costs.sum()) + grads(r.states).sum(axis=0)
+        out[i] = scores.sum(axis=0) * float(r.costs.sum()) + grads(r.states).sum(axis=0)
     return out
 
 

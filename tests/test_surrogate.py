@@ -40,7 +40,7 @@ from chainopt.problems import (
     random_smdp_problem,
     random_softmax_problem,
 )
-from chainopt.rollout import END_HORIZON, Rollout, RolloutBatch
+from chainopt.rollout import END_HORIZON, batch_from_arrays
 from chainopt.zlearn import z_problem
 from chainopt.surrogate import _damped_solve
 
@@ -355,8 +355,7 @@ class TestContinuousSampledSurrogate:
         theta = np.zeros(1)
         states = np.array([[0.0], [10.0]])
         costs = np.array([prob.cost.value(x, theta) for x in states])
-        scores = chain.score(states[0], states[1], theta)[None, :]
-        batch = RolloutBatch([Rollout(states, costs, scores, END_HORIZON)], theta, 0, "horizon", 1)
+        batch = batch_from_arrays([states], [costs], [END_HORIZON], theta, 0, "horizon", 1)
         sur = SampledSurrogate(prob, theta, batch)
         assert np.isfinite(sur.value(np.array([5.0])))
         assert sur.n_ratio_clipped == 1

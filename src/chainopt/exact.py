@@ -454,8 +454,6 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
     """
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
-    if not problem.chain.differentiable or not problem.cost.differentiable:
-        raise CapabilityError("exact gradient needs differentiable chain and cost")
     chain, cost = problem.chain, problem.cost
 
     if not isinstance(problem.setting, TimeVarying):
@@ -482,8 +480,6 @@ def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
     chain, cost = problem.chain, problem.cost
-    if not chain.has_bottleneck or not cost.has_bottleneck:
-        raise CapabilityError("bottleneck gradient needs bottleneck chain and cost")
     sol = solve(problem, theta)
     g = np.zeros(problem.n_params)
     for x in sorted(set(range(chain.n_states)) - chain.terminal):

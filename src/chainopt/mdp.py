@@ -193,10 +193,6 @@ class PolicyAveragedChain(ChainModel):
     """
 
     tabular = True
-    samplable = True
-    differentiable = True
-    twice_differentiable = True
-    has_bottleneck = True
 
     def __init__(self, transitions, policy: SoftmaxPolicy, terminal=()):
         self.p = np.asarray(transitions, dtype=float)
@@ -277,10 +273,6 @@ class PolicyExpectedCost(CostModel):
     is also eta . c(x, .) in the deterministic-bottleneck view.
     """
 
-    differentiable = True
-    twice_differentiable = True
-    has_bottleneck = True
-
     def __init__(self, policy: SoftmaxPolicy, costs):
         self.policy = policy
         self.costs = np.asarray(costs, dtype=float)
@@ -307,9 +299,6 @@ class PolicyExpectedCost(CostModel):
 
 class PolicyKlFromOldCost(CostModel):
     """Per-state KL(pi_old(.|x) || pi(.|x, theta)); the frozen policy comes first."""
-
-    differentiable = True
-    twice_differentiable = True
 
     def __init__(self, policy: SoftmaxPolicy, pi_old):
         self.policy = policy
@@ -346,9 +335,6 @@ class MixedRowKlCost(CostModel):
     action is the mixing distribution eta, the realized row is
     q_eta = sum_a eta_a p(.|x, a), and the cost reads r(x) + KL(q_eta || ref).
     """
-
-    differentiable = True
-    has_bottleneck = True
 
     def __init__(self, transitions, policy: SoftmaxPolicy, reference, state_cost):
         self.p = np.asarray(transitions, dtype=float)

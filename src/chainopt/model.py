@@ -172,11 +172,11 @@ InitialDistribution = Union[TabularInitial, GaussianInitial]
 class ChainModel(abc.ABC):
     """Parameterized transition model P(x'|x, theta).
 
-    Capability flags describe what a concrete chain supports; callers must
-    check them before invoking the corresponding methods. Tabular chains
-    index states by integers 0..n_states-1 and may carry a set of absorbing
-    terminal states whose rows are parameter-free self loops. A tabular
-    chain is its tables: transition_matrix, score_sums and row_hess; the
+    A chain supports what it implements: a method it lacks raises
+    CapabilityError naming the chain's class. Tabular chains index states
+    by integers 0..n_states-1 and may carry a set of absorbing terminal
+    states whose rows are parameter-free self loops. A tabular chain is
+    its tables: transition_matrix, score_sums and row_hess; the
     row_vjp and fisher defaults sum score_sums over the support of P.
     transition_matrix also takes theta with leading stack axes, shape
     (..., n_params), and returns the matrices stacked alike, (..., n, n).
@@ -190,11 +190,6 @@ class ChainModel(abc.ABC):
     terminal: frozenset = frozenset()
 
     tabular: bool = False
-    samplable: bool = False
-    differentiable: bool = False
-    twice_differentiable: bool = False
-    time_varying: bool = False
-    has_bottleneck: bool = False
 
     # --- tables -----------------------------------------------------------
 
@@ -251,14 +246,9 @@ class ChainModel(abc.ABC):
 
     # --- sampling ---------------------------------------------------------
 
-    def sample(self, x, theta, rng: np.random.Generator, t: int = 0):
-        """Draw x_next from the tabular row of x; terminal states draw nothing."""
-        if x in self.terminal:
-            return x
-        return sample_index(np.cumsum(self.transition_matrix(theta, t)[x]), rng.random())
-
     def make_sampler(self, theta: Array, t: int = 0):
-        """Return a callable (x, rng) -> x_next with tables precomputed."""
+        """Return a callable (x, rng) -> x_next with tables precomputed;
+        terminal states draw nothing."""
         cums = np.cumsum(self.transition_matrix(theta, t), axis=1)
         terminal = self.terminal
 
@@ -305,15 +295,13 @@ class CostModel(abc.ABC):
     (..., n_states); the exact solvers refuse a table of any other shape,
     as for ChainModel.transition_matrix. A cost on continuous states
     evaluates one state at a time through value(x, theta, t),
-    grad(x, theta, t) and hess(x, theta, t).
+    grad(x, theta, t) and hess(x, theta, t). As for ChainModel, a cost
+    supports what it implements: a method it lacks raises CapabilityError
+    naming the cost's class.
     """
 
     n_params: int = 0
     n_states: Optional[int] = None
-    differentiable: bool = True
-    twice_differentiable: bool = False
-    time_varying: bool = False
-    has_bottleneck: bool = False
 
     def value_table(self, theta: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no cost table")
@@ -323,6 +311,10 @@ class CostModel(abc.ABC):
 
     def hess_sum(self, theta: Array, w: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
+
+    def grad_eta(self, x, eta, t: int = 0) -> Array:
+        """Gradient of the cost at state x in the bottleneck output eta."""
+        raise CapabilityError(f"{type(self).__name__} has no bottleneck")
 
 
 def row_kl(P: Array, Q: Array):
@@ -373,9 +365,6 @@ class SoftmaxChain(ChainModel):
     """
 
     tabular = True
-    samplable = True
-    differentiable = True
-    twice_differentiable = True
 
     def __init__(self, n_states, support, terminal=(), logit_offset=None):
         n = self.n_states = int(n_states)
@@ -523,9 +512,6 @@ class FixedTabularChain(ChainModel):
     """Parameter-free tabular chain wrapping a fixed row-stochastic matrix."""
 
     tabular = True
-    samplable = True
-    differentiable = True
-    twice_differentiable = True
 
     def __init__(self, matrix, terminal=(), n_params=0):
         P = np.asarray(matrix, dtype=float)
@@ -564,11 +550,6 @@ class GaussianLinearChain(ChainModel):
     packing is either "affine" (theta holds K row-major then k) or "offset"
     (theta holds k only, with K fixed).
     """
-
-    samplable = True
-    differentiable = True
-    twice_differentiable = True
-    has_bottleneck = True
 
     def __init__(self, A, B, cov, packing="offset", K_fixed=None):
         self.A = np.asarray(A, dtype=float)
@@ -637,9 +618,6 @@ class GaussianLinearChain(ChainModel):
         """Per-transition information of the bottleneck output, B' cov^-1 B."""
         return self.B.T @ self._prec @ self.B
 
-    def sample(self, x, theta, rng, t: int = 0):
-        return self.mean(x, theta, t) + self._chol @ rng.standard_normal(self.n_x)
-
     def make_sampler(self, theta, t: int = 0):
         K, k = self._gain_offset(np.asarray(theta, dtype=float))
         M = self.A + self.B @ K
@@ -662,8 +640,6 @@ class TimeVaryingChain(ChainModel):
     """
 
     tabular = True
-    samplable = True
-    time_varying = True
 
     def __init__(self, stages: Sequence[ChainModel]):
         if len(stages) == 0:
@@ -682,8 +658,6 @@ class TimeVaryingChain(ChainModel):
         self.n_params = n_params
         self.n_states = n_states
         self.terminal = terminal
-        self.differentiable = all(c.differentiable for c in stages)
-        self.twice_differentiable = all(c.twice_differentiable for c in stages)
 
     def _at(self, t: int) -> ChainModel:
         return self.stages[min(t, len(self.stages) - 1)]
@@ -718,9 +692,6 @@ class TimeVaryingChain(ChainModel):
 class TableCost(CostModel):
     """Parameter-free per-state cost table."""
 
-    differentiable = True
-    twice_differentiable = True
-
     def __init__(self, values, n_params=0):
         self.values = np.asarray(values, dtype=float)
         if self.values.ndim != 1:
@@ -743,9 +714,6 @@ class TableCost(CostModel):
 class QuadraticCost(CostModel):
     """Per-state quadratic cost c[x] + b[x].theta + 0.5 w[x] theta'Q theta,
     with Q symmetric, or given as the vector of its diagonal."""
-
-    differentiable = True
-    twice_differentiable = True
 
     def __init__(self, const, lin, quad, quad_weights=None):
         self.const = np.asarray(const, dtype=float)
@@ -792,9 +760,6 @@ class QuadraticCost(CostModel):
 class StateQuadraticCost(CostModel):
     """Parameter-free cost x'Mx for continuous states."""
 
-    differentiable = True
-    twice_differentiable = True
-
     def __init__(self, M, n_params=0):
         self.M = np.asarray(M, dtype=float)
         self.n_params = int(n_params)
@@ -834,9 +799,6 @@ class WeightedSumCost(CostModel):
             if p.n_params != self.n_params:
                 raise InvalidStructureError("cost components disagree on n_params")
         self.n_states = _common_size(parts, "cost components")
-        self.differentiable = all(p.differentiable for p in parts)
-        self.twice_differentiable = all(p.twice_differentiable for p in parts)
-        self.time_varying = any(p.time_varying for p in parts)
 
     def value_table(self, theta, t: int = 0) -> Array:
         return sum(w * p.value_table(theta, t) for w, p in zip(self.weights, self.parts))
@@ -857,8 +819,8 @@ class KlToFixedChainCost(CostModel):
     """
 
     def __init__(self, chain: ChainModel, reference):
-        if not chain.tabular or not chain.differentiable:
-            raise CapabilityError("KL cost needs a tabular differentiable chain")
+        if not chain.tabular:
+            raise CapabilityError(f"KL cost needs a tabular chain, not {type(chain).__name__}")
         self.chain = chain
         self.reference = np.asarray(reference, dtype=float)
         n = chain.n_states
@@ -868,7 +830,6 @@ class KlToFixedChainCost(CostModel):
             raise InvalidStructureError("reference rows must be distributions")
         self.n_params = chain.n_params
         self.n_states = n
-        self.twice_differentiable = chain.twice_differentiable
         for x in range(n):
             for y in chain.successors(x):
                 if self.reference[x, y] <= 0.0:
@@ -926,8 +887,6 @@ class PolicyEntropyCost(CostModel):
 class TimeVaryingCost(CostModel):
     """Stage-indexed cost dispatching to one sub-cost per stage."""
 
-    time_varying = True
-
     def __init__(self, stages: Sequence[CostModel]):
         if len(stages) == 0:
             raise InvalidStructureError("need at least one stage cost")
@@ -937,8 +896,6 @@ class TimeVaryingCost(CostModel):
             if c.n_params != self.n_params:
                 raise InvalidStructureError("stage costs must agree on n_params")
         self.n_states = _common_size(stages, "stage costs")
-        self.differentiable = all(c.differentiable for c in stages)
-        self.twice_differentiable = all(c.twice_differentiable for c in stages)
 
     def _at(self, t: int) -> CostModel:
         return self.stages[min(t, len(self.stages) - 1)]
@@ -997,6 +954,13 @@ class Problem:
                 raise InvalidStructureError(
                     f"need {T + 1} stage costs, got {len(self.cost.stages)}"
                 )
+        else:
+            # any other setting would read stage 0 alone
+            for m in (self.chain, self.cost, *getattr(self.cost, "parts", ())):
+                if isinstance(m, (TimeVaryingChain, TimeVaryingCost)):
+                    raise InvalidStructureError(
+                        f"{type(m).__name__} needs the time-varying setting"
+                    )
 
     @property
     def n_params(self) -> int:

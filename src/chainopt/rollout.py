@@ -368,8 +368,6 @@ def generate_rollouts(
     """
     theta = check_params(theta, problem.n_params)
     chain = problem.chain
-    if not chain.samplable:
-        raise CapabilityError("rollout generation needs a samplable chain")
     if isinstance(problem.setting, Average):
         raise CapabilityError("rollout estimation covers episodic and finite-horizon settings")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -897,8 +895,6 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
     chain, cost = problem.chain, problem.cost
     if not chain.tabular:
         raise CapabilityError("path Hessian needs a tabular chain")
-    if not chain.twice_differentiable or not cost.twice_differentiable:
-        raise CapabilityError("path Hessian needs twice-differentiable chain and cost")
     T = problem.setting.horizon
     p, n = problem.n_params, chain.n_states
     steps = batch.steps(effective_gamma(problem, batch))

@@ -60,8 +60,9 @@ def _hessian(problem: Problem, th, states, w, xs, ys, c) -> np.ndarray:
     """sum_k w_k d2L(states_k) + sum_j c_j (s s^T + d2 log P)(xs_j -> ys_j) at
     th on a continuous chain, symmetrized; c_j is the draw's coefficient."""
     chain, cost = problem.chain, problem.cost
-    if not chain.twice_differentiable or not cost.twice_differentiable:
-        raise CapabilityError("surrogate Hessian needs second derivatives")
+    for model, method in ((chain, "log_prob_hess"), (cost, "hess")):
+        if not hasattr(model, method):
+            raise CapabilityError(f"{type(model).__name__} has no {method}")
     p = problem.n_params
     H = np.zeros((p, p))
     for x, wx in zip(states, w):

@@ -260,9 +260,6 @@ class ZWeightedChain(ChainModel):
     """
 
     tabular = True
-    samplable = True
-    differentiable = True
-    twice_differentiable = True
 
     def __init__(self, spec: LmdpSpec, features, gamma: float = 1.0):
         self.spec = spec

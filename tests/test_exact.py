@@ -222,7 +222,7 @@ class TestTimeVaryingSolver:
         prob = random_timevarying_problem(horizon=3, n_states=4, seed=8)
         theta = theta_for(prob, 7)
         rng = np.random.default_rng(123)
-        # the draws of chain.sample, from tables built once per stage
+        # draws of each stage's make_sampler, from tables built once per stage
         L = [prob.cost.value_table(theta, t) for t in range(4)]
         step = [prob.chain.make_sampler(theta, t) for t in range(3)]
         total = 0.0

@@ -300,7 +300,8 @@ class TestGaussianLinearChain:
     def test_sample_mean_tracks_affine_map(self):
         chain, theta, rng = self.make()
         x = np.array([0.3, -0.2])
-        draws = np.stack([chain.sample(x, theta, rng) for _ in range(20_000)])
+        draw = chain.make_sampler(theta)
+        draws = np.stack([draw(x, rng) for _ in range(20_000)])
         np.testing.assert_allclose(draws.mean(axis=0), chain.mean(x, theta), atol=0.02)
 
 
@@ -474,6 +475,25 @@ class TestProblemValidation:
         with pytest.raises(InvalidStructureError):
             TimeVaryingCost([TableCost(np.ones(4)), TableCost(np.ones(3))])
 
+    def test_staged_models_need_the_time_varying_setting(self):
+        """Any other setting would read stage 0 alone, so a staged chain or
+        cost, also as a part of a weighted sum, is refused outside it."""
+        c0 = FixedTabularChain(np.array([[0.5, 0.5], [0.0, 1.0]]), terminal=[1])
+        c1 = FixedTabularChain(np.array([[0.0, 1.0], [0.0, 1.0]]), terminal=[1])
+        table = TableCost([1.0, 0.0])
+        staged = TimeVaryingCost([table, TableCost([2.0, 0.0])])
+        init = TabularInitial([1.0, 0.0])
+        cases = [
+            (TimeVaryingChain([c0, c1]), table, "TimeVaryingChain"),
+            (c0, staged, "TimeVaryingCost"),
+            (c0, WeightedSumCost([table, staged]), "TimeVaryingCost"),
+        ]
+        for chain, cost, name in cases:
+            for setting in (FirstExit(), EpisodicDiscounted(0.9)):
+                with pytest.raises(InvalidStructureError, match=name):
+                    Problem(chain, cost, setting, init)
+            Problem(chain, cost, TimeVarying(1), init)
+
     def test_gaussian_start_law_for_continuous_chain(self):
         rng = np.random.default_rng(0)
         chain = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2), packing="offset")
@@ -571,14 +591,12 @@ class TestTabularSampler:
         yield (*z_weighted_chain(), old_dense_sampler)
 
     def test_draws_match_replaced_samplers(self):
-        """make_sampler and sample reproduce the replaced samplers draw for
-        draw on the same streams."""
+        """make_sampler reproduces the replaced samplers draw for draw on
+        the same streams."""
         for chain, theta, old in self.chains():
             for seed in (0, 1):
                 want = self.walk(chain, old(chain, theta), seed)
                 assert self.walk(chain, chain.make_sampler(theta), seed) == want
-                one = lambda x, rng: chain.sample(x, theta, rng)  # noqa: E731
-                assert self.walk(chain, one, seed) == want
 
     def test_top_draw_stays_on_positive_weight(self):
         """A draw at the top of [0, 1) lands on the last positive entry even
@@ -594,14 +612,13 @@ class TestTabularSampler:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         assert chain.make_sampler(np.zeros(0))(1, rng) == 1
-        assert chain.sample(1, np.zeros(0), rng) == 1
         assert rng.bit_generator.state == state
 
     def test_z_weighted_chain_samples(self):
-        """The feature-tilted chain advertises sampling and supports it."""
+        """The feature-tilted chain draws from its transition rows."""
         chain, theta = z_weighted_chain()
-        assert chain.samplable
+        draw = chain.make_sampler(theta)
         rng = np.random.default_rng(3)
         n = 20_000
-        hits = np.bincount([chain.sample(1, theta, rng) for _ in range(n)], minlength=4)
+        hits = np.bincount([draw(1, rng) for _ in range(n)], minlength=4)
         np.testing.assert_allclose(hits / n, chain.transition_matrix(theta)[1], atol=0.015)

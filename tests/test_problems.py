@@ -208,6 +208,7 @@ class TestGaussianLinear:
     def test_objective_is_finite_by_monte_carlo(self):
         prob, theta = gaussian_linear_problem(n_x=2, seed=1, gamma=0.9)
         rng = np.random.default_rng(3)
+        step = prob.chain.make_sampler(theta)
         total = 0.0
         n = 300
         for _ in range(n):
@@ -216,6 +217,6 @@ class TestGaussianLinear:
             for _t in range(200):
                 acc += w * prob.cost.value(x, theta)
                 w *= 0.9
-                x = prob.chain.sample(x, theta, rng)
+                x = step(x, rng)
             total += acc
         assert np.isfinite(total / n)

@@ -561,7 +561,6 @@ def tabular_costs(draw, kind):
 @ORACLE
 def test_hess_sum_is_fd_of_weighted_grad_table(kind, data):
     cost, theta, t, rng = data.draw(tabular_costs(kind))
-    assert cost.twice_differentiable
     w = rng.uniform(size=cost.n_states)
     H = cost.hess_sum(theta, w, t)
     assert H.shape == (theta.size, theta.size)
@@ -615,14 +614,21 @@ def test_tabular_chains_and_costs_have_no_per_state_methods():
     """Tabular chains are transition_matrix, score_sums and row_hess; tabular
     costs are value_table, grad_sum and hess_sum, with no dense gradient
     table. Per-state methods belong to the continuous chain and cost
-    only."""
+    only. No model, the base classes included, declares capability flags:
+    what a model supports is the methods it has."""
     classes = {
         obj for module in (chainopt.model, chainopt.mdp, chainopt.zlearn)
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, (ChainModel, CostModel))
     }
     per_state = ("prob_row", "prob", "score", "log_prob", "log_prob_hess", "_row_probs")
+    flags = (
+        "samplable", "differentiable", "twice_differentiable", "time_varying", "has_bottleneck"
+    )
+    assert {ChainModel, CostModel} <= classes
     for cls in classes:
+        for name in flags:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
         if cls in (GaussianLinearChain, StateQuadraticCost):
             continue
         for name in per_state + ("hess", "grad_table"):

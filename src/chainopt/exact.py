@@ -475,18 +475,23 @@ def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
     """Gradient routed through a low-dimensional policy output eta = mu(x, theta).
 
     Requires chain and cost to expose the bottleneck interface; equals
-    exact_gradient whenever both apply, by the chain rule.
+    exact_gradient whenever both apply, by the chain rule. The per-state
+    bottleneck terms are taken before the solve, so a model without them
+    is refused before P is built.
     """
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
     chain, cost = problem.chain, problem.cost
-    sol = solve(problem, theta)
-    g = np.zeros(problem.n_params)
+    terms = []
     for x in sorted(set(range(chain.n_states)) - chain.terminal):
         eta = chain.bottleneck(x, theta)
-        jac = chain.prob_row_eta_jac(x, eta)
-        inner = cost.grad_eta(x, eta) + sol.gamma * (jac.T @ sol.values)
-        g += sol.weights[x] * (chain.bottleneck_jac(x, theta) @ inner)
+        jac, grad_eta = chain.prob_row_eta_jac(x, eta), cost.grad_eta(x, eta)
+        terms.append((x, jac, grad_eta, chain.bottleneck_jac(x, theta)))
+    sol = solve(problem, theta)
+    g = np.zeros(problem.n_params)
+    for x, jac, grad_eta, eta_jac in terms:
+        inner = grad_eta + sol.gamma * (jac.T @ sol.values)
+        g += sol.weights[x] * (eta_jac @ inner)
     return g
 
 

@@ -51,7 +51,6 @@ from .problems import (
     random_timevarying_problem,
 )
 from .rollout import (
-    FeatureMap,
     effective_gamma,
     estimate_gradient,
     fit_value_approx,
@@ -572,7 +571,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     prev_batch = None
     kappa = alg.kappa
     adam = _AdamState(theta.size, alg.step_size) if alg.use_adam else None
-    features = FeatureMap.tabular(problem.chain.n_states) if tabular and alg.baseline else None
+    features = np.eye(problem.chain.n_states) if tabular and alg.baseline else None
     sampled = method in ("alg1-sgd", "pco")
     stationary_tabular = tabular and not isinstance(problem.setting, TimeVarying)
 
@@ -580,7 +579,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
         t0 = time.perf_counter()
         last = k == alg.iterations
         batch = None
-        approx = None
+        baseline = None
         if sampled:
             batch = generate_rollouts(
                 problem,
@@ -593,7 +592,7 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
             truncated += batch.n_truncated
             if features is not None and prev_batch is not None:
                 # staleness guard: the fit uses data up to the previous batch
-                approx = fit_value_approx(problem, prev_batch, features, ridge=1e-6)
+                baseline = fit_value_approx(problem, prev_batch, features, ridge=1e-6)
 
         sol = None
         if stationary_tabular:
@@ -605,13 +604,13 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
             j_val, j_se = _batch_j_estimate(problem, batch)
 
         if method == "alg1-sgd":
-            grad = estimate_gradient(problem, theta, batch, baseline=approx).mean
+            grad = estimate_gradient(problem, theta, batch, baseline=baseline).mean
         else:
             grad = exact_gradient(problem, theta, solution=sol)
         if not last and method in ("pco", "chain-iteration", "newton-surrogate"):
             if method == "pco":
                 surr = ClippedSurrogate(
-                    SampledSurrogate(problem, theta, batch, approx), alg.clip_radius
+                    SampledSurrogate(problem, theta, batch, baseline), alg.clip_radius
                 )
             else:
                 surr = ExactSurrogate(problem, theta, solution=sol)

@@ -248,7 +248,10 @@ class ChainModel(abc.ABC):
 
     def make_sampler(self, theta: Array, t: int = 0):
         """Return a callable (x, rng) -> x_next with tables precomputed;
-        terminal states draw nothing."""
+        terminal states draw nothing. A chain that is not tabular brings
+        its own."""
+        if not self.tabular:
+            raise CapabilityError(f"{type(self).__name__} has no sampler")
         cums = np.cumsum(self.transition_matrix(theta, t), axis=1)
         terminal = self.terminal
 
@@ -546,12 +549,12 @@ class FixedTabularChain(ChainModel):
 class GaussianLinearChain(ChainModel):
     """Continuous-state chain x' ~ Normal(A x + B mu(x, theta), cov).
 
-    The policy output mu(x, theta) = K x + k is the bottleneck. Parameter
-    packing is either "affine" (theta holds K row-major then k) or "offset"
-    (theta holds k only, with K fixed).
+    The policy output mu(x, theta) = K x + theta is the bottleneck: theta
+    is the offset, one entry per input, and the gain K = K_fixed (zero by
+    default) stays fixed.
     """
 
-    def __init__(self, A, B, cov, packing="offset", K_fixed=None):
+    def __init__(self, A, B, cov, K_fixed=None):
         self.A = np.asarray(A, dtype=float)
         self.B = np.asarray(B, dtype=float)
         self.cov = np.asarray(cov, dtype=float)
@@ -566,35 +569,17 @@ class GaussianLinearChain(ChainModel):
         except np.linalg.LinAlgError as exc:
             raise InvalidStructureError("noise covariance must be positive definite") from exc
         self._prec = np.linalg.inv(self.cov)
-        if packing not in ("offset", "affine"):
-            raise InvalidStructureError(f"unknown packing {packing!r}")
-        self.packing = packing
         if K_fixed is None:
             K_fixed = np.zeros((self.n_u, self.n_x))
         self.K_fixed = np.asarray(K_fixed, dtype=float)
         self.n_bottleneck = self.n_u
-        self.n_params = self.n_u if packing == "offset" else self.n_u * (self.n_x + 1)
-
-    def _gain_offset(self, theta: Array):
-        if self.packing == "offset":
-            return self.K_fixed, theta
-        K = theta[: self.n_u * self.n_x].reshape(self.n_u, self.n_x)
-        return K, theta[self.n_u * self.n_x :]
+        self.n_params = self.n_u
 
     def bottleneck(self, x, theta, t: int = 0) -> Array:
-        K, k = self._gain_offset(np.asarray(theta, dtype=float))
-        return K @ np.asarray(x, dtype=float) + k
+        return self.K_fixed @ np.asarray(x, dtype=float) + np.asarray(theta, dtype=float)
 
     def bottleneck_jac(self, x, theta, t: int = 0) -> Array:
-        jac = np.zeros((self.n_params, self.n_u))
-        if self.packing == "offset":
-            jac[:, :] = np.eye(self.n_u)
-            return jac
-        xv = np.asarray(x, dtype=float)
-        for i in range(self.n_u):
-            jac[i * self.n_x : (i + 1) * self.n_x, i] = xv
-        jac[self.n_u * self.n_x :, :] = np.eye(self.n_u)
-        return jac
+        return np.eye(self.n_u)
 
     def mean(self, x, theta, t: int = 0) -> Array:
         return self.A @ np.asarray(x, dtype=float) + self.B @ self.bottleneck(x, theta, t)
@@ -619,9 +604,8 @@ class GaussianLinearChain(ChainModel):
         return self.B.T @ self._prec @ self.B
 
     def make_sampler(self, theta, t: int = 0):
-        K, k = self._gain_offset(np.asarray(theta, dtype=float))
-        M = self.A + self.B @ K
-        off = self.B @ k
+        M = self.A + self.B @ self.K_fixed
+        off = self.B @ np.asarray(theta, dtype=float)
         chol = self._chol
         n = self.n_x
 

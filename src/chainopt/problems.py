@@ -226,7 +226,7 @@ def gaussian_linear_problem(
     root = r_dyn.normal(size=(n_x, n_x)) * 0.3
     cov = root @ root.T + 0.2 * np.eye(n_x)
     K = -0.1 * np.eye(n_x)
-    chain = GaussianLinearChain(A, B, cov, packing="offset", K_fixed=K)
+    chain = GaussianLinearChain(A, B, cov, K_fixed=K)
     M = r_cost.normal(size=(n_x, n_x)) * 0.2
     cost = StateQuadraticCost(M @ M.T + np.eye(n_x), n_params=chain.n_params)
     init = GaussianInitial(np.zeros(n_x), np.eye(n_x))

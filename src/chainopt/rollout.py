@@ -604,80 +604,32 @@ def transition_scores(problem: Problem, theta, steps: BatchSteps) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class FeatureMap:
-    """State features phi(x) used by fitted value baselines.
-
-    ``rows`` optionally maps an array of states to their stacked features
-    at once; without it the features are stacked one state at a time.
-    """
-
-    def __init__(self, dim: int, fn, rows=None):
-        self.dim = int(dim)
-        self._fn = fn
-        self._rows = rows
-
-    def __call__(self, x) -> np.ndarray:
-        return np.asarray(self._fn(x), dtype=float)
-
-    def rows(self, states) -> np.ndarray:
-        """Features of each state, shape (len(states), dim)."""
-        if self._rows is not None:
-            return np.asarray(self._rows(states), dtype=float)
-        if len(states) == 0:
-            return np.zeros((0, self.dim))
-        return np.stack([self(x) for x in states])
-
-    @staticmethod
-    def tabular(n_states: int) -> "FeatureMap":
-        eye = np.eye(n_states)
-        return FeatureMap(
-            n_states, lambda x: eye[int(x)], lambda xs: eye[np.asarray(xs, dtype=np.int64)]
-        )
-
-    @staticmethod
-    def constant() -> "FeatureMap":
-        return FeatureMap(1, lambda x: np.ones(1), lambda xs: np.ones((len(xs), 1)))
-
-
-@dataclass
-class ValueApprox:
-    """Linear value model omega . phi(x)."""
-
-    features: FeatureMap
-    weights: np.ndarray
-
-    def predict(self, x) -> float:
-        return float(self.features(x) @ self.weights)
-
-    def table(self, n_states: int) -> np.ndarray:
-        return self.features.rows(np.arange(n_states)) @ self.weights
-
-
 def fit_value_approx(
-    problem: Problem, batch: RolloutBatch, features: FeatureMap, ridge: float = 0.0
-) -> ValueApprox:
-    """Discount-weighted ridge regression of per-step cost-to-go onto features.
+    problem: Problem, batch: RolloutBatch, features: np.ndarray, ridge: float = 0.0
+) -> np.ndarray:
+    """Fitted value baseline: the (n_states,) table features @ omega.
 
-    Minimizes sum over rollouts and steps of gamma^t (omega.phi(x_t) - R_t)^2
-    plus ridge ||omega||^2, by the normal equations. Rank deficiency with no
-    ridge raises rather than silently pseudo-inverting. On a tabular chain
-    the weights are first summed per visited state, so the features are
-    read once per visited state.
+    features is an (n_states, dim) array whose row x holds the features
+    phi(x) of state x; np.eye(n_states) fits one free value per state.
+    omega minimizes the sum over rollouts and steps of
+    gamma^t (omega.phi(x_t) - R_t)^2 plus ridge ||omega||^2, by the normal
+    equations, with the weights summed per visited state first. Rank
+    deficiency with no ridge raises rather than silently pseudo-inverting.
+    A continuous chain takes no baseline.
     """
+    n = _baseline_chain(problem).n_states
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[0] != n:
+        raise InvalidStructureError(
+            f"features have shape {features.shape}; need one row per state, ({n}, dim)"
+        )
     steps = batch.steps(effective_gamma(problem, batch))
     w, wR = steps.weights, steps.weights * steps.returns
-    if problem.chain.tabular:
-        n = problem.chain.n_states
-        visited = np.flatnonzero(np.bincount(steps.states, minlength=n))
-        phi = features.rows(visited)
-        mass = np.bincount(steps.states, weights=w, minlength=n)[visited]
-        A = phi.T @ (mass[:, None] * phi)
-        b = phi.T @ np.bincount(steps.states, weights=wR, minlength=n)[visited]
-    else:
-        phi = features.rows(steps.states)
-        A = phi.T @ (w[:, None] * phi)
-        b = phi.T @ wR
-    A = A + ridge * np.eye(features.dim)
+    visited = np.flatnonzero(np.bincount(steps.states, minlength=n))
+    phi = features[visited]
+    mass = np.bincount(steps.states, weights=w, minlength=n)[visited]
+    A = phi.T @ (mass[:, None] * phi) + ridge * np.eye(features.shape[1])
+    b = phi.T @ np.bincount(steps.states, weights=wR, minlength=n)[visited]
     try:
         chol = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -686,8 +638,18 @@ def fit_value_approx(
                 "normal matrix is rank deficient; supply a positive ridge"
             )
         raise
-    omega = np.linalg.solve(chol.T, np.linalg.solve(chol, b))
-    return ValueApprox(features, omega)
+    return features @ np.linalg.solve(chol.T, np.linalg.solve(chol, b))
+
+
+def _baseline_chain(problem: Problem):
+    """The problem's chain, refused unless a per-state table can hold its
+    values."""
+    chain = problem.chain
+    if not chain.tabular:
+        raise CapabilityError(
+            f"{type(chain).__name__} is not tabular; a value baseline is a per-state table"
+        )
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -707,34 +669,36 @@ class GradientEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def baseline_expected_values(problem: Problem, theta, approx: ValueApprox):
-    """Per-stage tables b(x) = E[V^(x') | x] for tabular chains."""
-    chain = problem.chain
-    tv = isinstance(problem.setting, TimeVarying)
-    n_stages = problem.setting.horizon if tv else 1
-    tables = []
-    vhat = approx.table(chain.n_states)
-    for t in range(n_stages):
-        P = chain.transition_matrix(theta, t)
-        tables.append(P @ vhat)
-    return tables
+def baseline_expected_values(problem: Problem, theta, baseline):
+    """Per-stage tables b(x) = E[V^(x') | x] = (P_t @ baseline)(x), from a
+    baseline table of one value per state."""
+    chain = _baseline_chain(problem)
+    vhat = np.asarray(baseline, dtype=float)
+    if vhat.shape != (chain.n_states,):
+        raise InvalidStructureError(
+            f"baseline table has shape {vhat.shape}; need one value per state, "
+            f"({chain.n_states},)"
+        )
+    n_stages = problem.setting.horizon if isinstance(problem.setting, TimeVarying) else 1
+    return [chain.transition_matrix(theta, t) @ vhat for t in range(n_stages)]
 
 
 def estimate_gradient(
     problem: Problem,
     theta,
     batch: RolloutBatch,
-    baseline: Optional[ValueApprox] = None,
+    baseline: Optional[np.ndarray] = None,
 ) -> GradientEstimate:
     """Score-times-cost-to-go gradient estimate from one batch.
 
     Per rollout the contribution is
         sum_t gamma^t dL(x_t) + sum_{t<T} gamma^{t+1} score_t (R_{t+1} - b(x_t)),
-    where b subtracts the predicted one-step-ahead value when a baseline is
-    supplied. The estimate is unbiased for the exact gradient; the baseline
-    only reduces variance. Diverged rollouts are left out. The estimate is
-    marked invalid when more than 1% of the batch diverged or, in terminal
-    mode, was cut off by the horizon cap.
+    where b(x) = E[baseline(x') | x] when a baseline is supplied: an
+    (n_states,) value table such as fit_value_approx returns, which a
+    continuous chain does not take. The estimate is unbiased for the exact
+    gradient; the baseline only reduces variance. Diverged rollouts are
+    left out. The estimate is marked invalid when more than 1% of the
+    batch diverged or, in terminal mode, was cut off by the horizon cap.
     """
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
@@ -746,7 +710,8 @@ def estimate_gradient(
     k = steps.trans
     adv = steps.returns[k + 1]
     if baseline is not None:
-        adv = adv - _baseline_values(problem, theta, baseline, steps)
+        tables = np.stack(baseline_expected_values(problem, theta, baseline))
+        adv = adv - tables[np.minimum(steps.t[k], len(tables) - 1), steps.states[k]]
     coef = gamma * steps.weights[k] * adv
     kept = _contributions(problem, theta, batch, steps, steps.weights, coef)
     mean = kept.mean(axis=0)
@@ -769,20 +734,6 @@ def estimate_gradient(
             "n_truncated": n_truncated,
             "per_rollout": kept,
         },
-    )
-
-
-def _baseline_values(problem, theta, baseline: ValueApprox, steps: BatchSteps) -> np.ndarray:
-    """b(x_t) at the transitions: the baseline's predicted value one step
-    ahead, from the stage tables on a tabular chain and per step otherwise."""
-    k = steps.trans
-    if problem.chain.tabular:
-        tables = np.stack(baseline_expected_values(problem, theta, baseline))
-        return tables[np.minimum(steps.t[k], len(tables) - 1), steps.states[k]]
-    chain = problem.chain
-    stage = steps.t if isinstance(problem.setting, TimeVarying) else np.zeros_like(steps.t)
-    return np.array(
-        [baseline.predict(chain.mean(steps.states[j], theta, int(stage[j]))) for j in k]
     )
 
 

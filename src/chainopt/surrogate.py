@@ -25,7 +25,6 @@ from .exact import Solution, solution_at
 from .model import Average, Problem, TimeVarying, check_params
 from .rollout import (
     RolloutBatch,
-    ValueApprox,
     baseline_expected_values,
     check_batch,
     effective_gamma,
@@ -118,8 +117,10 @@ class SampledSurrogate:
     Per rollout the contribution is
         sum_t g^t L(x_t, theta+alpha) + sum_{t<T} g^{t+1} ratio_t(alpha) Ahat_t,
     with ratio_t the transition-probability ratio between theta+alpha and
-    theta, and Ahat the baseline-corrected cost-to-go. Its alpha-gradient
-    at zero reproduces the score-based gradient estimate on the same batch.
+    theta, and Ahat the cost-to-go, less E[baseline(x') | x_t] when an
+    (n_states,) baseline table is given (tabular chains only). Its
+    alpha-gradient at zero reproduces the score-based gradient estimate on
+    the same batch.
 
     On a tabular chain the batch reduces to frozen tables: w is the
     discounted visit mass of each state and W the summed coefficients
@@ -134,7 +135,7 @@ class SampledSurrogate:
         problem: Problem,
         theta,
         batch: RolloutBatch,
-        baseline: Optional[ValueApprox] = None,
+        baseline: Optional[np.ndarray] = None,
     ):
         self.problem = problem
         self.theta = check_params(theta, problem.n_params)
@@ -157,13 +158,9 @@ class SampledSurrogate:
         self.trans_y = steps.states[k + 1]
         self.trans_w = self.gamma * steps.weights[k]
         self.trans_adv = steps.returns[k + 1]
-        if baseline is not None and self.tabular:
+        if baseline is not None:
             b_table = baseline_expected_values(problem, self.theta, baseline)[0]
             self.trans_adv = self.trans_adv - b_table[self.trans_x]
-        elif baseline is not None:
-            self.trans_adv = self.trans_adv - np.array(
-                [baseline.predict(chain.mean(x, self.theta)) for x in self.trans_x]
-            )
 
         # Each sampled term (a transition of a tabular chain, a draw of a
         # continuous one) carries its positive and its negative coefficient
@@ -500,7 +497,7 @@ def surrogate_hessian(
     problem: Problem,
     theta,
     batch: Optional[RolloutBatch] = None,
-    baseline: Optional[ValueApprox] = None,
+    baseline: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Second derivative of the (exact or sampled) surrogate at alpha = 0."""
     if batch is None:

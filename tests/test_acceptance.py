@@ -49,7 +49,6 @@ from chainopt.problems import (
     random_timevarying_problem,
 )
 from chainopt.rollout import (
-    FeatureMap,
     estimate_gradient,
     fit_value_approx,
     generate_rollouts,
@@ -267,7 +266,7 @@ def test_criterion_06_baseline_cuts_variance():
     problem = canonical_two_state()
     theta = np.zeros(2)
     fit_batch = generate_rollouts(problem, theta, 2000, seed=seed_int(60, 0))
-    approx = fit_value_approx(problem, fit_batch, FeatureMap.tabular(2), ridge=1e-6)
+    approx = fit_value_approx(problem, fit_batch, np.eye(2), ridge=1e-6)
     eval_batch = generate_rollouts(problem, theta, 2000, seed=seed_int(60, 1))
     raw = estimate_gradient(problem, theta, eval_batch).diagnostics["per_rollout"]
     based = estimate_gradient(problem, theta, eval_batch, baseline=approx).diagnostics[
@@ -307,7 +306,7 @@ def test_criterion_07_surrogate_slope_identities():
     problem = canonical_two_state()
     theta = np.zeros(2)
     fit_batch = generate_rollouts(problem, theta, 400, seed=seed_int(70, 0))
-    approx = fit_value_approx(problem, fit_batch, FeatureMap.tabular(2), ridge=1e-6)
+    approx = fit_value_approx(problem, fit_batch, np.eye(2), ridge=1e-6)
     batch = generate_rollouts(problem, theta, 400, seed=seed_int(70, 1))
     worst_sampled = 0.0
     for baseline in (None, approx):

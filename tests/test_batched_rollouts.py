@@ -23,7 +23,6 @@ from conftest import (
 
 from chainopt import (
     EpisodicDiscounted,
-    FeatureMap,
     FirstExit,
     InvalidStructureError,
     Problem,
@@ -481,14 +480,14 @@ class TestTruncation:
 
 def reference_fit(problem, batch, features, ridge=0.0):
     gamma = effective_gamma(problem, batch)
-    k = features.dim
+    k = features.shape[1]
     A = np.zeros((k, k))
     b = np.zeros(k)
     for r in batch.rollouts:
         R = discounted_returns(r.costs, gamma)
         w = gamma ** np.arange(r.costs.shape[0])
         for t in range(r.costs.shape[0]):
-            phi = features(r.states[t])
+            phi = features[r.states[t]]
             A += w[t] * np.outer(phi, phi)
             b += w[t] * phi * R[t]
     A += ridge * np.eye(k)
@@ -528,7 +527,9 @@ def reference_surrogate_grads(problem, theta, batch, baseline, alpha, eps):
     chain, cost = problem.chain, problem.cost
     gamma = effective_gamma(problem, batch)
     th = theta + alpha
-    b_table = baseline_expected_values(problem, theta, baseline)[0] if baseline else None
+    b_table = None
+    if baseline is not None:
+        b_table = baseline_expected_values(problem, theta, baseline)[0]
     P0, P = chain.transition_matrix(theta), chain.transition_matrix(th)
     G = dense_grad_table(cost, th)
     g = np.zeros(problem.n_params)
@@ -580,9 +581,10 @@ def sampled_cases(draw):
 
 
 def _custom_features(problem):
-    """Smooth features of the state index, read one state at a time."""
-    n = problem.chain.n_states
-    return FeatureMap(3, lambda x: [1.0, np.cos(2.0 * x / n), np.sin(3.0 * x / n)])
+    """Smooth features of the state index."""
+    x = np.arange(problem.chain.n_states)
+    n = x.size
+    return np.stack([np.ones(n), np.cos(2.0 * x / n), np.sin(3.0 * x / n)], axis=1)
 
 
 class TestVectorizedMatchesPerStep:
@@ -592,8 +594,8 @@ class TestVectorizedMatchesPerStep:
         problem, _, batch, _ = case
         n = problem.chain.n_states
         features = {
-            "tabular": FeatureMap.tabular(n),
-            "constant": FeatureMap.constant(),
+            "tabular": np.eye(n),
+            "constant": np.ones((n, 1)),
             "custom": _custom_features(problem),
         }[kind]
         # a unit ridge bounds the condition number of the normal matrix by
@@ -601,8 +603,8 @@ class TestVectorizedMatchesPerStep:
         # sums are assembled and not how nearly collinear the features are
         ridge = {"tabular": 1e-3, "constant": 0.0, "custom": 1.0}[kind]
         fit = fit_value_approx(problem, batch, features, ridge=ridge)
-        assert_close(fit.weights, reference_fit(problem, batch, features, ridge))
-        assert_close(fit.table(n), [fit.predict(x) for x in range(n)])
+        assert fit.shape == (n,)
+        assert_close(fit, features @ reference_fit(problem, batch, features, ridge))
 
     @given(sampled_cases(), st.booleans())
     @PROPERTY
@@ -611,7 +613,7 @@ class TestVectorizedMatchesPerStep:
         baseline = None
         if with_baseline:
             n = problem.chain.n_states
-            baseline = fit_value_approx(problem, batch, FeatureMap.tabular(n), ridge=1e-3)
+            baseline = fit_value_approx(problem, batch, np.eye(n), ridge=1e-3)
         est = estimate_gradient(problem, theta, batch, baseline=baseline)
         ref = reference_estimate(problem, theta, batch, baseline)
         assert_close(est.diagnostics["per_rollout"], ref)
@@ -627,7 +629,7 @@ class TestVectorizedMatchesPerStep:
             return
         n = problem.chain.n_states
         baseline = (
-            fit_value_approx(problem, batch, FeatureMap.tabular(n), ridge=1e-3)
+            fit_value_approx(problem, batch, np.eye(n), ridge=1e-3)
             if with_baseline else None
         )
         alpha = step * rng.normal(size=problem.n_params)
@@ -648,14 +650,14 @@ class TestVectorizedMatchesPerStep:
         batch = generate_rollouts(problem, np.zeros(problem.n_params), 1, horizon_cap=1, seed=0)
         # one step visits at most two of six states: tabular features are
         # rank deficient, and so is a custom map with a dead coordinate
-        dead = FeatureMap(2, lambda x: [1.0, 0.0])
-        for features in (FeatureMap.tabular(6), dead):
+        dead = np.tile([1.0, 0.0], (6, 1))
+        for features in (np.eye(6), dead):
             with pytest.raises(RegularizationRequiredError):
                 reference_fit(problem, batch, features)
             with pytest.raises(RegularizationRequiredError):
                 fit_value_approx(problem, batch, features)
             fit = fit_value_approx(problem, batch, features, ridge=1e-6)
-            assert_close(fit.weights, reference_fit(problem, batch, features, 1e-6))
+            assert_close(fit, features @ reference_fit(problem, batch, features, 1e-6))
 
 
 def softmax_score(chain, x, y, theta):

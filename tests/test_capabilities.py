@@ -146,7 +146,7 @@ def _continuous_surrogate_hessian():
         (_entropy_hessian, "PolicyEntropyCost"),
         (_path_hessian, "GradOnlyCost"),
         (_bottleneck_gradient, "SoftmaxChain"),
-        (_continuous_rollouts, "SizesOnlyChain"),
+        (_continuous_rollouts, "SizesOnlyChain has no sampler"),
         (_continuous_surrogate_hessian, "GradOnlyStateCost"),
     ],
     ids=["entropy-hessian", "path-hessian", "bottleneck", "rollouts", "continuous-hessian"],
@@ -154,3 +154,21 @@ def _continuous_surrogate_hessian():
 def test_a_missing_method_is_refused_by_name(make, name):
     with pytest.raises(CapabilityError, match=name):
         make()()
+
+
+def test_bottleneck_gradient_is_refused_before_the_solve(monkeypatch):
+    """A chain without a bottleneck is refused before P is built."""
+    prob = random_softmax_problem(EpisodicDiscounted(0.9), n_states=4, seed=2)
+    calls = []
+    inner = prob.chain.transition_matrix
+
+    def counted(theta, t=0):
+        calls.append(t)
+        return inner(theta, t)
+
+    monkeypatch.setattr(prob.chain, "transition_matrix", counted)
+    with pytest.raises(CapabilityError, match="SoftmaxChain has no bottleneck"):
+        exact_gradient_bottleneck(prob, np.zeros(prob.n_params))
+    assert calls == []
+    exact_gradient(prob, np.zeros(prob.n_params))
+    assert calls, "the wrapper counts the solve's transition matrix"

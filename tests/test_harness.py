@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chainopt import ConfigError
+from chainopt import ConfigError, objective
 from chainopt.cli import main as cli_main
 from chainopt.harness import (
     CSV_HEADER,
@@ -339,6 +339,30 @@ class TestOptimizeRunner:
         run_optimize(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a/curve.csv").read_bytes() == (tmp_path / "b/curve.csv").read_bytes()
 
+    def test_timevarying_sgd_rows_hold_the_objective_at_their_theta(self, tmp_path):
+        """Row k of a time-varying alg1-sgd run, baseline on, holds the exact
+        objective at the parameters after k steps. A run of k iterations
+        ends there, since every iteration's batch has its own seed."""
+        def config(iterations):
+            return config_for(
+                problem={"kind": "timevarying-tabular", "setting": "time-varying",
+                         "n_states": 6, "horizon": 5, "seed": 3},
+                algorithm={"method": "alg1-sgd", "iterations": iterations,
+                           "batch_size": 64, "step_size": 0.3},
+            )
+
+        problem = build_problem(config(3).problem).problem
+        for run in ("a", "b"):
+            (tmp_path / run).mkdir()
+            report = run_optimize(config(3), out_dir=tmp_path / run)
+        rows = report["curve"].rows
+        assert len(rows) == 4 and rows[0].j != rows[-1].j
+        for k, row in enumerate(rows):
+            theta = np.array(run_optimize(config(k))["theta"])
+            assert row.j == objective(problem, theta)
+        for name in ("curve.csv", "report.json", "theta.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
     def test_sampled_objective_column_for_continuous_chain(self, tmp_path):
         cfg = config_for(
             problem={"kind": "gaussian-linear"},
@@ -447,6 +471,18 @@ class TestZlearnRunner:
         report = run_zlearn(cfg, out_dir=tmp_path)
         assert report["final_rel_error"] < 1e-12
         assert all(r.grad_norm < 1e-12 for r in report["curve"].rows)
+
+    def test_closing_row_when_steps_are_not_a_multiple(self):
+        """2500 steps recorded every 1000 close with a row at 2500, the row
+        a run recording every 500 makes there: the walk does not depend on
+        the record interval."""
+        report = run_zlearn(self.quick_config(zlearn_steps=2500))
+        rows = report["curve"].rows
+        assert [(r.iteration, r.steps) for r in rows] == [(0, 0), (1, 1000), (2, 2000), (3, 2500)]
+        fine = run_zlearn(self.quick_config(zlearn_steps=2500, record_every=500))["curve"].rows
+        assert fine[-1].steps == 2500
+        assert (rows[-1].j, rows[-1].grad_norm) == (fine[-1].j, fine[-1].grad_norm)
+        assert report["final_J"] == rows[-1].j
 
     def test_deterministic(self, tmp_path):
         (tmp_path / "a").mkdir()

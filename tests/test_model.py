@@ -278,7 +278,7 @@ class TestGaussianLinearChain:
         rng = np.random.default_rng(5)
         A = 0.5 * rng.normal(size=(2, 2))
         cov = np.array([[0.5, 0.1], [0.1, 0.4]])
-        chain = GaussianLinearChain(A, np.eye(2), cov, packing="offset")
+        chain = GaussianLinearChain(A, np.eye(2), cov)
         theta = rng.normal(size=chain.n_params)
         return chain, theta, rng
 
@@ -496,7 +496,7 @@ class TestProblemValidation:
 
     def test_gaussian_start_law_for_continuous_chain(self):
         rng = np.random.default_rng(0)
-        chain = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2), packing="offset")
+        chain = GaussianLinearChain(0.5 * np.eye(2), np.eye(2), np.eye(2))
         cost = StateQuadraticCost(np.eye(2), n_params=chain.n_params)
         prob = Problem(chain, cost, EpisodicDiscounted(0.9),
                        GaussianInitial(np.zeros(2), np.eye(2)))

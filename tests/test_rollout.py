@@ -25,9 +25,9 @@ from chainopt import (
     Problem,
     StateQuadraticCost,
     TimeVarying,
-    FeatureMap,
     InvalidStructureError,
     RegularizationRequiredError,
+    SampledSurrogate,
     StalenessError,
     batch_from_jsonl,
     estimate_gradient,
@@ -38,6 +38,7 @@ from chainopt import (
     path_gradient,
     path_hessian,
     solve_value_episodic,
+    surrogate_hessian,
 )
 from chainopt.rollout import check_batch
 from chainopt.problems import (
@@ -285,29 +286,72 @@ class TestValueFit:
         prob = canonical_two_state()
         theta = np.zeros(2)
         batch = generate_rollouts(prob, theta, 300, seed=11)
-        fit = fit_value_approx(prob, batch, FeatureMap.constant())
+        fit = fit_value_approx(prob, batch, np.ones((2, 1)))
         num = den = 0.0
         for r in batch.rollouts:
             R = discounted_returns(r.costs, 1.0)
             for t in range(r.costs.shape[0]):
                 num += R[t]
                 den += 1.0
-        assert abs(fit.weights[0] - num / den) < 1e-12
+        np.testing.assert_allclose(fit, num / den, rtol=0.0, atol=1e-12)
 
     def test_tabular_fit_approaches_exact_values(self):
         prob = canonical_two_state()
         theta = np.zeros(2)
         batch = generate_rollouts(prob, theta, 4000, seed=13)
-        fit = fit_value_approx(prob, batch, FeatureMap.tabular(2), ridge=1e-9)
+        fit = fit_value_approx(prob, batch, np.eye(2), ridge=1e-9)
         V = solve_value_episodic(prob, theta).values
-        np.testing.assert_allclose(fit.table(2), V, atol=0.15)
+        np.testing.assert_allclose(fit, V, atol=0.15)
 
     def test_rank_deficiency_requires_ridge(self):
         prob = canonical_two_state()
         batch = generate_rollouts(prob, np.zeros(2), 20, seed=0)
-        dead = FeatureMap(2, lambda x: np.zeros(2))
+        dead = np.zeros((2, 2))
         with pytest.raises(RegularizationRequiredError):
             fit_value_approx(prob, batch, dead, ridge=0.0)
+
+
+# The three consumers of a baseline table, called alike.
+BASELINE_ROUTES = {
+    "estimate": lambda prob, theta, batch, b: estimate_gradient(prob, theta, batch, baseline=b),
+    "surrogate": lambda prob, theta, batch, b: SampledSurrogate(prob, theta, batch, b),
+    "hessian": lambda prob, theta, batch, b: surrogate_hessian(prob, theta, batch, b),
+}
+
+
+class TestBaselineTables:
+    """A value baseline is an (n_states,) table fitted from an
+    (n_states, dim) features array; a continuous chain takes none."""
+
+    def softmax_case(self, n):
+        prob = random_softmax_problem(FirstExit(), n, seed=1)
+        theta = np.zeros(prob.n_params)
+        return prob, theta, generate_rollouts(prob, theta, 20, seed=0)
+
+    @pytest.mark.parametrize("features", [np.eye(3), np.eye(9), np.ones(6)],
+                             ids=["3-rows", "9-rows", "1-d"])
+    def test_features_need_one_row_per_state(self, features):
+        prob, _, batch = self.softmax_case(6)
+        with pytest.raises(InvalidStructureError, match=r"one row per state, \(6, dim\)"):
+            fit_value_approx(prob, batch, features, ridge=1e-6)
+
+    @pytest.mark.parametrize("route", sorted(BASELINE_ROUTES))
+    def test_baseline_needs_one_value_per_state(self, route):
+        small, _, small_batch = self.softmax_case(6)
+        table = fit_value_approx(small, small_batch, np.eye(6), ridge=1e-6)
+        prob, theta, batch = self.softmax_case(8)
+        with pytest.raises(InvalidStructureError, match=r"one value per state, \(8,\)"):
+            BASELINE_ROUTES[route](prob, theta, batch, table)
+
+    @pytest.mark.parametrize("route", ["fit"] + sorted(BASELINE_ROUTES))
+    def test_continuous_chain_takes_no_baseline(self, route):
+        prob, theta = gaussian_linear_problem(n_x=2, seed=0)
+        batch = generate_rollouts(prob, theta, 5, horizon_cap=10, seed=1)
+        with pytest.raises(CapabilityError, match="GaussianLinearChain is not tabular"):
+            if route == "fit":
+                fit_value_approx(prob, batch, np.ones((1, 1)), ridge=1e-6)
+            else:
+                BASELINE_ROUTES[route](prob, theta, batch, np.zeros(1))
 
 
 class TestGradientEstimation:
@@ -332,7 +376,7 @@ class TestGradientEstimation:
         prob = canonical_two_state()
         theta = np.zeros(2)
         fit_batch = generate_rollouts(prob, theta, 500, seed=999)
-        baseline = fit_value_approx(prob, fit_batch, FeatureMap.tabular(2), ridge=1e-9)
+        baseline = fit_value_approx(prob, fit_batch, np.eye(2), ridge=1e-9)
         exact = exact_gradient(prob, theta)
         means, ses = [], []
         for k in range(10):

@@ -7,7 +7,6 @@ from chainopt import (
     Average,
     ConfigError,
     EpisodicDiscounted,
-    FeatureMap,
     FirstExit,
     FisherMatrix,
     GaussianInitial,
@@ -110,7 +109,7 @@ class TestSampledSurrogate:
         prob = canonical_two_state()
         theta = np.zeros(2)
         fit_batch = generate_rollouts(prob, theta, 300, seed=50)
-        baseline = fit_value_approx(prob, fit_batch, FeatureMap.tabular(2), ridge=1e-9)
+        baseline = fit_value_approx(prob, fit_batch, np.eye(2), ridge=1e-9)
         batch = generate_rollouts(prob, theta, 500, seed=51)
         for bl in (None, baseline):
             sur = SampledSurrogate(prob, theta, batch, bl)
@@ -189,6 +188,37 @@ class TestChainIteration:
         with pytest.raises(ConfigError):
             chain_iteration_step(canonical_two_state(), np.zeros(2), kappa=1.5)
 
+    @pytest.mark.parametrize("inner", ["gd", "newton"])
+    def test_five_rising_steps_reject_and_halve_kappa(self, inner):
+        """A surrogate that rises at every evaluation is rejected after five
+        rising inner steps: theta stays put and kappa halves."""
+
+        class RisingSurrogate:
+            def __init__(self):
+                self.calls = 0
+
+            def value(self, alpha):
+                self.calls += 1
+                return float(self.calls)
+
+            def grad(self, alpha):
+                return np.ones(2)
+
+            def hess(self, alpha):
+                return np.eye(2)
+
+        theta = np.array([0.3, -0.2])
+        report = chain_iteration_step(
+            canonical_two_state(), theta, surrogate=RisingSurrogate(), inner=inner, kappa=0.5
+        )
+        assert report.accepted is False
+        np.testing.assert_array_equal(report.theta, theta)
+        assert report.theta is not theta
+        assert (report.kappa, report.kappa_next) == (0.5, 0.25)
+        assert report.inner_iters == 5
+        assert len(report.surrogate_values) == 6
+        assert np.all(np.diff(report.surrogate_values) > 0.0)
+
 
 class TestFisher:
     def test_exact_fisher_is_psd(self):
@@ -253,9 +283,7 @@ class TestFrozenTables:
             if theta is None:
                 theta = probe_theta(prob, 13)
             fit = generate_rollouts(prob, theta, 200, seed=90)
-            baseline = fit_value_approx(
-                prob, fit, FeatureMap.tabular(prob.chain.n_states), ridge=1e-6
-            )
+            baseline = fit_value_approx(prob, fit, np.eye(prob.chain.n_states), ridge=1e-6)
             batch = generate_rollouts(prob, theta, 200, seed=91)
             sur = SampledSurrogate(prob, theta, batch, baseline)
             alpha = 0.1 * np.random.default_rng(14).normal(size=prob.n_params)

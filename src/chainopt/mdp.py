@@ -25,6 +25,7 @@ from .model import (
     KlToFixedChainCost,
     PolicyEntropyCost,
     Problem,
+    SegmentSoftmax,
     Setting,
     TabularInitial,
     TableCost,
@@ -113,70 +114,30 @@ class LmdpSpec:
 # ---------------------------------------------------------------------------
 
 
-class SoftmaxPolicy:
-    """Tabular stochastic policy with one logit per (state, action)."""
+class SoftmaxPolicy(SegmentSoftmax):
+    """Tabular stochastic policy with one logit per (state, action): the
+    segment softmax with one segment of n_actions logits per state."""
 
     def __init__(self, n_states: int, n_actions: int):
         if n_states < 1 or n_actions < 1:
             raise InvalidStructureError("need at least one state and one action")
         self.n_states = int(n_states)
         self.n_actions = int(n_actions)
-        self.n_params = self.n_states * self.n_actions
+        super().__init__(np.full(self.n_states, self.n_actions))
 
     def param_slice(self, x: int) -> slice:
         return slice(x * self.n_actions, (x + 1) * self.n_actions)
 
-    def row(self, x: int, theta) -> np.ndarray:
-        z = np.asarray(theta, dtype=float)[self.param_slice(x)]
-        e = np.exp(z - z.max())
-        return e / e.sum()
-
     def table(self, theta) -> np.ndarray:
         """(n_states, n_actions) action probabilities; stacked alike,
         (..., n_states, n_actions), at theta of shape (..., n_params)."""
-        z = np.asarray(theta, dtype=float)
-        z = z.reshape(z.shape[:-1] + (self.n_states, self.n_actions))
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-
-    def jac_block(self, x: int, theta) -> np.ndarray:
-        """d pi(.|x) / d theta_block, the (n_actions, n_actions) softmax Jacobian."""
-        p = self.row(x, theta)
-        return np.diag(p) - np.outer(p, p)
-
-    def block_vjp(self, theta, C) -> np.ndarray:
-        """Row x holds jac_block(x) @ C[x] = pi(.|x) * (C[x] - pi(.|x).C[x])
-        for an (n_states, n_actions) table C."""
-        pi = self.table(theta)
-        return pi * (C - np.sum(pi * C, axis=1, keepdims=True))
-
-    def block_hess(self, theta, C, w=0.0) -> np.ndarray:
-        """Block-diagonal (n_params, n_params) sum over states x of
-        sum_a C[x, a] d2 pi(a|x) + w[x] (diag pi(.|x) - pi pi^T).
-
-        With u = pi(.|x) * C[x] and m = sum(u), the first term's block is
-        diag(u - m pi) - u pi^T - pi u^T + 2 m pi pi^T; the second term is
-        the Hessian of the block's log-normalizer.
-        """
-        pi = self.table(theta)
-        u = pi * C
-        m = u.sum(axis=1, keepdims=True)
-        v = m - np.reshape(w, (-1, 1))
-        outer = pi[:, :, None] * pi[:, None, :]
-        B = (m + v)[:, :, None] * outer - u[:, :, None] * pi[:, None, :]
-        B -= pi[:, :, None] * u[:, None, :]
-        diag = np.arange(self.n_actions)
-        B[:, diag, diag] += u - v * pi
-        n, k = self.n_states, self.n_actions
-        H = np.zeros((n, k, n, k))
-        H[np.arange(n), :, np.arange(n), :] = B
-        return H.reshape(self.n_params, self.n_params)
+        pi = self.probs(theta)
+        return pi.reshape(pi.shape[:-1] + (self.n_states, self.n_actions))
 
     def block_sum(self, w, B) -> np.ndarray:
         """sum_x w[..., x] times B[x] in the parameter block of x, shape
-        (..., n_params), for an (n_states, n_actions) table B."""
-        w = np.asarray(w, dtype=float)
-        return (w[..., None] * B).reshape(w.shape[:-1] + (self.n_params,))
+        (..., n_params), for B of n_params entries (a row per state)."""
+        return np.asarray(w, dtype=float)[..., self.seg_of] * np.ravel(B)
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +178,28 @@ class PolicyAveragedChain(ChainModel):
         P[..., self._term, self._term] = 1.0
         return P
 
-    def row_vjp(self, theta, W, t: int = 0) -> np.ndarray:
-        # dP[x, y]/dpi(a|x) = p[x, a, y]; terminal rows carry no parameters
-        g = self.policy.block_vjp(theta, np.einsum("xay,xy->xa", self.p, W))
-        g[self._term] = 0.0
-        return g.reshape(-1)
-
-    def row_hess(self, theta, W, t: int = 0) -> np.ndarray:
+    def _action_weights(self, W) -> np.ndarray:
+        """Flat C[x, a] = sum_y W[x, y] dP[x, y]/dpi(a|x), zero on terminal rows."""
         C = np.einsum("xay,xy->xa", self.p, W)
         C[self._term] = 0.0
-        return self.policy.block_hess(theta, C)
+        return C.ravel()
+
+    def row_vjp(self, theta, W, t: int = 0) -> np.ndarray:
+        return self.policy.vjp(theta, self._action_weights(W))
+
+    def row_hess(self, theta, W, t: int = 0) -> np.ndarray:
+        return self.policy.curvature(theta, self._action_weights(W), 0.0)
+
+    def fisher(self, theta, w, t: int = 0) -> np.ndarray:
+        # block x is w_x pi * G_x * pi^T, with R = p[x, :, y] / P[x, y] and
+        # G_x = sum_y P[x, y] R R^T - 1 1^T, one (k, k) block per state;
+        # terminal rows carry no parameters
+        pi = self.policy.table(theta)
+        P = self.transition_matrix(theta)
+        inv = np.divide(1.0, P, out=np.zeros_like(P), where=P > 0.0)
+        G = (self.p * inv[:, None, :]) @ self.p.transpose(0, 2, 1) - 1.0
+        w = np.where(self._is_term, 0.0, np.asarray(w, dtype=float))
+        return self.policy.scatter(w[:, None, None] * pi[:, :, None] * G * pi[:, None, :])
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> np.ndarray:
         # score(x, y) is pi(.|x) * (p[x, :, y] / P[x, y] - 1) on x's block;
@@ -252,11 +225,12 @@ class PolicyAveragedChain(ChainModel):
     # --- bottleneck view: eta is the action distribution at x --------------
 
     def bottleneck(self, x, theta, t: int = 0) -> np.ndarray:
-        return self.policy.row(x, theta)
+        return self.policy.table(theta)[x]
 
     def bottleneck_jac(self, x, theta, t: int = 0) -> np.ndarray:
+        pi = self.bottleneck(x, theta)
         jac = np.zeros((self.n_params, self.n_bottleneck))
-        jac[self.policy.param_slice(x), :] = self.policy.jac_block(x, theta)
+        jac[self.policy.param_slice(x), :] = np.diag(pi) - np.outer(pi, pi)
         return jac
 
     def prob_row_eta(self, x, eta, t: int = 0) -> np.ndarray:
@@ -291,10 +265,10 @@ class PolicyExpectedCost(CostModel):
         return np.sum(self.policy.table(theta) * self.costs, axis=-1)
 
     def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
-        return self.policy.block_sum(w, self.policy.block_vjp(theta, self.costs))
+        return self.policy.block_sum(w, self.policy.vjp(theta, self.costs.ravel()))
 
     def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
-        return self.policy.block_hess(theta, np.reshape(w, (-1, 1)) * self.costs)
+        return self.policy.curvature(theta, self.policy.block_sum(w, self.costs), 0.0)
 
 
 class PolicyKlFromOldCost(CostModel):
@@ -325,7 +299,7 @@ class PolicyKlFromOldCost(CostModel):
 
     def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
         # minus sum_a pi_old log pi has the log-normalizer's Hessian
-        return self.policy.block_hess(theta, 0.0, w)
+        return self.policy.curvature(theta, 0.0, self.policy.block_sum(w, 1.0))
 
 
 class MixedRowKlCost(CostModel):
@@ -370,12 +344,12 @@ class MixedRowKlCost(CostModel):
         return self.state_cost + self._mixed_kl(theta)[0]
 
     def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
-        # state x adds jac_block(x) @ grad_eta(x, pi(.|x)), for all x at once
+        # state x adds d pi(.|x)/d theta . grad_eta(x, pi(.|x)), for all x at once
         _, xs, ys, logr = self._mixed_kl(theta)
         D = np.zeros((self.n_states, self.n_states))
         D[xs, ys] = logr + 1.0
         C = np.einsum("xay,xy->xa", self.p, D)
-        return self.policy.block_sum(w, self.policy.block_vjp(theta, C))
+        return self.policy.block_sum(w, self.policy.vjp(theta, C.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +503,7 @@ def stochastic_policy_gradient(mdp: TabularMdp, policy: SoftmaxPolicy, theta) ->
     v, _ = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
     sol = solve(map_stochastic_mdp(mdp, policy), theta)
     Q = mdp.costs + sol.gamma * np.einsum("xay,y->xa", mdp.transitions, v)
-    return policy.block_sum(sol.weights, policy.block_vjp(theta, Q))
+    return policy.block_sum(sol.weights, policy.vjp(theta, Q.ravel()))
 
 
 def lmdp_policy_gradient(problem: Problem, spec: LmdpSpec, theta) -> np.ndarray:

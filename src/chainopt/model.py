@@ -357,14 +357,78 @@ def _first_row_fault(live, rows, n: int) -> str:
                 return f"successor {y} of state {x} out of range"
 
 
+class SegmentSoftmax:
+    """Softmax over consecutive non-empty segments of a flat logit vector,
+    with its VJP and curvature. seg_of maps each parameter to its segment;
+    pairs holds the index pairs (i, j) within a segment, segment by segment
+    and row-major, so (L, L) blocks raveled in segment order fill them."""
+
+    def __init__(self, lens):
+        lens = np.asarray(lens, dtype=np.int64)
+        self.n_params = int(lens.sum())
+        self.seg_of = np.repeat(np.arange(lens.size), lens)
+        self.seg_start = np.cumsum(lens) - lens
+        # parameter i pairs with the row_len[i] parameters of its segment
+        row_len = lens[self.seg_of]
+        i = np.repeat(np.arange(self.n_params), row_len)
+        skip = np.cumsum(row_len) - row_len - self.seg_start[self.seg_of]
+        self.pairs = (i, np.arange(i.size) - np.repeat(skip, row_len))
+
+    def probs(self, z) -> Array:
+        """Each segment's softmax of z, shape (..., n_params)."""
+        # transposed, so that the segments run along the first axis
+        z = np.asarray(z, dtype=float).T
+        if z.size == 0:
+            return z.T
+        z = z - np.maximum.reduceat(z, self.seg_start)[self.seg_of]
+        e = np.exp(z)
+        return (e / self.segment_sums(e)).T
+
+    def segment_sums(self, v: Array) -> Array:
+        """Per-parameter sum of v over its segment, along the first axis."""
+        if v.size == 0:
+            return v
+        return np.add.reduceat(v, self.seg_start)[self.seg_of]
+
+    def vjp(self, z, c) -> Array:
+        """sum_k c_k dp_k/dz at the probabilities p of z: p * (c - p.c) per
+        segment."""
+        p = self.probs(z)
+        u = p * c
+        return u - p * self.segment_sums(u)
+
+    def curvature(self, z, c, w) -> Array:
+        """sum_k c_k d2p_k/dz2 + w (diag p - p p^T) per segment at the
+        probabilities p of z, dense (n_params, n_params), for c and w per
+        parameter (w equal within a segment). With u = p * c, m its segment
+        sums and v = m - w, block entry (i, j) is ((m + v)_i p_i - u_i) p_j
+        - p_i u_j, plus u_i - v_i p_i on the diagonal: w = 0 gives the
+        Hessian of sum_k c_k p_k, c = 0 the Fisher.
+        """
+        p = self.probs(z)
+        u = p * c
+        m = self.segment_sums(u)
+        v = m - w
+        i, j = self.pairs
+        H = self.scatter(((m + v)[i] * p[i] - u[i]) * p[j] - p[i] * u[j])
+        H[np.diag_indices(self.n_params)] += u - v * p
+        return H
+
+    def scatter(self, values: Array) -> Array:
+        """Dense (n_params, n_params) matrix, values raveled at pairs, zero elsewhere."""
+        H = np.zeros((self.n_params, self.n_params))
+        H[self.pairs] = np.ravel(values)
+        return H
+
+
 class SoftmaxChain(ChainModel):
     """Tabular chain with one softmax logit per allowed transition.
 
     Each non-terminal state owns a contiguous block of parameters, one per
-    successor; its row is the softmax of that block. Terminal states are
-    absorbing self loops that consume no parameters. An optional fixed
-    logit offset lets several instances share parameters while realizing
-    different stage dynamics.
+    successor; its row is the softmax of that block, a segment of varying
+    length of one SegmentSoftmax. Terminal states are absorbing self loops
+    that consume no parameters. An optional fixed logit offset lets several
+    instances share parameters while realizing different stage dynamics.
     """
 
     tabular = True
@@ -380,12 +444,9 @@ class SoftmaxChain(ChainModel):
         lens = np.fromiter(map(len, rows), np.int64, len(live))
         # Flat layout of the parameters: parameter k is the logit of the
         # transition _flat_x[k] -> _flat_y[k]; each non-terminal state's
-        # logits form one segment starting at _seg_start.
+        # logits form one segment of the softmax.
         self._flat_y = np.fromiter(itertools.chain.from_iterable(rows), np.int64)
-        self._seg_of = np.repeat(np.arange(len(live)), lens)
-        self._flat_x = np.array(live, dtype=np.int64)[self._seg_of]
-        ends = np.cumsum(lens)
-        self._seg_start = ends - lens
+        self._flat_x = np.repeat(np.array(live, dtype=np.int64), lens)
         # transition x -> y has key x * n_states + y; parameter
         # _key_param[j] is the logit of the transition with the j-th
         # smallest key
@@ -401,7 +462,9 @@ class SoftmaxChain(ChainModel):
             raise InvalidStructureError("terminal states must not list successors")
         if extra:
             raise InvalidStructureError(f"support lists state {min(extra)} outside 0..{n_states - 1}")
-        self._slices = dict(zip(live, map(slice, self._seg_start.tolist(), ends.tolist())))
+        self._softmax = SegmentSoftmax(lens)
+        ends = np.cumsum(lens).tolist()
+        self._slices = dict(zip(live, map(slice, self._softmax.seg_start.tolist(), ends)))
         self.n_params = self._flat_y.size
         self._offset = self._checked_offset(logit_offset)
         self._term = np.array(sorted(self.terminal), dtype=np.int64)
@@ -432,63 +495,25 @@ class SoftmaxChain(ChainModel):
             return [x]
         return list(self._flat_y[self._slices[x]])
 
-    def _flat_probs(self, theta: Array) -> Array:
-        """P[..., _flat_x, _flat_y]: one softmax per segment, after
-        subtracting each segment's max logit."""
-        # transposed, so that the segments run along the first axis
-        z = (np.asarray(theta, dtype=float) + self._offset).T
-        if z.size == 0:
-            return z.T
-        z = z - np.maximum.reduceat(z, self._seg_start)[self._seg_of]
-        e = np.exp(z)
-        return (e / self._segment_sums(e)).T
-
-    def _segment_sums(self, v: Array) -> Array:
-        """Per-parameter sum of v over the parameter's segment, along the
-        first axis."""
-        if v.size == 0:
-            return v
-        return np.add.reduceat(v, self._seg_start)[self._seg_of]
-
     def transition_matrix(self, theta, t: int = 0) -> Array:
-        probs = self._flat_probs(theta)
+        probs = self._softmax.probs(theta + self._offset)
         P = np.zeros(probs.shape[:-1] + (self.n_states, self.n_states))
         P[..., self._flat_x, self._flat_y] = probs
         P[..., self._term, self._term] = 1.0
         return P
 
     def row_vjp(self, theta, W, t: int = 0) -> Array:
-        # dP[x, y]/dlogit(x, k) = p_y (1[y = k] - p_k), so a segment's block
-        # is p * (w - p.w) with w the segment's entries of W.
-        p = self._flat_probs(theta)
-        pw = p * np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
-        return pw - p * self._segment_sums(pw)
-
-    def _segment_pairs(self):
-        """Index pairs (i, j) of the parameters that share a segment."""
-        return np.nonzero(self._seg_of[:, None] == self._seg_of[None, :])
+        W = np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
+        return self._softmax.vjp(theta + self._offset, W)
 
     def fisher(self, theta, w, t: int = 0) -> Array:
         # block x is w_x (diag p - p p^T); terminal rows carry no parameters
-        p = self._flat_probs(theta)
-        wp = np.asarray(w, dtype=float)[self._flat_x] * p
-        i, j = self._segment_pairs()
-        F = np.zeros((self.n_params, self.n_params))
-        F[i, j] = -wp[i] * p[j]
-        F[np.diag_indices(self.n_params)] += wp
-        return F
+        w = np.asarray(w, dtype=float)[self._flat_x]
+        return self._softmax.curvature(theta + self._offset, 0.0, w)
 
     def row_hess(self, theta, W, t: int = 0) -> Array:
-        # with u = p * w on a segment and m = sum(u), the segment's block is
-        # diag(u - m p) - u p^T - p u^T + 2 m p p^T
-        p = self._flat_probs(theta)
-        u = p * np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
-        m = self._segment_sums(u)
-        i, j = self._segment_pairs()
-        H = np.zeros((self.n_params, self.n_params))
-        H[i, j] = (2.0 * m[i] * p[i] - u[i]) * p[j] - p[i] * u[j]
-        H[np.diag_indices(self.n_params)] += u - m * p
-        return H
+        W = np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
+        return self._softmax.curvature(theta + self._offset, W, 0.0)
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
         # score(x, y) is e_k - p on x's segment, with k the logit of x -> y:
@@ -507,8 +532,8 @@ class SoftmaxChain(ChainModel):
             groups * p + self._key_param[at], weights=coef, minlength=n_groups * p
         ).reshape(n_groups, p)
         mass = np.bincount(groups * n + x, weights=coef, minlength=n_groups * n)
-        return hits - mass.reshape(n_groups, n)[:, self._flat_x] * self._flat_probs(theta)
-
+        probs = self._softmax.probs(theta + self._offset)
+        return hits - mass.reshape(n_groups, n)[:, self._flat_x] * probs
 
 
 class FixedTabularChain(ChainModel):

@@ -714,16 +714,11 @@ def estimate_gradient(
         adv = adv - tables[np.minimum(steps.t[k], len(tables) - 1), steps.states[k]]
     coef = gamma * steps.weights[k] * adv
     kept = _contributions(problem, theta, batch, steps, steps.weights, coef)
-    mean = kept.mean(axis=0)
-    if n_valid > 1:
-        stderr = kept.std(axis=0, ddof=1) / math.sqrt(n_valid)
-    else:
-        stderr = np.full(problem.n_params, np.inf)
     n_truncated = batch.n_truncated
     frac_bad = (batch.n_diverged + n_truncated) / len(batch)
     return GradientEstimate(
-        mean=mean,
-        stderr=stderr,
+        mean=kept.mean(axis=0),
+        stderr=_stderr(kept),
         n_rollouts=n_valid,
         n_diverged=batch.n_diverged,
         valid=frac_bad <= 0.01,
@@ -735,6 +730,14 @@ def estimate_gradient(
             "per_rollout": kept,
         },
     )
+
+
+def _stderr(per_rollout: np.ndarray) -> np.ndarray:
+    """Standard error of the mean over axis 0; infinite for one rollout."""
+    m = per_rollout.shape[0]
+    if m > 1:
+        return per_rollout.std(axis=0, ddof=1) / math.sqrt(m)
+    return np.full(per_rollout.shape[1:], np.inf)
 
 
 def _contributions(problem, theta, batch, steps: BatchSteps, step_w, coef) -> np.ndarray:
@@ -814,11 +817,9 @@ def path_gradient(problem: Problem, theta, batch: RolloutBatch) -> GradientEstim
     total_cost = np.bincount(steps.owner, weights=steps.costs, minlength=m)
     coef = total_cost[steps.owner[steps.trans]]
     out = _contributions(problem, theta, batch, steps, np.ones(steps.t.size), coef)
-    mean = out.mean(axis=0)
-    stderr = out.std(axis=0, ddof=1) / math.sqrt(m)
     return GradientEstimate(
-        mean=mean,
-        stderr=stderr,
+        mean=out.mean(axis=0),
+        stderr=_stderr(out),
         n_rollouts=m,
         n_diverged=batch.n_diverged,
         valid=True,
@@ -885,5 +886,4 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
     out += outer(dK, dL) + outer(dL, dK) + d2L
     mean = out.mean(axis=0)
     mean = 0.5 * (mean + mean.T)
-    stderr = out.std(axis=0, ddof=1) / math.sqrt(m)
-    return HessianEstimate(mean=mean, stderr=stderr, n_rollouts=m)
+    return HessianEstimate(mean=mean, stderr=_stderr(out), n_rollouts=m)

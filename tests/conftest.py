@@ -118,11 +118,11 @@ class ReferenceSoftmaxLayout:
             if not np.all(np.isfinite(self._offset)):
                 raise InvalidStructureError("logit offset contains non-finite entries")
         live = sorted(self._succ)
-        self._seg_start = np.array([slices[x].start for x in live], dtype=np.int64)
+        self.seg_start = np.array([slices[x].start for x in live], dtype=np.int64)
         seg_len = [len(self._succ[x]) for x in live]
         self._flat_x = np.repeat(np.array(live, dtype=np.int64), seg_len)
         self._flat_y = np.array([y for x in live for y in self._succ[x]], dtype=np.int64)
-        self._seg_of = np.repeat(np.arange(len(live)), seg_len)
+        self.seg_of = np.repeat(np.arange(len(live)), seg_len)
         keys = self._flat_x * self.n_states + self._flat_y
         self._key_param = np.argsort(keys)
         self._sorted_keys = keys[self._key_param]

@@ -70,14 +70,18 @@ def make_lmdp_problem(n, seed, setting):
 
 class TestSoftmaxPolicy:
     def test_rows_and_jacobian(self):
+        """Row k of the Jacobian of the flat table is the VJP at the k-th unit
+        vector: the softmax Jacobian on k's state block, zero off it."""
         policy = SoftmaxPolicy(3, 4)
         theta = 0.4 * np.random.default_rng(0).normal(size=policy.n_params)
         table = policy.table(theta)
         np.testing.assert_allclose(table.sum(axis=1), np.ones(3), atol=1e-12)
+        fd = fd_vector(lambda th: policy.table(th).ravel(), theta)
+        jac = np.stack([policy.vjp(theta, e) for e in np.eye(policy.n_params)])
+        np.testing.assert_allclose(jac, fd, atol=1e-8)
         for x in range(3):
-            sl = policy.param_slice(x)
-            fd = fd_vector(lambda th: policy.row(x, th), theta)
-            np.testing.assert_allclose(policy.jac_block(x, theta), fd[:, sl].T, atol=1e-8)
+            sl, pi = policy.param_slice(x), table[x]
+            np.testing.assert_allclose(jac[sl, sl], np.diag(pi) - np.outer(pi, pi), atol=1e-15)
 
 
 class TestPolicyAveragedChain:
@@ -110,7 +114,7 @@ class TestPolicyAveragedChain:
         chain = PolicyAveragedChain(mdp.transitions, policy)
         x = 2
         eta = chain.bottleneck(x, theta)
-        np.testing.assert_allclose(eta, policy.row(x, theta))
+        np.testing.assert_allclose(eta, policy.table(theta)[x])
         np.testing.assert_allclose(chain.prob_row_eta(x, eta), eta @ mdp.transitions[x])
         # jacobian convention: (successor state, bottleneck coordinate)
         np.testing.assert_allclose(chain.prob_row_eta_jac(x, eta), mdp.transitions[x].T)

@@ -184,7 +184,7 @@ def softmax_layouts(draw):
     return n, support, terminal, offset
 
 
-LAYOUT_ARRAYS = ("_flat_x", "_flat_y", "_seg_start", "_seg_of", "_key_param", "_sorted_keys")
+LAYOUT_ARRAYS = ("_flat_x", "_flat_y", "_key_param", "_sorted_keys")
 
 
 class TestSoftmaxLayout:
@@ -203,8 +203,10 @@ class TestSoftmaxLayout:
         chain = SoftmaxChain(*args)
         assert chain.n_params == ref.n_params
         np.testing.assert_array_equal(chain._offset, ref._offset)
-        for name in LAYOUT_ARRAYS:
-            got, want = getattr(chain, name), getattr(ref, name)
+        arrays = [(chain, name) for name in LAYOUT_ARRAYS]
+        arrays += [(chain._softmax, name) for name in ("seg_start", "seg_of")]
+        for owner, name in arrays:
+            got, want = getattr(owner, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
         for x in range(chain.n_states):
@@ -404,7 +406,7 @@ class TestCosts:
         cost = PolicyEntropyCost(policy)
         theta = 0.5 * np.random.default_rng(1).normal(size=policy.n_params)
         for x in range(2):
-            pi = policy.row(x, theta)
+            pi = policy.table(theta)[x]
             assert abs(cost.value_table(theta)[x] + float(np.sum(pi * np.log(pi)))) < 1e-12
             np.testing.assert_allclose(
                 dense_grad_table(cost, theta)[x],

@@ -481,6 +481,20 @@ class TestPathDerivatives:
         H = fd_hessian_oracle(prob, theta)
         assert np.all(np.abs(est.mean - H) <= 6 * est.stderr + 1e-8)
 
+    @pytest.mark.filterwarnings("error")
+    def test_one_rollout_has_infinite_stderr_and_no_warning(self):
+        """One rollout has no sample spread: both path estimates return an
+        infinite stderr, as estimate_gradient does, and numpy's
+        degrees-of-freedom warning is never raised."""
+        prob = random_timevarying_problem(horizon=3, n_states=3, seed=0)
+        theta = 0.2 * np.random.default_rng(0).normal(size=prob.n_params)
+        batch = generate_rollouts(prob, theta, 1, seed=0)
+        for estimate in (path_gradient, path_hessian, estimate_gradient):
+            est = estimate(prob, theta, batch)
+            assert est.n_rollouts == 1
+            assert est.stderr.shape == est.mean.shape
+            assert np.all(np.isinf(est.stderr)) and np.all(np.isfinite(est.mean))
+
     def test_path_hessian_refuses_a_continuous_chain(self):
         prob = _gaussian_timevarying()
         theta = np.zeros(prob.n_params)

@@ -18,7 +18,7 @@ grad_sum(theta, w).
 import numpy as np
 import pytest
 from conftest import dense_fisher, dense_grad_table, dense_row_vjp, fd_vector
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import chainopt
@@ -145,6 +145,51 @@ def test_chain_without_parameters():
     assert ChainModel.fisher(chain, theta, np.ones(4)).shape == (0, 0)
 
 
+@st.composite
+def segment_layouts(draw):
+    """A SoftmaxChain whose segments are of equal length, of varying length,
+    all of length 1, or absent (every state terminal), with its parameters
+    at a random scale."""
+    kind = draw(st.sampled_from(["equal", "varying", "ones", "none"]))
+    n_live = 0 if kind == "none" else draw(st.integers(1, 5))
+    if kind == "varying":
+        lens = draw(st.lists(st.integers(1, 5), min_size=n_live, max_size=n_live))
+    else:
+        lens = [draw(st.integers(1, 5)) if kind == "equal" else 1] * n_live
+    n = max(n_live + draw(st.integers(0, 2)), max(lens, default=0), 4 if kind == "none" else 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    support = {x: rng.permutation(n)[:k].tolist() for x, k in enumerate(lens)}
+    chain = SoftmaxChain(n, support, terminal=range(n_live, n))
+    theta = draw(st.sampled_from([0.0, 1.0, 5.0])) * rng.normal(size=chain.n_params)
+    return chain, theta, rng
+
+
+@given(segment_layouts())
+@example((SoftmaxChain(4, {}, terminal=range(4)), np.zeros(0), np.random.default_rng(0)))
+@PROPERTY
+def test_segment_softmax_matches_dense_references(case):
+    """The kernel's probabilities, VJP and Fisher against the chain's rows
+    and conftest's dense contractions, and its curvature against a central
+    difference of its VJP plus the Fisher."""
+    chain, theta, rng = case
+    kernel, n = chain._softmax, chain.n_states
+    W = rng.normal(size=(n, n))
+    w = rng.uniform(0.0, 1.0, size=n)
+    c, w_k = W[chain._flat_x, chain._flat_y], w[chain._flat_x]
+    stack = np.stack([theta, -theta, 2.0 * theta])
+    P = chain.transition_matrix(stack)
+    np.testing.assert_array_equal(kernel.probs(stack), P[:, chain._flat_x, chain._flat_y])
+    assert_close(kernel.vjp(theta, c), dense_row_vjp(chain, theta, W))
+    fisher = dense_fisher(chain, theta, w)
+    assert_close(kernel.curvature(theta, 0.0, w_k), fisher)
+    H = kernel.curvature(theta, c, w_k)
+    assert H.shape == (chain.n_params, chain.n_params)
+    np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-12)
+    if chain.n_params:
+        fd = fd_vector(lambda th: kernel.vjp(th, c), theta)
+        np.testing.assert_allclose(H, fd + fisher, rtol=1e-5, atol=1e-6)
+
+
 @given(softmax_chains(max_states=5))
 @PROPERTY
 def test_time_varying_chain_forwards_to_its_stage(case):
@@ -187,12 +232,30 @@ def test_policy_averaged_tables_match_per_state(case, scale):
     chain = PolicyAveragedChain(trans, policy, terminal=terminal)
     theta = scale * rng.normal(size=policy.n_params)
     n = policy.n_states
-    assert_close(policy.table(theta), np.stack([policy.row(x, theta) for x in range(n)]))
-    rows = np.stack([np.eye(n)[x] if x in terminal else policy.row(x, theta) @ trans[x]
-                     for x in range(n)])
+    pi = np.zeros((n, policy.n_actions))
+    for x in range(n):
+        z = theta[policy.param_slice(x)]
+        e = np.exp(z - z.max())
+        pi[x] = e / e.sum()
+    assert_close(policy.table(theta), pi)
+    rows = np.stack([np.eye(n)[x] if x in terminal else pi[x] @ trans[x] for x in range(n)])
     assert_close(chain.transition_matrix(theta), rows)
     W = rng.normal(size=(n, n))
     assert_close(chain.row_vjp(theta, W), dense_row_vjp(chain, theta, W))
+
+
+@given(policy_cases(), st.sampled_from([1.0, 10.0]), st.booleans())
+@PROPERTY
+def test_policy_averaged_fisher_matches_dense_reference(case, scale, keep_terminal):
+    """The per-state block Fisher against the dense score-table contraction
+    and ChainModel's support-based default, with and without terminals."""
+    policy, trans, terminal, _, rng = case
+    chain = PolicyAveragedChain(trans, policy, terminal=terminal if keep_terminal else ())
+    theta = scale * rng.normal(size=policy.n_params)
+    w = rng.uniform(0.0, 1.0, size=policy.n_states)
+    F = chain.fisher(theta, w)
+    assert_close(F, dense_fisher(chain, theta, w))
+    assert_close(F, ChainModel.fisher(chain, theta, w))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +319,8 @@ def test_generic_row_vjp_and_fisher_match_the_dense_reference(name, values, seed
 @pytest.mark.parametrize("kind", ["gridworld", "smdp"])
 def test_exact_derivatives_build_no_score_table(kind, monkeypatch):
     """The exact gradient, the exact Fisher and the exact surrogate Hessian
-    on the chains without closed forms go through the support, never
-    through the dense (n, n, p) score table."""
+    on the Z-weighted and policy-averaged chains never go through the dense
+    (n, n, p) score table."""
     if kind == "gridworld":
         spec = gridworld_lmdp(4, seed=2)
         interior = [x for x in range(spec.n_states) if x not in spec.terminal]

@@ -31,6 +31,7 @@ from .model import (
     TimeVarying,
     check_param_stack,
     check_params,
+    staged,
 )
 
 _RESIDUAL_TOL = 1e-10
@@ -147,10 +148,11 @@ def _setup(problem: Problem, theta, settings, message: str, stack=False) -> np.n
     return theta
 
 
-def _table(model, method: str, theta: np.ndarray, t: int, shape: tuple, what: str):
+def _table(model, method: str, theta: np.ndarray, t, shape: tuple, what: str):
     """model.method(theta, t), refused unless it has the given shape and
     finite entries: a model that ignores the stack axes of theta is never
-    broadcast over them."""
+    broadcast over them. t is a stage, or an array of them for the stacked
+    stages of a time-varying model."""
     table = getattr(model, method)(theta, t)
     if np.shape(table) != shape:
         raise InvalidStructureError(
@@ -161,20 +163,17 @@ def _table(model, method: str, theta: np.ndarray, t: int, shape: tuple, what: st
     return table
 
 
-def _cost_table(problem: Problem, theta: np.ndarray, t: int = 0) -> np.ndarray:
-    shape = theta.shape[:-1] + (problem.chain.n_states,)
-    return _table(problem.cost, "value_table", theta, t, shape, "cost table")
-
-
-def _transition_table(problem: Problem, theta: np.ndarray, t: int = 0) -> np.ndarray:
+def _transition_table(problem: Problem, theta: np.ndarray) -> np.ndarray:
     shape = theta.shape[:-1] + (problem.chain.n_states,) * 2
-    return _table(problem.chain, "transition_matrix", theta, t, shape, "transition matrix")
+    return _table(problem.chain, "transition_matrix", theta, 0, shape, "transition matrix")
 
 
-def _build(problem: Problem, theta: np.ndarray, t: int = 0):
-    """Transition matrix and step-cost table at theta and stage t, or their
-    stacks over the rows of a stack of theta, from one call to each model."""
-    return _transition_table(problem, theta, t), _cost_table(problem, theta, t)
+def _build(problem: Problem, theta: np.ndarray):
+    """Transition matrix and step-cost table at theta, or their stacks
+    over the rows of a stack of theta, from one call to each model."""
+    P = _transition_table(problem, theta)
+    shape = theta.shape[:-1] + (problem.chain.n_states,)
+    return P, _table(problem.cost, "value_table", theta, 0, shape, "cost table")
 
 
 def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
@@ -384,22 +383,24 @@ def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
     return _stage_values(problem, theta)[0]
 
 
-def _stage_values(problem: Problem, theta, keep: bool = False):
-    """solve_value_timevarying's values, and with keep the stage matrices
-    P_0 .. P_{T-1} it built."""
+def _stage_values(problem: Problem, theta):
+    """solve_value_timevarying's values and the stage matrices P_0 ..
+    P_{T-1}, shape (..., T, n, n): every stage's P from one call to the
+    chain and every L from one call to the cost, before the recursion."""
     theta = _setup(
         problem, theta, TimeVarying, "time-varying solver needs a time-varying setting", stack=True
     )
-    T = problem.setting.horizon
-    V = np.zeros(theta.shape[:-1] + (T + 1, problem.chain.n_states))
-    V[..., T, :] = _cost_table(problem, theta, T)
-    matrices = []
+    T, n = problem.setting.horizon, problem.chain.n_states
+    lead = theta.shape[:-1]
+    chain, cost = staged(problem.chain), staged(problem.cost)
+    stages = np.arange(T)
+    P = _table(chain, "transition_matrix", theta, stages, lead + (T, n, n), "transition matrix")
+    L = _table(cost, "value_table", theta, np.arange(T + 1), lead + (T + 1, n), "cost table")
+    V = np.empty(L.shape)
+    V[..., T, :] = L[..., T, :]
     for t in range(T - 1, -1, -1):
-        P, L = _build(problem, theta, t)
-        V[..., t, :] = L + _apply(P, V[..., t + 1, :])
-        if keep:
-            matrices.insert(0, P)
-    return V, matrices
+        V[..., t, :] = L[..., t, :] + _apply(P[..., t, :, :], V[..., t + 1, :])
+    return V, P
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +462,7 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
         W = np.outer(sol.weights, sol.values)
         return cost.grad_sum(theta, sol.weights) + sol.gamma * chain.row_vjp(theta, W)
 
-    V, matrices = _stage_values(problem, theta, keep=True)
+    V, matrices = _stage_values(problem, theta)
     p = problem.init.weights.copy()
     g = np.zeros(problem.n_params)
     for t, P in enumerate(matrices):
@@ -561,11 +562,11 @@ def fd_gradient_oracle(problem: Problem, theta, h=1e-6) -> np.ndarray:
     The probes and steps are fd_gradient's, up and down at each coordinate
     in turn. They are solved in stacked chunks of at most 64 KiB of P. Each
     chunk's P and L come from one stacked table call to the chain and one
-    to the cost (per stage, in the time-varying setting), and every check
-    of a single solve runs on each probe. A chunk that raises, as it does
-    when a model ignores the stack axis, or gives a non-finite objective is
-    re-probed one theta at a time, so a ProbeError names the coordinate and
-    cause that fd_gradient would.
+    to the cost (at the array of stages, in the time-varying setting), and
+    every check of a single solve runs on each probe. A chunk that raises,
+    as it does when a model ignores the stack axis, or gives a non-finite
+    objective is re-probed one theta at a time, so a ProbeError names the
+    coordinate and cause that fd_gradient would.
     """
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]

@@ -366,6 +366,7 @@ class SegmentSoftmax:
     def __init__(self, lens):
         lens = np.asarray(lens, dtype=np.int64)
         self.n_params = int(lens.sum())
+        self.seg_len = lens
         self.seg_of = np.repeat(np.arange(lens.size), lens)
         self.seg_start = np.cumsum(lens) - lens
         # parameter i pairs with the row_len[i] parameters of its segment
@@ -496,7 +497,11 @@ class SoftmaxChain(ChainModel):
         return list(self._flat_y[self._slices[x]])
 
     def transition_matrix(self, theta, t: int = 0) -> Array:
-        probs = self._softmax.probs(theta + self._offset)
+        return self._matrix(theta + self._offset)
+
+    def _matrix(self, z) -> Array:
+        """The transition matrices of logits z of shape (..., n_params)."""
+        probs = self._softmax.probs(z)
         P = np.zeros(probs.shape[:-1] + (self.n_states, self.n_states))
         P[..., self._flat_x, self._flat_y] = probs
         P[..., self._term, self._term] = 1.0
@@ -516,24 +521,46 @@ class SoftmaxChain(ChainModel):
         return self._softmax.curvature(theta + self._offset, W, 0.0)
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
+        return self._score_sums(theta + self._offset, None, x, y, coef, groups, n_groups)
+
+    def _score_sums(self, z, stage, x, y, coef, groups, n_groups: int) -> Array:
+        """score_sums at logits z; with stage, z is an (S, n_params) stack
+        and transition k is scored at the logits z[stage[k]]."""
         # score(x, y) is e_k - p on x's segment, with k the logit of x -> y:
-        # a bincount of coef over (group, k), minus each group's coef mass
-        # at x times the segment's probabilities. Terminal rows score zero.
+        # a bincount of coef over (group, k), minus each transition's coef
+        # times its segment's probabilities. Terminal rows score zero.
         x, y, groups = (np.asarray(a, dtype=np.int64) for a in (x, y, groups))
         coef = np.asarray(coef, dtype=float)
-        live = ~self._is_term[x]
-        x, y, coef, groups = x[live], y[live], coef[live], groups[live]
+        if self._term.size:
+            live = ~self._is_term[x]
+            x, y, coef, groups = x[live], y[live], coef[live], groups[live]
+            stage = None if stage is None else np.asarray(stage)[live]
         keys = x * self.n_states + y
         at = np.minimum(np.searchsorted(self._sorted_keys, keys), max(self.n_params - 1, 0))
         if keys.size and not np.array_equal(self._sorted_keys[at], keys):
             raise InvalidStructureError("a transition lies outside the support")
-        p, n = self.n_params, self.n_states
-        hits = np.bincount(
-            groups * p + self._key_param[at], weights=coef, minlength=n_groups * p
-        ).reshape(n_groups, p)
-        mass = np.bincount(groups * n + x, weights=coef, minlength=n_groups * n)
-        probs = self._softmax.probs(theta + self._offset)
-        return hits - mass.reshape(n_groups, n)[:, self._flat_x] * probs
+        p, n, kernel = self.n_params, self.n_states, self._softmax
+        k = self._key_param[at]
+        probs = kernel.probs(z)
+        if stage is None:
+            hits = np.bincount(groups * p + k, weights=coef, minlength=n_groups * p)
+            # one segment per group and state: sum the coef mass first
+            mass = np.bincount(groups * n + x, weights=coef, minlength=n_groups * n)
+            return hits.reshape(n_groups, p) - mass.reshape(n_groups, n)[:, self._flat_x] * probs
+        # one bincount of coef times the stage's probabilities over the
+        # entries of each transition's segment, transition after transition,
+        # then the hits added in place
+        seg = kernel.seg_of[k]
+        size = kernel.seg_len[seg]
+        entry = np.arange(size.sum())
+        entry += np.repeat(kernel.seg_start[seg] - (np.cumsum(size) - size), size)
+        mass = probs[np.repeat(stage, size), entry]
+        mass *= np.repeat(coef, size)
+        entry += np.repeat(groups * p, size)
+        out = np.bincount(entry, weights=mass, minlength=n_groups * p)
+        np.negative(out, out=out)
+        np.add.at(out, groups * p + k, coef)
+        return out.reshape(n_groups, p)
 
 
 class FixedTabularChain(ChainModel):
@@ -640,12 +667,42 @@ class GaussianLinearChain(ChainModel):
         return step
 
 
+def _stage_stack(model, method: str, theta, t, k: int) -> Array:
+    """method of a time-varying model's stage at each entry of the 1-D
+    array t, asked at that t, stacked after theta's stack axes. A stage's
+    table whose k table axes do not follow theta's stack axes is refused,
+    naming the stage's class."""
+    lead = np.shape(theta)[:-1]
+    tables = []
+    for u in np.asarray(t, dtype=np.int64).tolist():
+        stage = model._at(u)
+        table = getattr(stage, method)(theta, u)
+        shape = np.shape(table)
+        if shape != lead + shape[len(shape) - k:]:
+            raise InvalidStructureError(
+                f"{type(stage).__name__}.{method} returned shape {shape}, "
+                f"expected {lead + shape[len(shape) - k:]}"
+            )
+        tables.append(table)
+    # stage-major in memory, so that each stage's tables stay contiguous
+    return np.moveaxis(np.stack(tables), 0, len(lead))
+
+
 class TimeVaryingChain(ChainModel):
     """Stage-indexed tabular chain dispatching to one tabular sub-chain per
     stage.
 
     All stages read the same parameter vector; queries beyond the last
-    stage reuse the final sub-chain.
+    stage reuse the final sub-chain, and the stage of time t is asked at t.
+    transition_matrix and score_sums also answer for an integer array of
+    times: transition_matrix(theta, t) for a 1-D t of S times has shape
+    (..., S, n, n), and score_sums takes t aligned with the transitions.
+    Stages that share one SoftmaxChain layout and differ only in their
+    logit offsets, as SoftmaxChain._with_offset makes them, answer at one
+    theta with one softmax of theta plus the (S, n_params) stack of
+    offsets. Other stages, and a stack of theta in transition_matrix, are
+    asked once per entry of t in transition_matrix and once per distinct
+    time present in score_sums.
     """
 
     tabular = True
@@ -667,30 +724,65 @@ class TimeVaryingChain(ChainModel):
         self.n_params = n_params
         self.n_states = n_states
         self.terminal = terminal
+        layout = getattr(stages[0], "_softmax", None)
+        shared = all(type(c) is SoftmaxChain and c._softmax is layout for c in stages)
+        self._offsets = np.stack([c._offset for c in stages]) if shared else None
 
     def _at(self, t: int) -> ChainModel:
         return self.stages[min(t, len(self.stages) - 1)]
+
+    def _shared_stage(self, t) -> Array:
+        """The stage of each time in t, for the shared-layout stages."""
+        return np.minimum(np.asarray(t, dtype=np.int64), len(self.stages) - 1)
 
     def successors(self, x):
         return list(dict.fromkeys(y for c in self.stages for y in c.successors(x)))
 
     def score_table(self, theta, t: int = 0):
-        return self._at(t).score_table(theta)
+        return self._at(t).score_table(theta, t)
 
     def row_vjp(self, theta, W, t: int = 0):
-        return self._at(t).row_vjp(theta, W)
+        return self._at(t).row_vjp(theta, W, t)
 
     def fisher(self, theta, w, t: int = 0):
-        return self._at(t).fisher(theta, w)
+        return self._at(t).fisher(theta, w, t)
 
-    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0):
-        return self._at(t).score_sums(theta, x, y, coef, groups, n_groups)
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t=0):
+        if np.ndim(t) == 0:
+            return self._at(t).score_sums(theta, x, y, coef, groups, n_groups, t)
+        if self._offsets is not None:
+            z = np.asarray(theta, dtype=float) + self._offsets
+            stage = self._shared_stage(t)
+            return self.stages[0]._score_sums(z, stage, x, y, coef, groups, n_groups)
+        x, y, coef, groups, t = (np.asarray(a) for a in (x, y, coef, groups, t))
+        out = np.zeros((n_groups, self.n_params))
+        for u in np.unique(t).tolist():
+            at = t == u
+            out += self._at(u).score_sums(theta, x[at], y[at], coef[at], groups[at], n_groups, u)
+        return out
 
     def row_hess(self, theta, W, t: int = 0):
-        return self._at(t).row_hess(theta, W)
+        return self._at(t).row_hess(theta, W, t)
 
-    def transition_matrix(self, theta, t: int = 0):
-        return self._at(t).transition_matrix(theta)
+    def transition_matrix(self, theta, t=0):
+        if np.ndim(t) == 0:
+            return self._at(t).transition_matrix(theta, t)
+        # a stack of theta is built a stage at a time: one softmax of the
+        # whole stack makes temporaries the size of every stage's tables,
+        # which cost more than the calls they save
+        if self._offsets is not None and np.ndim(theta) == 1:
+            z = np.asarray(theta, dtype=float) + self._offsets[self._shared_stage(t)]
+            return self.stages[0]._matrix(z)
+        return _stage_stack(self, "transition_matrix", theta, t, 2)
+
+
+def staged(model):
+    """The model as a time-varying one, which answers for arrays of times:
+    a TimeVaryingChain or TimeVaryingCost as it is, and any other tabular
+    model as the single stage of one, asked at each time."""
+    if isinstance(model, (TimeVaryingChain, TimeVaryingCost)):
+        return model
+    return (TimeVaryingChain if isinstance(model, ChainModel) else TimeVaryingCost)([model])
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +986,15 @@ class PolicyEntropyCost(CostModel):
 
 
 class TimeVaryingCost(CostModel):
-    """Stage-indexed cost dispatching to one sub-cost per stage."""
+    """Stage-indexed cost dispatching to one sub-cost per stage; the stage
+    of time t is asked at t.
+
+    value_table and grad_sum also answer for a 1-D integer array t of S
+    times: value_table(theta, t) has shape (..., S, n_states), and
+    grad_sum(theta, w, t) takes w of shape (..., S, n_states) and returns
+    sum_s grad_sum(theta, w[..., s, :], t[s]), shape (..., n_params).
+    Both ask a stage once per entry of t.
+    """
 
     def __init__(self, stages: Sequence[CostModel]):
         if len(stages) == 0:
@@ -910,13 +1010,21 @@ class TimeVaryingCost(CostModel):
         return self.stages[min(t, len(self.stages) - 1)]
 
     def hess_sum(self, theta, w, t: int = 0) -> Array:
-        return self._at(t).hess_sum(theta, w)
+        return self._at(t).hess_sum(theta, w, t)
 
-    def value_table(self, theta, t: int = 0) -> Array:
-        return self._at(t).value_table(theta)
+    def value_table(self, theta, t=0) -> Array:
+        if np.ndim(t) == 0:
+            return self._at(t).value_table(theta, t)
+        return _stage_stack(self, "value_table", theta, t, 1)
 
-    def grad_sum(self, theta, w, t: int = 0) -> Array:
-        return self._at(t).grad_sum(theta, w)
+    def grad_sum(self, theta, w, t=0) -> Array:
+        if np.ndim(t) == 0:
+            return self._at(t).grad_sum(theta, w, t)
+        w = np.asarray(w, dtype=float)
+        out = np.zeros(w.shape[:-2] + (self.n_params,))
+        for i, u in enumerate(np.asarray(t, dtype=np.int64).tolist()):
+            out += self._at(u).grad_sum(theta, w[..., i, :], u)
+        return out
 
 
 # ---------------------------------------------------------------------------

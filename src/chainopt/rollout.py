@@ -67,6 +67,7 @@ from .model import (
     Problem,
     TimeVarying,
     check_params,
+    staged,
 )
 
 END_TERMINAL = "terminal"
@@ -172,15 +173,6 @@ class _Flat:
     def transitions(self) -> np.ndarray:
         """The steps that start a transition: all but each rollout's last."""
         return np.delete(np.arange(self.t.size), np.cumsum(self.lengths) - 1)
-
-
-def _stage_order(stage: np.ndarray):
-    """(order, [(s, slice)]): the positions sorted by stage, stably, and
-    the slice of that order holding each stage s present."""
-    order = np.argsort(stage, kind="stable")
-    ends = np.cumsum(np.bincount(stage)).tolist()
-    starts = [0] + ends[:-1]
-    return order, [(s, slice(a, b)) for s, (a, b) in enumerate(zip(starts, ends)) if b > a]
 
 
 class RolloutBatch:
@@ -423,10 +415,12 @@ def _inverse_cdf(cum: np.ndarray, top, u: np.ndarray) -> np.ndarray:
 def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> _Flat:
     chain = problem.chain
     n = chain.n_states
-    n_stages = horizon_cap if tv else 1
-    cums = np.stack(
-        [np.cumsum(chain.transition_matrix(theta, t), axis=1) for t in range(n_stages)]
-    )
+    if tv:  # every stage's matrix and cost table, from one call each
+        P = staged(chain).transition_matrix(theta, np.arange(horizon_cap))
+        L = staged(problem.cost).value_table(theta, np.arange(horizon_cap + 1))
+    else:
+        P, L = chain.transition_matrix(theta)[None], problem.cost.value_table(theta)[None]
+    cums = np.cumsum(P, axis=2)
     # first index reaching the row total: the last entry with positive weight
     tops = np.argmax(cums >= cums[:, :, -1:], axis=2)
     terminal = np.zeros(n, dtype=bool)
@@ -451,7 +445,7 @@ def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -
             done = draws.take(live) < stop_prob
             reason[live[done]] = 2
             live, x = live[~done], x[~done]
-        stage = min(t, n_stages - 1)
+        stage = min(t, cums.shape[0] - 1)
         cum, top = cums[stage], tops[stage]
         if tv:
             # a rollout parked on a terminal state stays there and draws nothing
@@ -473,9 +467,7 @@ def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -
     states, steps = np.empty_like(owner), np.empty_like(step)
     states[at] = np.concatenate(visited)
     steps[at] = step
-    n_tables = n_stages + (1 if tv else 0)
-    L = np.stack([problem.cost.value_table(theta, k) for k in range(n_tables)])
-    costs = L[np.minimum(steps, n_tables - 1), states]
+    costs = L[np.minimum(steps, L.shape[0] - 1), states]
     return _Flat(states, steps, costs, lengths, reason)
 
 
@@ -578,25 +570,22 @@ def _batch_returns(costs, lengths, first, gamma) -> np.ndarray:
 def transition_scores(problem: Problem, theta, steps: BatchSteps) -> np.ndarray:
     """The score d log P(y | x, theta) of each transition steps.trans,
     shape (transitions, n_params): on a tabular chain from one score_sums
-    call per stage, one group per transition; on a continuous chain from
-    chain.score per transition."""
+    call, one group per transition; on a continuous chain from chain.score
+    per transition."""
     chain, p = problem.chain, problem.n_params
     k = steps.trans
-    stage = steps.t[k] if isinstance(problem.setting, TimeVarying) else np.zeros_like(k)
+    tv = isinstance(problem.setting, TimeVarying)
+    stage = steps.t[k] if tv else np.zeros_like(k)
     if not chain.tabular:
         scores = [
             chain.score(steps.states[j], steps.states[j + 1], theta, s)
             for j, s in zip(k.tolist(), stage.tolist())
         ]
         return np.array(scores).reshape(k.size, p)
-    order, stages = _stage_order(stage)
-    k = k[order]
-    x, y = steps.states[k], steps.states[k + 1]
-    out = np.empty((k.size, p))
-    for s, sl in stages:
-        c = sl.stop - sl.start
-        out[order[sl]] = chain.score_sums(theta, x[sl], y[sl], np.ones(c), np.arange(c), c, s)
-    return out
+    x, y, ones, group = steps.states[k], steps.states[k + 1], np.ones(k.size), np.arange(k.size)
+    if tv:  # one call at the transitions' times
+        return staged(chain).score_sums(theta, x, y, ones, group, k.size, stage)
+    return chain.score_sums(theta, x, y, ones, group, k.size)
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +658,10 @@ class GradientEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def baseline_expected_values(problem: Problem, theta, baseline):
-    """Per-stage tables b(x) = E[V^(x') | x] = (P_t @ baseline)(x), from a
-    baseline table of one value per state."""
+def baseline_expected_values(problem: Problem, theta, baseline) -> np.ndarray:
+    """The (stages, n_states) tables b(x) = E[V^(x') | x] = (P_t @
+    baseline)(x), from a baseline table of one value per state: one stage
+    per transition time of a time-varying problem, one stage otherwise."""
     chain = _baseline_chain(problem)
     vhat = np.asarray(baseline, dtype=float)
     if vhat.shape != (chain.n_states,):
@@ -679,8 +669,9 @@ def baseline_expected_values(problem: Problem, theta, baseline):
             f"baseline table has shape {vhat.shape}; need one value per state, "
             f"({chain.n_states},)"
         )
-    n_stages = problem.setting.horizon if isinstance(problem.setting, TimeVarying) else 1
-    return [chain.transition_matrix(theta, t) @ vhat for t in range(n_stages)]
+    if isinstance(problem.setting, TimeVarying):
+        return staged(chain).transition_matrix(theta, np.arange(problem.setting.horizon)) @ vhat
+    return (chain.transition_matrix(theta) @ vhat)[None]
 
 
 def estimate_gradient(
@@ -710,7 +701,7 @@ def estimate_gradient(
     k = steps.trans
     adv = steps.returns[k + 1]
     if baseline is not None:
-        tables = np.stack(baseline_expected_values(problem, theta, baseline))
+        tables = baseline_expected_values(problem, theta, baseline)
         adv = adv - tables[np.minimum(steps.t[k], len(tables) - 1), steps.states[k]]
     coef = gamma * steps.weights[k] * adv
     kept = _contributions(problem, theta, batch, steps, steps.weights, coef)
@@ -749,25 +740,23 @@ def _contributions(problem, theta, batch, steps: BatchSteps, step_w, coef) -> np
 
 
 def _tabular_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
-    """One bincount of the step weights over (rollout, stage, state),
-    contracted by each stage's cost grad_sum, plus the chain's score sums
-    over the transitions sorted by stage; no per-step Python."""
+    """One bincount of the step weights over (rollout, time, state),
+    contracted by one cost grad_sum, plus one call of the chain's score
+    sums over the transitions; no per-step or per-stage Python."""
     chain, cost = problem.chain, problem.cost
-    tv = isinstance(problem.setting, TimeVarying)
-    n_stages = batch.horizon_cap if tv else 1
-    n_tables = n_stages + (1 if tv else 0)
     n, m = chain.n_states, steps.lengths.size
-    cell = (steps.owner * n_tables + np.minimum(steps.t, n_tables - 1)) * n + steps.states
-    mass = np.bincount(cell, weights=step_w, minlength=m * n_tables * n).reshape(m, n_tables, n)
-    out = cost.grad_sum(theta, mass[:, 0], 0)
-    for s in range(1, n_tables):
-        out += cost.grad_sum(theta, mass[:, s], s)
-
-    order, stages = _stage_order(np.minimum(steps.t[steps.trans], n_stages - 1))
-    k = steps.trans[order]
-    x, y, group, c = steps.states[k], steps.states[k + 1], steps.owner[k], coef[order]
-    for s, sl in stages:
-        out += chain.score_sums(theta, x[sl], y[sl], c[sl], group[sl], m, s)
+    k = steps.trans
+    x, y, group = steps.states[k], steps.states[k + 1], steps.owner[k]
+    if isinstance(problem.setting, TimeVarying):
+        n_times = batch.horizon_cap + 1
+        cell = (steps.owner * n_times + np.minimum(steps.t, n_times - 1)) * n + steps.states
+        mass = np.bincount(cell, weights=step_w, minlength=m * n_times * n)
+        out = staged(cost).grad_sum(theta, mass.reshape(m, n_times, n), np.arange(n_times))
+        out += staged(chain).score_sums(theta, x, y, coef, group, m, steps.t[k])
+        return out
+    mass = np.bincount(steps.owner * n + steps.states, weights=step_w, minlength=m * n)
+    out = cost.grad_sum(theta, mass.reshape(m, n))
+    out += chain.score_sums(theta, x, y, coef, group, m)
     return out
 
 
@@ -834,19 +823,20 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
         (dK dK' + d2K) L + dK dL' + dL dK' + d2L.
     Requires a tabular chain and second derivatives of both the chain and
     the cost. dK is the score sum per rollout and dL the cost gradient sum,
-    one score_sums and one grad_sum call per stage. A transition's
+    one score_sums and one grad_sum call over all stages. A transition's
     d2 log P is row_hess at the indicator of (x, y) divided by P[x, y],
     minus s s^T, and a state's d2L is hess_sum at the state's indicator:
     each is computed once per distinct (t, x, y) or (t, x) and summed per
-    rollout as counts times those matrices. The batch mean is symmetrized
-    before it is returned.
+    rollout as counts times those matrices. P comes from one call for all
+    stages and the key scores s from one score_sums call. The batch mean
+    is symmetrized before it is returned.
     """
     theta = check_params(theta, problem.n_params)
     check_batch(theta, batch)
     _require_timevarying(problem)
-    chain, cost = problem.chain, problem.cost
-    if not chain.tabular:
+    if not problem.chain.tabular:
         raise CapabilityError("path Hessian needs a tabular chain")
+    chain, cost = staged(problem.chain), staged(problem.cost)
     T = problem.setting.horizon
     p, n = problem.n_params, chain.n_states
     steps = batch.steps(effective_gamma(problem, batch))
@@ -855,32 +845,40 @@ def path_hessian(problem: Problem, theta, batch: RolloutBatch) -> HessianEstimat
     m = steps.lengths.size
     states = steps.states.reshape(m, T + 1)
     total_cost = steps.costs.reshape(m, T + 1).sum(axis=1)
-    ones, owner, onehot = np.ones(m), np.arange(m), np.eye(n)
-    dK = sum(
-        chain.score_sums(theta, states[:, t], states[:, t + 1], ones, owner, m, t) for t in range(T)
-    )
-    dL = sum(cost.grad_sum(theta, onehot[states[:, t]], t) for t in range(T + 1))
+    owner, onehot, times = np.arange(m), np.eye(n), np.arange(T + 1)
+    x, y = states[:, :-1].ravel(), states[:, 1:].ravel()
+    groups, stage = np.repeat(owner, T), np.tile(times[:-1], m)
+    dK = chain.score_sums(theta, x, y, np.ones(x.size), groups, m, stage)
+    dL = cost.grad_sum(theta, onehot[states], times)
 
     def per_rollout(keys, hess):
-        """Sum over each rollout's row of keys of hess(key), from the
-        counts of each distinct key: shape (m, p, p)."""
+        """Sum over each rollout's row of keys of hess at the distinct keys,
+        (keys, p, p), from the counts of those keys: shape (m, p, p)."""
         uniq, inv = np.unique(keys, return_inverse=True)
         cell = owner[:, None] * uniq.size + inv.reshape(keys.shape)
         counts = np.bincount(cell.ravel(), minlength=m * uniq.size).reshape(m, uniq.size)
-        H = np.stack([hess(*divmod(key, n)) for key in uniq.tolist()])
-        return (counts @ H.reshape(uniq.size, p * p)).reshape(m, p, p)
+        return (counts @ hess(uniq).reshape(uniq.size, p * p)).reshape(m, p, p)
 
-    def chain_hess(tx, y):
-        t, x = divmod(tx, n)
-        E = np.zeros((n, n))
-        E[x, y] = 1.0 / chain.transition_matrix(theta, t)[x, y]
-        s = chain.score_sums(theta, [x], [y], [1.0], [0], 1, t)[0]
-        return chain.row_hess(theta, E, t) - np.outer(s, s)
+    def chain_hess(keys):
+        tx, y = np.divmod(keys, n)
+        t, x = np.divmod(tx, n)
+        P = chain.transition_matrix(theta, times[:-1])[t, x, y]
+        S = chain.score_sums(theta, x, y, np.ones(keys.size), np.arange(keys.size), keys.size, t)
+        H = np.empty((keys.size, p, p))
+        for i, (a, b, c) in enumerate(zip(t.tolist(), x.tolist(), y.tolist())):
+            E = np.zeros((n, n))
+            E[b, c] = 1.0 / P[i]
+            H[i] = chain.row_hess(theta, E, a) - np.outer(S[i], S[i])
+        return H
+
+    def cost_hess(keys):
+        t, x = np.divmod(keys, n)
+        return np.stack([cost.hess_sum(theta, onehot[b], a) for a, b in zip(t.tolist(), x)])
 
     # d2 log P keyed by (t, x, y), d2L by (t, x)
-    tx = np.arange(T + 1) * n + states
+    tx = times * n + states
     d2K = per_rollout(tx[:, :-1] * n + states[:, 1:], chain_hess)
-    d2L = per_rollout(tx, lambda t, x: cost.hess_sum(theta, onehot[x], t))
+    d2L = per_rollout(tx, cost_hess)
     outer = lambda a, b: a[:, :, None] * b[:, None, :]
     out = (outer(dK, dK) + d2K) * total_cost[:, None, None]
     out += outer(dK, dL) + outer(dL, dK) + d2L

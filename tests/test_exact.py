@@ -23,6 +23,7 @@ from chainopt import (
     SoftmaxChain,
     TableCost,
     TabularInitial,
+    TimeVaryingChain,
     discounted_occupancy,
     exact_gradient,
     exact_gradient_bottleneck,
@@ -263,8 +264,9 @@ class TestExactGradient:
 
     def test_time_varying_builds_each_stage_once(self, monkeypatch):
         """The stage densities are pushed through the matrices of the
-        backward solve: one P per stage, and the gradient of the loop that
-        built each P again."""
+        backward solve, and those come from one stacked call for all ten
+        stages, which builds no stage's P on its own; the gradient is the
+        loop that built each P again."""
         prob = random_timevarying_problem(horizon=10, n_states=8, seed=4)
         theta = theta_for(prob, 5)
         V = solve_value_timevarying(prob, theta)
@@ -275,16 +277,17 @@ class TestExactGradient:
             if t < 10:
                 want += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
                 p = chain.transition_matrix(theta, t).T @ p
-        stages = []
-        build = SoftmaxChain.transition_matrix
+        builds = {TimeVaryingChain: [], SoftmaxChain: []}
+        for cls in builds:
+            def counted(self, theta, t=0, cls=cls, build=cls.transition_matrix):
+                builds[cls].append(t)
+                return build(self, theta, t)
 
-        def counted(self, theta, t=0):
-            stages.append(t)
-            return build(self, theta, t)
-
-        monkeypatch.setattr(SoftmaxChain, "transition_matrix", counted)
+            monkeypatch.setattr(cls, "transition_matrix", counted)
         got = exact_gradient(prob, theta)
-        assert len(stages) == 10
+        (stages,) = builds[TimeVaryingChain]
+        np.testing.assert_array_equal(stages, np.arange(10))
+        assert builds[SoftmaxChain] == []
         np.testing.assert_array_equal(got, want)
 
     def test_bottleneck_route_agrees(self):

@@ -140,19 +140,12 @@ def _live_block(P: np.ndarray, chain, message: str):
 # ---------------------------------------------------------------------------
 
 
-def _setup(problem: Problem, theta, settings, message: str, stack=False) -> np.ndarray:
-    _require_tabular(problem)
-    theta = (check_param_stack if stack else check_params)(theta, problem.n_params)
-    if not isinstance(problem.setting, settings):
-        raise InvalidStructureError(message)
-    return theta
-
-
 def _table(model, method: str, theta: np.ndarray, t, shape: tuple, what: str):
-    """model.method(theta, t), refused unless it has the given shape and
-    finite entries: a model that ignores the stack axes of theta is never
-    broadcast over them. t is a stage, or an array of them for the stacked
-    stages of a time-varying model."""
+    """model.method(theta, t), refused unless it is finite and of shape
+    theta's stack axes + t's axes + shape: a model that ignores the stack
+    axes of theta is never broadcast over them. t is a stage, or the array
+    of stages of a time-varying model."""
+    shape = theta.shape[:-1] + getattr(t, "shape", ()) + shape
     table = getattr(model, method)(theta, t)
     if np.shape(table) != shape:
         raise InvalidStructureError(
@@ -163,17 +156,19 @@ def _table(model, method: str, theta: np.ndarray, t, shape: tuple, what: str):
     return table
 
 
-def _transition_table(problem: Problem, theta: np.ndarray) -> np.ndarray:
-    shape = theta.shape[:-1] + (problem.chain.n_states,) * 2
-    return _table(problem.chain, "transition_matrix", theta, 0, shape, "transition matrix")
-
-
 def _build(problem: Problem, theta: np.ndarray):
     """Transition matrix and step-cost table at theta, or their stacks
-    over the rows of a stack of theta, from one call to each model."""
-    P = _transition_table(problem, theta)
-    shape = theta.shape[:-1] + (problem.chain.n_states,)
-    return P, _table(problem.cost, "value_table", theta, 0, shape, "cost table")
+    over the rows of a stack of theta, from one call to each model. In the
+    time-varying setting, every stage's P_0 .. P_{T-1}, shape (..., T, n, n),
+    and L_0 .. L_T, shape (..., T+1, n), each from one call at the array
+    of stages."""
+    n = problem.chain.n_states
+    chain, cost, tP, tL = problem.chain, problem.cost, 0, 0
+    if isinstance(problem.setting, TimeVarying):
+        T = problem.setting.horizon
+        chain, cost, tP, tL = staged(chain), staged(cost), np.arange(T), np.arange(T + 1)
+    P = _table(chain, "transition_matrix", theta, tP, (n, n), "transition matrix")
+    return P, _table(cost, "value_table", theta, tL, (n,), "cost table")
 
 
 def _episodic_values(problem: Problem, P: np.ndarray, L: np.ndarray):
@@ -210,136 +205,6 @@ def _average_values(P: np.ndarray, L: np.ndarray):
     return d, j, V, residual
 
 
-def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
-    """rho = p0 + gamma P~' rho, with P~ the matrix P without terminal rows."""
-    chain = problem.chain
-    P = P.copy()
-    P[list(chain.terminal)] = 0.0
-    p0 = problem.init.weights
-    error = ReachabilityError("occupancy diverges: terminal set not always reached")
-    rho = _solve(np.eye(chain.n_states) - problem.gamma * P.T, p0, error)
-    _check_residual(np.abs(rho - (p0 + problem.gamma * P.T @ rho)).max(), rho, "occupancy")
-    return rho
-
-
-# ---------------------------------------------------------------------------
-# One solve per theta
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Solution:
-    """Exact solve of the autonomous chain P(theta) with cost L(theta).
-
-    theta is the parameter vector it was solved at, values are the values
-    (differential values in the average setting), gamma the discount on
-    the chain term (1 outside the discounted setting), J the objective and
-    residual the max residual of the value equations. weights are the
-    visitation weights the gradient, surrogate and Fisher matrix contract
-    with: the stationary density in the average setting, otherwise the
-    discounted occupancy, solved on first read so that the objective alone
-    never pays for it.
-    """
-
-    problem: Problem
-    theta: np.ndarray
-    P: np.ndarray
-    L: np.ndarray
-    values: np.ndarray
-    gamma: float
-    J: float
-    residual: float
-    _weights: Optional[np.ndarray] = field(default=None, repr=False)
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            self._weights = _occupancy(self.problem, self.P)
-        return self._weights
-
-
-def solve(problem: Problem, theta) -> Solution:
-    """Build P and L once and solve the discounted, first-exit or average
-    problem at theta. This is the one place that pairs visitation weights
-    and values with a setting."""
-    _require_tabular(problem)
-    sol = _solve_at(problem, check_params(theta, problem.n_params))
-    sol.J, sol.residual = float(sol.J), float(sol.residual)
-    return sol
-
-
-def _solve_at(problem: Problem, theta: np.ndarray) -> Solution:
-    """solve at a checked theta; at a (k, n_params) stack of theta, the
-    Solution's arrays and numbers stack the k solves, each put through
-    every check of a single solve."""
-    setting = problem.setting
-    if isinstance(setting, TimeVarying):
-        raise CapabilityError(
-            "the exact solve covers the stationary settings; finite-horizon "
-            "problems use the stage recursion"
-        )
-    average = isinstance(setting, Average)
-    if not average and not isinstance(problem.init, TabularInitial):
-        raise InvalidStructureError("the exact solve needs a tabular start law")
-    P, L = _build(problem, theta)
-    if average:
-        d, j, V, residual = _average_values(P, L)
-        return Solution(problem, theta, P, L, V, problem.gamma, j, residual, d)
-    V, residual = _episodic_values(problem, P, L)
-    J = V @ problem.init.weights
-    return Solution(problem, theta, P, L, V, problem.gamma, J, residual)
-
-
-def solution_at(problem: Problem, theta, solution: Optional[Solution] = None) -> Solution:
-    """solve(problem, theta), or the given solution after checking that it
-    was computed for this problem at this theta."""
-    if solution is None:
-        return solve(problem, theta)
-    if solution.problem is not problem or not np.array_equal(solution.theta, theta):
-        raise InvalidStructureError("the given solution belongs to another problem or theta")
-    return solution
-
-
-# ---------------------------------------------------------------------------
-# Value solvers
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ValueTable:
-    """Per-state values with the max residual of the defining equations."""
-
-    values: np.ndarray
-    residual: float
-
-
-@dataclass
-class AverageCost:
-    """Long-run average cost and differential values normalized to E_d[V] = 0."""
-
-    j: float
-    values: np.ndarray
-    residual: float
-
-
-_EPISODIC = (EpisodicDiscounted, FirstExit)
-
-
-def solve_value_episodic(problem: Problem, theta) -> ValueTable:
-    """Solve V = L + gamma P V for discounted or first-exit problems."""
-    theta = _setup(
-        problem, theta, _EPISODIC, "episodic solver needs a discounted or first-exit setting"
-    )
-    V, residual = _episodic_values(problem, *_build(problem, theta))
-    return ValueTable(values=V, residual=residual)
-
-
-def stationary_density(problem: Problem, theta) -> np.ndarray:
-    """Stationary distribution of the chain; errors if not ergodic."""
-    _require_tabular(problem)
-    return stationary_from_matrix(_transition_table(problem, check_params(theta, problem.n_params)))
-
-
 def stationary_from_matrix(P: np.ndarray, *, costs: Optional[np.ndarray] = None):
     """Stationary distribution d of a row-stochastic matrix: irreducibility
     and aperiodicity are decided on the support graph of P, once per support,
@@ -370,61 +235,159 @@ def stationary_from_matrix(P: np.ndarray, *, costs: Optional[np.ndarray] = None)
     return d if costs is None else (d, u)
 
 
-def solve_value_average(problem: Problem, theta) -> AverageCost:
-    """Average cost J and differential values via the fundamental matrix."""
-    theta = _setup(problem, theta, Average, "average solver needs an average setting")
-    _, j, V, residual = _average_values(*_build(problem, theta))
-    return AverageCost(j=j, values=V, residual=residual)
+def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
+    """rho = p0 + gamma P~' rho, with P~ the matrix P without terminal rows,
+    so that absorbed mass stops circulating."""
+    chain = problem.chain
+    P = P.copy()
+    P[list(chain.terminal)] = 0.0
+    p0 = problem.init.weights
+    error = ReachabilityError("occupancy diverges: terminal set not always reached")
+    rho = _solve(np.eye(chain.n_states) - problem.gamma * P.T, p0, error)
+    _check_residual(np.abs(rho - (p0 + problem.gamma * P.T @ rho)).max(), rho, "occupancy")
+    return rho
+
+
+def _stage_values(P: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Backward recursion V_T = L_T, V_t = L_t + P_t V_{t+1} over the stage
+    axes of P (..., T, n, n) and L (..., T+1, n)."""
+    V = np.empty(L.shape)
+    V[..., -1, :] = L[..., -1, :]
+    for t in range(P.shape[-3] - 1, -1, -1):
+        V[..., t, :] = L[..., t, :] + _apply(P[..., t, :, :], V[..., t + 1, :])
+    return V
+
+
+def _stage_densities(P: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """Law of x_t at each stage of P (T, n, n): p_0 = p0, p_{t+1} = P_t' p_t."""
+    p = [p0]
+    for P_t in P:
+        p.append(P_t.T @ p[-1])
+    return np.array(p)
+
+
+# ---------------------------------------------------------------------------
+# One solve per theta
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Solution:
+    """Exact solve of the autonomous chain P(theta) with cost L(theta).
+
+    theta is the parameter vector it was solved at, values are the values
+    (differential values in the average setting), gamma the discount on
+    the chain term (1 outside the discounted setting), J the objective and
+    residual the max residual of the value equations. weights are the
+    visitation weights the gradient, surrogate and Fisher matrix contract
+    with: the stationary density in the average setting, otherwise the
+    discounted occupancy, solved on first read so that the objective alone
+    never pays for it.
+
+    In the time-varying setting of horizon T, P is the (T, n, n) stage
+    stack, L and values are (T+1, n) with V_t = L_t + P_t V_{t+1}, J is
+    V_0 . p0, and residual is 0: the recursion solves no linear system.
+    weights are the (T+1, n) stage densities p_{t+1} = P_t' p_t.
+    """
+
+    problem: Problem
+    theta: np.ndarray
+    P: np.ndarray
+    L: np.ndarray
+    values: np.ndarray
+    gamma: float
+    J: float
+    residual: float
+    _weights: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def weights(self) -> np.ndarray:
+        if self._weights is None:
+            if isinstance(self.problem.setting, TimeVarying):
+                self._weights = _stage_densities(self.P, self.problem.init.weights)
+            else:
+                self._weights = _occupancy(self.problem, self.P)
+        return self._weights
+
+
+def solve(problem: Problem, theta) -> Solution:
+    """Build P and L once and solve the discounted, first-exit, average or
+    time-varying problem at theta. This is the one place that pairs
+    visitation weights and values with a setting."""
+    _require_tabular(problem)
+    sol = _solve_at(problem, check_params(theta, problem.n_params))
+    sol.J, sol.residual = float(sol.J), float(sol.residual)
+    return sol
+
+
+def _solve_at(problem: Problem, theta: np.ndarray) -> Solution:
+    """solve at a checked theta; at a (k, n_params) stack of theta, the
+    Solution's arrays and numbers stack the k solves, each put through
+    every check of a single solve."""
+    average = isinstance(problem.setting, Average)
+    if not average and not isinstance(problem.init, TabularInitial):
+        raise InvalidStructureError("the exact solve needs a tabular start law")
+    P, L = _build(problem, theta)
+    if average:
+        d, j, V, residual = _average_values(P, L)
+        return Solution(problem, theta, P, L, V, problem.gamma, j, residual, d)
+    if isinstance(problem.setting, TimeVarying):
+        V, residual = _stage_values(P, L), np.zeros(theta.shape[:-1])
+        J = V[..., 0, :] @ problem.init.weights
+    else:
+        V, residual = _episodic_values(problem, P, L)
+        J = V @ problem.init.weights
+    return Solution(problem, theta, P, L, V, problem.gamma, J, residual)
+
+
+def solution_at(problem: Problem, theta, solution: Optional[Solution] = None) -> Solution:
+    """solve(problem, theta), or the given solution after checking that it
+    was computed for this problem at this theta."""
+    if solution is None:
+        return solve(problem, theta)
+    if solution.problem is not problem or not np.array_equal(solution.theta, theta):
+        raise InvalidStructureError("the given solution belongs to another problem or theta")
+    return solution
+
+
+# ---------------------------------------------------------------------------
+# Readers of solve, each naming one quantity in the settings that define it
+# ---------------------------------------------------------------------------
+
+
+def _solve_in(problem: Problem, theta, *settings) -> Solution:
+    """solve(problem, theta), refused outside the given settings."""
+    _require_tabular(problem)
+    if not isinstance(problem.setting, settings):
+        names = " or ".join(s.__name__ for s in settings)
+        raise InvalidStructureError(f"this reader needs a {names} setting")
+    return solve(problem, theta)
+
+
+def solve_value_episodic(problem: Problem, theta) -> Solution:
+    """solve of a discounted or first-exit problem: V = L + gamma P V."""
+    return _solve_in(problem, theta, EpisodicDiscounted, FirstExit)
+
+
+def solve_value_average(problem: Problem, theta) -> Solution:
+    """solve of an average-cost problem: J and differential values, E_d[V] = 0."""
+    return _solve_in(problem, theta, Average)
 
 
 def solve_value_timevarying(problem: Problem, theta) -> np.ndarray:
-    """Backward recursion V_t = L_t + P_t V_{t+1}; returns (T+1, n_states),
-    or (k, T+1, n_states) for a (k, n_params) stack of theta."""
-    return _stage_values(problem, theta)[0]
+    """Stage values V_t = L_t + P_t V_{t+1}, shape (T+1, n_states)."""
+    return _solve_in(problem, theta, TimeVarying).values
 
 
-def _stage_values(problem: Problem, theta):
-    """solve_value_timevarying's values and the stage matrices P_0 ..
-    P_{T-1}, shape (..., T, n, n): every stage's P from one call to the
-    chain and every L from one call to the cost, before the recursion."""
-    theta = _setup(
-        problem, theta, TimeVarying, "time-varying solver needs a time-varying setting", stack=True
-    )
-    T, n = problem.setting.horizon, problem.chain.n_states
-    lead = theta.shape[:-1]
-    chain, cost = staged(problem.chain), staged(problem.cost)
-    stages = np.arange(T)
-    P = _table(chain, "transition_matrix", theta, stages, lead + (T, n, n), "transition matrix")
-    L = _table(cost, "value_table", theta, np.arange(T + 1), lead + (T + 1, n), "cost table")
-    V = np.empty(L.shape)
-    V[..., T, :] = L[..., T, :]
-    for t in range(T - 1, -1, -1):
-        V[..., t, :] = L[..., t, :] + _apply(P[..., t, :, :], V[..., t + 1, :])
-    return V, P
-
-
-# ---------------------------------------------------------------------------
-# Visitation weights
-# ---------------------------------------------------------------------------
+def stationary_density(problem: Problem, theta) -> np.ndarray:
+    """Stationary distribution of an average-cost problem's chain."""
+    return _solve_in(problem, theta, Average).weights
 
 
 def discounted_occupancy(problem: Problem, theta) -> np.ndarray:
-    """Discounted visitation weights rho = sum_t gamma^t Pr(x_t = .).
-
-    The sum starts at t = 0 so the start law itself is counted. Terminal
-    states are counted once on entry: their rows are removed from the
-    propagation so absorbed mass stops circulating. Satisfies
-    rho = p0 + gamma P~' rho with P~ the propagation matrix.
-    """
-    theta = _setup(
-        problem, theta, _EPISODIC, "occupancy is defined for discounted or first-exit settings"
-    )
-    if not isinstance(problem.init, TabularInitial):
-        raise InvalidStructureError("occupancy needs a tabular start law")
-    P = _transition_table(problem, theta)
-    if isinstance(problem.setting, FirstExit):
-        _live_block(P, problem.chain, "occupancy diverges: terminal set not always reached")
-    return _occupancy(problem, P)
+    """Discounted visitation weights rho = sum_{t >= 0} gamma^t Pr(x_t = .),
+    a terminal state counted once on entry."""
+    return _solve_in(problem, theta, EpisodicDiscounted, FirstExit).weights
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +399,8 @@ def objective(problem: Problem, theta):
     """Expected accumulated cost under the setting's semantics. At a
     (k, n_params) stack of theta, the k objectives from stacked solves,
     each put through every check of a single solve."""
-    if isinstance(problem.setting, TimeVarying):
-        J = solve_value_timevarying(problem, theta)[..., 0, :] @ problem.init.weights
-    else:
-        _require_tabular(problem)
-        J = _solve_at(problem, check_param_stack(theta, problem.n_params)).J
+    _require_tabular(problem)
+    J = _solve_at(problem, check_param_stack(theta, problem.n_params)).J
     return J if np.ndim(J) else float(J)
 
 
@@ -456,20 +416,17 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
     chain, cost = problem.chain, problem.cost
-
+    sol = solution_at(problem, theta, solution)
+    w, V = sol.weights, sol.values
     if not isinstance(problem.setting, TimeVarying):
-        sol = solution_at(problem, theta, solution)
-        W = np.outer(sol.weights, sol.values)
-        return cost.grad_sum(theta, sol.weights) + sol.gamma * chain.row_vjp(theta, W)
+        return cost.grad_sum(theta, w) + sol.gamma * chain.row_vjp(theta, np.outer(w, V))
 
-    V, matrices = _stage_values(problem, theta)
-    p = problem.init.weights.copy()
+    T = problem.setting.horizon
     g = np.zeros(problem.n_params)
-    for t, P in enumerate(matrices):
-        g += cost.grad_sum(theta, p, t)
-        g += chain.row_vjp(theta, np.outer(p, V[t + 1]), t)
-        p = P.T @ p
-    return g + cost.grad_sum(theta, p, len(matrices))
+    for t in range(T):
+        g += cost.grad_sum(theta, w[t], t)
+        g += chain.row_vjp(theta, np.outer(w[t], V[t + 1]), t)
+    return g + cost.grad_sum(theta, w[T], T)
 
 
 def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:

@@ -555,9 +555,9 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     Rows hold the state before each update plus one final row, so zero
     iterations still produce the initial point. Sampled methods fit the
     value baseline to the previous batch only; the current batch never
-    sees its own fit. On a stationary tabular problem each row makes one
-    exact solve, which the objective, the gradient, the exact Fisher and
-    the exact surrogate share.
+    sees its own fit. On a tabular problem each row makes one exact solve,
+    which the objective, the gradient, the exact Fisher and the exact
+    surrogate share.
     """
     method = config.algorithm.method
     if method.startswith("zlearn"):
@@ -573,7 +573,6 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
     adam = _AdamState(theta.size, alg.step_size) if alg.use_adam else None
     features = np.eye(problem.chain.n_states) if tabular and alg.baseline else None
     sampled = method in ("alg1-sgd", "pco")
-    stationary_tabular = tabular and not isinstance(problem.setting, TimeVarying)
 
     for k in range(alg.iterations + 1):
         t0 = time.perf_counter()
@@ -594,14 +593,8 @@ def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:
                 # staleness guard: the fit uses data up to the previous batch
                 baseline = fit_value_approx(problem, prev_batch, features, ridge=1e-6)
 
-        sol = None
-        if stationary_tabular:
-            sol = solve(problem, theta)
-            j_val, j_se = sol.J, None
-        elif tabular:
-            j_val, j_se = objective(problem, theta), None
-        else:
-            j_val, j_se = _batch_j_estimate(problem, batch)
+        sol = solve(problem, theta) if tabular else None
+        j_val, j_se = (sol.J, None) if tabular else _batch_j_estimate(problem, batch)
 
         if method == "alg1-sgd":
             grad = estimate_gradient(problem, theta, batch, baseline=baseline).mean

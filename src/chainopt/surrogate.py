@@ -77,6 +77,14 @@ def _hessian(problem: Problem, th, states, w, xs, ys, c) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _stationary_solution(problem: Problem, theta, solution: Optional[Solution]) -> Solution:
+    """solution_at, refused in the time-varying setting: its weights are
+    (T+1, n) stage densities, which no frozen-density form contracts."""
+    if isinstance(problem.setting, TimeVarying):
+        raise CapabilityError("the exact surrogate and Fisher need a stationary setting")
+    return solution_at(problem, theta, solution)
+
+
 class ExactSurrogate:
     """S(alpha) = sum_x w(x) [L(x, theta+alpha) + gamma sum_y P(y|x, theta+alpha) V(y)]
 
@@ -88,7 +96,7 @@ class ExactSurrogate:
     def __init__(self, problem: Problem, theta, solution: Optional[Solution] = None):
         self.problem = problem
         self.theta = check_params(theta, problem.n_params)
-        sol = solution_at(problem, self.theta, solution)
+        sol = _stationary_solution(problem, self.theta, solution)
         self.weights, self.values, self.gamma = sol.weights, sol.values, sol.gamma
         self._W = self.gamma * np.outer(self.weights, self.values)
 
@@ -438,7 +446,7 @@ def fisher_matrix(
     if batch is None:
         if not problem.chain.tabular:
             raise CapabilityError("exact Fisher needs a tabular chain")
-        sol = solution_at(problem, theta, solution)
+        sol = _stationary_solution(problem, theta, solution)
         F = problem.chain.fisher(theta, sol.weights / sol.weights.sum())
         return FisherMatrix(matrix=0.5 * (F + F.T), source="exact")
 

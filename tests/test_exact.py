@@ -23,7 +23,9 @@ from chainopt import (
     SoftmaxChain,
     TableCost,
     TabularInitial,
+    TimeVarying,
     TimeVaryingChain,
+    chain_iteration_step,
     discounted_occupancy,
     exact_gradient,
     exact_gradient_bottleneck,
@@ -62,6 +64,17 @@ def theta_for(problem, seed):
     return 0.3 * rng.normal(size=problem.n_params)
 
 
+FOUR_SETTINGS = [EpisodicDiscounted(0.9), FirstExit(), Average(), TimeVarying(4)]
+FOUR_IDS = ["episodic", "first-exit", "average", "time-varying"]
+
+
+def problem_in(setting, n_states, seed):
+    """A random softmax problem in the setting; a time-varying one has its horizon."""
+    if isinstance(setting, TimeVarying):
+        return random_timevarying_problem(setting.horizon, n_states=n_states, seed=seed)
+    return random_softmax_problem(setting, n_states=n_states, seed=seed)
+
+
 class NanRowChain(FixedTabularChain):
     """A fixed chain whose row 0 is NaN."""
 
@@ -71,9 +84,9 @@ class NanRowChain(FixedTabularChain):
         return P
 
 
-def nan_row_problem():
+def nan_row_problem(setting=EpisodicDiscounted(0.9)):
     return Problem(NanRowChain(np.full((2, 2), 0.5)), TableCost([1.0, 2.0]),
-                   EpisodicDiscounted(0.9), TabularInitial([0.5, 0.5]))
+                   setting, TabularInitial([0.5, 0.5]))
 
 
 class TestCanonicalClosedForm:
@@ -133,12 +146,16 @@ class TestEpisodicSolver:
         with pytest.raises(InvalidStructureError, match="transition matrix contains non-finite"):
             objective(nan_row_problem(), np.zeros(0))
 
-    @pytest.mark.parametrize("solver", [stationary_density, discounted_occupancy])
-    def test_non_finite_transition_matrix_is_refused_by_density_and_occupancy(self, solver):
+    @pytest.mark.parametrize("solver, setting", [
+        (stationary_density, Average()), (discounted_occupancy, EpisodicDiscounted(0.9)),
+    ], ids=["stationary_density", "discounted_occupancy"])
+    def test_non_finite_transition_matrix_is_refused_by_density_and_occupancy(
+        self, solver, setting
+    ):
         """Nor a density or an occupancy: the cause is the NaN, not the
         support graph."""
         with pytest.raises(InvalidStructureError, match="transition matrix contains non-finite"):
-            solver(nan_row_problem(), np.zeros(0))
+            solver(nan_row_problem(setting), np.zeros(0))
 
     def test_residual_checks_refuse_nan(self):
         """Each value and occupancy solve fails on a NaN residual, which
@@ -199,25 +216,38 @@ class TestAverageSolver:
         d = stationary_density(prob, theta)
         P = prob.chain.transition_matrix(theta)
         L = prob.cost.value_table(theta)
-        assert abs(sol.j - float(d @ L)) < 1e-12
+        assert abs(sol.J - float(d @ L)) < 1e-12
         # differential values satisfy V + j = L + P V and E_d[V] = 0
-        np.testing.assert_allclose(sol.values + sol.j, L + P @ sol.values, atol=1e-10)
+        np.testing.assert_allclose(sol.values + sol.J, L + P @ sol.values, atol=1e-10)
         assert abs(d @ sol.values) < 1e-10
 
 
 class TestTimeVaryingSolver:
     def test_matches_manual_backward_recursion(self):
+        """solve's stage values follow V_t = L_t + P_t V_{t+1} built stage by
+        stage, its weights are the start law pushed through each P_t, and J
+        is V_0 . p0 with no discount and no residual."""
         prob = random_timevarying_problem(horizon=4, n_states=5, seed=3)
         theta = theta_for(prob, 6)
-        V = solve_value_timevarying(prob, theta)
-        assert V.shape == (5, 5)
+        sol = solve(prob, theta)
+        V = sol.values
+        assert V.shape == sol.L.shape == sol.weights.shape == (5, 5)
+        assert sol.P.shape == (4, 5, 5)
         want = prob.cost.value_table(theta, 4)
         np.testing.assert_allclose(V[4], want)
         for t in (3, 2, 1, 0):
             P = prob.chain.transition_matrix(theta, t)
+            np.testing.assert_array_equal(sol.P[t], P)
             want = prob.cost.value_table(theta, t) + P @ want
             np.testing.assert_allclose(V[t], want, atol=1e-12)
-        assert abs(objective(prob, theta) - float(prob.init.weights @ V[0])) < 1e-14
+        p = prob.init.weights
+        for t in range(5):
+            np.testing.assert_allclose(sol.weights[t], p, atol=1e-15)
+            if t < 4:
+                p = prob.chain.transition_matrix(theta, t).T @ p
+        assert sol.J == objective(prob, theta)
+        assert abs(sol.J - float(prob.init.weights @ V[0])) < 1e-14
+        assert sol.gamma == 1.0 and sol.residual == 0.0
 
     def test_objective_matches_monte_carlo(self):
         prob = random_timevarying_problem(horizon=3, n_states=4, seed=8)
@@ -308,18 +338,22 @@ class TestOneSolvePerTheta:
 
     def test_solution_matches_public_solvers(self):
         """solve pairs each setting with the same values and weights as the
-        dedicated solvers, to the last bit."""
-        for setting in self.SETTINGS:
-            prob = random_softmax_problem(setting, n_states=7, seed=4)
+        readers named for them, to the last bit."""
+        for setting in FOUR_SETTINGS:
+            prob = problem_in(setting, 7, 4)
             theta = theta_for(prob, 5)
             sol = solve(prob, theta)
             assert sol.J == objective(prob, theta)
+            if isinstance(setting, TimeVarying):
+                np.testing.assert_array_equal(sol.values, solve_value_timevarying(prob, theta))
+                assert sol.gamma == 1.0
+                continue
             np.testing.assert_array_equal(sol.P, prob.chain.transition_matrix(theta))
             if isinstance(setting, Average):
                 avg = solve_value_average(prob, theta)
                 np.testing.assert_array_equal(sol.values, avg.values)
                 np.testing.assert_array_equal(sol.weights, stationary_density(prob, theta))
-                assert sol.gamma == 1.0 and sol.J == avg.j
+                assert sol.gamma == 1.0 and sol.J == avg.J
             else:
                 np.testing.assert_array_equal(
                     sol.values, solve_value_episodic(prob, theta).values
@@ -327,10 +361,30 @@ class TestOneSolvePerTheta:
                 np.testing.assert_array_equal(sol.weights, discounted_occupancy(prob, theta))
                 assert sol.gamma == setting.gamma
 
-    def test_time_varying_is_refused(self):
+    @pytest.mark.parametrize("consumer", [
+        lambda prob, theta: ExactSurrogate(prob, theta),
+        lambda prob, theta: fisher_matrix(prob, theta, solution=solve(prob, theta)),
+        lambda prob, theta: chain_iteration_step(prob, theta),
+    ], ids=["ExactSurrogate", "fisher_matrix", "chain_iteration_step"])
+    def test_stationary_consumers_refuse_time_varying(self, consumer):
+        """The exact surrogate and Fisher contract one weight per state; a
+        time-varying solve's (T+1, n) stage densities are refused."""
         prob = random_timevarying_problem(horizon=3, n_states=4, seed=1)
-        with pytest.raises(CapabilityError):
-            solve(prob, theta_for(prob, 2))
+        with pytest.raises(CapabilityError, match="stationary setting"):
+            consumer(prob, theta_for(prob, 2))
+
+    @pytest.mark.parametrize("setting", FOUR_SETTINGS, ids=FOUR_IDS)
+    def test_gradient_refuses_a_solution_of_another_problem_or_theta(self, setting):
+        """A passed solution is read in every setting: its own is used as
+        is, and one of an equal problem or of another theta is refused."""
+        prob = problem_in(setting, 6, 2)
+        theta = theta_for(prob, 3)
+        np.testing.assert_array_equal(
+            exact_gradient(prob, theta, solution=solve(prob, theta)), exact_gradient(prob, theta)
+        )
+        for sol in (solve(problem_in(setting, 6, 2), theta), solve(prob, theta + 0.1)):
+            with pytest.raises(InvalidStructureError, match="another problem or theta"):
+                exact_gradient(prob, theta, solution=sol)
 
     @pytest.mark.parametrize("setting", SETTINGS, ids=["episodic", "first-exit", "average"])
     def test_each_exact_quantity_builds_and_checks_the_chain_once(self, setting, monkeypatch):
@@ -433,3 +487,22 @@ class TestOneSolvePerTheta:
         assert counts["solve"] == rows
         if method == "exact-gd":
             assert counts["transition_matrix"] == rows
+
+    def test_time_varying_row_builds_the_stages_once(self, monkeypatch):
+        """A time-varying exact-gd row builds every stage's P in one call,
+        which its objective and gradient share."""
+        builds = []
+        original = TimeVaryingChain.transition_matrix
+        monkeypatch.setattr(
+            TimeVaryingChain, "transition_matrix",
+            lambda self, theta, t=0: builds.append(t) or original(self, theta, t),
+        )
+        config = parse_config(json.dumps({
+            "problem": {"kind": "timevarying-tabular", "setting": "time-varying",
+                        "n_states": 8, "horizon": 5, "seed": 0},
+            "algorithm": {"method": "exact-gd", "iterations": 2, "step_size": 0.01},
+        }))
+        rows = len(run_optimize(config)["curve"].rows)
+        assert rows == 3 and len(builds) == rows
+        for stages in builds:
+            np.testing.assert_array_equal(stages, np.arange(5))

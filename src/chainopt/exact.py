@@ -240,11 +240,13 @@ def _occupancy(problem: Problem, P: np.ndarray) -> np.ndarray:
     so that absorbed mass stops circulating."""
     chain = problem.chain
     P = P.copy()
-    P[list(chain.terminal)] = 0.0
+    P[..., list(chain.terminal), :] = 0.0
+    PT = np.swapaxes(P, -1, -2)
     p0 = problem.init.weights
     error = ReachabilityError("occupancy diverges: terminal set not always reached")
-    rho = _solve(np.eye(chain.n_states) - problem.gamma * P.T, p0, error)
-    _check_residual(np.abs(rho - (p0 + problem.gamma * P.T @ rho)).max(), rho, "occupancy")
+    rho = _solve(np.eye(chain.n_states) - problem.gamma * PT, p0, error)
+    residual = np.abs(rho - (p0 + problem.gamma * _apply(PT, rho))).max(axis=-1)
+    _check_residual(residual, rho, "occupancy")
     return rho
 
 
@@ -259,7 +261,10 @@ def _stage_values(P: np.ndarray, L: np.ndarray) -> np.ndarray:
 
 
 def _stage_densities(P: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """Law of x_t at each stage of P (T, n, n): p_0 = p0, p_{t+1} = P_t' p_t."""
+    """Law of x_t at each stage of P (T, n, n): p_0 = p0, p_{t+1} = P_t' p_t;
+    of each stage stack of P (k, T, n, n), stacked alike."""
+    if P.ndim > 3:
+        return np.stack([_stage_densities(P_i, p0) for P_i in P])
     p = [p0]
     for P_t in P:
         p.append(P_t.T @ p[-1])

@@ -18,6 +18,7 @@ from .errors import CapabilityError, DivergenceUndefinedError, InvalidStructureE
 from .exact import _average_values, solve
 from .model import (
     Average,
+    BlockDiagonal,
     ChainModel,
     CostModel,
     EpisodicDiscounted,
@@ -188,9 +189,9 @@ class PolicyAveragedChain(ChainModel):
         return self.policy.vjp(theta, self._action_weights(W))
 
     def row_hess(self, theta, W, t: int = 0) -> np.ndarray:
-        return self.policy.curvature(theta, self._action_weights(W), 0.0)
+        return self.policy.curvature(theta, self._action_weights(W), 0.0).dense()
 
-    def fisher(self, theta, w, t: int = 0) -> np.ndarray:
+    def fisher(self, theta, w, t: int = 0) -> BlockDiagonal:
         # block x is w_x pi * G_x * pi^T, with R = p[x, :, y] / P[x, y] and
         # G_x = sum_y P[x, y] R R^T - 1 1^T, one (k, k) block per state;
         # terminal rows carry no parameters
@@ -199,7 +200,9 @@ class PolicyAveragedChain(ChainModel):
         inv = np.divide(1.0, P, out=np.zeros_like(P), where=P > 0.0)
         G = (self.p * inv[:, None, :]) @ self.p.transpose(0, 2, 1) - 1.0
         w = np.where(self._is_term, 0.0, np.asarray(w, dtype=float))
-        return self.policy.scatter(w[:, None, None] * pi[:, :, None] * G * pi[:, None, :])
+        blocks = w[:, None, None] * pi[:, :, None] * G * pi[:, None, :]
+        (index,) = self.policy.block_index
+        return BlockDiagonal(self.n_params, ((index, blocks),))
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> np.ndarray:
         # score(x, y) is pi(.|x) * (p[x, :, y] / P[x, y] - 1) on x's block;
@@ -268,7 +271,7 @@ class PolicyExpectedCost(CostModel):
         return self.policy.block_sum(w, self.policy.vjp(theta, self.costs.ravel()))
 
     def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
-        return self.policy.curvature(theta, self.policy.block_sum(w, self.costs), 0.0)
+        return self.policy.curvature(theta, self.policy.block_sum(w, self.costs), 0.0).dense()
 
 
 class PolicyKlFromOldCost(CostModel):
@@ -299,7 +302,7 @@ class PolicyKlFromOldCost(CostModel):
 
     def hess_sum(self, theta, w, t: int = 0) -> np.ndarray:
         # minus sum_a pi_old log pi has the log-normalizer's Hessian
-        return self.policy.curvature(theta, 0.0, self.policy.block_sum(w, 1.0))
+        return self.policy.curvature(theta, 0.0, self.policy.block_sum(w, 1.0)).dense()
 
 
 class MixedRowKlCost(CostModel):

@@ -235,14 +235,16 @@ class ChainModel(abc.ABC):
         coef = np.asarray(W, dtype=float)[xs, ys] * P[xs, ys]
         return self.score_sums(theta, xs, ys, coef, np.zeros(xs.size, np.int64), 1, t)[0]
 
-    def fisher(self, theta: Array, w: Array, t: int = 0) -> Array:
-        """sum_x w[x] sum_y P[x, y] score score^T, shape (n_params, n_params),
-        from one score_sums group per transition on the support of P."""
+    def fisher(self, theta: Array, w: Array, t: int = 0) -> BlockDiagonal:
+        """sum_x w[x] sum_y P[x, y] score score^T as a BlockDiagonal: here
+        one (n_params, n_params) block, from one score_sums group per
+        transition on the support of P. Row-local chains return one block
+        per row."""
         P = self.transition_matrix(theta, t)
         xs, ys = np.nonzero(P)
         k = xs.size
         S = self.score_sums(theta, xs, ys, np.ones(k), np.arange(k), k, t)
-        return (S.T * (np.asarray(w, dtype=float)[xs] * P[xs, ys])) @ S
+        return BlockDiagonal.full((S.T * (np.asarray(w, dtype=float)[xs] * P[xs, ys])) @ S)
 
     # --- sampling ---------------------------------------------------------
 
@@ -357,11 +359,38 @@ def _first_row_fault(live, rows, n: int) -> str:
                 return f"successor {y} of state {x} out of range"
 
 
+@dataclass(frozen=True)
+class BlockDiagonal:
+    """An (n, n) matrix held as its diagonal blocks, grouped by block size.
+
+    Each group is a pair of an (m, k) array of indices and the (m, k, k)
+    stack of the blocks on them. The blocks partition 0..n-1, and the
+    matrix is zero off them. A matrix with no block structure is one
+    block over every index."""
+
+    n: int
+    groups: tuple
+
+    @classmethod
+    def full(cls, A) -> "BlockDiagonal":
+        """The (n, n) array A as one block."""
+        A = np.asarray(A, dtype=float)
+        n = A.shape[0]
+        return cls(n, ((np.arange(n)[None], A[None]),) if n else ())
+
+    def dense(self) -> Array:
+        """The assembled (n, n) matrix."""
+        H = np.zeros((self.n, self.n))
+        for idx, B in self.groups:
+            H[idx[:, :, None], idx[:, None, :]] = B
+        return H
+
+
 class SegmentSoftmax:
     """Softmax over consecutive non-empty segments of a flat logit vector,
     with its VJP and curvature. seg_of maps each parameter to its segment;
-    pairs holds the index pairs (i, j) within a segment, segment by segment
-    and row-major, so (L, L) blocks raveled in segment order fill them."""
+    block_index holds, per segment length k, the (m, k) parameter indices
+    of the m segments of that length."""
 
     def __init__(self, lens):
         lens = np.asarray(lens, dtype=np.int64)
@@ -369,11 +398,10 @@ class SegmentSoftmax:
         self.seg_len = lens
         self.seg_of = np.repeat(np.arange(lens.size), lens)
         self.seg_start = np.cumsum(lens) - lens
-        # parameter i pairs with the row_len[i] parameters of its segment
-        row_len = lens[self.seg_of]
-        i = np.repeat(np.arange(self.n_params), row_len)
-        skip = np.cumsum(row_len) - row_len - self.seg_start[self.seg_of]
-        self.pairs = (i, np.arange(i.size) - np.repeat(skip, row_len))
+        # not np.unique, whose first call imports numpy.ma
+        self.block_index = tuple(
+            self.seg_start[lens == k][:, None] + np.arange(k) for k in sorted(set(lens.tolist()))
+        )
 
     def probs(self, z) -> Array:
         """Each segment's softmax of z, shape (..., n_params)."""
@@ -398,9 +426,9 @@ class SegmentSoftmax:
         u = p * c
         return u - p * self.segment_sums(u)
 
-    def curvature(self, z, c, w) -> Array:
+    def curvature(self, z, c, w) -> BlockDiagonal:
         """sum_k c_k d2p_k/dz2 + w (diag p - p p^T) per segment at the
-        probabilities p of z, dense (n_params, n_params), for c and w per
+        probabilities p of z, one block per segment, for c and w per
         parameter (w equal within a segment). With u = p * c, m its segment
         sums and v = m - w, block entry (i, j) is ((m + v)_i p_i - u_i) p_j
         - p_i u_j, plus u_i - v_i p_i on the diagonal: w = 0 gives the
@@ -410,16 +438,15 @@ class SegmentSoftmax:
         u = p * c
         m = self.segment_sums(u)
         v = m - w
-        i, j = self.pairs
-        H = self.scatter(((m + v)[i] * p[i] - u[i]) * p[j] - p[i] * u[j])
-        H[np.diag_indices(self.n_params)] += u - v * p
-        return H
-
-    def scatter(self, values: Array) -> Array:
-        """Dense (n_params, n_params) matrix, values raveled at pairs, zero elsewhere."""
-        H = np.zeros((self.n_params, self.n_params))
-        H[self.pairs] = np.ravel(values)
-        return H
+        a, diag = (m + v) * p - u, u - v * p
+        groups = []
+        for idx in self.block_index:
+            pb, ub = p[idx], u[idx]
+            B = a[idx][:, :, None] * pb[:, None, :] - pb[:, :, None] * ub[:, None, :]
+            r = np.arange(idx.shape[1])
+            B[:, r, r] += diag[idx]
+            groups.append((idx, B))
+        return BlockDiagonal(self.n_params, tuple(groups))
 
 
 class SoftmaxChain(ChainModel):
@@ -511,14 +538,14 @@ class SoftmaxChain(ChainModel):
         W = np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
         return self._softmax.vjp(theta + self._offset, W)
 
-    def fisher(self, theta, w, t: int = 0) -> Array:
+    def fisher(self, theta, w, t: int = 0) -> BlockDiagonal:
         # block x is w_x (diag p - p p^T); terminal rows carry no parameters
         w = np.asarray(w, dtype=float)[self._flat_x]
         return self._softmax.curvature(theta + self._offset, 0.0, w)
 
     def row_hess(self, theta, W, t: int = 0) -> Array:
         W = np.asarray(W, dtype=float)[self._flat_x, self._flat_y]
-        return self._softmax.curvature(theta + self._offset, W, 0.0)
+        return self._softmax.curvature(theta + self._offset, W, 0.0).dense()
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> Array:
         return self._score_sums(theta + self._offset, None, x, y, coef, groups, n_groups)
@@ -960,7 +987,7 @@ class KlToFixedChainCost(CostModel):
         _, xs, ys, logr = row_kl(P, self.reference)
         C = np.zeros_like(P)
         C[xs, ys] = w[xs] * logr
-        return self.chain.row_hess(theta, C, t) + self.chain.fisher(theta, w, t)
+        return self.chain.row_hess(theta, C, t) + self.chain.fisher(theta, w, t).dense()
 
 
 class PolicyEntropyCost(CostModel):

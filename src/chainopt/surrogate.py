@@ -22,7 +22,7 @@ from .errors import (
     RegularizationRequiredError,
 )
 from .exact import Solution, solution_at
-from .model import Average, Problem, TimeVarying, check_params
+from .model import Average, BlockDiagonal, Problem, TimeVarying, check_params
 from .rollout import (
     RolloutBatch,
     baseline_expected_values,
@@ -414,15 +414,25 @@ def chain_iteration_step(
 
 @dataclass
 class FisherMatrix:
-    """Score-covariance metric with its estimation provenance."""
+    """Score-covariance metric with its estimation provenance, held as a
+    BlockDiagonal; a (p, p) array given as blocks is one block."""
 
-    matrix: np.ndarray
+    blocks: BlockDiagonal
     source: str
     n_rollouts: int = 0
     stderr: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        if not isinstance(self.blocks, BlockDiagonal):
+            self.blocks = BlockDiagonal.full(self.blocks)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The assembled dense (p, p) metric."""
+        return self.blocks.dense()
+
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix).min())
+        return min(float(np.linalg.eigvalsh(B).min()) for _, B in self.blocks.groups)
 
 
 def fisher_matrix(
@@ -435,12 +445,14 @@ def fisher_matrix(
 
     Exact form: sum_x w(x) sum_y P(y|x) score score^T, with w the
     mass-normalized occupancy (stationary density in the average setting),
-    built by the chain's fisher from per-row blocks; a solution computed
+    in the blocks of the chain's fisher: one per row on softmax and
+    policy-averaged chains, one dense block otherwise. A solution computed
     at theta may be passed in to skip the solve.
-    Sampled form: discount-weighted outer products of the transitions'
-    scores over the batch, normalized by the discount-weighted state-visit
-    mass. Under geometric stopping the realized transition mass carries an
-    extra factor of gamma, which the weights divide back out.
+    Sampled form: one dense block of the discount-weighted outer products
+    of the transitions' scores over the batch, normalized by the
+    discount-weighted state-visit mass. Under geometric stopping the
+    realized transition mass carries an extra factor of gamma, which the
+    weights divide back out.
     """
     theta = check_params(theta, problem.n_params)
     if batch is None:
@@ -448,7 +460,8 @@ def fisher_matrix(
             raise CapabilityError("exact Fisher needs a tabular chain")
         sol = _stationary_solution(problem, theta, solution)
         F = problem.chain.fisher(theta, sol.weights / sol.weights.sum())
-        return FisherMatrix(matrix=0.5 * (F + F.T), source="exact")
+        groups = tuple((idx, 0.5 * (B + np.swapaxes(B, -1, -2))) for idx, B in F.groups)
+        return FisherMatrix(BlockDiagonal(F.n, groups), source="exact")
 
     check_batch(theta, batch)
     gamma = problem.gamma
@@ -471,16 +484,18 @@ def fisher_matrix(
     # stderr of the ratio estimator via linearization around the means
     resid = nums - F[None, :, :] * dens[:, None, None]
     se = resid.std(axis=0, ddof=1) / (np.sqrt(n) * dens.mean()) if n > 1 else None
-    return FisherMatrix(matrix=0.5 * (F + F.T), source="sampled", n_rollouts=n, stderr=se)
+    return FisherMatrix(0.5 * (F + F.T), source="sampled", n_rollouts=n, stderr=se)
 
 
-def fisher_range(F):
-    """Eigenpairs of a symmetric metric on its numerical range, the
-    eigenvalues above 1e-10 times the top one: (values, vectors, top)."""
-    w, V = np.linalg.eigh(F)
-    top = max(float(w.max()), 1e-300)
-    keep = w > 1e-10 * top
-    return w[keep], V[:, keep], top
+def fisher_range(F: BlockDiagonal):
+    """Eigenpairs of a symmetric block metric, group by group, and its top
+    eigenvalue: ([(index, values, vectors)], top), with batched (m, k)
+    values and (m, k, k) vectors. The numerical range is the eigenvalues
+    above 1e-10 times the top one; the values off it read inf, so that a
+    division by them drops their vectors."""
+    eig = [(idx, *np.linalg.eigh(B)) for idx, B in F.groups]
+    top = max([1e-300] + [float(w[:, -1].max()) for _, w, _ in eig])
+    return [(idx, np.where(w > 1e-10 * top, w, np.inf), V) for idx, w, V in eig], top
 
 
 def natural_gradient(grad, fisher: FisherMatrix, damping: float = 0.0) -> np.ndarray:
@@ -489,16 +504,22 @@ def natural_gradient(grad, fisher: FisherMatrix, damping: float = 0.0) -> np.nda
     Softmax rows carry a logit-shift gauge, so the Fisher is singular; the
     direction lives in its range, with the ridge scaled to the top
     eigenvalue. Damped directions stay bounded even for flat geometry.
+    A block-diagonal F has its blocks' eigenpairs, so the direction is
+    solved block by block, with one batched eigh per block size.
     """
     grad = np.asarray(grad, dtype=float)
-    F = fisher.matrix
-    p = grad.shape[0]
-    if F.shape != (p, p):
+    F = fisher.blocks
+    if grad.shape != (F.n,):
         raise ConfigError("Fisher matrix and gradient sizes disagree")
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(grad))):
+    finite = all(np.isfinite(B).all() for _, B in F.groups)
+    if not (finite and np.all(np.isfinite(grad))):
         raise InvalidStructureError("natural gradient needs a finite metric and gradient")
-    w, V, top = fisher_range(F)
-    return V @ ((V.T @ grad) / (w + damping * top))
+    eig, top = fisher_range(F)
+    out = np.zeros(F.n)
+    for idx, w, V in eig:
+        c = np.einsum("mji,mj->mi", V, grad[idx]) / (w + damping * top)
+        out[idx] = np.einsum("mij,mj->mi", V, c)
+    return out
 
 
 def surrogate_hessian(

@@ -562,10 +562,14 @@ def compatible_natural_gradient_check(
     omega = np.linalg.lstsq(W @ phi, W @ v, rcond=None)[0]
     u = theta - omega
 
-    _, V, _ = fisher_range(fisher.matrix)
-    proj = V @ V.T
-    diff_aligned = float(np.abs(proj @ nat - proj @ u).max())
-    diff_raw = float(np.abs(nat - u).max())
+    # nat - u projected onto the range of F, block by block
+    diff = nat - u
+    aligned = np.zeros_like(diff)
+    for idx, w, V in fisher_range(fisher.blocks)[0]:
+        V = V * np.isfinite(w)[:, None, :]
+        aligned[idx] = np.einsum("mij,mkj,mk->mi", V, V, diff[idx])
+    diff_aligned = float(np.abs(aligned).max())
+    diff_raw = float(np.abs(diff).max())
     return CompatibleGradientReport(
         natural_grad=nat,
         omega=omega,

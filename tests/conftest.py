@@ -66,6 +66,18 @@ def dense_fisher(chain, theta, w, t=0):
     return np.einsum("x,xy,xyp,xyq->pq", w, P, S, S)
 
 
+def dense_natural_gradient(grad, F, damping=0.0):
+    """(F + damping * top I)^+ grad on the numerical range of a dense
+    (p, p) metric, by one eigh of the whole matrix: eigenvalues above 1e-10
+    times the top one, a ridge of damping times the top one. The reference
+    for the block-wise natural_gradient."""
+    w, V = np.linalg.eigh(F)
+    top = max(float(w.max()), 1e-300)
+    keep = w > 1e-10 * top
+    w, V = w[keep], V[:, keep]
+    return V @ ((V.T @ grad) / (w + damping * top))
+
+
 def dense_grad_table(cost, theta, t=0):
     """The (n_states, n_params) table whose row x is dL(x, theta), read
     through grad_sum at the identity weights: the per-state reference."""

@@ -374,6 +374,17 @@ class TestOneSolvePerTheta:
             consumer(prob, theta_for(prob, 2))
 
     @pytest.mark.parametrize("setting", FOUR_SETTINGS, ids=FOUR_IDS)
+    def test_stacked_weights_match_each_solve(self, setting):
+        """The weights of a solve at a (3, p) stack of theta are the three
+        single solves' weights, stacked in order."""
+        prob = problem_in(setting, 7, 4)
+        stack = np.stack([theta_for(prob, s) for s in (5, 6, 7)])
+        weights = exact._solve_at(prob, stack).weights
+        assert weights.shape == (3,) + solve(prob, stack[0]).weights.shape
+        for theta, w in zip(stack, weights):
+            np.testing.assert_allclose(w, solve(prob, theta).weights, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("setting", FOUR_SETTINGS, ids=FOUR_IDS)
     def test_gradient_refuses_a_solution_of_another_problem_or_theta(self, setting):
         """A passed solution is read in every setting: its own is used as
         is, and one of an equal problem or of another theta is refused."""

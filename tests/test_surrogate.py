@@ -240,19 +240,19 @@ class TestFisher:
 
     def test_identity_metric_is_a_no_op(self):
         grad = np.array([0.3, -1.2, 0.05])
-        F = FisherMatrix(matrix=np.eye(3), source="exact")
+        F = FisherMatrix(np.eye(3), source="exact")
         np.testing.assert_allclose(natural_gradient(grad, F), grad, atol=1e-14)
 
     def test_damping_escalation_handles_semidefinite_metric(self):
         grad = np.array([1.0, 2.0])
-        F = FisherMatrix(matrix=np.diag([1.0, 0.0]), source="exact")
+        F = FisherMatrix(np.diag([1.0, 0.0]), source="exact")
         out = natural_gradient(grad, F, damping=0.0)
         assert np.all(np.isfinite(out))
         assert abs(out[0] - 1.0) < 1e-6
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            natural_gradient(np.ones(2), FisherMatrix(matrix=np.eye(3), source="exact"))
+            natural_gradient(np.ones(2), FisherMatrix(np.eye(3), source="exact"))
 
 
 class TestSurrogateHessianEntry:
@@ -391,13 +391,13 @@ class TestContinuousSampledSurrogate:
 
 class TestDampedSolve:
     def test_non_finite_metric_raises(self):
-        F = FisherMatrix(matrix=np.array([[1.0, np.nan], [np.nan, 1.0]]), source="sampled")
+        F = FisherMatrix(np.array([[1.0, np.nan], [np.nan, 1.0]]), source="sampled")
         with pytest.raises(InvalidStructureError):
             natural_gradient(np.ones(2), F)
 
     def test_non_finite_gradient_raises(self):
         with pytest.raises(InvalidStructureError):
-            natural_gradient(np.array([1.0, np.inf]), FisherMatrix(matrix=np.eye(2), source="exact"))
+            natural_gradient(np.array([1.0, np.inf]), FisherMatrix(np.eye(2), source="exact"))
 
     def test_indefinite_hessian_gives_finite_newton_direction(self):
         d = _damped_solve(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))

@@ -129,7 +129,7 @@ def test_softmax_row_vjp_matches_dense_reference(case):
 def test_softmax_fisher_matches_dense_reference(case):
     chain, theta, rng = case
     w = rng.uniform(0.0, 1.0, size=chain.n_states)
-    F = chain.fisher(theta, w)
+    F = chain.fisher(theta, w).dense()
     assert F.shape == (chain.n_params, chain.n_params)
     assert_close(F, dense_fisher(chain, theta, w))
 
@@ -140,9 +140,9 @@ def test_chain_without_parameters():
     theta = np.zeros(0)
     np.testing.assert_array_equal(chain.transition_matrix(theta), np.eye(4))
     assert chain.row_vjp(theta, np.ones((4, 4))).shape == (0,)
-    assert chain.fisher(theta, np.ones(4)).shape == (0, 0)
+    assert chain.fisher(theta, np.ones(4)).dense().shape == (0, 0)
     assert ChainModel.row_vjp(chain, theta, np.ones((4, 4))).shape == (0,)
-    assert ChainModel.fisher(chain, theta, np.ones(4)).shape == (0, 0)
+    assert ChainModel.fisher(chain, theta, np.ones(4)).dense().shape == (0, 0)
 
 
 @st.composite
@@ -181,8 +181,8 @@ def test_segment_softmax_matches_dense_references(case):
     np.testing.assert_array_equal(kernel.probs(stack), P[:, chain._flat_x, chain._flat_y])
     assert_close(kernel.vjp(theta, c), dense_row_vjp(chain, theta, W))
     fisher = dense_fisher(chain, theta, w)
-    assert_close(kernel.curvature(theta, 0.0, w_k), fisher)
-    H = kernel.curvature(theta, c, w_k)
+    assert_close(kernel.curvature(theta, 0.0, w_k).dense(), fisher)
+    H = kernel.curvature(theta, c, w_k).dense()
     assert H.shape == (chain.n_params, chain.n_params)
     np.testing.assert_allclose(H, H.T, rtol=0, atol=1e-12)
     if chain.n_params:
@@ -206,7 +206,9 @@ def test_time_varying_chain_forwards_to_its_stage(case):
     w = rng.uniform(size=n)
     for t, stage in ((0, chain), (1, other), (5, other)):
         np.testing.assert_array_equal(tv.row_vjp(theta, W, t), stage.row_vjp(theta, W))
-        np.testing.assert_array_equal(tv.fisher(theta, w, t), stage.fisher(theta, w))
+        np.testing.assert_array_equal(
+            tv.fisher(theta, w, t).dense(), stage.fisher(theta, w).dense()
+        )
 
 
 @st.composite
@@ -253,9 +255,9 @@ def test_policy_averaged_fisher_matches_dense_reference(case, scale, keep_termin
     chain = PolicyAveragedChain(trans, policy, terminal=terminal if keep_terminal else ())
     theta = scale * rng.normal(size=policy.n_params)
     w = rng.uniform(0.0, 1.0, size=policy.n_states)
-    F = chain.fisher(theta, w)
+    F = chain.fisher(theta, w).dense()
     assert_close(F, dense_fisher(chain, theta, w))
-    assert_close(F, ChainModel.fisher(chain, theta, w))
+    assert_close(F, ChainModel.fisher(chain, theta, w).dense())
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,7 @@ def test_generic_row_vjp_and_fisher_match_the_dense_reference(name, values, seed
     W = rng.normal(size=(chain.n_states, chain.n_states))
     w = rng.uniform(size=chain.n_states)
     assert_close(ChainModel.row_vjp(chain, theta, W, t), dense_row_vjp(chain, theta, W, t))
-    F = ChainModel.fisher(chain, theta, w, t)
+    F = ChainModel.fisher(chain, theta, w, t).dense()
     assert F.shape == (chain.n_params, chain.n_params)
     assert_close(F, dense_fisher(chain, theta, w, t))
 

@@ -51,6 +51,7 @@ from .problems import (
     random_timevarying_problem,
 )
 from .rollout import (
+    _stderr,
     effective_gamma,
     estimate_gradient,
     fit_value_approx,
@@ -545,8 +546,7 @@ class _AdamState:
 def _batch_j_estimate(problem, batch):
     steps = batch.steps(effective_gamma(problem, batch))
     vals = steps.returns[steps.first]
-    stderr = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return float(vals.mean()), stderr
+    return float(vals.mean()), float(_stderr(vals))
 
 
 def run_optimize(config: ExperimentConfig, out_dir=None) -> dict:

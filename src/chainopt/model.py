@@ -182,11 +182,14 @@ class ChainModel(abc.ABC):
     (..., n_params), and returns the matrices stacked alike, (..., n, n).
     The exact solvers refuse a table of any other shape; the
     finite-difference oracle then re-probes one theta at a time.
-    Continuous chains work per transition (score, log_prob, log_prob_hess).
+    A continuous chain has n_x-dimensional states and answers for (m, n_x)
+    arrays of transitions x[k] -> y[k] at once: score_sums as above,
+    log_density and density_hess.
     """
 
     n_params: int = 0
     n_states: Optional[int] = None
+    n_x: Optional[int] = None
     terminal: frozenset = frozenset()
 
     tabular: bool = False
@@ -210,6 +213,14 @@ class ChainModel(abc.ABC):
     def row_hess(self, theta: Array, W: Array, t: int = 0) -> Array:
         """sum_{x,y} W[x, y] d2P[x, y]/dtheta2, shape (n_params, n_params):
         the second-order twin of row_vjp."""
+        raise CapabilityError(f"{type(self).__name__} has no second derivatives")
+
+    def log_density(self, theta: Array, x, y, t: int = 0) -> Array:
+        """log p(y[k] | x[k], theta) of each continuous transition, shape (m,)."""
+        raise CapabilityError(f"{type(self).__name__} has no log density")
+
+    def density_hess(self, theta: Array, x, y, coef, t: int = 0) -> Array:
+        """sum_k coef[k] d2p(y[k] | x[k])/dtheta2 / p(y[k] | x[k]): the continuous row_hess."""
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
 
     def score_table(self, theta: Array, t: int = 0) -> Array:
@@ -298,15 +309,19 @@ class CostModel(abc.ABC):
     n_states is the number of states it covers. value_table also takes
     theta of shape (..., n_params) and returns the tables stacked alike,
     (..., n_states); the exact solvers refuse a table of any other shape,
-    as for ChainModel.transition_matrix. A cost on continuous states
-    evaluates one state at a time through value(x, theta, t),
-    grad(x, theta, t) and hess(x, theta, t). As for ChainModel, a cost
-    supports what it implements: a method it lacks raises CapabilityError
-    naming the cost's class.
+    as for ChainModel.transition_matrix. A cost on n_x-dimensional
+    continuous states answers for an (m, n_x) array x of them at once:
+    state_values(theta, x, t) holds L(x[k], theta), shape (m,);
+    state_grad_sums(theta, x, w, groups, n_groups, t) sums w[k] dL(x[k],
+    theta) per group, as ChainModel.score_sums sums scores; and
+    state_hess_sum(theta, x, w, t) = sum_k w[k] d2L(x[k], theta). As for
+    ChainModel, a cost supports what it implements: a method it lacks
+    raises CapabilityError naming the cost's class.
     """
 
     n_params: int = 0
     n_states: Optional[int] = None
+    n_x: Optional[int] = None
 
     def value_table(self, theta: Array, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no cost table")
@@ -315,6 +330,15 @@ class CostModel(abc.ABC):
         raise CapabilityError(f"{type(self).__name__} has no cost table")
 
     def hess_sum(self, theta: Array, w: Array, t: int = 0) -> Array:
+        raise CapabilityError(f"{type(self).__name__} has no second derivatives")
+
+    def state_values(self, theta: Array, x, t: int = 0) -> Array:
+        raise CapabilityError(f"{type(self).__name__} has no state values")
+
+    def state_grad_sums(self, theta: Array, x, w, groups, n_groups: int, t: int = 0) -> Array:
+        raise CapabilityError(f"{type(self).__name__} has no state gradients")
+
+    def state_hess_sum(self, theta: Array, x, w, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
 
     def grad_eta(self, x, eta, t: int = 0) -> Array:
@@ -626,11 +650,12 @@ class FixedTabularChain(ChainModel):
 
 
 class GaussianLinearChain(ChainModel):
-    """Continuous-state chain x' ~ Normal(A x + B mu(x, theta), cov).
+    """Continuous-state chain x' ~ Normal(A x + B (K x + theta), cov).
 
-    The policy output mu(x, theta) = K x + theta is the bottleneck: theta
-    is the offset, one entry per input, and the gain K = K_fixed (zero by
-    default) stays fixed.
+    theta is the policy's offset, one entry per input, and the gain
+    K = K_fixed (zero by default) stays fixed. The score of a transition
+    x -> y is B' cov^-1 (y - (A + B K) x - B theta). The chain is
+    time-invariant: its methods accept any t and ignore it.
     """
 
     def __init__(self, A, B, cov, K_fixed=None):
@@ -651,39 +676,41 @@ class GaussianLinearChain(ChainModel):
         if K_fixed is None:
             K_fixed = np.zeros((self.n_u, self.n_x))
         self.K_fixed = np.asarray(K_fixed, dtype=float)
-        self.n_bottleneck = self.n_u
+        if self.K_fixed.shape != (self.n_u, self.n_x):
+            raise InvalidStructureError(
+                f"K_fixed has shape {self.K_fixed.shape}, expected ({self.n_u}, {self.n_x})"
+            )
         self.n_params = self.n_u
+        self._closed = self.A + self.B @ self.K_fixed
+        self._gain = self._prec @ self.B
+        self._log_norm = np.linalg.slogdet(self.cov)[1] + self.n_x * math.log(2.0 * math.pi)
 
-    def bottleneck(self, x, theta, t: int = 0) -> Array:
-        return self.K_fixed @ np.asarray(x, dtype=float) + np.asarray(theta, dtype=float)
+    def _resid(self, theta, x, y) -> Array:
+        """y[k] less its mean given x[k], for each transition; shape (m, n_x)."""
+        off = self.B @ np.asarray(theta, dtype=float)
+        return np.asarray(y, dtype=float) - (np.asarray(x, dtype=float) @ self._closed.T + off)
 
-    def bottleneck_jac(self, x, theta, t: int = 0) -> Array:
-        return np.eye(self.n_u)
+    def score_sums(self, theta, x, y, coef, groups, n_groups: int, t=0) -> Array:
+        S = np.asarray(coef, dtype=float)[:, None] * (self._resid(theta, x, y) @ self._gain)
+        out = np.zeros((n_groups, self.n_params))
+        np.add.at(out, groups, S)
+        return out
 
-    def mean(self, x, theta, t: int = 0) -> Array:
-        return self.A @ np.asarray(x, dtype=float) + self.B @ self.bottleneck(x, theta, t)
+    def log_density(self, theta, x, y, t=0) -> Array:
+        resid = self._resid(theta, x, y)
+        return -0.5 * (np.sum((resid @ self._prec) * resid, axis=1) + self._log_norm)
 
-    def score(self, x, x_next, theta, t: int = 0) -> Array:
-        resid = np.asarray(x_next, dtype=float) - self.mean(x, theta, t)
-        jm = self.B @ self.bottleneck_jac(x, theta, t).T
-        return jm.T @ (self._prec @ resid)
-
-    def log_prob(self, x, x_next, theta, t: int = 0) -> float:
-        resid = np.asarray(x_next, dtype=float) - self.mean(x, theta, t)
-        quad = resid @ self._prec @ resid
-        _, logdet = np.linalg.slogdet(self.cov)
-        return -0.5 * (quad + logdet + self.n_x * math.log(2.0 * math.pi))
-
-    def log_prob_hess(self, x, x_next, theta, t: int = 0) -> Array:
-        jm = self.B @ self.bottleneck_jac(x, theta, t).T
-        return -(jm.T @ self._prec @ jm)
+    def density_hess(self, theta, x, y, coef, t=0) -> Array:
+        # d2p / p = s s' + d2 log p, and d2 log p = -B' cov^-1 B at every transition
+        S, coef = self._resid(theta, x, y) @ self._gain, np.asarray(coef, dtype=float)
+        return (S.T * coef) @ S - coef.sum() * self.eta_fisher()
 
     def eta_fisher(self) -> Array:
-        """Per-transition information of the bottleneck output, B' cov^-1 B."""
+        """Per-transition information of the policy output, B' cov^-1 B."""
         return self.B.T @ self._prec @ self.B
 
     def make_sampler(self, theta, t: int = 0):
-        M = self.A + self.B @ self.K_fixed
+        M = self._closed
         off = self.B @ np.asarray(theta, dtype=float)
         chol = self._chol
         n = self.n_x
@@ -886,20 +913,23 @@ class QuadraticCost(CostModel):
 
 
 class StateQuadraticCost(CostModel):
-    """Parameter-free cost x'Mx for continuous states."""
+    """Parameter-free cost x'Mx on continuous states, at any t."""
 
     def __init__(self, M, n_params=0):
         self.M = np.asarray(M, dtype=float)
+        if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1] or not np.isfinite(self.M).all():
+            raise InvalidStructureError(f"M must be finite and square, got shape {self.M.shape}")
+        self.n_x = self.M.shape[0]
         self.n_params = int(n_params)
 
-    def value(self, x, theta, t: int = 0) -> float:
-        xv = np.asarray(x, dtype=float)
-        return float(xv @ self.M @ xv)
+    def state_values(self, theta, x, t=0) -> Array:
+        x = np.asarray(x, dtype=float)
+        return np.sum((x @ self.M) * x, axis=1)
 
-    def grad(self, x, theta, t: int = 0) -> Array:
-        return np.zeros(self.n_params)
+    def state_grad_sums(self, theta, x, w, groups, n_groups: int, t=0) -> Array:
+        return np.zeros((n_groups, self.n_params))
 
-    def hess(self, x, theta, t: int = 0) -> Array:
+    def state_hess_sum(self, theta, x, w, t=0) -> Array:
         return np.zeros((self.n_params, self.n_params))
 
 
@@ -1081,6 +1111,10 @@ class Problem:
         if self.cost.n_states is not None and self.cost.n_states != self.chain.n_states:
             raise InvalidStructureError(
                 f"cost covers {self.cost.n_states} states but the chain has {self.chain.n_states}"
+            )
+        if None not in (self.cost.n_x, self.chain.n_x) and self.cost.n_x != self.chain.n_x:
+            raise InvalidStructureError(
+                f"cost takes states of shape ({self.cost.n_x},), the chain ({self.chain.n_x},)"
             )
         if isinstance(self.setting, FirstExit):
             if not self.chain.tabular:

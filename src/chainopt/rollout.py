@@ -24,7 +24,8 @@ inverse-CDF lookup in the cumulative rows of the transition matrix, the
 rows ``ChainModel.make_sampler`` draws from, with ``sample_index``'s clamp
 to the row's last positive entry. Continuous chains mix uniform and
 normal draws on one stream and keep a per-step loop per rollout; a step
-that leaves the finite numbers diverges its rollout.
+that leaves the finite numbers diverges its rollout. One state_values
+call then costs all kept states.
 
 Every batch is one layout (``_Flat``): the states of the rollouts that
 did not diverge, rollout after rollout, each step's time, costs, and the
@@ -33,7 +34,8 @@ rollouts. Generation, ``batch_from_arrays`` and ``batch_from_jsonl`` build
 it; the estimators and the batch's summaries read it. A score
 d log P(y | x, theta) belongs to the chain, theta and the sampled
 transition, not to the batch: ``transition_scores`` computes the scores of
-a batch's transitions when an estimator needs them. ``batch.rollouts`` is
+a batch's transitions when an estimator needs them, from one score_sums
+call on a tabular and a continuous chain alike. ``batch.rollouts`` is
 a read-only list of per-rollout views, for the jsonl dump and for readers
 outside the library.
 
@@ -209,7 +211,10 @@ class RolloutBatch:
     def steps(self, gamma: float) -> "BatchSteps":
         """batch_steps(self, gamma), built once per gamma and shared: the
         estimators and the value fit read the same batch, often at
-        different iterations."""
+        different iterations. A batch with no kept rollout has no steps
+        and raises InvalidStructureError."""
+        if not self.flat.lengths.size:
+            raise InvalidStructureError(f"the batch kept no rollout: {self.n_diverged} diverged")
         if gamma not in self._steps:
             self._steps[gamma] = batch_steps(self, gamma)
         return self._steps[gamma]
@@ -475,10 +480,11 @@ def _continuous_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv
     """One draw loop per rollout. A rollout whose next state is not finite
     has diverged: the batch drops it and counts it in n_diverged. That
     check is the handling of an overflowing step, so the draws run with
-    numpy's overflow and invalid-value warnings off."""
+    numpy's overflow and invalid-value warnings off. The costs of the
+    kept states are one state_values call after the draws."""
     samplers = [problem.chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
     stop_prob = 1.0 - problem.gamma
-    kept, ends = [], []
+    kept, lengths, codes = [], [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for rng in _rollout_streams(seed, n_rollouts):
             states = [problem.init.sample(rng)]
@@ -493,16 +499,15 @@ def _continuous_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv
                     break
                 states.append(x_next)
             if end is not None:
-                kept.append(states)
-                ends.append(end)
-    costs = [
-        np.array([problem.cost.value(x, theta, t if tv else 0) for t, x in enumerate(states)])
-        for states in kept
-    ]
-    kept = [np.asarray(states, dtype=float) for states in kept]
-    return batch_from_arrays(
-        kept, costs, ends, theta, seed, mode, horizon_cap, n_rollouts - len(ends)
-    )
+                kept += states
+                lengths.append(len(states))
+                codes.append(_REASONS.index(end))
+    states = np.array(kept, dtype=float).reshape(-1, problem.init.mean.size)
+    lengths = np.array(lengths, dtype=np.int64)
+    t = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    costs = problem.cost.state_values(theta, states, t if tv else 0)
+    flat = _Flat(states, t, costs, lengths, np.array(codes, dtype=np.int64))
+    return RolloutBatch(flat, theta, seed, mode, horizon_cap, n_rollouts - lengths.size)
 
 
 def effective_gamma(problem: Problem, batch: RolloutBatch) -> float:
@@ -569,23 +574,18 @@ def _batch_returns(costs, lengths, first, gamma) -> np.ndarray:
 
 def transition_scores(problem: Problem, theta, steps: BatchSteps) -> np.ndarray:
     """The score d log P(y | x, theta) of each transition steps.trans,
-    shape (transitions, n_params): on a tabular chain from one score_sums
-    call, one group per transition; on a continuous chain from chain.score
-    per transition."""
-    chain, p = problem.chain, problem.n_params
-    k = steps.trans
-    tv = isinstance(problem.setting, TimeVarying)
-    stage = steps.t[k] if tv else np.zeros_like(k)
-    if not chain.tabular:
-        scores = [
-            chain.score(steps.states[j], steps.states[j + 1], theta, s)
-            for j, s in zip(k.tolist(), stage.tolist())
-        ]
-        return np.array(scores).reshape(k.size, p)
-    x, y, ones, group = steps.states[k], steps.states[k + 1], np.ones(k.size), np.arange(k.size)
-    if tv:  # one call at the transitions' times
-        return staged(chain).score_sums(theta, x, y, ones, group, k.size, stage)
-    return chain.score_sums(theta, x, y, ones, group, k.size)
+    shape (transitions, n_params): one score sum per transition."""
+    k = steps.trans.size
+    return _score_sums(problem, theta, steps, np.ones(k), np.arange(k), k)
+
+
+def _score_sums(problem: Problem, theta, steps: BatchSteps, coef, groups, n_groups: int):
+    """The chain's score_sums over the transitions steps.trans, in one call
+    at the transitions' times in a time-varying problem."""
+    chain, k, t = problem.chain, steps.trans, 0
+    if isinstance(problem.setting, TimeVarying):
+        chain, t = staged(chain) if chain.tabular else chain, steps.t[k]
+    return chain.score_sums(theta, steps.states[k], steps.states[k + 1], coef, groups, n_groups, t)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +696,6 @@ def estimate_gradient(
     gamma = effective_gamma(problem, batch)
     steps = batch.steps(gamma)
     n_valid = steps.lengths.size
-    if not n_valid:
-        raise InvalidStructureError("no valid rollouts in the batch")
     k = steps.trans
     adv = steps.returns[k + 1]
     if baseline is not None:
@@ -733,44 +731,31 @@ def _stderr(per_rollout: np.ndarray) -> np.ndarray:
 
 def _contributions(problem, theta, batch, steps: BatchSteps, step_w, coef) -> np.ndarray:
     """Per-rollout sums of step_w * dL(x_t) over the steps plus coef *
-    score_t over the transitions steps.trans, shape (rollouts, n_params)."""
-    if problem.chain.tabular:
-        return _tabular_contributions(problem, theta, batch, steps, step_w, coef)
-    return _continuous_contributions(problem, theta, batch, steps, step_w, coef)
+    score_t over the transitions steps.trans, shape (rollouts, n_params):
+    one cost call and one score_sums call, with no per-step or per-stage
+    Python."""
+    out = _cost_grad_sums(problem, theta, batch, steps, step_w)
+    out += _score_sums(problem, theta, steps, coef, steps.owner[steps.trans], steps.lengths.size)
+    return out
 
 
-def _tabular_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
-    """One bincount of the step weights over (rollout, time, state),
-    contracted by one cost grad_sum, plus one call of the chain's score
-    sums over the transitions; no per-step or per-stage Python."""
-    chain, cost = problem.chain, problem.cost
-    n, m = chain.n_states, steps.lengths.size
-    k = steps.trans
-    x, y, group = steps.states[k], steps.states[k + 1], steps.owner[k]
-    if isinstance(problem.setting, TimeVarying):
+def _cost_grad_sums(problem, theta, batch, steps: BatchSteps, step_w) -> np.ndarray:
+    """Per-rollout sums of step_w * dL(x_t): on a tabular chain one bincount
+    of the step weights over (rollout, time, state) contracted by one cost
+    grad_sum, on a continuous one the cost's state_grad_sums."""
+    cost, m = problem.cost, steps.lengths.size
+    tv = isinstance(problem.setting, TimeVarying)
+    if not problem.chain.tabular:
+        t = steps.t if tv else 0
+        return cost.state_grad_sums(theta, steps.states, step_w, steps.owner, m, t)
+    n = problem.chain.n_states
+    if tv:
         n_times = batch.horizon_cap + 1
         cell = (steps.owner * n_times + np.minimum(steps.t, n_times - 1)) * n + steps.states
         mass = np.bincount(cell, weights=step_w, minlength=m * n_times * n)
-        out = staged(cost).grad_sum(theta, mass.reshape(m, n_times, n), np.arange(n_times))
-        out += staged(chain).score_sums(theta, x, y, coef, group, m, steps.t[k])
-        return out
+        return staged(cost).grad_sum(theta, mass.reshape(m, n_times, n), np.arange(n_times))
     mass = np.bincount(steps.owner * n + steps.states, weights=step_w, minlength=m * n)
-    out = cost.grad_sum(theta, mass.reshape(m, n))
-    out += chain.score_sums(theta, x, y, coef, group, m)
-    return out
-
-
-def _continuous_contributions(problem, theta, batch, steps: BatchSteps, step_w, coef):
-    """Per-step cost gradients and the transitions' scores, summed per rollout."""
-    cost = problem.cost
-    tv = isinstance(problem.setting, TimeVarying)
-    stage = steps.t if tv else np.zeros_like(steps.t)
-    out = np.zeros((steps.lengths.size, problem.n_params))
-    gL = np.stack([cost.grad(x, theta, int(s)) for x, s in zip(steps.states, stage)])
-    np.add.at(out, steps.owner, step_w[:, None] * gL)
-    k = steps.trans
-    np.add.at(out, steps.owner[k], coef[:, None] * transition_scores(problem, theta, steps))
-    return out
+    return cost.grad_sum(theta, mass.reshape(m, n))
 
 
 # ---------------------------------------------------------------------------

@@ -55,23 +55,6 @@ def _table_hess(problem: Problem, th, w, W) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def _hessian(problem: Problem, th, states, w, xs, ys, c) -> np.ndarray:
-    """sum_k w_k d2L(states_k) + sum_j c_j (s s^T + d2 log P)(xs_j -> ys_j) at
-    th on a continuous chain, symmetrized; c_j is the draw's coefficient."""
-    chain, cost = problem.chain, problem.cost
-    for model, method in ((chain, "log_prob_hess"), (cost, "hess")):
-        if not hasattr(model, method):
-            raise CapabilityError(f"{type(model).__name__} has no {method}")
-    p = problem.n_params
-    H = np.zeros((p, p))
-    for x, wx in zip(states, w):
-        H += wx * cost.hess(x, th)
-    for x, y, cxy in zip(xs, ys, c):
-        s = chain.score(x, y, th)
-        H += cxy * (np.outer(s, s) + chain.log_prob_hess(x, y, th))
-    return 0.5 * (H + H.T)
-
-
 # ---------------------------------------------------------------------------
 # Exact surrogate
 # ---------------------------------------------------------------------------
@@ -134,7 +117,8 @@ class SampledSurrogate:
     discounted visit mass of each state and W the summed coefficients
     g^{t+1} Ahat_t of each transition divided by P(theta), so S is
     w . L + <W, P>, the exact surrogate's form. On a continuous chain the
-    sums run over the sampled transitions, and log ratios are capped at 30
+    sums run over the sampled states and transitions, each a call of the
+    cost's and the chain's batched methods, and log ratios are capped at 30
     (counted in n_ratio_clipped) to keep far perturbations finite.
     """
 
@@ -157,8 +141,6 @@ class SampledSurrogate:
 
         steps = batch.steps(self.gamma)
         self.n_valid = steps.lengths.size
-        if not self.n_valid:
-            raise CapabilityError("batch has no usable rollouts")
         self.states = steps.states
         self.state_w = steps.weights
         k = steps.trans
@@ -189,19 +171,15 @@ class SampledSurrogate:
             self._W[self._pairs] = (pos + neg) / self._p0
         else:
             self._w = self.state_w / self.n_valid
-            self._logp0 = self._log_probs(self.theta)
+            self._logp0 = chain.log_density(self.theta, self.trans_x, self.trans_y)
         self._pos, self._neg = pos, neg
-
-    def _log_probs(self, th):
-        chain = self.problem.chain
-        return np.array([chain.log_prob(x, y, th) for x, y in zip(self.trans_x, self.trans_y)])
 
     def _ratios(self, th):
         """(ratios P(th) / P(theta) of the sampled terms, P(th) or None)."""
         if self.tabular:
             P = self.problem.chain.transition_matrix(th)
             return P[self._pairs] / self._p0, P
-        logr = self._log_probs(th) - self._logp0
+        logr = self.problem.chain.log_density(th, self.trans_x, self.trans_y) - self._logp0
         over = logr > _LOG_RATIO_CAP
         if np.any(over):
             self.n_ratio_clipped += int(over.sum())
@@ -211,7 +189,7 @@ class SampledSurrogate:
     def _value(self, th, r, P) -> float:
         if self.tabular:
             return _table_value(self.problem, th, self._w, self._W, P)
-        L = np.array([self.problem.cost.value(x, th) for x in self.states])
+        L = self.problem.cost.state_values(th, self.states)
         return float(self._w @ L + (self._pos + self._neg) @ r)
 
     def _grad(self, th, r, dropped) -> np.ndarray:
@@ -221,12 +199,11 @@ class SampledSurrogate:
             W = self._W.copy()
             W[self._pairs] -= dropped / self._p0
             return _table_grad(self.problem, th, self._w, W)
-        chain, cost, p = self.problem.chain, self.problem.cost, self.problem.n_params
-        G = np.array([cost.grad(x, th) for x in self.states]).reshape(-1, p)
-        S = np.array(
-            [chain.score(x, y, th) for x, y in zip(self.trans_x, self.trans_y)]
-        ).reshape(-1, p)
-        return self._w @ G + ((self._pos + self._neg - dropped) * r) @ S
+        c = (self._pos + self._neg - dropped) * r
+        one = np.zeros(len(self.states), np.int64)  # group 0; transitions are fewer than states
+        G = self.problem.cost.state_grad_sums(th, self.states, self._w, one, 1)
+        S = self.problem.chain.score_sums(th, self.trans_x, self.trans_y, c, one[: c.size], 1)
+        return (G + S)[0]
 
     def value(self, alpha) -> float:
         th = self.theta + check_params(alpha, self.problem.n_params)
@@ -243,7 +220,9 @@ class SampledSurrogate:
         if self.tabular:
             return _table_hess(self.problem, th, self._w, self._W)
         c = (self._pos + self._neg) * self._ratios(th)[0]
-        return _hessian(self.problem, th, self.states, self._w, self.trans_x, self.trans_y, c)
+        H = self.problem.cost.state_hess_sum(th, self.states, self._w)
+        H = H + self.problem.chain.density_hess(th, self.trans_x, self.trans_y, c)
+        return 0.5 * (H + H.T)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +431,7 @@ def fisher_matrix(
     of the transitions' scores over the batch, normalized by the
     discount-weighted state-visit mass. Under geometric stopping the
     realized transition mass carries an extra factor of gamma, which the
-    weights divide back out.
+    weights divide back out. Its stderr is infinite for one rollout.
     """
     theta = check_params(theta, problem.n_params)
     if batch is None:
@@ -467,8 +446,6 @@ def fisher_matrix(
     gamma = problem.gamma
     steps = batch.steps(effective_gamma(problem, batch))
     n = steps.lengths.size
-    if not n:
-        raise CapabilityError("batch has no usable rollouts")
     k = steps.trans
     S = transition_scores(problem, theta, steps)
     if batch.mode == "geometric":
@@ -483,7 +460,9 @@ def fisher_matrix(
     F = nums.sum(axis=0) / dens.sum()
     # stderr of the ratio estimator via linearization around the means
     resid = nums - F[None, :, :] * dens[:, None, None]
-    se = resid.std(axis=0, ddof=1) / (np.sqrt(n) * dens.mean()) if n > 1 else None
+    se = np.full(F.shape, np.inf)
+    if n > 1:
+        se = resid.std(axis=0, ddof=1) / (np.sqrt(n) * dens.mean())
     return FisherMatrix(0.5 * (F + F.T), source="sampled", n_rollouts=n, stderr=se)
 
 

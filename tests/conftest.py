@@ -6,6 +6,8 @@ capture under plain ``pytest -v``. Test modules import the helpers below
 with ``from conftest import ...``.
 """
 
+import math
+
 import numpy as np
 
 from chainopt import (
@@ -39,11 +41,48 @@ def transition_score(chain, x, y, theta, t=0):
 
 
 def rollout_scores(problem, batch):
-    """Each kept rollout's (T, n_params) scores, read through
-    transition_scores over the batch's steps."""
+    """Each kept rollout's (T, n_params) scores: on a tabular chain read
+    through transition_scores over the batch's steps, on a Gaussian chain
+    from gaussian_score one transition at a time."""
+    if not problem.chain.tabular:
+        row = lambda x, y: gaussian_score(problem.chain, x, y, batch.theta)
+        p = problem.n_params
+        return [
+            np.array([row(x, y) for x, y in zip(r.states, r.states[1:])]).reshape(-1, p)
+            for r in batch.rollouts
+        ]
     steps = batch.steps(effective_gamma(problem, batch))
     scores = transition_scores(problem, batch.theta, steps)
     return np.split(scores, np.cumsum(steps.lengths - 1)[:-1])
+
+
+def gaussian_mean(chain, x, theta):
+    """A x + B (K x + theta): the mean of a GaussianLinearChain's next state."""
+    x = np.asarray(x, dtype=float)
+    return chain.A @ x + chain.B @ (chain.K_fixed @ x + np.asarray(theta, dtype=float))
+
+
+def gaussian_score(chain, x, y, theta):
+    """Score B' cov^-1 (y - A x - B (K x + theta)) of one transition x -> y
+    of a GaussianLinearChain: the per-row reference for its score_sums."""
+    r = np.asarray(y, dtype=float) - gaussian_mean(chain, x, theta)
+    return chain.B.T @ (np.linalg.inv(chain.cov) @ r)
+
+
+def gaussian_log_density(chain, x, y, theta):
+    """log N(y; A x + B (K x + theta), cov) of one transition: the per-row
+    reference for GaussianLinearChain.log_density."""
+    r = np.asarray(y, dtype=float) - gaussian_mean(chain, x, theta)
+    _, logdet = np.linalg.slogdet(chain.cov)
+    quad = r @ np.linalg.inv(chain.cov) @ r
+    return -0.5 * (quad + logdet + chain.n_x * math.log(2.0 * math.pi))
+
+
+def state_cost(cost, x):
+    """x'Mx of one state under a StateQuadraticCost: the per-row reference
+    for its state_values."""
+    x = np.asarray(x, dtype=float)
+    return float(x @ cost.M @ x)
 
 
 def log_prob(chain, x, y, theta, t=0):

@@ -17,7 +17,9 @@ from conftest import (
     dense_grad_table,
     discounted_returns,
     diverging_gaussian_problem,
+    gaussian_score,
     rollout_scores,
+    state_cost,
     transition_score,
 )
 
@@ -157,9 +159,10 @@ def assert_same_batch(new, ref, tmp_path):
 
 def per_rollout_continuous(problem, theta, n_rollouts, horizon_cap=10_000, mode=None, seed=0):
     """Continuous generation as it was before batches became flat arrays:
-    one loop per rollout, its costs and scores computed after its draws, a
-    diverged rollout kept with a flag. The batch holds the rollouts that
-    did not diverge, with their stored scores as ``batch.reference``."""
+    one loop per rollout, its costs and scores computed one row at a time
+    (conftest's state_cost and gaussian_score) after its draws, a diverged
+    rollout kept with a flag. The batch holds the rollouts that did not
+    diverge, with their stored scores as ``batch.reference``."""
     chain = problem.chain
     tv = isinstance(problem.setting, TimeVarying)
     if tv:
@@ -191,12 +194,10 @@ def per_rollout_continuous(problem, theta, n_rollouts, horizon_cap=10_000, mode=
             states.append(x_next)
             t += 1
         T = len(states) - 1
-        costs = np.array(
-            [problem.cost.value(states[k], theta, k if tv else 0) for k in range(T + 1)]
-        )
+        costs = np.array([state_cost(problem.cost, x) for x in states])
         scores = np.zeros((T, problem.n_params))
         for k in range(T):
-            scores[k] = chain.score(states[k], states[k + 1], theta, k if tv else 0)
+            scores[k] = gaussian_score(chain, states[k], states[k + 1], theta)
         if not diverged:
             kept.append((np.asarray(states, dtype=float), costs, scores, reason))
     states, costs, scores, ends = (list(c) for c in zip(*kept))
@@ -771,14 +772,23 @@ CONTINUOUS = {
 class TestContinuousBatchesMatchPerRolloutLoop:
     @pytest.mark.parametrize("case", sorted(CONTINUOUS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_byte_identical_batches(self, case, seed, tmp_path):
+    def test_same_states_and_close_costs_and_scores(self, case, seed):
+        """States, times, lengths and end reasons bit for bit; the costs,
+        and transition_scores over the new batch, to 1e-12 of the per-row
+        references, as batched products need not round as per-row ones."""
         problem, theta, kw = CONTINUOUS[case]()
         new = generate_rollouts(problem, theta, 40, seed=seed, **kw)
         ref = per_rollout_continuous(problem, theta, 40, seed=seed, **kw)
         assert (new.n_diverged > 0) == (case == "diverging")
         assert new.n_diverged == ref.n_diverged and len(new) == 40
         assert new.total_steps() == ref.total_steps()
-        assert_same_batch(new, ref, tmp_path)
+        assert (new.seed, new.mode, new.horizon_cap) == (ref.seed, ref.mode, ref.horizon_cap)
+        for name in ("states", "t", "lengths", "codes"):
+            a, b = getattr(new.flat, name), getattr(ref.flat, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert_close(new.flat.costs, ref.flat.costs)
+        scores = transition_scores(problem, theta, new.steps(effective_gamma(problem, new)))
+        assert_close(scores, ref.reference[1])
 
 
 def reference_path_hessian(problem, theta, batch):

@@ -89,16 +89,16 @@ class GradOnlyCost(CostModel):
 
 
 class GradOnlyStateCost(CostModel):
-    """A continuous-state cost with its value and gradient, no Hessian."""
+    """A continuous-state cost with its values and gradients, no Hessian."""
 
     def __init__(self, inner):
         self.inner, self.n_params = inner, inner.n_params
 
-    def value(self, x, theta, t=0):
-        return self.inner.value(x, theta, t)
+    def state_values(self, theta, x, t=0):
+        return self.inner.state_values(theta, x, t)
 
-    def grad(self, x, theta, t=0):
-        return self.inner.grad(x, theta, t)
+    def state_grad_sums(self, theta, x, w, groups, n_groups, t=0):
+        return self.inner.state_grad_sums(theta, x, w, groups, n_groups, t)
 
 
 class SizesOnlyChain(ChainModel):

@@ -8,7 +8,9 @@ from conftest import (
     ReferenceSoftmaxLayout,
     dense_grad_table,
     fd_vector,
+    gaussian_mean,
     log_prob,
+    state_cost,
     transition_score,
 )
 from hypothesis import given, settings
@@ -288,8 +290,8 @@ class TestGaussianLinearChain:
         chain, theta, rng = self.make()
         x = rng.normal(size=2)
         y = rng.normal(size=2)
-        got = chain.score(x, y, theta)
-        want = fd_vector(lambda th: chain.log_prob(x, y, th), theta)
+        got = chain.score_sums(theta, x[None], y[None], [1.0], [0], 1)[0]
+        want = fd_vector(lambda th: chain.log_density(th, x[None], y[None])[0], theta)
         np.testing.assert_allclose(got, want, atol=1e-7)
 
     def test_eta_fisher_is_inverse_noise_covariance(self):
@@ -304,7 +306,7 @@ class TestGaussianLinearChain:
         x = np.array([0.3, -0.2])
         draw = chain.make_sampler(theta)
         draws = np.stack([draw(x, rng) for _ in range(20_000)])
-        np.testing.assert_allclose(draws.mean(axis=0), chain.mean(x, theta), atol=0.02)
+        np.testing.assert_allclose(draws.mean(axis=0), gaussian_mean(chain, x, theta), atol=0.02)
 
 
 class TestCosts:
@@ -418,7 +420,7 @@ class TestCosts:
         M = np.array([[2.0, 0.5], [0.5, 1.0]])
         cost = StateQuadraticCost(M, n_params=3)
         x = np.array([1.0, -2.0])
-        assert abs(cost.value(x, np.zeros(3)) - float(x @ M @ x)) < 1e-14
+        assert abs(cost.state_values(np.zeros(3), x[None])[0] - state_cost(cost, x)) < 1e-14
 
 
 class TestTimeVarying:

@@ -33,14 +33,17 @@ from chainopt import (
     estimate_gradient,
     exact_gradient,
     fd_hessian_oracle,
+    fisher_matrix,
     fit_value_approx,
     generate_rollouts,
+    parse_config,
     path_gradient,
     path_hessian,
+    run_optimize,
     solve_value_episodic,
     surrogate_hessian,
 )
-from chainopt.rollout import check_batch
+from chainopt.rollout import batch_from_arrays, check_batch
 from chainopt.problems import (
     canonical_two_state,
     gaussian_linear_problem,
@@ -405,8 +408,8 @@ def reference_path_gradient(problem, theta, batch):
     if problem.chain.tabular:
         tables = [dense_grad_table(cost, theta, t) for t in range(T + 1)]
         grads = lambda states: np.stack([tables[t][states[t]] for t in range(T + 1)])
-    else:
-        grads = lambda states: np.stack([cost.grad(states[t], theta, t) for t in range(T + 1)])
+    else:  # the continuous cost x'Mx is parameter-free
+        grads = lambda states: np.zeros((T + 1, problem.n_params))
     out = np.zeros((len(batch.rollouts), problem.n_params))
     for i, (r, scores) in enumerate(zip(batch.rollouts, rollout_scores(problem, batch))):
         assert r.n_steps == T
@@ -501,3 +504,52 @@ class TestPathDerivatives:
         batch = generate_rollouts(prob, theta, 5, seed=0)
         with pytest.raises(CapabilityError, match="tabular"):
             path_hessian(prob, theta, batch)
+
+
+# ---------------------------------------------------------------------------
+# Batches with no kept rollout or with one
+# ---------------------------------------------------------------------------
+
+
+BATCH_ROUTES = {
+    "estimate": estimate_gradient, "fisher": fisher_matrix, "surrogate": SampledSurrogate
+}
+
+
+def _softmax_at_zero():
+    prob = random_softmax_problem(EpisodicDiscounted(0.9), n_states=4, seed=0)
+    return prob, np.zeros(prob.n_params)
+
+
+@pytest.mark.parametrize(
+    "make", [_softmax_at_zero, lambda: gaussian_linear_problem(2, seed=0)],
+    ids=["softmax", "gaussian"],
+)
+@pytest.mark.parametrize("route", sorted(BATCH_ROUTES))
+def test_a_batch_with_no_kept_rollout_gets_one_error(route, make):
+    """Four rollouts drawn and all diverged: each estimator refuses the
+    batch with the InvalidStructureError of RolloutBatch.steps."""
+    prob, theta = make()
+    batch = batch_from_arrays([], [], [], theta, 0, "horizon", 5, n_diverged=4)
+    with pytest.raises(InvalidStructureError, match="kept no rollout: 4 diverged"):
+        BATCH_ROUTES[route](prob, theta, batch)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_one_rollout_batch_has_infinite_uncertainty_everywhere(tmp_path):
+    """The sampled Fisher's stderr and the J_stderr column of a sampled
+    run's curve.csv are infinite for one rollout, as the gradient
+    estimate's stderr is, and no warning is raised on the way."""
+    prob, theta = gaussian_linear_problem(2, seed=0)
+    batch = generate_rollouts(prob, theta, 1, horizon_cap=20, seed=3)
+    fisher = fisher_matrix(prob, theta, batch)
+    assert fisher.stderr.shape == (2, 2) and np.all(np.isinf(fisher.stderr))
+    assert np.all(np.isinf(estimate_gradient(prob, theta, batch).stderr))
+    config = {
+        "problem": {"kind": "gaussian-linear"},
+        "algorithm": {"method": "alg1-sgd", "iterations": 1, "batch_size": 1,
+                      "baseline": False, "step_size": 0.01},
+    }
+    run_optimize(parse_config(json.dumps(config)), out_dir=tmp_path)
+    rows = [line.split(",") for line in (tmp_path / "curve.csv").read_text().split()]
+    assert rows[0][-1] == "J_stderr" and [row[-1] for row in rows[1:]] == ["inf", "inf"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from conftest import gaussian_log_density, gaussian_score, state_cost
 
 from chainopt import (
     Average,
@@ -368,6 +369,34 @@ class TestContinuousSampledSurrogate:
         H = sur.hess(np.zeros(self.prob.n_params))
         np.testing.assert_allclose(H, H.T, atol=1e-12)
 
+    def test_value_grad_and_hessian_match_per_row_references(self):
+        """The batched value, gradient and Hessian at a perturbed theta
+        against sums over the batch's states and transitions of conftest's
+        per-row cost, score and log density: with c_j the coefficient and
+        r_j the ratio of transition j, w . L + sum c r, sum c r s and
+        sum c r (s s' - B' cov^-1 B)."""
+        prob, theta, chain = self.prob, self.theta, self.prob.chain
+        sur = SampledSurrogate(prob, theta, self.batch)
+        alpha = 0.1 * np.random.default_rng(23).normal(size=prob.n_params)
+        th = theta + alpha
+        steps = self.batch.steps(sur.gamma)
+        k = steps.trans
+        coef = sur.gamma * steps.weights[k] * steps.returns[k + 1] / sur.n_valid
+        pairs = list(zip(steps.states[k], steps.states[k + 1]))
+        logr = [gaussian_log_density(chain, x, y, th) - gaussian_log_density(chain, x, y, theta)
+                for x, y in pairs]
+        cr = coef * np.exp(logr)
+        S = np.array([gaussian_score(chain, x, y, th) for x, y in pairs])
+        L = np.array([state_cost(prob.cost, x) for x in steps.states])
+        info = chain.B.T @ np.linalg.inv(chain.cov) @ chain.B
+        hess = sum(c * (np.outer(s, s) - info) for c, s in zip(cr, S))
+        close = lambda a, b: np.testing.assert_allclose(
+            a, b, rtol=1e-12, atol=1e-12 * np.max(np.abs(b))
+        )
+        close(sur.value(alpha), steps.weights @ L / sur.n_valid + cr.sum())
+        close(sur.grad(alpha), cr @ S)
+        close(sur.hess(alpha), hess)
+
     @pytest.mark.filterwarnings("error")
     def test_capped_ratios_are_counted_not_warned(self):
         """One transition ten standard deviations from its mean: moving the
@@ -382,7 +411,7 @@ class TestContinuousSampledSurrogate:
         )
         theta = np.zeros(1)
         states = np.array([[0.0], [10.0]])
-        costs = np.array([prob.cost.value(x, theta) for x in states])
+        costs = np.array([state_cost(prob.cost, x) for x in states])
         batch = batch_from_arrays([states], [costs], [END_HORIZON], theta, 0, "horizon", 1)
         sur = SampledSurrogate(prob, theta, batch)
         assert np.isfinite(sur.value(np.array([5.0])))

@@ -51,7 +51,7 @@ from chainopt.mdp import (
     SoftmaxPolicy,
 )
 from chainopt.model import PolicyEntropyCost
-from chainopt.problems import gridworld_lmdp, random_smdp_problem
+from chainopt.problems import gaussian_linear_problem, gridworld_lmdp, random_smdp_problem
 from chainopt.surrogate import ExactSurrogate, fisher_matrix
 from chainopt.zlearn import ZWeightedChain, z_problem
 
@@ -678,32 +678,38 @@ def test_diagonal_quadratic_cost_matches_its_dense_twin(n, p, seed, scale):
 def test_tabular_chains_and_costs_have_no_per_state_methods():
     """Tabular chains are transition_matrix, score_sums and row_hess; tabular
     costs are value_table, grad_sum and hess_sum, with no dense gradient
-    table. Per-state methods belong to the continuous chain and cost
-    only. No model, the base classes included, declares capability flags:
-    what a model supports is the methods it has."""
+    table. The continuous chain is score_sums, log_density and
+    density_hess over arrays of transitions, and the continuous cost
+    state_values, state_grad_sums and state_hess_sum over arrays of
+    states: no model has a per-state method. No model, the base classes
+    included, declares capability flags: what a model supports is the
+    methods it has."""
     classes = {
         obj for module in (chainopt.model, chainopt.mdp, chainopt.zlearn)
         for obj in vars(module).values()
         if isinstance(obj, type) and issubclass(obj, (ChainModel, CostModel))
     }
-    per_state = ("prob_row", "prob", "score", "log_prob", "log_prob_hess", "_row_probs")
+    per_state = (
+        "prob_row", "prob", "score", "log_prob", "log_prob_hess", "_row_probs", "value", "grad",
+        "hess", "grad_table", "mean",
+    )
     flags = (
         "samplable", "differentiable", "twice_differentiable", "time_varying", "has_bottleneck"
     )
-    assert {ChainModel, CostModel} <= classes
+    assert {ChainModel, CostModel, GaussianLinearChain, StateQuadraticCost} <= classes
     for cls in classes:
-        for name in flags:
-            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
-        if cls in (GaussianLinearChain, StateQuadraticCost):
-            continue
-        for name in per_state + ("hess", "grad_table"):
+        for name in flags + per_state:
             assert not hasattr(cls, name), f"{cls.__name__}.{name}"
         if issubclass(cls, ChainModel) and cls.tabular:
             for name in ("transition_matrix", "score_sums", "row_hess"):
                 assert name in vars(cls), f"{cls.__name__} lacks {name}"
     assert "score_table" in vars(ChainModel)
-    assert {"score", "log_prob", "log_prob_hess"} <= set(vars(GaussianLinearChain))
-    assert "hess" in vars(StateQuadraticCost)
+    assert {"score_sums", "log_density", "density_hess"} <= set(vars(GaussianLinearChain))
+    assert {"state_values", "state_grad_sums", "state_hess_sum"} <= set(vars(StateQuadraticCost))
+    # no bottleneck view on the Gaussian chain: exact_gradient_bottleneck needs a tabular one
+    chain = gaussian_linear_problem(2)[0].chain
+    for name in ("bottleneck", "bottleneck_jac", "n_bottleneck"):
+        assert name not in vars(GaussianLinearChain) and name not in vars(chain), name
     assert not hasattr(chainopt.mdp, "_softmax_second_derivative")
 
 

@@ -29,6 +29,7 @@ from .model import (
     Problem,
     TabularInitial,
     TimeVarying,
+    check_number,
     check_param_stack,
     check_params,
     staged,
@@ -37,9 +38,9 @@ from .model import (
 _RESIDUAL_TOL = 1e-10
 # Supports whose verdict is remembered; a softmax chain keeps one at every theta.
 _SUPPORTS_CACHED = 64
-# Bytes of P in one stacked solve of the finite-difference oracle: enough
+# Bytes of P, every stage counted, in one stacked solve of the oracle: enough
 # probes to spread the per-call overhead, few enough to keep peak memory flat.
-_PROBE_STACK_BYTES = 64 * 1024
+_PROBE_STACK_BYTES = 256 * 1024
 
 
 def _require_tabular(problem: Problem):
@@ -104,11 +105,12 @@ def _support_fault(n: int, pattern: bytes, terminal: Optional[bytes]) -> Optiona
 
 def _fault(P: np.ndarray, terminal: Optional[np.ndarray] = None) -> Optional[str]:
     """Cached verdict for the nonzero pattern of this P, or the first fault
-    among those of each P of a stack: entries can underflow to 0."""
+    among the distinct patterns of a stack's Ps: entries can underflow to 0."""
     n = P.shape[-1]
     key = None if terminal is None else terminal.tobytes()
-    for pattern in np.packbits((P > 0).reshape(-1, n * n), axis=1):
-        fault = _support_fault(n, pattern.tobytes(), key)
+    patterns = np.packbits((P > 0).reshape(-1, n * n), axis=1)
+    for pattern in dict.fromkeys(patterns.view(f"V{patterns.shape[1]}").ravel().tolist()):
+        fault = _support_fault(n, pattern, key)
         if fault:
             return fault
     return None
@@ -482,6 +484,7 @@ def fd_gradient(fn, theta, h=1e-6) -> np.ndarray:
 
     Steps scale with coordinate magnitude: h_i = h (1 + |theta_i|).
     """
+    h = check_number("h", h)
     theta = np.asarray(theta, dtype=float)
     g = np.zeros(theta.shape[0])
     for i in range(theta.shape[0]):
@@ -496,6 +499,7 @@ def fd_gradient(fn, theta, h=1e-6) -> np.ndarray:
 
 def fd_hessian(fn, theta, h=1e-4) -> np.ndarray:
     """Centered finite-difference Hessian of a scalar function, symmetrized."""
+    h = check_number("h", h)
     theta = np.asarray(theta, dtype=float)
     k = theta.shape[0]
     steps = h * (1.0 + np.abs(theta))
@@ -522,7 +526,8 @@ def fd_gradient_oracle(problem: Problem, theta, h=1e-6) -> np.ndarray:
     """Finite-difference gradient of the exact objective.
 
     The probes and steps are fd_gradient's, up and down at each coordinate
-    in turn. They are solved in stacked chunks of at most 64 KiB of P. Each
+    in turn. They are solved in stacked chunks of at most _PROBE_STACK_BYTES
+    (256 KiB) of P, counting the stage axis of a time-varying P. Each
     chunk's P and L come from one stacked table call to the chain and one
     to the cost (at the array of stages, in the time-varying setting), and
     every check of a single solve runs on each probe. A chunk that raises,
@@ -530,11 +535,13 @@ def fd_gradient_oracle(problem: Problem, theta, h=1e-6) -> np.ndarray:
     objective is re-probed one theta at a time, so a ProbeError names the
     coordinate and cause that fd_gradient would.
     """
+    h = check_number("h", h)
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
     steps = h * (1.0 + np.abs(theta))
     n = problem.chain.n_states or 1  # None off the tabular chains, whose probes all fail
-    size = max(1, _PROBE_STACK_BYTES // (8 * n * n))
+    stages = problem.setting.horizon if isinstance(problem.setting, TimeVarying) else 1
+    size = max(1, _PROBE_STACK_BYTES // (8 * n * n * stages))
     J = np.empty(2 * p)
     for start in range(0, 2 * p, size):
         rows = np.arange(start, min(start + size, 2 * p))

@@ -488,26 +488,19 @@ def run_gradcheck(config: ExperimentConfig, gradient_fn=None) -> dict:
         raise ConfigError("problem.kind: gradient checking needs a finite state space")
     built = build_problem(config.problem)
     theta = built.theta0
-    grad = (gradient_fn or exact_gradient)(built.problem, theta)
+    grad = np.asarray((gradient_fn or exact_gradient)(built.problem, theta), dtype=float)
     fd = fd_gradient_oracle(built.problem, theta)
     scale = max(1.0, float(np.max(np.abs(fd))))
-    coords = []
-    failing = []
-    for i in range(theta.size):
-        abs_err = float(abs(grad[i] - fd[i]))
-        rel_err = abs_err / scale
-        coords.append(
-            {
-                "index": i,
-                "analytic": float(grad[i]),
-                "fd": float(fd[i]),
-                "abs_error": abs_err,
-                "rel_error": rel_err,
-            }
-        )
-        if rel_err >= GRADCHECK_THRESHOLD:
-            failing.append(i)
-    max_rel = max((c["rel_error"] for c in coords), default=0.0)
+    abs_err = np.abs(grad - fd)
+    rel_err = abs_err / scale
+    columns = zip(grad.tolist(), fd.tolist(), abs_err.tolist(), rel_err.tolist())
+    coords = [
+        {"index": i, "analytic": a, "fd": f, "abs_error": e, "rel_error": r}
+        for i, (a, f, e, r) in enumerate(columns)
+    ]
+    # written so that a NaN coordinate fails
+    failing = np.flatnonzero(~(rel_err < GRADCHECK_THRESHOLD)).tolist()
+    max_rel = float(np.max(rel_err, initial=0.0))
     return {
         "kind": config.problem.kind,
         "setting": config.problem.setting,

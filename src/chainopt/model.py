@@ -14,6 +14,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -37,6 +38,16 @@ def check_params(theta, n_params: int) -> Array:
     if not np.all(np.isfinite(th)):
         raise InvalidStructureError("parameter vector contains non-finite entries")
     return th
+
+
+def check_number(name: str, value, *, zero_ok: bool = False) -> float:
+    """value as a float, refused by name unless it is a finite real number
+    above 0, or at least 0 with zero_ok."""
+    ok = not isinstance(value, bool) and isinstance(value, Real)
+    if not (ok and (0.0 <= value if zero_ok else 0.0 < value) and value < math.inf):
+        sign = "non-negative" if zero_ok else "positive"
+        raise InvalidStructureError(f"{name} must be a finite {sign} number, got {value!r}")
+    return float(value)
 
 
 def check_param_stack(theta, n_params: int) -> Array:
@@ -1102,6 +1113,11 @@ class Problem:
         if self.chain.n_params != self.cost.n_params:
             raise InvalidStructureError(
                 f"chain has {self.chain.n_params} parameters but cost has {self.cost.n_params}"
+            )
+        n_x = self.chain.n_x
+        if isinstance(self.init, GaussianInitial) and n_x not in (None, len(self.init.mean)):
+            raise InvalidStructureError(
+                f"start law has dimension {len(self.init.mean)}, the chain's states {n_x}"
             )
         if isinstance(self.init, TabularInitial):
             if not self.chain.tabular:

@@ -22,7 +22,7 @@ from .errors import (
     RegularizationRequiredError,
 )
 from .exact import Solution, solution_at
-from .model import Average, BlockDiagonal, Problem, TimeVarying, check_params
+from .model import Average, BlockDiagonal, Problem, TimeVarying, check_number, check_params
 from .rollout import (
     RolloutBatch,
     baseline_expected_values,
@@ -486,6 +486,7 @@ def natural_gradient(grad, fisher: FisherMatrix, damping: float = 0.0) -> np.nda
     A block-diagonal F has its blocks' eigenpairs, so the direction is
     solved block by block, with one batched eigh per block size.
     """
+    damping = check_number("damping", damping, zero_ok=True)
     grad = np.asarray(grad, dtype=float)
     F = fisher.blocks
     if grad.shape != (F.n,):

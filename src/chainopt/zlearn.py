@@ -46,7 +46,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
-from numbers import Real
 
 import numpy as np
 
@@ -59,9 +58,11 @@ from .model import (
     FixedTabularChain,
     KlToFixedChainCost,
     Problem,
+    SegmentSoftmax,
     TableCost,
     TabularInitial,
     WeightedSumCost,
+    check_number,
     check_param_stack,
     row_kl,
 )
@@ -254,9 +255,10 @@ def lmdp_objective(spec: LmdpSpec, P: np.ndarray, setting, init_weights=None) ->
 class ZWeightedChain(ChainModel):
     """Baseline chain tilted by a linear-feature Z, as a differentiable model.
 
-    P(x'|x, theta) = pbar(x'|x) exp(-g theta.phi(x')) / normalizer(x, theta).
-    The score is g (mu(x) - phi(x')) with mu = P phi, and the log-row
-    Hessian is -g^2 Cov_P(.|x)[phi], both on the baseline support.
+    P(x'|x, theta) = pbar(x'|x) exp(-g theta.phi(x')) / normalizer(x, theta),
+    a segment softmax of log pbar(x'|x) - g theta.phi(x') over each row's
+    baseline support. The score is g (mu(x) - phi(x')) with mu = P phi, and
+    the log-row Hessian is -g^2 Cov_P(.|x)[phi], both on that support.
     """
 
     tabular = True
@@ -276,18 +278,20 @@ class ZWeightedChain(ChainModel):
         self.n_params = self.features.shape[1]
         self.gamma_z = float(gamma)
         self.terminal = spec.terminal
-        self._support = [np.flatnonzero(spec.baseline[x] > 0.0) for x in range(n)]
+        self._x, self._y = np.nonzero(spec.baseline > 0.0)  # row-major: a segment per row
+        self._log_base = np.log(spec.baseline[self._x, self._y])
+        self._softmax = SegmentSoftmax(np.bincount(self._x, minlength=n))
 
     def successors(self, x):
-        return self._support[int(x)]
+        return self._y[self._x == x]
 
     def transition_matrix(self, theta, t: int = 0) -> np.ndarray:
         theta = check_param_stack(theta, self.n_params)
-        # subtract each row's largest log weight on its support
-        energy = -self.gamma_z * (theta @ self.features.T)[..., None, :]
-        logw = np.where(self.spec.baseline > 0.0, energy, -np.inf)
-        weights = self.spec.baseline * np.exp(logw - logw.max(axis=-1, keepdims=True))
-        return weights / weights.sum(axis=-1, keepdims=True)
+        energy = self.gamma_z * (theta @ self.features.T)
+        probs = self._softmax.probs(self._log_base - energy[..., self._y])
+        P = np.zeros(probs.shape[:-1] + (self.n_states, self.n_states))
+        P[..., self._x, self._y] = probs
+        return P
 
     def score_sums(self, theta, x, y, coef, groups, n_groups: int, t: int = 0) -> np.ndarray:
         mu = self.transition_matrix(theta) @ self.features
@@ -392,8 +396,7 @@ def _walk(spec: LmdpSpec, z, steps, seed, c, init_weights, record_every, on_reco
     for name, value in (("steps", steps), ("record_every", record_every)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
             raise InvalidStructureError(f"{name} must be a non-negative integer, got {value!r}")
-    if isinstance(c, bool) or not isinstance(c, Real) or not 0.0 < c < math.inf:
-        raise InvalidStructureError(f"c must be a finite positive number, got {c!r}")
+    c = check_number("c", c)
     draw = _uniforms(np.random.default_rng(seed)).__next__
     cdf0 = np.cumsum(_start_law(spec, init_weights))
     starts = _cut(cdf0 / cdf0[-1])  # the start law as Generator.choice normalizes it
@@ -402,7 +405,7 @@ def _walk(spec: LmdpSpec, z, steps, seed, c, init_weights, record_every, on_reco
     base_w = [row[sup].tolist() for row, sup in zip(spec.baseline, succ)]
     exp_neg_r = [math.exp(-r) for r in spec.state_cost.tolist()]
     terminal = [x in spec.terminal for x in range(spec.n_states)]
-    gamma, c = z.gamma, float(c)
+    gamma = z.gamma
     ztab = z.z_table().tolist()
     # Z^gamma, refreshed on each update; at gamma = 1 it is Z itself, as
     # libm pow(z, 1.0) returns z exactly

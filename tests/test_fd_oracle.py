@@ -44,7 +44,7 @@ PROBLEMS = {
     "timevarying": dict(kind="timevarying-tabular", setting="time-varying", n_states=6,
                         horizon=5, seed=8),
     "gridworld-lmdp": dict(kind="gridworld-lmdp", setting="first-exit", size=4, seed=9),
-    # 64 KiB of P holds 5 probes at n = 40, so the probes span many chunks
+    # 256 KiB of P holds 20 probes at n = 40, so the probes span many chunks
     "softmax-n40": dict(kind="softmax-tabular", setting="first-exit", n_states=40, seed=10),
 }
 
@@ -59,6 +59,43 @@ def test_stacked_oracle_matches_the_per_probe_loop(name):
     if name == "softmax-n40":
         n = problem.chain.n_states
         assert exact._PROBE_STACK_BYTES // (8 * n * n) < 2 * problem.n_params
+
+
+@pytest.mark.parametrize("budget", ["one probe", "default", "all probes"])
+@pytest.mark.parametrize("name", list(PROBLEMS))
+def test_oracle_matches_the_per_probe_loop_at_every_chunk_budget(name, budget, monkeypatch):
+    """One probe per chunk, the default budget, and every probe in one chunk
+    give the loop's gradient to the same bound; not bitwise, since stacked
+    table products round differently."""
+    b = built(**PROBLEMS[name])
+    problem, theta = b.problem, start(b)
+    bytes_for = {"one probe": 1, "default": exact._PROBE_STACK_BYTES, "all probes": 2**40}
+    monkeypatch.setattr(exact, "_PROBE_STACK_BYTES", bytes_for[budget])
+    reference = fd_gradient(lambda th: objective(problem, th), theta)
+    stacked = fd_gradient_oracle(problem, theta)
+    assert np.max(np.abs(stacked - reference)) <= 1e-8 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("probes", [None, 4])
+def test_time_varying_chunks_count_every_stage_against_the_budget(probes, monkeypatch):
+    """No stacked P, stage axis included, exceeds the budget: the default
+    one, and one that holds four probes of all stages."""
+    b = built(**PROBLEMS["timevarying"])
+    problem, n = b.problem, b.problem.chain.n_states
+    if probes:
+        budget = probes * 8 * n * n * problem.setting.horizon
+        monkeypatch.setattr(exact, "_PROBE_STACK_BYTES", budget)
+    cls = type(problem.chain)
+    sizes = []
+
+    def recorded(self, theta, t=0, original=cls.transition_matrix):
+        P = original(self, theta, t)
+        sizes.append(P.nbytes)
+        return P
+
+    monkeypatch.setattr(cls, "transition_matrix", recorded)
+    fd_gradient_oracle(problem, start(b))
+    assert max(sizes) <= exact._PROBE_STACK_BYTES
 
 
 @pytest.mark.parametrize("name", list(PROBLEMS))
@@ -110,7 +147,7 @@ def test_probe_error_names_the_coordinate_through_the_stacked_path(monkeypatch, 
     is reported at its coordinate, after the stacked solves that passed."""
     b = built(**PROBLEMS[name])
     p, n = b.theta0.size, b.problem.chain.n_states
-    size = exact._PROBE_STACK_BYTES // (8 * n * n)
+    size = exact._PROBE_STACK_BYTES // (8 * n * n * getattr(b.problem.setting, "horizon", 1))
     i = min(p - 1, size + 2)  # past the first chunk, where there are several
     error, shapes = _probe_failure(monkeypatch, b, i)
     assert error.coordinate == i

@@ -216,6 +216,19 @@ class TestGradcheckRunner:
         assert not report["pass"]
         assert report["failing_coordinates"] == [1]
 
+    def test_a_nan_coordinate_fails(self):
+        from chainopt import exact_gradient
+
+        def nan_at_1(problem, theta):
+            g = exact_gradient(problem, theta)
+            g[1] = np.nan
+            return g
+
+        report = run_gradcheck(canonical_config(), gradient_fn=nan_at_1)
+        assert not report["pass"]
+        assert report["failing_coordinates"] == [1]
+        assert np.isnan(report["max_rel_error"])
+
     def test_all_kinds_and_settings_pass(self):
         for spec in TestBuildProblem.KINDS:
             if spec["kind"] == "gaussian-linear":

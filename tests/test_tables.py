@@ -20,6 +20,7 @@ import pytest
 from conftest import dense_fisher, dense_grad_table, dense_row_vjp, fd_vector
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import chainopt
 from chainopt import (
@@ -490,6 +491,24 @@ def test_z_weighted_transition_matrix_matches_per_row_reference_at_large_energie
             w = baseline[x, sup] * np.exp(logw - logw.max())
             rows[x, sup] = w / w.sum()
         assert_close(chain.transition_matrix(theta), rows)
+
+
+@given(st.integers(2, 6), st.integers(1, 4), st.sampled_from([0.5, 1.0, 2.0]), st.data())
+@PROPERTY
+def test_z_weighted_transition_matrix_at_a_stack_of_theta(n, k, gamma, data):
+    """At a stack of theta whose energies g theta.phi(y) = g theta_y reach
+    +-50, each row is the dense pbar exp(-energy) over its row sum, exactly
+    0 off the baseline support."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    spec = random_z_chain(rng, n, 1)[0].spec
+    baseline, features = spec.baseline, np.eye(n)[:, : n - 1]  # terminal row zero
+    chain = ZWeightedChain(spec, features, gamma)
+    theta = data.draw(arrays(float, (k, n - 1), elements=st.floats(-50.0, 50.0))) / gamma
+    P = chain.transition_matrix(theta)
+    dense = baseline * np.exp(-gamma * (theta @ features.T))[:, None, :]
+    assert np.abs(P - dense / dense.sum(axis=-1, keepdims=True)).max() <= 1e-14
+    assert np.all(P[:, baseline == 0.0] == 0.0)
+    assert np.abs(P.sum(axis=-1) - 1.0).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------

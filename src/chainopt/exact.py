@@ -439,25 +439,25 @@ def exact_gradient(problem: Problem, theta, solution: Optional[Solution] = None)
 def exact_gradient_bottleneck(problem: Problem, theta) -> np.ndarray:
     """Gradient routed through a low-dimensional policy output eta = mu(x, theta).
 
-    Requires chain and cost to expose the bottleneck interface; equals
-    exact_gradient whenever both apply, by the chain rule. The per-state
-    bottleneck terms are taken before the solve, so a model without them
-    is refused before P is built.
+    The chain's bottleneck_tables give eta and p = dP[x, :]/deta[x], and
+    the cost's bottleneck_grad gives dL/deta at eta. With the solve's
+    weights w and values V, the gradient is the chain's bottleneck_vjp of
+    the (n, k) cotangent w_x (dL/deta[x] + gamma p[x] V), zero on terminal
+    rows. It equals exact_gradient whenever both apply, by the chain rule.
+    The tables are read before the solve, so a model without them is
+    refused before P is built.
     """
     _require_tabular(problem)
     theta = check_params(theta, problem.n_params)
-    chain, cost = problem.chain, problem.cost
-    terms = []
-    for x in sorted(set(range(chain.n_states)) - chain.terminal):
-        eta = chain.bottleneck(x, theta)
-        jac, grad_eta = chain.prob_row_eta_jac(x, eta), cost.grad_eta(x, eta)
-        terms.append((x, jac, grad_eta, chain.bottleneck_jac(x, theta)))
+    if isinstance(problem.setting, TimeVarying):
+        raise CapabilityError("the bottleneck gradient needs a stationary setting, not TimeVarying")
+    chain = problem.chain
+    eta, p = chain.bottleneck_tables(theta)
+    dL = problem.cost.bottleneck_grad(eta)
     sol = solve(problem, theta)
-    g = np.zeros(problem.n_params)
-    for x, jac, grad_eta, eta_jac in terms:
-        inner = grad_eta + sol.gamma * (jac.T @ sol.values)
-        g += sol.weights[x] * (eta_jac @ inner)
-    return g
+    C = sol.weights[:, None] * (dL + sol.gamma * (p @ sol.values))
+    C[list(chain.terminal)] = 0.0
+    return chain.bottleneck_vjp(theta, C)
 
 
 # ---------------------------------------------------------------------------

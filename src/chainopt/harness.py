@@ -656,10 +656,10 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
 
     Both pairs share one chain; transition rows and per-state costs must
     agree to machine precision, values and gradients to solver precision.
-    The gradients are computed along different routes (score form vs the
-    bottleneck form) so agreement is informative. In smdp-dmdp the
-    stochastic mapping is its own bottleneck view, so only the routes
-    differ.
+    The gradients are computed along different routes (the score form,
+    and the bottleneck form contracted from the chain's and the cost's
+    eta tables) so agreement is informative. In smdp-dmdp the stochastic
+    mapping is its own bottleneck view, so only the routes differ.
     """
     if pair not in EQUIV_PAIRS:
         raise ConfigError(f"pair must be one of {EQUIV_PAIRS}, got {pair!r}")

@@ -149,9 +149,10 @@ class SoftmaxPolicy(SegmentSoftmax):
 class PolicyAveragedChain(ChainModel):
     """Chain P(x'|x, theta) = sum_a pi(a|x, theta) p(x'|x, a).
 
-    The policy's action distribution at x is the bottleneck output, so the
-    same object serves the deterministic-bottleneck view where the action
-    space is the probability simplex over base actions.
+    The policy table is the bottleneck output eta, so the same object
+    serves the deterministic-bottleneck view where the action space is the
+    probability simplex over base actions: bottleneck_tables gives eta =
+    pi(theta) and the action tensor p, and bottleneck_vjp is the policy's.
     """
 
     tabular = True
@@ -163,7 +164,6 @@ class PolicyAveragedChain(ChainModel):
         if policy.n_states != n_s or policy.n_actions != n_a:
             raise InvalidStructureError("policy shape does not match the transition tensor")
         self.n_states = n_s
-        self.n_bottleneck = n_a
         self.n_params = policy.n_params
         self.terminal = frozenset(int(s) for s in terminal)
         for s in self.terminal:
@@ -216,7 +216,7 @@ class PolicyAveragedChain(ChainModel):
         total = np.sum(pi * pxy, axis=1)
         if np.any(total <= 0.0):
             raise InvalidStructureError("a transition has zero probability")
-        out = np.zeros((n_groups, self.n_states, self.n_bottleneck))
+        out = np.zeros((n_groups, self.n_states, self.policy.n_actions))
         np.add.at(out, (groups, x), coef[:, None] * pi * (pxy / total[:, None] - 1.0))
         return out.reshape(n_groups, self.n_params)
 
@@ -225,29 +225,19 @@ class PolicyAveragedChain(ChainModel):
             return [x]
         return list(np.nonzero(self.p[x].max(axis=0) > 0)[0])
 
-    # --- bottleneck view: eta is the action distribution at x --------------
+    def bottleneck_tables(self, theta) -> tuple:
+        return self.policy.table(theta), self.p
 
-    def bottleneck(self, x, theta, t: int = 0) -> np.ndarray:
-        return self.policy.table(theta)[x]
-
-    def bottleneck_jac(self, x, theta, t: int = 0) -> np.ndarray:
-        pi = self.bottleneck(x, theta)
-        jac = np.zeros((self.n_params, self.n_bottleneck))
-        jac[self.policy.param_slice(x), :] = np.diag(pi) - np.outer(pi, pi)
-        return jac
-
-    def prob_row_eta(self, x, eta, t: int = 0) -> np.ndarray:
-        return np.asarray(eta, dtype=float) @ self.p[x]
-
-    def prob_row_eta_jac(self, x, eta, t: int = 0) -> np.ndarray:
-        return self.p[x].T
+    def bottleneck_vjp(self, theta, C) -> np.ndarray:
+        return self.policy.vjp(theta, np.ravel(C))
 
 
 class PolicyExpectedCost(CostModel):
     """Step cost sum_a pi(a|x, theta) c(x, a) for a fixed action-cost table.
 
     The action distribution at x is the bottleneck output eta, so the cost
-    is also eta . c(x, .) in the deterministic-bottleneck view.
+    is also eta[x] . c(x, .) in the deterministic-bottleneck view, and its
+    bottleneck gradient is the table c itself.
     """
 
     def __init__(self, policy: SoftmaxPolicy, costs):
@@ -258,11 +248,8 @@ class PolicyExpectedCost(CostModel):
         self.n_params = policy.n_params
         self.n_states = policy.n_states
 
-    def value_eta(self, x, eta, t: int = 0) -> float:
-        return float(np.asarray(eta, dtype=float) @ self.costs[x])
-
-    def grad_eta(self, x, eta, t: int = 0) -> np.ndarray:
-        return self.costs[x].copy()
+    def bottleneck_grad(self, eta) -> np.ndarray:
+        return self.costs
 
     def value_table(self, theta, t: int = 0) -> np.ndarray:
         return np.sum(self.policy.table(theta) * self.costs, axis=-1)
@@ -309,8 +296,10 @@ class MixedRowKlCost(CostModel):
     """State cost r(x) plus KL of the action-mixed row from a reference row.
 
     This is the deterministic-bottleneck form of the control cost: the
-    action is the mixing distribution eta, the realized row is
-    q_eta = sum_a eta_a p(.|x, a), and the cost reads r(x) + KL(q_eta || ref).
+    action is the mixing distribution eta[x], the realized row is
+    q[x] = sum_a eta[x, a] p(.|x, a), and the cost reads
+    r(x) + KL(q[x] || ref[x]). Its bottleneck gradient, p[x] @ (log(q[x] /
+    ref[x]) + 1) over the support of q[x], also gives grad_sum.
     """
 
     def __init__(self, transitions, policy: SoftmaxPolicy, reference, state_cost):
@@ -326,32 +315,20 @@ class MixedRowKlCost(CostModel):
                 f"reference row {np.argmax(lacking)} lacks support on reachable successors"
             )
 
-    def value_eta(self, x, eta, t: int = 0) -> float:
-        q = np.asarray(eta, dtype=float) @ self.p[x]
-        mask = q > 0
-        kl = float(np.sum(q[mask] * np.log(q[mask] / self.reference[x][mask])))
-        return float(self.state_cost[x]) + kl
-
-    def grad_eta(self, x, eta, t: int = 0) -> np.ndarray:
-        q = np.asarray(eta, dtype=float) @ self.p[x]
-        mask = q > 0
-        logr = np.zeros_like(q)
-        logr[mask] = np.log(q[mask] / self.reference[x][mask]) + 1.0
-        return self.p[x] @ logr
-
-    def _mixed_kl(self, theta):
-        Q = np.einsum("...xa,xay->...xy", self.policy.table(theta), self.p)
-        return row_kl(Q, self.reference)
+    def _mixed_kl(self, eta):
+        return row_kl(np.einsum("...xa,xay->...xy", eta, self.p), self.reference)
 
     def value_table(self, theta, t: int = 0) -> np.ndarray:
-        return self.state_cost + self._mixed_kl(theta)[0]
+        return self.state_cost + self._mixed_kl(self.policy.table(theta))[0]
 
-    def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
-        # state x adds d pi(.|x)/d theta . grad_eta(x, pi(.|x)), for all x at once
-        _, xs, ys, logr = self._mixed_kl(theta)
+    def bottleneck_grad(self, eta) -> np.ndarray:
+        _, xs, ys, logr = self._mixed_kl(eta)
         D = np.zeros((self.n_states, self.n_states))
         D[xs, ys] = logr + 1.0
-        C = np.einsum("xay,xy->xa", self.p, D)
+        return np.einsum("xay,xy->xa", self.p, D)
+
+    def grad_sum(self, theta, w, t: int = 0) -> np.ndarray:
+        C = self.bottleneck_grad(self.policy.table(theta))
         return self.policy.block_sum(w, self.policy.vjp(theta, C.ravel()))
 
 
@@ -364,8 +341,9 @@ def map_stochastic_mdp(mdp: TabularMdp, policy: SoftmaxPolicy) -> Problem:
     """Stochastic-policy mapping with a parameter-free action-cost table.
 
     The same problem is the deterministic-bottleneck view: the action is
-    the policy's action distribution at x, through which both the chain
-    (prob_row_eta) and the cost (value_eta) are priced.
+    the policy's action distribution eta[x], through which both the chain
+    (P[x] = eta[x] @ p[x], from bottleneck_tables) and the cost
+    (eta[x] . c(x, .), whose bottleneck_grad is c) are priced.
     """
     chain = PolicyAveragedChain(mdp.transitions, policy)
     cost = PolicyExpectedCost(policy, mdp.costs)
@@ -443,7 +421,7 @@ def lmdp_deterministic_pair(
 # ---------------------------------------------------------------------------
 
 
-def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting, init=None):
+def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting):
     """Evaluate a fixed policy on the (state, action) product space.
 
     Solves for action values Q directly (a linear system over state-action
@@ -470,7 +448,7 @@ def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting, init=N
         _, j, Q, _ = _average_values(T, ell_flat)
     else:
         raise CapabilityError("action-space evaluation covers stationary settings only")
-    return np.array([pi[x] @ Q[x * n_a : (x + 1) * n_a] for x in range(n_s)]), j
+    return np.sum(pi * Q.reshape(n_s, n_a), axis=1), j
 
 
 def chain_as_action_mdp(problem: Problem, theta):

@@ -14,7 +14,7 @@ import copy
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,6 +48,13 @@ def check_number(name: str, value, *, zero_ok: bool = False) -> float:
         sign = "non-negative" if zero_ok else "positive"
         raise InvalidStructureError(f"{name} must be a finite {sign} number, got {value!r}")
     return float(value)
+
+
+def check_count(name: str, value, least: int = 1) -> int:
+    """value as an int, refused by name unless it is an integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise InvalidStructureError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def check_param_stack(theta, n_params: int) -> Array:
@@ -286,23 +293,17 @@ class ChainModel(abc.ABC):
 
         return step
 
-    # --- bottleneck (low-dimensional policy output) -----------------------
+    # --- bottleneck: a low-dimensional policy output eta per state ---------
 
-    n_bottleneck: int = 0
+    def bottleneck_tables(self, theta: Array) -> tuple:
+        """The (n_states, k) table eta of each state's output at theta and
+        the (n_states, k, n_states) tensor p of dP[x, :]/deta[x]: off the
+        terminal rows, P[x] = eta[x] @ p[x]."""
+        raise CapabilityError(f"{type(self).__name__} has no bottleneck tables")
 
-    def bottleneck(self, x, theta, t: int = 0) -> Array:
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck")
-
-    def bottleneck_jac(self, x, theta, t: int = 0) -> Array:
-        """Jacobian d eta / d theta, shape (n_params, n_bottleneck)."""
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck")
-
-    def prob_row_eta(self, x, eta, t: int = 0) -> Array:
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck rows")
-
-    def prob_row_eta_jac(self, x, eta, t: int = 0) -> Array:
-        """Jacobian d P(.|x, eta) / d eta, shape (n_states, n_bottleneck)."""
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck rows")
+    def bottleneck_vjp(self, theta: Array, C: Array) -> Array:
+        """sum_{x,a} C[x, a] deta[x, a]/dtheta, shape (n_params,)."""
+        raise CapabilityError(f"{type(self).__name__} has no bottleneck tables")
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +353,10 @@ class CostModel(abc.ABC):
     def state_hess_sum(self, theta: Array, x, w, t: int = 0) -> Array:
         raise CapabilityError(f"{type(self).__name__} has no second derivatives")
 
-    def grad_eta(self, x, eta, t: int = 0) -> Array:
-        """Gradient of the cost at state x in the bottleneck output eta."""
-        raise CapabilityError(f"{type(self).__name__} has no bottleneck")
+    def bottleneck_grad(self, eta: Array) -> Array:
+        """dL(x)/deta[x] at the (n_states, k) bottleneck table eta of
+        ChainModel.bottleneck_tables, shape (n_states, k)."""
+        raise CapabilityError(f"{type(self).__name__} has no bottleneck gradient")
 
 
 def row_kl(P: Array, Q: Array):

@@ -68,6 +68,7 @@ from .model import (
     FirstExit,
     Problem,
     TimeVarying,
+    check_count,
     check_params,
     staged,
 )
@@ -367,8 +368,9 @@ def generate_rollouts(
     chain = problem.chain
     if isinstance(problem.setting, Average):
         raise CapabilityError("rollout estimation covers episodic and finite-horizon settings")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidStructureError(f"seed must be a non-negative integer, got {seed!r}")
+    seed = check_count("seed", seed, least=0)
+    n_rollouts = check_count("n_rollouts", n_rollouts)
+    horizon_cap = check_count("horizon_cap", horizon_cap)
     tv = isinstance(problem.setting, TimeVarying)
     if tv:
         horizon_cap = problem.setting.horizon
@@ -379,8 +381,6 @@ def generate_rollouts(
         raise InvalidStructureError(f"unknown termination mode {mode!r}")
     if mode == "terminal" and len(chain.terminal) == 0:
         raise InvalidStructureError("terminal mode needs a chain with terminal states")
-    if n_rollouts < 1 or horizon_cap < 1:
-        raise InvalidStructureError("need at least one rollout and one step")
     if chain.tabular:
         flat = _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
         return RolloutBatch(flat, theta, seed, mode, horizon_cap)
@@ -669,6 +669,8 @@ def baseline_expected_values(problem: Problem, theta, baseline) -> np.ndarray:
             f"baseline table has shape {vhat.shape}; need one value per state, "
             f"({chain.n_states},)"
         )
+    if not np.all(np.isfinite(vhat)):
+        raise InvalidStructureError("baseline table contains non-finite entries")
     if isinstance(problem.setting, TimeVarying):
         return staged(chain).transition_matrix(theta, np.arange(problem.setting.horizon)) @ vhat
     return (chain.transition_matrix(theta) @ vhat)[None]

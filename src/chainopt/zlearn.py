@@ -62,6 +62,7 @@ from .model import (
     TableCost,
     TabularInitial,
     WeightedSumCost,
+    check_count,
     check_number,
     check_param_stack,
     row_kl,
@@ -393,9 +394,8 @@ def _walk(spec: LmdpSpec, z, steps, seed, c, init_weights, record_every, on_reco
     "baseline", "exact-g" or "double-sample"."""
     if not isinstance(z, TabularZ):
         raise InvalidStructureError(f"Z-learning walks a TabularZ, not a {type(z).__name__}")
-    for name, value in (("steps", steps), ("record_every", record_every)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-            raise InvalidStructureError(f"{name} must be a non-negative integer, got {value!r}")
+    steps = check_count("steps", steps, least=0)
+    record_every = check_count("record_every", record_every, least=0)
     c = check_number("c", c)
     draw = _uniforms(np.random.default_rng(seed)).__next__
     cdf0 = np.cumsum(_start_law(spec, init_weights))

@@ -19,6 +19,8 @@ from chainopt import (
     InvalidStructureError,
     Problem,
     StateQuadraticCost,
+    estimate_gradient,
+    generate_rollouts,
 )
 from chainopt.exact import fd_gradient, fd_gradient_oracle, fd_hessian, fd_hessian_oracle
 from chainopt.model import check_number
@@ -27,6 +29,7 @@ from chainopt.surrogate import fisher_matrix, natural_gradient
 
 PROBLEM = random_softmax_problem(EpisodicDiscounted(0.9), n_states=4, seed=2)
 THETA = 0.1 * np.arange(PROBLEM.n_params)
+BATCH = generate_rollouts(PROBLEM, THETA, 4, 10)
 
 
 def _objective(th):
@@ -52,6 +55,11 @@ CALLS = {
     "fd_hessian_oracle": lambda h: fd_hessian_oracle(PROBLEM, THETA, h),
     "natural_gradient": _natural,
     "Problem": _gaussian_problem,
+    "n_rollouts": lambda n: generate_rollouts(PROBLEM, THETA, n, 10),
+    "horizon_cap": lambda cap: generate_rollouts(PROBLEM, THETA, 10, cap),
+    "baseline": lambda fill: estimate_gradient(
+        PROBLEM, THETA, BATCH, np.full(PROBLEM.chain.n_states, fill)
+    ),
 }
 
 STEP = "h must be a finite positive number"
@@ -62,6 +70,10 @@ CASES = [
       for h in (0.0, -1.0, math.nan, math.inf)],
     *[("natural_gradient", damping, DAMPING) for damping in (-1.0, math.nan, math.inf)],
     ("Problem", 3, "start law has dimension 3, the chain's states 2"),
+    *[(count, value, f"{count} must be an integer >= 1")
+      for count in ("n_rollouts", "horizon_cap") for value in (2.5, 0, True, "10")],
+    *[("baseline", fill, "baseline table contains non-finite entries")
+      for fill in (math.nan, math.inf)],
 ]
 
 

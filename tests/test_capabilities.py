@@ -126,6 +126,11 @@ def _bottleneck_gradient():
     return lambda: exact_gradient_bottleneck(prob, np.zeros(prob.n_params))
 
 
+def _bottleneck_cost_gradient():
+    mdp, policy, theta = random_mdp(4, 2, seed=1)
+    return lambda: exact_gradient_bottleneck(map_entropy_mdp(mdp, policy), theta)
+
+
 def _continuous_rollouts():
     cost = StateQuadraticCost(np.eye(2), n_params=1)
     init = GaussianInitial(np.zeros(2), np.eye(2))
@@ -146,10 +151,14 @@ def _continuous_surrogate_hessian():
         (_entropy_hessian, "PolicyEntropyCost"),
         (_path_hessian, "GradOnlyCost"),
         (_bottleneck_gradient, "SoftmaxChain"),
+        (_bottleneck_cost_gradient, "WeightedSumCost has no bottleneck"),
         (_continuous_rollouts, "SizesOnlyChain has no sampler"),
         (_continuous_surrogate_hessian, "GradOnlyStateCost"),
     ],
-    ids=["entropy-hessian", "path-hessian", "bottleneck", "rollouts", "continuous-hessian"],
+    ids=[
+        "entropy-hessian", "path-hessian", "bottleneck", "bottleneck-cost", "rollouts",
+        "continuous-hessian",
+    ],
 )
 def test_a_missing_method_is_refused_by_name(make, name):
     with pytest.raises(CapabilityError, match=name):

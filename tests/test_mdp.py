@@ -9,14 +9,19 @@ an independent consistency check of both.
 import numpy as np
 import pytest
 from conftest import fd_vector, log_prob, transition_score
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from chainopt import (
     Average,
+    CapabilityError,
     EpisodicDiscounted,
     FirstExit,
     InvalidStructureError,
+    Problem,
     SoftmaxChain,
     TabularInitial,
+    TimeVarying,
     exact_gradient,
     exact_gradient_bottleneck,
     fd_gradient_oracle,
@@ -26,7 +31,9 @@ from chainopt import (
 )
 from chainopt.mdp import (
     LmdpSpec,
+    MixedRowKlCost,
     PolicyAveragedChain,
+    PolicyExpectedCost,
     SoftmaxPolicy,
     TabularMdp,
     chain_as_action_mdp,
@@ -108,16 +115,22 @@ class TestPolicyAveragedChain:
             PolicyAveragedChain(mdp.transitions, policy, terminal=[9])
 
     def test_bottleneck_view(self):
-        """The intermediate map is the action distribution; rows and their
-        eta-jacobians come straight from the base tensor."""
+        """The intermediate map is the action distribution; the rows and
+        their eta-derivatives come straight from the base tensor, and the
+        VJP is that of the policy table."""
         mdp, policy, theta = random_mdp(4, 3, seed=3)
         chain = PolicyAveragedChain(mdp.transitions, policy)
-        x = 2
-        eta = chain.bottleneck(x, theta)
-        np.testing.assert_allclose(eta, policy.table(theta)[x])
-        np.testing.assert_allclose(chain.prob_row_eta(x, eta), eta @ mdp.transitions[x])
-        # jacobian convention: (successor state, bottleneck coordinate)
-        np.testing.assert_allclose(chain.prob_row_eta_jac(x, eta), mdp.transitions[x].T)
+        eta, p = chain.bottleneck_tables(theta)
+        np.testing.assert_allclose(eta, policy.table(theta))
+        # derivative convention: (state, bottleneck coordinate, successor state)
+        np.testing.assert_allclose(p, mdp.transitions)
+        np.testing.assert_allclose(np.einsum("xa,xay->xy", eta, p), chain.transition_matrix(theta))
+        C = np.random.default_rng(3).normal(size=eta.shape)
+        np.testing.assert_allclose(
+            chain.bottleneck_vjp(theta, C),
+            fd_vector(lambda th: np.sum(C * policy.table(th)), theta),
+            atol=1e-8,
+        )
 
 
 class TestProductSpaceEvaluation:
@@ -157,9 +170,9 @@ class TestMappings:
         for seed in (0, 1):
             mdp, policy, theta = random_mdp(5, 3, seed=seed)
             prob = map_stochastic_mdp(mdp, policy)
-            etas = [prob.chain.bottleneck(x, theta) for x in range(5)]
-            P = np.stack([prob.chain.prob_row_eta(x, eta) for x, eta in enumerate(etas)])
-            L = np.array([prob.cost.value_eta(x, eta) for x, eta in enumerate(etas)])
+            eta, p = prob.chain.bottleneck_tables(theta)
+            P = np.einsum("xa,xay->xy", eta, p)
+            L = np.sum(eta * mdp.costs, -1)
             np.testing.assert_allclose(
                 np.linalg.solve(np.eye(5) - mdp.setting.gamma * P, L),
                 product_values(mdp, mdp.costs, theta, policy),
@@ -247,6 +260,62 @@ class TestRecoveries:
                 bottleneck, stochastic_policy_gradient(mdp, policy, theta), atol=1e-10
             )
             np.testing.assert_allclose(bottleneck, exact_gradient(prob, theta), atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [EpisodicDiscounted(0.9), FirstExit(), Average()],
+        ids=["discounted", "first-exit", "average"],
+    )
+    @pytest.mark.parametrize("mixed_kl", [False, True], ids=["expected", "mixed-kl"])
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(
+        max_examples=15,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_bottleneck_route_matches_exact_gradient(self, setting, mixed_kl, n, k, seed):
+        """The table route through eta equals the score-form gradient on
+        random policy-averaged problems, terminal states included."""
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(n), size=(n, k))
+        reference = rng.dirichlet(np.ones(n), size=n)
+        costs = rng.uniform(0.0, 2.0, size=(n, k))
+        state_cost = rng.uniform(0.0, 1.0, size=n)
+        terminal = ()
+        if isinstance(setting, FirstExit):
+            # an absorbing, zero-cost last state: the chain ignores p[-1],
+            # which the mixed-row cost prices, so only there is it a loop
+            terminal = (n - 1,)
+            costs[-1] = state_cost[-1] = 0.0
+            if mixed_kl:
+                p[-1], reference[-1] = 0.0, 0.0
+                p[-1, :, -1] = reference[-1, -1] = 1.0
+        policy = SoftmaxPolicy(n, k)
+        if mixed_kl:
+            cost = MixedRowKlCost(p, policy, reference, state_cost)
+        else:
+            cost = PolicyExpectedCost(policy, costs)
+        chain = PolicyAveragedChain(p, policy, terminal)
+        problem = Problem(chain, cost, setting, TabularInitial(np.full(n, 1.0 / n)))
+        theta = rng.normal(size=policy.n_params)
+        want = exact_gradient(problem, theta)
+        got = exact_gradient_bottleneck(problem, theta)
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), 1e-3)
+
+    def test_bottleneck_route_refuses_the_time_varying_setting(self):
+        """Stage densities are not per-state weights: the setting is
+        refused by name."""
+        mdp, policy, theta = random_mdp(4, 3, 0)
+        problem = Problem(
+            PolicyAveragedChain(mdp.transitions, policy),
+            PolicyExpectedCost(policy, mdp.costs),
+            TimeVarying(3),
+            mdp.init,
+        )
+        with pytest.raises(CapabilityError, match="TimeVarying"):
+            exact_gradient_bottleneck(problem, theta)
 
     def test_lmdp_policy_gradient(self):
         """The specialized average-setting control-cost gradient equals the

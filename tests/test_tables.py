@@ -710,7 +710,8 @@ def test_tabular_chains_and_costs_have_no_per_state_methods():
     }
     per_state = (
         "prob_row", "prob", "score", "log_prob", "log_prob_hess", "_row_probs", "value", "grad",
-        "hess", "grad_table", "mean",
+        "hess", "grad_table", "mean", "bottleneck", "bottleneck_jac", "prob_row_eta",
+        "prob_row_eta_jac", "n_bottleneck", "grad_eta", "value_eta",
     )
     flags = (
         "samplable", "differentiable", "twice_differentiable", "time_varying", "has_bottleneck"
@@ -727,7 +728,7 @@ def test_tabular_chains_and_costs_have_no_per_state_methods():
     assert {"state_values", "state_grad_sums", "state_hess_sum"} <= set(vars(StateQuadraticCost))
     # no bottleneck view on the Gaussian chain: exact_gradient_bottleneck needs a tabular one
     chain = gaussian_linear_problem(2)[0].chain
-    for name in ("bottleneck", "bottleneck_jac", "n_bottleneck"):
+    for name in ("bottleneck_tables", "bottleneck_vjp"):
         assert name not in vars(GaussianLinearChain) and name not in vars(chain), name
     assert not hasattr(chainopt.mdp, "_softmax_second_derivative")
 

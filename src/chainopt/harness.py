@@ -32,6 +32,7 @@ from .mdp import (
     SoftmaxPolicy,
     lmdp_deterministic_pair,
     map_stochastic_mdp,
+    mdp_policy_evaluation,
 )
 from .model import (
     Average,
@@ -654,12 +655,16 @@ EQUIV_PAIRS = ("smdp-dmdp", "lmdp-dmdp")
 def run_equivcheck(pair: str, seed: int = 0) -> dict:
     """Compare the two constructions of the same process entry by entry.
 
-    Both pairs share one chain; transition rows and per-state costs must
-    agree to machine precision, values and gradients to solver precision.
-    The gradients are computed along different routes (the score form,
-    and the bottleneck form contracted from the chain's and the cost's
-    eta tables) so agreement is informative. In smdp-dmdp the stochastic
-    mapping is its own bottleneck view, so only the routes differ.
+    Transition rows and per-state costs must agree to machine precision,
+    values and gradients to solver precision. The gradients are computed
+    along different routes (the score form, and the bottleneck form
+    contracted from the chain's and the cost's eta tables) so agreement is
+    informative. In lmdp-dmdp the rows, costs and objective of the two
+    constructions are compared. In smdp-dmdp the stochastic mapping is its
+    own bottleneck view, so its rows and costs are compared with the
+    policy averages sum_a pi(a|x) p(y|x, a) and sum_a pi(a|x) c(x, a)
+    formed from the raw MDP tensors, and its objective with p0 . v from
+    the action-space evaluation mdp_policy_evaluation.
     """
     if pair not in EQUIV_PAIRS:
         raise ConfigError(f"pair must be one of {EQUIV_PAIRS}, got {pair!r}")
@@ -669,6 +674,12 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
     if pair == "smdp-dmdp":
         mdp, policy, theta0 = random_mdp(6, 3, seed)
         prob_a = prob_b = map_stochastic_mdp(mdp, policy)
+
+        def expected(theta):
+            pi = policy.table(theta)
+            v, _ = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
+            P = np.einsum("xa,xay->xy", pi, mdp.transitions)
+            return P, np.einsum("xa,xa->x", pi, mdp.costs), float(mdp.init.weights @ v)
     else:
         n_s, n_a = 6, 3
         transitions = rng.dirichlet(np.ones(n_s) * 1.5, size=(n_s, n_a))
@@ -681,27 +692,17 @@ def run_equivcheck(pair: str, seed: int = 0) -> dict:
         )
         theta0 = 0.3 * rng.normal(size=policy.n_params)
 
+        def expected(theta):
+            P = prob_b.chain.transition_matrix(theta)
+            return P, prob_b.cost.value_table(theta), objective(prob_b, theta)
+
     d_p = d_l = d_j = d_g = 0.0
     for probe in range(3):
         theta = theta0 if probe == 0 else theta0 + 0.2 * rng.normal(size=theta0.size)
-        d_p = max(
-            d_p,
-            float(
-                np.max(
-                    np.abs(
-                        prob_a.chain.transition_matrix(theta)
-                        - prob_b.chain.transition_matrix(theta)
-                    )
-                )
-            ),
-        )
-        d_l = max(
-            d_l,
-            float(
-                np.max(np.abs(prob_a.cost.value_table(theta) - prob_b.cost.value_table(theta)))
-            ),
-        )
-        d_j = max(d_j, abs(objective(prob_a, theta) - objective(prob_b, theta)))
+        P, L, J = expected(theta)
+        d_p = max(d_p, float(np.max(np.abs(prob_a.chain.transition_matrix(theta) - P))))
+        d_l = max(d_l, float(np.max(np.abs(prob_a.cost.value_table(theta) - L))))
+        d_j = max(d_j, abs(objective(prob_a, theta) - J))
         g_a = exact_gradient(prob_a, theta)
         g_b = exact_gradient_bottleneck(prob_b, theta)
         d_g = max(d_g, float(np.max(np.abs(g_a - g_b))))

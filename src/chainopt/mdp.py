@@ -431,7 +431,8 @@ def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting):
 
     Returns (v, j) where j is the average cost (None outside the average
     setting). Average-setting values are normalized so the stationary
-    expectation of v vanishes.
+    expectation of v vanishes. FirstExit is refused: with gamma = 1 the
+    matrix I - T of the row-stochastic product chain is singular.
     """
     p = np.asarray(transitions, dtype=float)
     ell = np.asarray(costs, dtype=float)
@@ -442,7 +443,12 @@ def mdp_policy_evaluation(transitions, costs, pi_table, setting: Setting):
     T = (p[:, :, :, None] * pi[None, None]).reshape(nsa, nsa)
     ell_flat = ell.reshape(nsa)
 
-    if isinstance(setting, (EpisodicDiscounted, FirstExit)):
+    if isinstance(setting, FirstExit):
+        raise CapabilityError(
+            "mdp_policy_evaluation cannot evaluate FirstExit: I - T on the row-stochastic "
+            "state-action chain is singular"
+        )
+    if isinstance(setting, EpisodicDiscounted):
         Q, j = np.linalg.solve(np.eye(nsa) - setting.gamma * T, ell_flat), None
     elif isinstance(setting, Average):
         _, j, Q, _ = _average_values(T, ell_flat)

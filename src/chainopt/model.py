@@ -606,25 +606,34 @@ class SoftmaxChain(ChainModel):
         p, n, kernel = self.n_params, self.n_states, self._softmax
         k = self._key_param[at]
         probs = kernel.probs(z)
+        hits = np.bincount(groups * p + k, weights=coef, minlength=n_groups * p)
         if stage is None:
-            hits = np.bincount(groups * p + k, weights=coef, minlength=n_groups * p)
             # one segment per group and state: sum the coef mass first
             mass = np.bincount(groups * n + x, weights=coef, minlength=n_groups * n)
             return hits.reshape(n_groups, p) - mass.reshape(n_groups, n)[:, self._flat_x] * probs
-        # one bincount of coef times the stage's probabilities over the
-        # entries of each transition's segment, transition after transition,
-        # then the hits added in place
+        # coef times the stage's probabilities over the entries of each
+        # transition's segment, in one bincount. When the (group, stage,
+        # segment) cells are fewer than those entries, the coef mass is
+        # summed per cell first and only the occupied cells are expanded.
         seg = kernel.seg_of[k]
         size = kernel.seg_len[seg]
+        n_stages, n_seg = probs.shape[0], kernel.seg_len.size
+        n_cells = n_groups * n_stages * n_seg
+        if n_cells <= size.sum():
+            mass = np.bincount((groups * n_stages + stage) * n_seg + seg, weights=coef,
+                               minlength=n_cells)
+            cell = np.flatnonzero(mass)
+            coef = mass[cell]
+            groups, cell = np.divmod(cell, n_stages * n_seg)
+            stage, seg = np.divmod(cell, n_seg)
+            size = kernel.seg_len[seg]
         entry = np.arange(size.sum())
         entry += np.repeat(kernel.seg_start[seg] - (np.cumsum(size) - size), size)
         mass = probs[np.repeat(stage, size), entry]
         mass *= np.repeat(coef, size)
         entry += np.repeat(groups * p, size)
-        out = np.bincount(entry, weights=mass, minlength=n_groups * p)
-        np.negative(out, out=out)
-        np.add.at(out, groups * p + k, coef)
-        return out.reshape(n_groups, p)
+        hits -= np.bincount(entry, weights=mass, minlength=n_groups * p)
+        return hits.reshape(n_groups, p)
 
 
 class FixedTabularChain(ChainModel):

@@ -40,17 +40,22 @@ a read-only list of per-rollout views, for the jsonl dump and for readers
 outside the library.
 
 Estimators consume whole batches as flat per-step arrays and refuse
-parameters that differ from the ones the batch was generated under. Their
-cost-to-go R_t = L_t + gamma R_{t+1} is one backward scan over the batch,
-bit-identical to ``scipy.signal.lfilter([1], [1, -gamma])`` over each
-rollout's reversed costs: the same operations in the same order.
+parameters that differ from the ones the batch was generated under; a
+batch keeps a read-only copy of its theta. ``estimate_gradient`` and
+``path_gradient`` sum every kept rollout into one group for their mean, a
+score_sums call and a cost call with no (rollouts, n_params) array; the
+per-rollout rows, their stderr and the diagnostics are computed when first
+read. The estimators' cost-to-go R_t = L_t + gamma R_{t+1} is one
+backward scan over the batch, bit-identical to
+``scipy.signal.lfilter([1], [1, -gamma])`` over each rollout's reversed
+costs: the same operations in the same order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -104,46 +109,50 @@ def _rollout_streams(seed: int, n: int) -> list:
 
     Building a SeedSequence costs most of a stream's construction, so the
     seed states of all n streams are hashed together, with numpy's
-    SeedSequence algorithm (the mix of the entropy words into a pool of
-    four, then generate_state) in uint32 arithmetic over the n spawn keys.
-    The seed is a non-negative integer, as generate_rollouts checks.
+    SeedSequence algorithm: the mix of the entropy words into a pool of
+    four, then generate_state. The words of the seed, which every stream
+    shares, are mixed once on Python ints; the spawn key, the last word,
+    and generate_state run on (n,) uint32 arrays. The seed is a
+    non-negative integer, as generate_rollouts checks.
     """
-    u32 = np.uint32
+    mask = 0xFFFFFFFF
     words, rest = [], int(seed)
     while rest > 0 or not words:
-        words.append(rest & 0xFFFFFFFF)
+        words.append(rest & mask)
         rest >>= 32
     words += [0] * (4 - len(words))  # padded to the pool size ahead of a spawn key
-    entropy = [np.full(n, w, dtype=u32) for w in words] + [np.arange(n, dtype=u32)]
     hash_const = 0x43B0D7E5
 
+    # the same operations on a Python int below 2**32 and on a uint32 array
     def hashmix(v):
         nonlocal hash_const
-        v = v ^ u32(hash_const)
-        hash_const = (hash_const * 0x931E8875) & 0xFFFFFFFF
-        v = v * u32(hash_const)
-        return v ^ (v >> u32(16))
+        v = v ^ hash_const
+        hash_const = (hash_const * 0x931E8875) & mask
+        v = (v * hash_const) & mask
+        return v ^ (v >> 16)
 
     def mix(x, y):
-        r = u32(0xCA01F9DD) * x - u32(0x4973F715) * y
-        return r ^ (r >> u32(16))
+        r = (((0xCA01F9DD * x) & mask) - ((0x4973F715 * y) & mask)) & mask
+        return r ^ (r >> 16)
 
-    pool = [hashmix(entropy[i]) for i in range(4)]
+    pool = [hashmix(w) for w in words[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, len(entropy)):
+    for w in words[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+            pool[dst] = mix(pool[dst], hashmix(w))
+    key = np.arange(n, dtype=np.uint32)
+    pool = [mix(pool[dst], hashmix(key)) for dst in range(4)]
     # generate_state(4, np.uint64): eight uint32 words, paired little-endian
     hash_const = 0x8B51F9DD
     state = []
     for k in range(8):
-        v = pool[k % 4] ^ u32(hash_const)
-        hash_const = (hash_const * 0x58F38DED) & 0xFFFFFFFF
-        v = v * u32(hash_const)
-        state.append(v ^ (v >> u32(16)))
+        v = pool[k % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & mask
+        v = v * hash_const
+        state.append(v ^ (v >> 16))
     state = np.stack(state, axis=1).astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.PCG64(_PresetSeed(row))) for row in state]
 
@@ -182,13 +191,16 @@ class RolloutBatch:
     """The rollouts of a batch that did not diverge, in the flat layout,
     with the count of those that diverged and the exact generation context
     they were produced under. The layout's arrays are made read-only: the
-    batch, its ``steps`` and its ``rollouts`` share them."""
+    batch, its ``steps`` and its ``rollouts`` share them. theta is a
+    read-only copy, so a caller that steps its own parameters in place
+    cannot make a stale batch look current."""
 
     def __init__(self, flat: _Flat, theta, seed, mode, horizon_cap, n_diverged=0):
         for a in vars(flat).values():
             a.flags.writeable = False
         self.flat = flat
-        self.theta = theta
+        self.theta = np.array(theta, dtype=float)
+        self.theta.flags.writeable = False
         self.seed = seed
         self.mode = mode
         self.horizon_cap = horizon_cap
@@ -646,16 +658,36 @@ def _baseline_chain(problem: Problem):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GradientEstimate:
-    """Batch-mean gradient with per-coordinate standard errors."""
+    """Batch-mean gradient with per-coordinate standard errors.
 
-    mean: np.ndarray
-    stderr: np.ndarray
-    n_rollouts: int
-    n_diverged: int
-    valid: bool
-    diagnostics: dict = field(default_factory=dict)
+    mean, n_rollouts, n_diverged and valid are set when the estimate is
+    made, from sums over one group. per_rollout, the (rollouts, n_params)
+    contributions whose mean is mean, stderr and diagnostics (whose
+    "per_rollout" entry it is) are computed on first read and cached, so a
+    caller that reads only the mean builds no per-rollout array. They are
+    computed from the batch's own read-only theta and arrays.
+    """
+
+    def __init__(self, mean, n_rollouts: int, n_diverged: int, valid: bool, rows, info=None):
+        self.mean = mean
+        self.n_rollouts = n_rollouts
+        self.n_diverged = n_diverged
+        self.valid = valid
+        self._rows = rows  # () -> the per-rollout contributions
+        self._info = info or {}
+
+    @cached_property
+    def per_rollout(self) -> np.ndarray:
+        return self._rows()
+
+    @cached_property
+    def stderr(self) -> np.ndarray:
+        return _stderr(self.per_rollout)
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        return {**self._info, "per_rollout": self.per_rollout}
 
 
 def baseline_expected_values(problem: Problem, theta, baseline) -> np.ndarray:
@@ -704,21 +736,21 @@ def estimate_gradient(
         tables = baseline_expected_values(problem, theta, baseline)
         adv = adv - tables[np.minimum(steps.t[k], len(tables) - 1), steps.states[k]]
     coef = gamma * steps.weights[k] * adv
-    kept = _contributions(problem, theta, batch, steps, steps.weights, coef)
     n_truncated = batch.n_truncated
     frac_bad = (batch.n_diverged + n_truncated) / len(batch)
     return GradientEstimate(
-        mean=kept.mean(axis=0),
-        stderr=_stderr(kept),
+        mean=_contributions(problem, batch, steps, steps.weights, coef)[0] / n_valid,
         n_rollouts=n_valid,
         n_diverged=batch.n_diverged,
         valid=frac_bad <= 0.01,
-        diagnostics={
+        rows=lambda: _contributions(
+            problem, batch, steps, steps.weights, coef, steps.owner, n_valid
+        ),
+        info={
             "mean_return": float(np.mean(steps.returns[steps.first])),
             "mean_length": float(np.mean(steps.lengths - 1)),
             "n_diverged": batch.n_diverged,
             "n_truncated": n_truncated,
-            "per_rollout": kept,
         },
     )
 
@@ -731,33 +763,39 @@ def _stderr(per_rollout: np.ndarray) -> np.ndarray:
     return np.full(per_rollout.shape[1:], np.inf)
 
 
-def _contributions(problem, theta, batch, steps: BatchSteps, step_w, coef) -> np.ndarray:
-    """Per-rollout sums of step_w * dL(x_t) over the steps plus coef *
-    score_t over the transitions steps.trans, shape (rollouts, n_params):
-    one cost call and one score_sums call, with no per-step or per-stage
-    Python."""
-    out = _cost_grad_sums(problem, theta, batch, steps, step_w)
-    out += _score_sums(problem, theta, steps, coef, steps.owner[steps.trans], steps.lengths.size)
+def _contributions(
+    problem, batch, steps: BatchSteps, step_w, coef, groups=None, n_groups: int = 1
+) -> np.ndarray:
+    """Per-group sums of step_w * dL(x_t) over the steps plus coef * score_t
+    over the transitions steps.trans, at the batch's theta, shape
+    (n_groups, n_params): one cost call and one score_sums call, with no
+    per-step or per-stage Python. groups holds each step's group; by
+    default every step is in group 0, and steps.owner gives one group per
+    rollout."""
+    if groups is None:
+        groups = np.zeros(steps.t.size, dtype=np.int64)
+    out = _cost_grad_sums(problem, batch, steps, step_w, groups, n_groups)
+    out += _score_sums(problem, batch.theta, steps, coef, groups[steps.trans], n_groups)
     return out
 
 
-def _cost_grad_sums(problem, theta, batch, steps: BatchSteps, step_w) -> np.ndarray:
-    """Per-rollout sums of step_w * dL(x_t): on a tabular chain one bincount
-    of the step weights over (rollout, time, state) contracted by one cost
+def _cost_grad_sums(problem, batch, steps: BatchSteps, step_w, groups, n_groups: int):
+    """Per-group sums of step_w * dL(x_t): on a tabular chain one bincount
+    of the step weights over (group, time, state) contracted by one cost
     grad_sum, on a continuous one the cost's state_grad_sums."""
-    cost, m = problem.cost, steps.lengths.size
+    cost, theta = problem.cost, batch.theta
     tv = isinstance(problem.setting, TimeVarying)
     if not problem.chain.tabular:
         t = steps.t if tv else 0
-        return cost.state_grad_sums(theta, steps.states, step_w, steps.owner, m, t)
+        return cost.state_grad_sums(theta, steps.states, step_w, groups, n_groups, t)
     n = problem.chain.n_states
     if tv:
         n_times = batch.horizon_cap + 1
-        cell = (steps.owner * n_times + np.minimum(steps.t, n_times - 1)) * n + steps.states
-        mass = np.bincount(cell, weights=step_w, minlength=m * n_times * n)
-        return staged(cost).grad_sum(theta, mass.reshape(m, n_times, n), np.arange(n_times))
-    mass = np.bincount(steps.owner * n + steps.states, weights=step_w, minlength=m * n)
-    return cost.grad_sum(theta, mass.reshape(m, n))
+        cell = (groups * n_times + np.minimum(steps.t, n_times - 1)) * n + steps.states
+        mass = np.bincount(cell, weights=step_w, minlength=n_groups * n_times * n)
+        return staged(cost).grad_sum(theta, mass.reshape(n_groups, n_times, n), np.arange(n_times))
+    mass = np.bincount(groups * n + steps.states, weights=step_w, minlength=n_groups * n)
+    return cost.grad_sum(theta, mass.reshape(n_groups, n))
 
 
 # ---------------------------------------------------------------------------
@@ -792,14 +830,13 @@ def path_gradient(problem: Problem, theta, batch: RolloutBatch) -> GradientEstim
     m = steps.lengths.size
     total_cost = np.bincount(steps.owner, weights=steps.costs, minlength=m)
     coef = total_cost[steps.owner[steps.trans]]
-    out = _contributions(problem, theta, batch, steps, np.ones(steps.t.size), coef)
+    ones = np.ones(steps.t.size)
     return GradientEstimate(
-        mean=out.mean(axis=0),
-        stderr=_stderr(out),
+        mean=_contributions(problem, batch, steps, ones, coef)[0] / m,
         n_rollouts=m,
         n_diverged=batch.n_diverged,
         valid=True,
-        diagnostics={"per_rollout": out},
+        rows=lambda: _contributions(problem, batch, steps, ones, coef, steps.owner, m),
     )
 
 

@@ -1,8 +1,9 @@
 """Ill-posed arguments of public functions get a typed error naming them.
 
 One table of (call, ill-posed value, message): each call must raise an
-InvalidStructureError whose message names the argument, and must not
-first warn, or return a NaN or a biased result.
+InvalidStructureError, or the error ERRORS names for it, whose message
+names the argument, and must not first warn, or return a NaN or a biased
+result.
 """
 
 import math
@@ -13,7 +14,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chainopt import (
+    CapabilityError,
     EpisodicDiscounted,
+    FirstExit,
     GaussianInitial,
     GaussianLinearChain,
     InvalidStructureError,
@@ -21,15 +24,17 @@ from chainopt import (
     StateQuadraticCost,
     estimate_gradient,
     generate_rollouts,
+    mdp_policy_evaluation,
 )
 from chainopt.exact import fd_gradient, fd_gradient_oracle, fd_hessian, fd_hessian_oracle
 from chainopt.model import check_number
-from chainopt.problems import random_softmax_problem
+from chainopt.problems import random_mdp, random_softmax_problem
 from chainopt.surrogate import fisher_matrix, natural_gradient
 
 PROBLEM = random_softmax_problem(EpisodicDiscounted(0.9), n_states=4, seed=2)
 THETA = 0.1 * np.arange(PROBLEM.n_params)
 BATCH = generate_rollouts(PROBLEM, THETA, 4, 10)
+MDP, POLICY, MDP_THETA = random_mdp(4, 2, 0)
 
 
 def _objective(th):
@@ -60,7 +65,12 @@ CALLS = {
     "baseline": lambda fill: estimate_gradient(
         PROBLEM, THETA, BATCH, np.full(PROBLEM.chain.n_states, fill)
     ),
+    "mdp_policy_evaluation": lambda setting: mdp_policy_evaluation(
+        MDP.transitions, MDP.costs, POLICY.table(MDP_THETA), setting
+    ),
 }
+# a setting that a function does not cover is a capability it lacks
+ERRORS = {"mdp_policy_evaluation": CapabilityError}
 
 STEP = "h must be a finite positive number"
 DAMPING = "damping must be a finite non-negative number"
@@ -74,13 +84,14 @@ CASES = [
       for count in ("n_rollouts", "horizon_cap") for value in (2.5, 0, True, "10")],
     *[("baseline", fill, "baseline table contains non-finite entries")
       for fill in (math.nan, math.inf)],
+    ("mdp_policy_evaluation", FirstExit(), "mdp_policy_evaluation cannot evaluate FirstExit"),
 ]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, value, message", CASES)
 def test_ill_posed_argument_is_refused_by_name(call, value, message):
-    with pytest.raises(InvalidStructureError) as info:
+    with pytest.raises(ERRORS.get(call, InvalidStructureError)) as info:
         CALLS[call](value)
     assert str(info.value).startswith(message)
 

@@ -769,6 +769,71 @@ CONTINUOUS = {
 }
 
 
+class TestMeanFromOneGroup:
+    """estimate_gradient and path_gradient sum every rollout into one group
+    for the mean, and build the per-rollout rows, their stderr and the
+    diagnostics only when one of them is read."""
+
+    CASES = {
+        "tabular": lambda: (random_softmax_problem(FirstExit(), 6, seed=3), 0.5, {}),
+        "timevarying": lambda: (random_timevarying_problem(horizon=6, n_states=5, seed=2), 0.4, {}),
+        "timevarying-terminal": lambda: (_timevarying_with_terminal(), 0.4, {}),
+        "gaussian": lambda: (gaussian_linear_problem(2, seed=0)[0], 0.3, {"mode": "geometric"}),
+    }
+
+    @pytest.fixture
+    def grouped(self, monkeypatch):
+        """The n_groups of every rollout._score_sums call."""
+        calls, inner = [], rollout._score_sums
+        monkeypatch.setattr(
+            rollout, "_score_sums", lambda *args: calls.append(args[-1]) or inner(*args)
+        )
+        return calls
+
+    def _estimates(self, problem, theta, batch):
+        yield estimate_gradient(problem, theta, batch)
+        if problem.chain.tabular:
+            baseline = np.linspace(-1.0, 1.0, problem.chain.n_states)
+            yield estimate_gradient(problem, theta, batch, baseline)
+        if isinstance(problem.setting, TimeVarying):
+            yield rollout.path_gradient(problem, theta, batch)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_are_built_on_first_read(self, case, grouped):
+        problem, scale, kw = self.CASES[case]()
+        theta = _theta(problem, scale)
+        batch = generate_rollouts(problem, theta, 40, seed=5, **kw)
+        m = batch.flat.lengths.size
+        for est in self._estimates(problem, theta, batch):
+            assert max(grouped) == 1
+            rows = est.per_rollout
+            assert grouped.pop() == m and rows.shape == (m, problem.n_params)
+            assert est.diagnostics["per_rollout"] is rows
+            assert_close(est.stderr, rows.std(axis=0, ddof=1) / np.sqrt(m))
+            assert est.per_rollout is rows and max(grouped) == 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_mean_is_the_mean_of_the_rows(self, case):
+        problem, scale, kw = self.CASES[case]()
+        theta = _theta(problem, scale)
+        batch = generate_rollouts(problem, theta, 60, seed=8, **kw)
+        for est in self._estimates(problem, theta, batch):
+            rows = est.per_rollout
+            top = np.abs(rows).max()
+            np.testing.assert_allclose(est.mean, rows.mean(axis=0), rtol=1e-12, atol=1e-12 * top)
+
+    def test_rows_read_the_batch_theta(self):
+        """Rows read after the caller's theta changed in place are those of
+        the batch's theta."""
+        problem = random_softmax_problem(FirstExit(), 6, seed=3)
+        theta = _theta(problem, 0.5)
+        batch = generate_rollouts(problem, theta, 30, seed=1)
+        want = estimate_gradient(problem, theta, batch).per_rollout
+        est = estimate_gradient(problem, theta, batch)
+        theta += 1.0
+        np.testing.assert_array_equal(est.per_rollout, want)
+
+
 class TestContinuousBatchesMatchPerRolloutLoop:
     @pytest.mark.parametrize("case", sorted(CONTINUOUS))
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -328,30 +328,33 @@ class TestRecoveries:
 
 class TestEquivalences:
     def test_stochastic_deterministic_pair(self):
-        """Both constructions realize the same transition rows, step costs,
-        objective, and gradient (score form vs bottleneck form)."""
+        """The stochastic mapping realizes the policy-averaged rows
+        sum_a pi(a|x) p(y|x, a) and costs sum_a pi(a|x) c(x, a) formed from
+        the raw MDP tensors, and the objective p0 . v of the action-space
+        evaluation; its score-form gradient matches its bottleneck form."""
         for seed in (0, 1):
             mdp, policy, theta0 = random_mdp(5, 3, seed=seed)
-            prob_s = map_stochastic_mdp(mdp, policy)
-            prob_d = map_stochastic_mdp(mdp, policy)
+            prob = map_stochastic_mdp(mdp, policy)
             rng = np.random.default_rng(10 + seed)
             for probe in range(3):
                 theta = theta0 if probe == 0 else theta0 + 0.2 * rng.normal(size=theta0.size)
+                pi = policy.table(theta)
                 np.testing.assert_allclose(
-                    prob_s.chain.transition_matrix(theta),
-                    prob_d.chain.transition_matrix(theta),
+                    prob.chain.transition_matrix(theta),
+                    np.einsum("xa,xay->xy", pi, mdp.transitions),
                     atol=1e-12,
                 )
                 np.testing.assert_allclose(
-                    prob_s.cost.value_table(theta),
-                    prob_d.cost.value_table(theta),
+                    prob.cost.value_table(theta),
+                    np.einsum("xa,xa->x", pi, mdp.costs),
                     rtol=0,
                     atol=1e-12,
                 )
-                assert abs(objective(prob_s, theta) - objective(prob_d, theta)) < 1e-10
+                v, _ = mdp_policy_evaluation(mdp.transitions, mdp.costs, pi, mdp.setting)
+                assert abs(objective(prob, theta) - mdp.init.weights @ v) < 1e-10
                 np.testing.assert_allclose(
-                    exact_gradient(prob_s, theta),
-                    exact_gradient_bottleneck(prob_d, theta),
+                    exact_gradient(prob, theta),
+                    exact_gradient_bottleneck(prob, theta),
                     atol=1e-10,
                 )
 

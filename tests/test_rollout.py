@@ -118,6 +118,18 @@ class TestGeneration:
         with pytest.raises(StalenessError):
             check_batch(np.array([0.1, 0.0]), batch)
 
+    def test_stepping_theta_in_place_makes_the_batch_stale(self):
+        """The batch keeps a read-only copy of theta, so a caller that
+        steps its own array in place cannot pass the old batch off as
+        current."""
+        prob = random_softmax_problem(FirstExit(), 5, seed=1)
+        theta = np.zeros(prob.n_params)
+        batch = generate_rollouts(prob, theta, 10, seed=0)
+        assert batch.theta is not theta and not batch.theta.flags.writeable
+        theta += 0.1
+        with pytest.raises(StalenessError):
+            estimate_gradient(prob, theta, batch)
+
 
 def _softmax():
     return random_softmax_problem(FirstExit(), 5, seed=1)

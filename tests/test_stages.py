@@ -223,6 +223,26 @@ def test_stage_arrays_match_the_per_stage_tables(case):
 
 @given(stage_problems())
 @PROPERTY
+def test_score_sums_per_cell_match_the_per_transition_scores(case):
+    """Stage-array score sums at one group and at three groups against the
+    sum of each transition's own score, terminal rows included. 300
+    transitions meet at most 3 * 6 * 5 = 90 (group, stage, segment) cells,
+    so the shared-layout stages sum the coef mass per cell before they
+    expand it over the segments."""
+    problem, theta, rng = case
+    x, y, t = _transitions(problem, theta, rng, 300)
+    coef = rng.normal(size=x.size)
+    scores = [transition_score(problem.chain, *args, theta, u) for *args, u in zip(x, y, t)]
+    for n_groups in (1, 3):
+        groups = rng.integers(0, n_groups, size=x.size)
+        want = np.zeros((n_groups, problem.n_params))
+        np.add.at(want, groups, coef[:, None] * np.array(scores))
+        got = staged(problem.chain).score_sums(theta, x, y, coef, groups, n_groups, t)
+        assert_close(got, want)
+
+
+@given(stage_problems())
+@PROPERTY
 def test_exact_stage_solve_matches_the_per_stage_recursion(case):
     problem, theta, rng = case
     V = per_stage_values(problem, theta)

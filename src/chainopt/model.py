@@ -81,6 +81,12 @@ def sample_index(cum: Array, u: float) -> int:
     return int(np.searchsorted(cum, cum[-1], side="left"))
 
 
+def _rows_times(X: Array, M: Array) -> Array:
+    """M @ x per row x of X, a broadcast product and a last-axis sum: unlike
+    a BLAS product's, a row's result does not depend on the row count."""
+    return (X[:, None, :] * M).sum(axis=2)
+
+
 # ---------------------------------------------------------------------------
 # Settings
 # ---------------------------------------------------------------------------
@@ -175,8 +181,9 @@ class GaussianInitial:
         except np.linalg.LinAlgError as exc:
             raise InvalidStructureError("covariance must be positive definite") from exc
 
-    def sample(self, rng: np.random.Generator) -> Array:
-        return self.mean + self._chol @ rng.standard_normal(self.mean.shape[0])
+    def states(self, noise) -> Array:
+        """The start states of the (m, n_x) standard normal draws noise."""
+        return self.mean + _rows_times(noise, self._chol)
 
 
 InitialDistribution = Union[TabularInitial, GaussianInitial]
@@ -202,7 +209,7 @@ class ChainModel(abc.ABC):
     finite-difference oracle then re-probes one theta at a time.
     A continuous chain has n_x-dimensional states and answers for (m, n_x)
     arrays of transitions x[k] -> y[k] at once: score_sums as above,
-    log_density and density_hess.
+    log_density and density_hess, and next_states draws successors.
     """
 
     n_params: int = 0
@@ -278,11 +285,8 @@ class ChainModel(abc.ABC):
     # --- sampling ---------------------------------------------------------
 
     def make_sampler(self, theta: Array, t: int = 0):
-        """Return a callable (x, rng) -> x_next with tables precomputed;
-        terminal states draw nothing. A chain that is not tabular brings
-        its own."""
-        if not self.tabular:
-            raise CapabilityError(f"{type(self).__name__} has no sampler")
+        """Return a callable (x, rng) -> x_next of a tabular chain, with
+        tables precomputed; terminal states draw nothing."""
         cums = np.cumsum(self.transition_matrix(theta, t), axis=1)
         terminal = self.terminal
 
@@ -292,6 +296,11 @@ class ChainModel(abc.ABC):
             return sample_index(cums[x], rng.random())
 
         return step
+
+    def next_states(self, theta: Array, x, noise, t: int = 0) -> Array:
+        """The successors of (m, n_x) continuous states x under (m, n_x)
+        standard normal draws noise, each row from its own state and draws."""
+        raise CapabilityError(f"{type(self).__name__} has no sampler")
 
     # --- bottleneck: a low-dimensional policy output eta per state ---------
 
@@ -731,16 +740,9 @@ class GaussianLinearChain(ChainModel):
         """Per-transition information of the policy output, B' cov^-1 B."""
         return self.B.T @ self._prec @ self.B
 
-    def make_sampler(self, theta, t: int = 0):
-        M = self._closed
+    def next_states(self, theta, x, noise, t: int = 0) -> Array:
         off = self.B @ np.asarray(theta, dtype=float)
-        chol = self._chol
-        n = self.n_x
-
-        def step(x, rng):
-            return M @ x + off + chol @ rng.standard_normal(n)
-
-        return step
+        return _rows_times(x, self._closed) + off + _rows_times(noise, self._chol)
 
 
 def _stage_stack(model, method: str, theta, t, k: int) -> Array:

@@ -2,30 +2,29 @@
 
 Streams. Rollout i of a batch draws from its own generator,
 ``rollout_rng(seed, i)``, and from nothing else, so a batch is
-bit-identical no matter how the work is scheduled. A tabular rollout's
-draws are uniforms in a fixed order: one for the start state, then per
-step, after the terminal check (a rollout on a terminal state stops,
-except in a time-varying problem) and the cap check, one stop draw in
-geometric mode (stop when it is below 1 - gamma) and one step draw. A
-time-varying rollout sitting on a terminal state stays there and draws
-nothing. So the draw index is a function of (rollout, step).
+bit-identical no matter how the work is scheduled. A rollout makes a
+start draw, then per step, after the terminal check (a tabular rollout
+on a terminal state stops, except in a time-varying problem, where it
+stays there and draws nothing) and the cap check, one uniform stop draw
+in geometric mode (stop when it is below 1 - gamma) and a step draw. A
+tabular chain's start and step draws are uniforms, inverse-CDF lookups
+in the cumulative initial weights and transition rows with
+``sample_index``'s clamp to a row's last positive entry, as
+``ChainModel.make_sampler`` draws. A continuous chain's are rows of n_x
+standard normals, which ``GaussianInitial.states`` and the chain's
+``next_states`` turn into states; a step that leaves the finite numbers
+diverges its rollout.
 
-Tabular batches advance all live rollouts in lockstep, and every rollout
-that draws at a given point of the loop draws the same index of its own
-stream: index 0 for the start, then one per step, or two in geometric
-mode, while a parked time-varying rollout never draws again. So draw k of
-the batch is column k % _BLOCK of a block of uniforms, row i holding
-_BLOCK successive values of stream i (``rng.random(out=row)`` fills the row
-with the values of that many successive ``rng.random()`` calls). The
-drawing rollouts refill their rows whenever k reaches a multiple of
-_BLOCK, at a stop draw or at a step draw; a finished rollout's unused
-draws are discarded, which no other rollout can see. A step draw is an
-inverse-CDF lookup in the cumulative rows of the transition matrix, the
-rows ``ChainModel.make_sampler`` draws from, with ``sample_index``'s clamp
-to the row's last positive entry. Continuous chains mix uniform and
-normal draws on one stream and keep a per-step loop per rollout; a step
-that leaves the finite numbers diverges its rollout. One state_values
-call then costs all kept states.
+All live rollouts advance in lockstep, and every rollout that draws at
+a given point of the loop has made the same number of draws of that
+kind before. So draw k of a kind is entry k % _BLOCK of a block of that
+kind, whose row i holds _BLOCK successive draws of stream i
+(``rng.random(out=row)`` and ``rng.standard_normal(out=row)`` fill a row
+as that many successive single draws would). The drawing rollouts refill
+their rows whenever k reaches a multiple of _BLOCK; a finished rollout's
+unused draws are discarded, which no other rollout can see. A
+continuous rollout's two kinds refill in an order its steps fix. One
+cost call then costs all kept states.
 
 Every batch is one layout (``_Flat``): the states of the rollouts that
 did not diverge, rollout after rollout, each step's time, costs, and the
@@ -74,6 +73,7 @@ from .model import (
     Problem,
     TimeVarying,
     check_count,
+    check_number,
     check_params,
     staged,
 )
@@ -393,30 +393,66 @@ def generate_rollouts(
         raise InvalidStructureError(f"unknown termination mode {mode!r}")
     if mode == "terminal" and len(chain.terminal) == 0:
         raise InvalidStructureError("terminal mode needs a chain with terminal states")
-    if chain.tabular:
-        flat = _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
-        return RolloutBatch(flat, theta, seed, mode, horizon_cap)
-    return _continuous_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv)
+    uniforms = _Draws(_rollout_streams(seed, n_rollouts))
+    live = np.arange(n_rollouts)
+    kind = _tabular_kind if chain.tabular else _continuous_kind
+    x, step, costs, terminal = kind(problem, theta, horizon_cap, tv, live, uniforms)
+    stop_prob = 1.0 - problem.gamma
+    reason = np.full(n_rollouts, -1, dtype=np.int64)  # into _REASONS; -1 if it diverged
+    visits, visited = [live], [x]  # rollouts alive at each step, and their states
+    t = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            if terminal is not None:
+                done = terminal[x]
+                reason[live[done]] = 1
+                live, x = live[~done], x[~done]
+            if t >= horizon_cap:
+                reason[live] = 0
+                break
+            if mode == "geometric":
+                done = uniforms.take(live) < stop_prob
+                reason[live[done]] = 2
+                live, x = live[~done], x[~done]
+            live, x = step(t, live, x)
+            visits.append(live)
+            visited.append(x)
+            t += 1
+
+    # the loop's output is step-major; step k of rollout i goes to first[i] + k
+    owner = np.concatenate(visits)
+    step_of = np.repeat(np.arange(len(visits)), [v.size for v in visits])
+    lengths = np.bincount(owner, minlength=n_rollouts)
+    at = (np.cumsum(lengths) - lengths)[owner] + step_of
+    x = np.concatenate(visited)
+    states, steps = np.empty_like(x), np.empty_like(step_of)
+    states[at], steps[at] = x, step_of
+    kept = reason >= 0
+    if not kept.all():  # drop the diverged rollouts
+        rows = np.repeat(kept, lengths)
+        states, steps, lengths, reason = states[rows], steps[rows], lengths[kept], reason[kept]
+    flat = _Flat(states, steps, costs(states, steps), lengths, reason)
+    return RolloutBatch(flat, theta, seed, mode, horizon_cap, n_rollouts - reason.size)
 
 
-class _Uniforms:
-    """The uniform draws of a batch's rollouts, each from its own stream.
-    Draw k of a rollout is column k % _BLOCK of its row of a block, which
-    the rollouts drawing at k refill from their streams when k is a
-    multiple of _BLOCK."""
+class _Draws:
+    """One kind of draw of a batch's rollouts, each from its own stream:
+    uniforms, or given a shape, standard normal arrays of that shape. The
+    module docstring says how they are blocked."""
 
-    def __init__(self, seed: int, n_rollouts: int):
-        self.streams = _rollout_streams(seed, n_rollouts)
-        self.block = np.empty((n_rollouts, _BLOCK))
+    def __init__(self, streams: list, shape: tuple = ()):
+        self.streams = streams
+        self.fill = np.random.Generator.standard_normal if shape else np.random.Generator.random
+        self.block = np.empty((len(streams), _BLOCK) + shape)
         self.k = 0
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """Draw k of each of the given rollouts, all of which made draws
-        0..k-1 (the module docstring says why every drawing rollout does)."""
+        0..k-1 of this kind."""
         col = self.k % _BLOCK
         if col == 0:
             for i in rows.tolist():
-                self.streams[i].random(out=self.block[i])
+                self.fill(self.streams[i], out=self.block[i])
         self.k += 1
         return self.block[rows, col]
 
@@ -429,9 +465,10 @@ def _inverse_cdf(cum: np.ndarray, top, u: np.ndarray) -> np.ndarray:
     return np.where(cum[:, -1] > u, idx, top)
 
 
-def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> _Flat:
+def _tabular_kind(problem, theta, horizon_cap, tv, live, uniforms):
+    """A tabular chain's start states, step and costs, and its terminal
+    states, where a rollout stops (None in a time-varying problem)."""
     chain = problem.chain
-    n = chain.n_states
     if tv:  # every stage's matrix and cost table, from one call each
         P = staged(chain).transition_matrix(theta, np.arange(horizon_cap))
         L = staged(problem.cost).value_table(theta, np.arange(horizon_cap + 1))
@@ -440,86 +477,37 @@ def _tabular_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -
     cums = np.cumsum(P, axis=2)
     # first index reaching the row total: the last entry with positive weight
     tops = np.argmax(cums >= cums[:, :, -1:], axis=2)
-    terminal = np.zeros(n, dtype=bool)
+    terminal = np.zeros(chain.n_states, dtype=bool)
     terminal[list(chain.terminal)] = True
-    stop_prob = 1.0 - problem.gamma
-
-    draws = _Uniforms(seed, n_rollouts)
-    live = np.arange(n_rollouts)
     init_cum = np.cumsum(problem.init.weights)[None, :]
-    x = _inverse_cdf(init_cum, np.argmax(init_cum[0] >= init_cum[0, -1]), draws.take(live))
-    reason = np.zeros(n_rollouts, dtype=np.int64)  # index into _REASONS
-    visits, visited = [live], [x]  # rollouts alive at each step, and their states
-    t = 0
-    while live.size:
-        if not tv:
-            done = terminal[x]
-            reason[live[done]] = 1
-            live, x = live[~done], x[~done]
-        if t >= horizon_cap:
-            break
-        if mode == "geometric":
-            done = draws.take(live) < stop_prob
-            reason[live[done]] = 2
-            live, x = live[~done], x[~done]
+    x = _inverse_cdf(init_cum, np.argmax(init_cum[0] >= init_cum[0, -1]), uniforms.take(live))
+
+    def step(t, live, x):
         stage = min(t, cums.shape[0] - 1)
         cum, top = cums[stage], tops[stage]
-        if tv:
-            # a rollout parked on a terminal state stays there and draws nothing
-            x = x.copy()
-            move = ~terminal[x]
-            rows = x[move]
-            x[move] = _inverse_cdf(cum[rows], top[rows], draws.take(live[move]))
-        else:
-            x = _inverse_cdf(cum[x], top[x], draws.take(live))
-        visits.append(live)
-        visited.append(x)
-        t += 1
+        if not tv:
+            return live, _inverse_cdf(cum[x], top[x], uniforms.take(live))
+        x, move = x.copy(), ~terminal[x]  # a parked rollout stays and draws nothing
+        rows = x[move]
+        x[move] = _inverse_cdf(cum[rows], top[rows], uniforms.take(live[move]))
+        return live, x
 
-    # the loop's output is step-major; step k of rollout i goes to first[i] + k
-    owner = np.concatenate(visits)
-    step = np.repeat(np.arange(len(visits)), [v.size for v in visits])
-    lengths = np.bincount(owner, minlength=n_rollouts)
-    at = (np.cumsum(lengths) - lengths)[owner] + step
-    states, steps = np.empty_like(owner), np.empty_like(step)
-    states[at] = np.concatenate(visited)
-    steps[at] = step
-    costs = L[np.minimum(steps, L.shape[0] - 1), states]
-    return _Flat(states, steps, costs, lengths, reason)
+    costs = lambda states, steps: L[np.minimum(steps, L.shape[0] - 1), states]
+    return x, step, costs, None if tv else terminal
 
 
-def _continuous_rollouts(problem, theta, n_rollouts, horizon_cap, mode, seed, tv) -> RolloutBatch:
-    """One draw loop per rollout. A rollout whose next state is not finite
-    has diverged: the batch drops it and counts it in n_diverged. That
-    check is the handling of an overflowing step, so the draws run with
-    numpy's overflow and invalid-value warnings off. The costs of the
-    kept states are one state_values call after the draws."""
-    samplers = [problem.chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
-    stop_prob = 1.0 - problem.gamma
-    kept, lengths, codes = [], [], []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rng in _rollout_streams(seed, n_rollouts):
-            states = [problem.init.sample(rng)]
-            end = END_HORIZON
-            while len(states) <= horizon_cap:
-                if mode == "geometric" and rng.random() < stop_prob:
-                    end = END_GEOMETRIC
-                    break
-                x_next = samplers[min(len(states) - 1, len(samplers) - 1)](states[-1], rng)
-                if not np.isfinite(x_next).all():
-                    end = None
-                    break
-                states.append(x_next)
-            if end is not None:
-                kept += states
-                lengths.append(len(states))
-                codes.append(_REASONS.index(end))
-    states = np.array(kept, dtype=float).reshape(-1, problem.init.mean.size)
-    lengths = np.array(lengths, dtype=np.int64)
-    t = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    costs = problem.cost.state_values(theta, states, t if tv else 0)
-    flat = _Flat(states, t, costs, lengths, np.array(codes, dtype=np.int64))
-    return RolloutBatch(flat, theta, seed, mode, horizon_cap, n_rollouts - lengths.size)
+def _continuous_kind(problem, theta, horizon_cap, tv, live, uniforms):
+    """A continuous chain's start states, step and costs. A rollout whose
+    next state is not finite has diverged and leaves the live set."""
+    normals = _Draws(uniforms.streams, problem.init.mean.shape)
+
+    def step(t, live, x):
+        x = problem.chain.next_states(theta, x, normals.take(live), t if tv else 0)
+        ok = np.isfinite(x).all(axis=1)
+        return live[ok], x[ok]
+
+    costs = lambda states, steps: problem.cost.state_values(theta, states, steps if tv else 0)
+    return problem.init.states(normals.take(live)), step, costs, None
 
 
 def effective_gamma(problem: Problem, batch: RolloutBatch) -> float:
@@ -619,11 +607,14 @@ def fit_value_approx(
     A continuous chain takes no baseline.
     """
     n = _baseline_chain(problem).n_states
+    ridge = check_number("ridge", ridge, zero_ok=True)
     features = np.asarray(features, dtype=float)
     if features.ndim != 2 or features.shape[0] != n:
         raise InvalidStructureError(
             f"features have shape {features.shape}; need one row per state, ({n}, dim)"
         )
+    if not np.all(np.isfinite(features)):
+        raise InvalidStructureError("features contain non-finite entries")
     steps = batch.steps(effective_gamma(problem, batch))
     w, wR = steps.weights, steps.weights * steps.returns
     visited = np.flatnonzero(np.bincount(steps.states, minlength=n))

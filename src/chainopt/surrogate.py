@@ -22,7 +22,9 @@ from .errors import (
     RegularizationRequiredError,
 )
 from .exact import Solution, solution_at
-from .model import Average, BlockDiagonal, Problem, TimeVarying, check_number, check_params
+from .model import (
+    Average, BlockDiagonal, Problem, TimeVarying, check_count, check_number, check_params,
+)
 from .rollout import (
     RolloutBatch,
     baseline_expected_values,
@@ -324,6 +326,8 @@ def chain_iteration_step(
     iterations the step is rejected and the returned report halves kappa.
     """
     theta = check_params(theta, problem.n_params)
+    tol = check_number("tol", tol)
+    max_inner = check_count("max_inner", max_inner)
     if not 0.0 <= kappa <= 1.0:
         raise ConfigError("trust weight kappa must lie in [0, 1]")
     if inner not in ("gd", "newton"):
@@ -444,6 +448,8 @@ def fisher_matrix(
 
     check_batch(theta, batch)
     gamma = problem.gamma
+    if batch.mode == "geometric" and gamma == 0.0:  # every rollout stops before a transition
+        raise InvalidStructureError("gamma is 0: a geometric batch holds no transition")
     steps = batch.steps(effective_gamma(problem, batch))
     n = steps.lengths.size
     k = steps.trans

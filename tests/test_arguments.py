@@ -23,18 +23,24 @@ from chainopt import (
     Problem,
     StateQuadraticCost,
     estimate_gradient,
+    fit_value_approx,
     generate_rollouts,
     mdp_policy_evaluation,
 )
 from chainopt.exact import fd_gradient, fd_gradient_oracle, fd_hessian, fd_hessian_oracle
 from chainopt.model import check_number
-from chainopt.problems import random_mdp, random_softmax_problem
-from chainopt.surrogate import fisher_matrix, natural_gradient
+from chainopt.problems import gaussian_linear_problem, random_mdp, random_softmax_problem
+from chainopt.surrogate import chain_iteration_step, fisher_matrix, natural_gradient
 
 PROBLEM = random_softmax_problem(EpisodicDiscounted(0.9), n_states=4, seed=2)
 THETA = 0.1 * np.arange(PROBLEM.n_params)
 BATCH = generate_rollouts(PROBLEM, THETA, 4, 10)
 MDP, POLICY, MDP_THETA = random_mdp(4, 2, 0)
+# at gamma = 0 a geometric batch stops every rollout before its first step
+NO_STEP_PROBLEMS = [
+    random_softmax_problem(EpisodicDiscounted(0.0), 6, seed=1),
+    gaussian_linear_problem(2, seed=0, gamma=0.0)[0],
+]
 
 
 def _objective(th):
@@ -44,6 +50,11 @@ def _objective(th):
 def _natural(damping):
     F = fisher_matrix(PROBLEM, THETA)
     return natural_gradient(np.ones(PROBLEM.n_params), F, damping)
+
+
+def _geometric_fisher(problem):
+    theta = np.zeros(problem.n_params)
+    return fisher_matrix(problem, theta, generate_rollouts(problem, theta, 4, 10))
 
 
 def _gaussian_problem(dim):
@@ -68,6 +79,11 @@ CALLS = {
     "mdp_policy_evaluation": lambda setting: mdp_policy_evaluation(
         MDP.transitions, MDP.costs, POLICY.table(MDP_THETA), setting
     ),
+    "fisher_matrix": _geometric_fisher,
+    "ridge": lambda ridge: fit_value_approx(PROBLEM, BATCH, np.eye(4), ridge),
+    "features": lambda fill: fit_value_approx(PROBLEM, BATCH, np.full((4, 2), fill), 1.0),
+    "tol": lambda tol: chain_iteration_step(PROBLEM, THETA, tol=tol),
+    "max_inner": lambda n: chain_iteration_step(PROBLEM, THETA, max_inner=n),
 }
 # a setting that a function does not cover is a capability it lacks
 ERRORS = {"mdp_policy_evaluation": CapabilityError}
@@ -85,6 +101,12 @@ CASES = [
     *[("baseline", fill, "baseline table contains non-finite entries")
       for fill in (math.nan, math.inf)],
     ("mdp_policy_evaluation", FirstExit(), "mdp_policy_evaluation cannot evaluate FirstExit"),
+    *[("fisher_matrix", problem, "gamma is 0") for problem in NO_STEP_PROBLEMS],
+    *[("ridge", ridge, "ridge must be a finite non-negative number")
+      for ridge in (math.nan, -1.0, math.inf)],
+    *[("features", fill, "features contain non-finite entries") for fill in (math.nan, math.inf)],
+    *[("tol", tol, "tol must be a finite positive number") for tol in (math.nan, -1.0, math.inf)],
+    *[("max_inner", n, "max_inner must be an integer >= 1") for n in (0, -1, 2.5)],
 ]
 
 

@@ -157,12 +157,35 @@ def assert_same_batch(new, ref, tmp_path):
     np.testing.assert_array_equal(got, scores)
 
 
+class BlockedDraws:
+    """One rollout's stream, drawn as the lockstep engine draws it: the
+    uniforms and the standard normal rows each come from their own block of
+    rollout._BLOCK draws, refilled from the stream when it runs out."""
+
+    def __init__(self, rng, n_x):
+        self.rng, self.n_x = rng, n_x
+        self.u, self.z = [], []
+
+    def uniform(self):
+        if not self.u:
+            self.u = list(self.rng.random(rollout._BLOCK))
+        return self.u.pop(0)
+
+    def normal(self):
+        if not self.z:
+            self.z = list(self.rng.standard_normal((rollout._BLOCK, self.n_x)))
+        return self.z.pop(0)
+
+
 def per_rollout_continuous(problem, theta, n_rollouts, horizon_cap=10_000, mode=None, seed=0):
-    """Continuous generation as it was before batches became flat arrays:
-    one loop per rollout, its costs and scores computed one row at a time
-    (conftest's state_cost and gaussian_score) after its draws, a diverged
-    rollout kept with a flag. The batch holds the rollouts that did not
-    diverge, with their stored scores as ``batch.reference``."""
+    """Continuous generation one rollout at a time, in the lockstep
+    engine's draw order: a normal row for the start, then per step a stop
+    uniform in geometric mode and a normal row for the step. Each state is
+    a one-row call of the model's start law and step; the costs and scores
+    are computed one row at a time (conftest's state_cost and
+    gaussian_score) after the draws, and a diverged rollout is kept with a
+    flag. The batch holds the rollouts that did not diverge, with their
+    stored scores as ``batch.reference``."""
     chain = problem.chain
     tv = isinstance(problem.setting, TimeVarying)
     if tv:
@@ -170,24 +193,22 @@ def per_rollout_continuous(problem, theta, n_rollouts, horizon_cap=10_000, mode=
         mode = "horizon"
     if mode is None:
         mode = rollout._default_mode(problem)
-    samplers = [chain.make_sampler(theta, t) for t in range(horizon_cap if tv else 1)]
     stop_prob = 1.0 - problem.gamma
     kept = []
     for i in range(n_rollouts):
-        rng = rollout_rng(seed, i)
-        x = problem.init.sample(rng)
-        states = [x]
+        draws = BlockedDraws(rollout_rng(seed, i), problem.init.mean.size)
+        states = [problem.init.states(draws.normal()[None])[0]]
         diverged = False
         t = 0
         reason = END_HORIZON
         while True:
             if t >= horizon_cap:
                 break
-            if mode == "geometric" and rng.random() < stop_prob:
+            if mode == "geometric" and draws.uniform() < stop_prob:
                 reason = END_GEOMETRIC
                 break
             with np.errstate(over="ignore", invalid="ignore"):
-                x_next = samplers[min(t, len(samplers) - 1)](states[-1], rng)
+                x_next = chain.next_states(theta, states[-1][None], draws.normal()[None], t)[0]
             if not np.all(np.isfinite(x_next)):
                 diverged = True
                 break
@@ -833,14 +854,32 @@ class TestMeanFromOneGroup:
         theta += 1.0
         np.testing.assert_array_equal(est.per_rollout, want)
 
+    def test_mean_counts_only_kept_rollouts(self):
+        """The same kept rollouts with no and with four diverged ones beside
+        them give the same mean: it divides by the kept count, not by
+        len(batch)."""
+        problem, theta = gaussian_linear_problem(2, seed=0)
+        batch = generate_rollouts(problem, theta, 40, seed=0)
+        kept = [(r.states, r.costs, r.end_reason) for r in batch.rollouts]
+        means = [
+            estimate_gradient(
+                problem, theta,
+                batch_from_arrays(*zip(*kept), theta, 0, batch.mode, batch.horizon_cap, n),
+            ).mean
+            for n in (0, 4)
+        ]
+        np.testing.assert_array_equal(means[1], means[0])
+
 
 class TestContinuousBatchesMatchPerRolloutLoop:
     @pytest.mark.parametrize("case", sorted(CONTINUOUS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_same_states_and_close_costs_and_scores(self, case, seed):
+    @pytest.mark.parametrize("block", [64, 3])
+    def test_same_states_and_close_costs_and_scores(self, case, seed, block, monkeypatch):
         """States, times, lengths and end reasons bit for bit; the costs,
         and transition_scores over the new batch, to 1e-12 of the per-row
         references, as batched products need not round as per-row ones."""
+        monkeypatch.setattr(rollout, "_BLOCK", block)
         problem, theta, kw = CONTINUOUS[case]()
         new = generate_rollouts(problem, theta, 40, seed=seed, **kw)
         ref = per_rollout_continuous(problem, theta, 40, seed=seed, **kw)

@@ -303,10 +303,22 @@ class TestGaussianLinearChain:
 
     def test_sample_mean_tracks_affine_map(self):
         chain, theta, rng = self.make()
-        x = np.array([0.3, -0.2])
-        draw = chain.make_sampler(theta)
-        draws = np.stack([draw(x, rng) for _ in range(20_000)])
-        np.testing.assert_allclose(draws.mean(axis=0), gaussian_mean(chain, x, theta), atol=0.02)
+        x = np.tile([0.3, -0.2], (20_000, 1))
+        draws = chain.next_states(theta, x, rng.standard_normal(x.shape))
+        np.testing.assert_allclose(draws.mean(axis=0), gaussian_mean(chain, x[0], theta), atol=0.02)
+        np.testing.assert_allclose(np.cov(draws.T), chain.cov, atol=0.02)
+
+    def test_next_states_row_by_row(self):
+        """Each row is its mean plus the noise covariance's Cholesky factor
+        times its draws, and bit for bit what stepping it alone gives."""
+        chain, theta, rng = self.make()
+        x, z = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+        got = chain.next_states(theta, x, z)
+        chol = np.linalg.cholesky(chain.cov)
+        for k in range(50):
+            want = gaussian_mean(chain, x[k], theta) + chol @ z[k]
+            np.testing.assert_allclose(got[k], want, rtol=1e-12, atol=1e-12)
+            assert got[k].tobytes() == chain.next_states(theta, x[k:k + 1], z[k:k + 1]).tobytes()
 
 
 class TestCosts:
@@ -505,7 +517,12 @@ class TestProblemValidation:
         prob = Problem(chain, cost, EpisodicDiscounted(0.9),
                        GaussianInitial(np.zeros(2), np.eye(2)))
         assert prob.n_params == chain.n_params
-        assert prob.init.sample(rng).shape == (2,)
+        assert prob.init.states(rng.standard_normal((5, 2))).shape == (5, 2)
+        # each start row is the mean plus the Cholesky factor times its draws
+        init = GaussianInitial(np.array([1.0, -2.0]), np.array([[2.0, 0.6], [0.6, 1.0]]))
+        z = rng.standard_normal((50, 2))
+        want = init.mean + z @ np.linalg.cholesky(init.cov).T
+        np.testing.assert_allclose(init.states(z), want, rtol=1e-12, atol=1e-12)
 
 
 # Copies of the per-class samplers that the shared tabular sampler

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import dense_grad_table, gaussian_mean, state_cost
+from conftest import dense_grad_table, gaussian_mean
 
 from chainopt import (
     Average,
@@ -208,15 +208,11 @@ class TestGaussianLinear:
     def test_objective_is_finite_by_monte_carlo(self):
         prob, theta = gaussian_linear_problem(n_x=2, seed=1, gamma=0.9)
         rng = np.random.default_rng(3)
-        step = prob.chain.make_sampler(theta)
-        total = 0.0
         n = 300
-        for _ in range(n):
-            x = prob.init.sample(rng)
-            acc, w = 0.0, 1.0
-            for _t in range(200):
-                acc += w * state_cost(prob.cost, x)
-                w *= 0.9
-                x = step(x, rng)
-            total += acc
+        x = prob.init.states(rng.standard_normal((n, 2)))
+        total, w = 0.0, 1.0
+        for _t in range(200):
+            total += w * prob.cost.state_values(theta, x).sum()
+            w *= 0.9
+            x = prob.chain.next_states(theta, x, rng.standard_normal((n, 2)))
         assert np.isfinite(total / n)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import gaussian_log_density, gaussian_score, state_cost
+from conftest import gaussian_log_density, gaussian_mean, gaussian_score, state_cost
 
 from chainopt import (
     Average,
@@ -415,6 +415,32 @@ class TestContinuousSampledSurrogate:
         batch = batch_from_arrays([states], [costs], [END_HORIZON], theta, 0, "horizon", 1)
         sur = SampledSurrogate(prob, theta, batch)
         assert np.isfinite(sur.value(np.array([5.0])))
+        assert sur.n_ratio_clipped == 1
+
+    def test_far_transition_binds_the_cap(self):
+        """A transition 20 standard deviations from its mean, along B's
+        range: at alpha = (B' cov^-1 B)^-1 B' cov^-1 r the mean moves onto
+        it, so the log ratio is 20^2 / 2 = 200. The value is then
+        L_0 + g L_1 + g L_1 exp(min(200, 30)), with the cap binding once.
+        Draws of the chain itself stay far below the cap, so this batch is
+        built by hand."""
+        prob, theta, chain = self.prob, self.theta, self.prob.chain
+        prec = np.linalg.inv(chain.cov)
+        r = chain.B @ np.array([1.0, 0.5])
+        r *= 20.0 / np.sqrt(r @ prec @ r)
+        x0 = np.array([0.5, -0.3])
+        states = np.stack([x0, gaussian_mean(chain, x0, theta) + r])
+        costs = np.array([state_cost(prob.cost, x) for x in states])
+        batch = batch_from_arrays([states], [costs], [END_HORIZON], theta, 0, "horizon", 1)
+        alpha = np.linalg.solve(chain.B.T @ prec @ chain.B, chain.B.T @ prec @ r)
+        logr = gaussian_log_density(chain, *states, theta + alpha) - gaussian_log_density(
+            chain, *states, theta
+        )
+        np.testing.assert_allclose(logr, 200.0, rtol=1e-9)
+        g = prob.gamma
+        want = costs[0] + g * costs[1] + g * costs[1] * np.exp(min(logr, 30.0))
+        sur = SampledSurrogate(prob, theta, batch)
+        np.testing.assert_allclose(sur.value(alpha), want, rtol=1e-12)
         assert sur.n_ratio_clipped == 1
 
 

@@ -521,15 +521,15 @@ class SoftmaxChain(ChainModel):
         # logits form one segment of the softmax.
         self._flat_y = np.fromiter(itertools.chain.from_iterable(rows), np.int64)
         self._flat_x = np.repeat(np.array(live, dtype=np.int64), lens)
-        # transition x -> y has key x * n_states + y; parameter
-        # _key_param[j] is the logit of the transition with the j-th
-        # smallest key
-        keys = self._flat_x * n + self._flat_y
-        self._key_param = np.argsort(keys)
-        self._sorted_keys = keys[self._key_param]
-        # with every successor in range, a repeated key is a repeated successor
-        out = (self._flat_y < 0) | (self._flat_y >= n)
-        if (lens == 0).any() or out.any() or np.any(self._sorted_keys[1:] == self._sorted_keys[:-1]):
+        fault = (lens == 0).any() or ((self._flat_y < 0) | (self._flat_y >= n)).any()
+        if not fault:
+            # _key_param[x * n_states + y] is the logit of x -> y, -1 off the support;
+            # a repeated successor leaves its key naming only one of its logits
+            keys = self._flat_x * n + self._flat_y
+            self._key_param = np.full(n * n, -1, dtype=np.int32)
+            self._key_param[keys] = np.arange(keys.size)
+            fault = np.any(self._key_param[keys] != np.arange(keys.size))
+        if fault:
             raise InvalidStructureError(_first_row_fault(live, rows, n))
         extra = set(support) - set(live)
         if extra & self.terminal:
@@ -604,16 +604,16 @@ class SoftmaxChain(ChainModel):
         # times its segment's probabilities. Terminal rows score zero.
         x, y, groups = (np.asarray(a, dtype=np.int64) for a in (x, y, groups))
         coef = np.asarray(coef, dtype=float)
-        if self._term.size:
-            live = ~self._is_term[x]
-            x, y, coef, groups = x[live], y[live], coef[live], groups[live]
-            stage = None if stage is None else np.asarray(stage)[live]
-        keys = x * self.n_states + y
-        at = np.minimum(np.searchsorted(self._sorted_keys, keys), max(self.n_params - 1, 0))
-        if keys.size and not np.array_equal(self._sorted_keys[at], keys):
-            raise InvalidStructureError("a transition lies outside the support")
         p, n, kernel = self.n_params, self.n_states, self._softmax
-        k = self._key_param[at]
+        if x.size and not (0 <= min(x.min(), y.min()) and max(x.max(), y.max()) < n):
+            raise InvalidStructureError("a transition lies outside the support")
+        k = self._key_param[x * n + y]
+        on = k >= 0
+        if not on.all():  # off the support: rows of terminal states only
+            if not self._is_term[x[~on]].all():
+                raise InvalidStructureError("a transition lies outside the support")
+            x, k, coef, groups = x[on], k[on], coef[on], groups[on]
+            stage = None if stage is None else np.asarray(stage)[on]
         probs = kernel.probs(z)
         hits = np.bincount(groups * p + k, weights=coef, minlength=n_groups * p)
         if stage is None:

@@ -8,21 +8,22 @@ on a terminal state stops, except in a time-varying problem, where it
 stays there and draws nothing) and the cap check, one uniform stop draw
 in geometric mode (stop when it is below 1 - gamma) and a step draw. A
 tabular chain's start and step draws are uniforms, inverse-CDF lookups
-in the cumulative initial weights and transition rows with
-``sample_index``'s clamp to a row's last positive entry, as
-``ChainModel.make_sampler`` draws. A continuous chain's are rows of n_x
+with ``sample_index``'s clamp, as ``ChainModel.make_sampler`` draws: the
+first entry above u of a cumulative row whose clamp entry, the first to
+reach the row total, is +inf. A continuous chain's are rows of n_x
 standard normals, which ``GaussianInitial.states`` and the chain's
 ``next_states`` turn into states; a step that leaves the finite numbers
-diverges its rollout.
+diverges its rollout. The loop marks only that: a rollout's other end
+reasons are read after it from its length and last state.
 
 All live rollouts advance in lockstep, and every rollout that draws at
 a given point of the loop has made the same number of draws of that
-kind before. So draw k of a kind is entry k % _BLOCK of a block of that
-kind, whose row i holds _BLOCK successive draws of stream i
-(``rng.random(out=row)`` and ``rng.standard_normal(out=row)`` fill a row
+kind before. So draw k of a kind is row k % _BLOCK of a block of that
+kind, whose column i holds _BLOCK successive draws of stream i
+(``rng.random(out=a)`` and ``rng.standard_normal(out=a)`` fill an array
 as that many successive single draws would). The drawing rollouts refill
-their rows whenever k reaches a multiple of _BLOCK; a finished rollout's
-unused draws are discarded, which no other rollout can see. A
+their columns whenever k reaches a multiple of _BLOCK; a finished
+rollout's unused draws are discarded, which no other rollout can see. A
 continuous rollout's two kinds refill in an order its steps fix. One
 cost call then costs all kept states.
 
@@ -181,10 +182,6 @@ class _Flat:
     costs: np.ndarray  # (N,)
     lengths: np.ndarray  # states per rollout
     codes: np.ndarray  # each rollout's end reason, an index into _REASONS
-
-    def transitions(self) -> np.ndarray:
-        """The steps that start a transition: all but each rollout's last."""
-        return np.delete(np.arange(self.t.size), np.cumsum(self.lengths) - 1)
 
 
 class RolloutBatch:
@@ -395,25 +392,21 @@ def generate_rollouts(
         raise InvalidStructureError("terminal mode needs a chain with terminal states")
     uniforms = _Draws(_rollout_streams(seed, n_rollouts))
     live = np.arange(n_rollouts)
+    diverged = np.zeros(n_rollouts, dtype=bool)  # marked by a continuous step
     kind = _tabular_kind if chain.tabular else _continuous_kind
-    x, step, costs, terminal = kind(problem, theta, horizon_cap, tv, live, uniforms)
-    stop_prob = 1.0 - problem.gamma
-    reason = np.full(n_rollouts, -1, dtype=np.int64)  # into _REASONS; -1 if it diverged
+    x, step, costs, going = kind(problem, theta, horizon_cap, tv, live, uniforms, diverged)
     visits, visited = [live], [x]  # rollouts alive at each step, and their states
     t = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while live.size:
-            if terminal is not None:
-                done = terminal[x]
-                reason[live[done]] = 1
-                live, x = live[~done], x[~done]
+            if going is not None:
+                go = going[x]
+                live, x = live[go], x[go]
             if t >= horizon_cap:
-                reason[live] = 0
                 break
             if mode == "geometric":
-                done = uniforms.take(live) < stop_prob
-                reason[live[done]] = 2
-                live, x = live[~done], x[~done]
+                go = uniforms.take(live) >= 1.0 - problem.gamma  # stop below 1 - gamma
+                live, x = live[go], x[go]
             live, x = step(t, live, x)
             visits.append(live)
             visited.append(x)
@@ -423,27 +416,31 @@ def generate_rollouts(
     owner = np.concatenate(visits)
     step_of = np.repeat(np.arange(len(visits)), [v.size for v in visits])
     lengths = np.bincount(owner, minlength=n_rollouts)
-    at = (np.cumsum(lengths) - lengths)[owner] + step_of
+    ends = np.cumsum(lengths)
+    at = (ends - lengths)[owner] + step_of
     x = np.concatenate(visited)
     states, steps = np.empty_like(x), np.empty_like(step_of)
     states[at], steps[at] = x, step_of
-    kept = reason >= 0
-    if not kept.all():  # drop the diverged rollouts
-        rows = np.repeat(kept, lengths)
+    # each end reason, into _REASONS: a terminal last state, else the cap, else a stop
+    reason = np.where(lengths > horizon_cap, 0, 2)
+    if going is not None:
+        reason[~going[states[ends - 1]]] = 1
+    if diverged.any():  # drop the diverged rollouts
+        kept, rows = ~diverged, np.repeat(~diverged, lengths)
         states, steps, lengths, reason = states[rows], steps[rows], lengths[kept], reason[kept]
     flat = _Flat(states, steps, costs(states, steps), lengths, reason)
     return RolloutBatch(flat, theta, seed, mode, horizon_cap, n_rollouts - reason.size)
 
 
 class _Draws:
-    """One kind of draw of a batch's rollouts, each from its own stream:
-    uniforms, or given a shape, standard normal arrays of that shape. The
-    module docstring says how they are blocked."""
+    """One kind of draw of the rollouts, each from its own stream: uniforms,
+    or standard normal arrays of a given shape, in draw-major blocks."""
 
     def __init__(self, streams: list, shape: tuple = ()):
         self.streams = streams
         self.fill = np.random.Generator.standard_normal if shape else np.random.Generator.random
-        self.block = np.empty((len(streams), _BLOCK) + shape)
+        self.row = (_BLOCK,) + shape  # one stream's block
+        self.cols = np.empty((_BLOCK, len(streams)) + shape)
         self.k = 0
 
     def take(self, rows: np.ndarray) -> np.ndarray:
@@ -451,59 +448,60 @@ class _Draws:
         0..k-1 of this kind."""
         col = self.k % _BLOCK
         if col == 0:
-            for i in rows.tolist():
-                self.fill(self.streams[i], out=self.block[i])
+            fresh = np.empty((rows.size,) + self.row)
+            for out, i in zip(fresh, rows.tolist()):
+                self.fill(self.streams[i], out=out)
+            self.cols[:, rows] = fresh.swapaxes(0, 1)
         self.k += 1
-        return self.block[rows, col]
+        return self.cols[col][rows]
 
 
-def _inverse_cdf(cum: np.ndarray, top, u: np.ndarray) -> np.ndarray:
-    """sample_index per draw: the first entry of the (nondecreasing)
-    cumulative row above u, or the row's clamp index top when u reaches
-    the total."""
-    idx = np.argmax(cum > u[:, None], axis=1)
-    return np.where(cum[:, -1] > u, idx, top)
+def _lookup_table(weights: np.ndarray) -> np.ndarray:
+    """The cumulative weights along the last axis, each row's clamp entry
+    set to +inf: the first entry of a row above a uniform u is then
+    sample_index's draw, its clamp to the last positive entry included."""
+    cum = np.cumsum(weights, axis=-1)
+    top = np.argmax(cum >= cum[..., -1:], axis=-1)
+    np.put_along_axis(cum, top[..., None], np.inf, axis=-1)
+    return cum
 
 
-def _tabular_kind(problem, theta, horizon_cap, tv, live, uniforms):
-    """A tabular chain's start states, step and costs, and its terminal
-    states, where a rollout stops (None in a time-varying problem)."""
+def _tabular_kind(problem, theta, horizon_cap, tv, live, uniforms, diverged):
+    """A tabular chain's start states, step and costs, and the mask of states
+    a rollout steps on from: None in a time-varying problem or a chain with none."""
     chain = problem.chain
     if tv:  # every stage's matrix and cost table, from one call each
         P = staged(chain).transition_matrix(theta, np.arange(horizon_cap))
         L = staged(problem.cost).value_table(theta, np.arange(horizon_cap + 1))
     else:
         P, L = chain.transition_matrix(theta)[None], problem.cost.value_table(theta)[None]
-    cums = np.cumsum(P, axis=2)
-    # first index reaching the row total: the last entry with positive weight
-    tops = np.argmax(cums >= cums[:, :, -1:], axis=2)
-    terminal = np.zeros(chain.n_states, dtype=bool)
-    terminal[list(chain.terminal)] = True
-    init_cum = np.cumsum(problem.init.weights)[None, :]
-    x = _inverse_cdf(init_cum, np.argmax(init_cum[0] >= init_cum[0, -1]), uniforms.take(live))
+    cums = _lookup_table(P)
+    going = np.ones(chain.n_states, dtype=bool)
+    going[list(chain.terminal)] = False
+    x = (_lookup_table(problem.init.weights) > uniforms.take(live)[:, None]).argmax(1)
+    parks = tv and bool(chain.terminal)
 
     def step(t, live, x):
-        stage = min(t, cums.shape[0] - 1)
-        cum, top = cums[stage], tops[stage]
-        if not tv:
-            return live, _inverse_cdf(cum[x], top[x], uniforms.take(live))
-        x, move = x.copy(), ~terminal[x]  # a parked rollout stays and draws nothing
-        rows = x[move]
-        x[move] = _inverse_cdf(cum[rows], top[rows], uniforms.take(live[move]))
+        cum = cums[t if tv else 0]
+        if not parks:
+            return live, (cum[x] > uniforms.take(live)[:, None]).argmax(1)
+        x, move = x.copy(), going[x]  # a parked rollout stays and draws nothing
+        x[move] = (cum[x[move]] > uniforms.take(live[move])[:, None]).argmax(1)
         return live, x
 
     costs = lambda states, steps: L[np.minimum(steps, L.shape[0] - 1), states]
-    return x, step, costs, None if tv else terminal
+    return x, step, costs, None if tv or not chain.terminal else going
 
 
-def _continuous_kind(problem, theta, horizon_cap, tv, live, uniforms):
+def _continuous_kind(problem, theta, horizon_cap, tv, live, uniforms, diverged):
     """A continuous chain's start states, step and costs. A rollout whose
-    next state is not finite has diverged and leaves the live set."""
+    next state is not finite is marked diverged and leaves the live set."""
     normals = _Draws(uniforms.streams, problem.init.mean.shape)
 
     def step(t, live, x):
         x = problem.chain.next_states(theta, x, normals.take(live), t if tv else 0)
         ok = np.isfinite(x).all(axis=1)
+        diverged[live[~ok]] = True
         return live[ok], x[ok]
 
     costs = lambda states, steps: problem.cost.state_values(theta, states, steps if tv else 0)
@@ -543,33 +541,35 @@ def batch_steps(batch: RolloutBatch, gamma: float) -> BatchSteps:
     f = batch.flat
     lengths = f.lengths
     first = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(lengths.size), lengths)
     return BatchSteps(
         lengths=lengths,
         states=f.states,
         costs=f.costs,
-        owner=np.repeat(np.arange(lengths.size), lengths),
+        owner=owner,
         t=f.t,
-        returns=_batch_returns(f.costs, lengths, first, gamma),
+        returns=_batch_returns(f.costs, lengths, owner, f.t, gamma),
         weights=(gamma ** np.arange(lengths.max(initial=0)))[f.t],
-        trans=f.transitions(),
+        trans=np.delete(np.arange(f.t.size), first + lengths - 1),
         first=first,
     )
 
 
-def _batch_returns(costs, lengths, first, gamma) -> np.ndarray:
-    """R_t = L_t + gamma R_{t+1} of every rollout, concatenated. Ordered
-    longest first, the rollouts still alive k steps from their ends are a
-    prefix, so each step back is one gather and one update of that prefix."""
-    out = np.empty_like(costs)
-    rows = (first + lengths - 1)[np.argsort(-lengths, kind="stable")]  # each rollout's end
-    alive = np.cumsum(np.bincount(lengths)[::-1])[::-1]  # rollouts with at least k costs
-    R = np.zeros(lengths.size)
-    for m in alive[1:].tolist():
-        rows = rows[:m]
-        R = costs[rows] + gamma * R[:m]
-        out[rows] = R
-        rows -= 1
-    return out
+def _batch_returns(costs, lengths, owner, t, gamma) -> np.ndarray:
+    """R_t = L_t + gamma R_{t+1} of every rollout, concatenated. Row j of
+    the back-to-front layout holds the cost j steps before each end of the
+    rollouts with more than j costs, longest first, so each row is one
+    update from a prefix of the row before (row -1 holds zeros)."""
+    rank = np.argsort(np.argsort(-lengths, kind="stable"))  # longest first
+    alive = np.cumsum(np.bincount(lengths)[::-1])[::-1][1:]  # rollouts with more than j costs
+    start = np.cumsum(alive) - alive + lengths.size
+    at = start[lengths[owner] - 1 - t] + rank[owner]
+    R = np.zeros(lengths.size + costs.size)
+    R[at] = costs
+    rows = start.tolist()
+    for prev, row, m in zip([0] + rows, rows, alive.tolist()):
+        R[row : row + m] += gamma * R[prev : prev + m]
+    return R[at]
 
 
 def transition_scores(problem: Problem, theta, steps: BatchSteps) -> np.ndarray:

@@ -174,9 +174,10 @@ class ReferenceSoftmaxLayout:
         self._flat_x = np.repeat(np.array(live, dtype=np.int64), seg_len)
         self._flat_y = np.array([y for x in live for y in self._succ[x]], dtype=np.int64)
         self.seg_of = np.repeat(np.arange(len(live)), seg_len)
-        keys = self._flat_x * self.n_states + self._flat_y
-        self._key_param = np.argsort(keys)
-        self._sorted_keys = keys[self._key_param]
+        self._key_param = np.full(self.n_states * self.n_states, -1, dtype=np.int32)
+        for x in live:
+            for j, y in enumerate(self._succ[x]):
+                self._key_param[x * self.n_states + y] = slices[x].start + j
 
     def param_slice(self, x: int) -> slice:
         return self._slices[x]

@@ -21,6 +21,7 @@ from chainopt import (
     GaussianLinearChain,
     InvalidStructureError,
     Problem,
+    SoftmaxChain,
     StateQuadraticCost,
     estimate_gradient,
     fit_value_approx,
@@ -84,6 +85,9 @@ CALLS = {
     "features": lambda fill: fit_value_approx(PROBLEM, BATCH, np.full((4, 2), fill), 1.0),
     "tol": lambda tol: chain_iteration_step(PROBLEM, THETA, tol=tol),
     "max_inner": lambda n: chain_iteration_step(PROBLEM, THETA, max_inner=n),
+    # state 0 lists successors 0, 1 and 3 of 0..3
+    "score_sums": lambda y: PROBLEM.chain.score_sums(THETA, [1, 0], [2, y], [1.0, 1.0], [0, 0], 1),
+    "support": lambda row: SoftmaxChain(3, {0: row, 1: [0], 2: [0, 1]}),
 }
 # a setting that a function does not cover is a capability it lacks
 ERRORS = {"mdp_policy_evaluation": CapabilityError}
@@ -107,6 +111,8 @@ CASES = [
     *[("features", fill, "features contain non-finite entries") for fill in (math.nan, math.inf)],
     *[("tol", tol, "tol must be a finite positive number") for tol in (math.nan, -1.0, math.inf)],
     *[("max_inner", n, "max_inner must be an integer >= 1") for n in (0, -1, 2.5)],
+    *[("score_sums", y, "a transition lies outside the support") for y in (2, 4, -1)],
+    *[("support", row, "state 0 lists a successor twice") for row in ([1, 1], [2, 0, 2])],
 ]
 
 

@@ -8,6 +8,8 @@ must agree with per-step references to 1e-12.
 
 import dataclasses
 import json
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -378,19 +380,25 @@ class TestLockstepMatchesPerStepEngine:
         assert_same_batch(batch, per_step_rollouts(problem, np.zeros(0), 60, 30, seed=8), tmp_path)
 
     def test_inverse_cdf_matches_sample_index_at_ties(self):
-        # draws at, just below and just above every cumulative entry, and at
-        # the top; the last row sums to 0.6, so its upper draws are clamped
-        cum = np.cumsum(
-            [[0.25, 0.25, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0], [0.1, 0.2, 0.3, 0.0, 0.0]],
-            axis=1,
+        """The loop's lookup, the first entry above u of a row of
+        _lookup_table, against sample_index: draws at, just below and just
+        above every cumulative entry, and at the top, in transition rows, in
+        a stack of stages and in a start law. The third row sums to 0.6, so
+        its upper draws are clamped, and most rows end in zeros, so the clamp
+        index is below n - 1."""
+        rows = np.array(
+            [[0.25, 0.25, 0.0, 0.5, 0.0], [0.0, 0.5, 0.5, 0.0, 0.0], [0.1, 0.2, 0.3, 0.0, 0.0]]
         )
-        tops = np.argmax(cum >= cum[:, -1:], axis=1)
-        for row in range(3):
-            c = cum[row]
-            u = np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0, 1 - 2**-53]])
-            rows = np.full(u.size, row)
-            got = rollout._inverse_cdf(cum[rows], tops[rows], u)
-            assert got.tolist() == [sample_index(c, v) for v in u]
+        start = np.array([0.0, 0.3, 0.0, 0.7, 0.0])
+        for weights in (rows, np.stack([rows, rows[:, ::-1]]), start):
+            cum = np.cumsum(weights, axis=-1).reshape(-1, 5)
+            table = rollout._lookup_table(weights).reshape(-1, 5)
+            for row, c in enumerate(cum):
+                u = np.concatenate(
+                    [c, np.nextafter(c, 0.0), np.nextafter(c, 1.0), [0.0, 1 - 2**-53]]
+                )
+                got = (table[np.full(u.size, row)] > u[:, None]).argmax(1)
+                assert got.tolist() == [sample_index(c, v) for v in u]
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3, 2**130 + 1])
     def test_streams_match_rollout_rng(self, seed):
@@ -415,6 +423,69 @@ class TestLockstepMatchesPerStepEngine:
                     sa[t],
                     transition_score(problem.chain, a.states[t], a.states[t + 1], theta, t),
                 )
+
+
+@st.composite
+def small_tabular_cases(draw):
+    """(problem, mode, horizon cap, rollout._BLOCK) of a FixedTabularChain
+    of 2-6 states, or of a time-varying stack of 1-5 of them, with caps of
+    1-5. Rows may end in zeros and may sum to 0.6, so that draws at or
+    above a row's total land on its clamp, often below n - 1; the start law
+    may have zero-weight entries and may put mass on terminal states. The
+    matrices' terminal rows move to the next state: a rollout on a terminal
+    state must stop, or in a time-varying problem stay there, without
+    reading its row."""
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    terminal = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    scale = draw(st.sampled_from([1.0, 0.6]))
+
+    class Scaled(FixedTabularChain):
+        def transition_matrix(self, theta, t=0):
+            M = scale * self._P
+            M[terminal] = np.roll(self._P[terminal], 1, axis=1)
+            return M
+
+    def matrix():
+        P = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        for row in P:
+            keep = rng.integers(1, n + 1)  # the entries before the trailing zeros
+            row[keep:] = 0.0
+            row[rng.integers(0, keep)] += 0.1
+        P /= P.sum(axis=1, keepdims=True)
+        P[terminal] = 0.0
+        P[terminal, terminal] = 1.0
+        return Scaled(P, terminal=terminal)
+
+    def table():
+        values = rng.uniform(0.5, 2.0, n)
+        values[terminal] = 0.0
+        return TableCost(values)
+
+    start = rng.uniform(size=n) * (rng.uniform(size=n) < 0.6)
+    start[rng.integers(0, n)] += 0.1
+    init = TabularInitial(start / start.sum())
+    cap = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        stages = TimeVaryingChain([matrix() for _ in range(cap)])
+        costs = TimeVaryingCost([table() for _ in range(cap + 1)])
+        problem, mode = Problem(stages, costs, TimeVarying(cap), init), "horizon"
+    else:
+        gamma = draw(st.sampled_from([0.3, 0.8, 0.97]))
+        problem = Problem(matrix(), table(), EpisodicDiscounted(gamma), init)
+        mode = draw(st.sampled_from(["horizon", "geometric"] + ["terminal"] * bool(terminal)))
+    return problem, mode, cap, draw(st.sampled_from([64, 3, 1]))
+
+
+@given(small_tabular_cases())
+@settings(PROPERTY, max_examples=150)
+def test_lockstep_matches_per_step_engine_on_small_chains(case):
+    problem, mode, cap, block = case
+    with pytest.MonkeyPatch.context() as patch, tempfile.TemporaryDirectory() as tmp:
+        patch.setattr(rollout, "_BLOCK", block)
+        new = generate_rollouts(problem, np.zeros(0), 30, cap, mode, seed=5)
+        ref = per_step_rollouts(problem, np.zeros(0), 30, cap, mode, seed=5)
+        assert_same_batch(new, ref, pathlib.Path(tmp))
 
 
 class TestFlatBatches:

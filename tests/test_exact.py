@@ -172,6 +172,28 @@ class TestEpisodicSolver:
         with pytest.raises(InvalidStructureError, match="occupancy residual nan"):
             exact._occupancy(prob, np.where(P > 0.3, np.nan, P))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.5, -3.0, 2.0]),
+            np.array([[0.5, -3.0, 2.0], [0.1, 0.2, -0.3], [4.0, 1e6, 2.0]]),
+        ],
+        ids=["single", "stacked"],
+    )
+    def test_residual_bound_lies_between_1e_11_and_1e_8_of_the_value_scale(self, values):
+        """A residual of 1e-11 times max(1, max |V|) passes; one of 1e-8
+        times it, or a NaN, fails, in a single solve and in any one solve of
+        a stack."""
+        scale = np.maximum(1.0, np.abs(values).max(axis=-1))
+        exact._check_residual(np.array(1e-11 * scale), values, "value solve")
+        refused = "value solve residual .* too large"
+        for bad in (1e-8, np.nan):
+            for i in np.ndindex(scale.shape):
+                residual = np.array(1e-11 * scale)
+                residual[i] = bad * scale[i]
+                with pytest.raises(InvalidStructureError, match=refused):
+                    exact._check_residual(residual, values, "value solve")
+
     def test_unreachable_terminal_raises(self):
         chain = SoftmaxChain(3, {0: [0, 1], 1: [0, 1]}, terminal=[2])
         cost = TableCost([1.0, 1.0, 0.0], n_params=chain.n_params)

@@ -186,7 +186,7 @@ def softmax_layouts(draw):
     return n, support, terminal, offset
 
 
-LAYOUT_ARRAYS = ("_flat_x", "_flat_y", "_key_param", "_sorted_keys")
+LAYOUT_ARRAYS = ("_flat_x", "_flat_y", "_key_param")
 
 
 class TestSoftmaxLayout:
@@ -248,6 +248,7 @@ class TestSoftmaxLayout:
             ),
         )
         assert staged._flat_y is chain._flat_y
+        assert staged._key_param is chain._key_param
         np.testing.assert_array_equal(chain._offset, np.zeros(4))
         with pytest.raises(InvalidStructureError, match="logit offset length"):
             chain._with_offset(np.zeros(3))
